@@ -56,7 +56,7 @@ def necessary_condition(src: SourceSpec, ch: ChannelSpec,
 
     The first right-hand side increases with ``beta``, the second decreases,
     so it suffices to check the first bound at the largest ``beta`` the
-    second allows; that crossing is found by bisection.
+    second allows, ``1 - (4^need - 1) N / (P2 (1 - rho^2))`` in closed form.
     """
     need_joint = rd_joint(src, target)
     need_cond = rd_conditional(src, target.d2)
@@ -66,14 +66,11 @@ def necessary_condition(src: SourceSpec, ch: ChannelSpec,
     elif _private_bound(src, ch, 1.0) >= need_cond:
         beta = 1.0
     else:
-        lo, hi = 0.0, 1.0  # private bound >= need at lo, < need at hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _private_bound(src, ch, mid) >= need_cond:
-                lo = mid
-            else:
-                hi = mid
-        beta = lo
+        beta = max(0.0, 1.0 - (4.0**need_cond - 1.0) * ch.n0 / (ch.p2 * (1.0 - src.rho**2)))
+        # rounding can leave the private bound an ulp short (beta = 0 meets it):
+        # step beta down until the share 1 - beta the bound reads grows by an ulp
+        while _private_bound(src, ch, beta) < need_cond:
+            beta = min(float(np.nextafter(beta, 0.0)), 1.0 - float(np.nextafter(1.0 - beta, 2.0)))
     slacks = {
         "joint_rate": _coherent_sum_bound(src, ch, beta) - need_joint,
         "cond_rate": _private_bound(src, ch, beta) - need_cond,

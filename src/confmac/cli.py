@@ -7,8 +7,8 @@ Subcommands: ``region`` (evaluate one region or feasibility operation),
 Flags may also be supplied through a flat JSON config (``--config``);
 explicit command-line flags win.  JSON results echo the resolved config under
 a ``config`` key, so an emitted result can be fed back as a config file.
-Exit codes: 0 success, 1 domain error, 2 infeasible/unbounded, 3 validation
-failure.
+Exit codes: 0 success, 1 domain error (degenerate inputs such as rho = 1
+included), 2 infeasible/unbounded, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -47,16 +47,9 @@ def _fmt(x) -> str:
 
 
 def parse_c12(raw):
+    """A capacity or variance flag: a float, or 'inf' for unlimited (absent)."""
     if raw is None or is_unlimited(raw):
         return UNLIMITED
-    if isinstance(raw, str) and raw.strip().lower() in ("inf", "unlimited", "infinity"):
-        return UNLIMITED
-    value = float(raw)
-    return UNLIMITED if math.isinf(value) else value
-
-
-def parse_variance(raw):
-    """Auxiliary variance: positive float or 'inf' for an absent auxiliary."""
     if isinstance(raw, str) and raw.strip().lower() in ("inf", "unlimited", "infinity"):
         return UNLIMITED
     value = float(raw)
@@ -238,8 +231,8 @@ def cmd_region(args) -> int:
         report = rdlib.wagner_contains(src(), DistortionPair(d1, d2), RatePoint(r1, r2))
         return emit_report(report, echo, args.json)
     if which == "kaspi":
-        kp = rdlib.KaspiParams(parse_variance(cfg["sw2"]), parse_variance(cfg["su2"]),
-                               parse_variance(cfg["sv2"]))
+        kp = rdlib.KaspiParams(parse_c12(cfg["sw2"]), parse_c12(cfg["su2"]),
+                               parse_c12(cfg["sv2"]))
         point = rdlib.kaspi_region_point(src(), kp)
         payload = {
             "c12_bound": point.c12_bound, "r1_bound": point.r1_bound,
@@ -356,21 +349,16 @@ def cmd_trace(args) -> int:
     cfg = resolve(args, names)
     kind = CurveKind(cfg["kind"])
     c12 = parse_c12(cfg["c12"])
-    params = {
-        "sigma2": float(cfg["sigma2"]), "rho": float(cfg["rho"]),
-        "n0": float(cfg["noise"]), "c12": c12,
-        "tol": float(cfg["tol"]) if cfg["tol"] is not None else 1e-9,
-    }
-    if cfg["d2"] is not None:
-        params["d2"] = float(cfg["d2"])
-    if cfg["p"] is not None:
-        params["p"] = float(cfg["p"])
+    params = dict(zip(("sigma2", "rho", "n0", "d2"),
+                      _floats(cfg, "sigma2", "rho", "noise", "d2")))
+    params["c12"] = c12
+    params["tol"] = float(cfg["tol"]) if cfg["tol"] is not None else 1e-9
+    if kind is CurveKind.C12_VS_ALPHA:
+        params["p"] = _floats(cfg, "p")[0]
     if cfg["schemes"]:
         params["schemes"] = [tok.strip() for tok in str(cfg["schemes"]).split(",") if tok.strip()]
-    if kind is CurveKind.D1D2_VS_SNR:
-        grid = parse_grid(str(cfg["snrs"]))
-    else:
-        grid = parse_grid(str(cfg["alphas"]))
+    grid_flag = "snrs" if kind is CurveKind.D1D2_VS_SNR else "alphas"
+    grid = search.check_trace_inputs(params, parse_grid(str(cfg[grid_flag])))
 
     workers = min(worker_count(), len(grid))
     if workers > 1:
@@ -453,7 +441,7 @@ def _run_validation(seed: int, samples: int) -> list[tuple[str, bool, str]]:
     src = SourceSpec(1.0, 0.5)
     cfgq = vqscheme.VqConfig(1.0, 1.0, 0.5, 0.0, 0.0)
     est = montecarlo.genie_distortion_mc(src, cfgq, samples, seed)
-    d1c, d2c = montecarlo.genie_distortion_closed_form(src, cfgq)
+    d1c, d2c = vqscheme.vq_distortion(src, cfgq).astuple()
     ok = (abs(est.d1_hat - d1c) <= 3 * est.d1_se and abs(est.d2_hat - d2c) <= 3 * est.d2_se)
     add("genie-distortion", ok,
         f"d1 {est.d1_hat:.6f}~{d1c:.6f} (se {est.d1_se:.2e}), "
@@ -619,6 +607,9 @@ def run(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ArithmeticError as exc:  # formulas undefined at degenerate inputs, e.g. rho = 1
+        print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

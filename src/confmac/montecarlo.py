@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .model import DomainError, SourceSpec
-from .vqscheme import VqConfig, _distortion_arrays
+from .vqscheme import VqConfig
 from ._mc import MomentAccumulator, accumulate_chunks
 
 _VARS = ("s1", "s2", "u1", "v", "u2")
@@ -226,12 +226,6 @@ def expected_cosine(r: float, dim: int) -> float:
     ``r (1 - r^2) / (2 dim)`` at first order; the residual is O(1/dim^2).
     """
     return r * (1.0 - (1.0 - r**2) / (2.0 * dim))
-
-
-def genie_distortion_closed_form(src: SourceSpec, cfg: VqConfig) -> tuple[float, float]:
-    """Normalized MSE of the genie-aided decoder (equals the scheme distortions)."""
-    d1, d2 = _distortion_arrays(src.rho, cfg.r1, cfg.r2, cfg.rc)
-    return float(d1), float(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -103,19 +103,14 @@ def wagner_contains(src: SourceSpec, dpair: DistortionPair, rp: RatePoint) -> Fe
 
     * ``R1 >= (1/2)log2+[(1 - rho^2(1 - 2^-2R2)) / d1]``
     * ``R2 >= (1/2)log2+[(1 - rho^2(1 - 2^-2R1)) / d2]``
-    * ``R1 + R2 >= (1/2)log2+[(1 - rho^2) g(d1,d2) / (2 d1 d2)]``
+    * ``R1 + R2 >=`` :func:`wagner_sum_bound`
 
-    with ``g = 1 + sqrt(1 + 4 rho^2 d1 d2 / (1-rho^2)^2)``.  Slacks are
-    ``rate - bound`` (nonnegative means satisfied).
+    Slacks are ``rate - bound`` (nonnegative means satisfied).
     """
     rho = src.rho
-    if rho >= 1.0:
-        raise DegenerateError("two-terminal sum-rate bound is undefined at rho = 1")
-    d1, d2 = dpair.d1, dpair.d2
-    b1 = 0.5 * log2_pos((1.0 - rho**2 * (1.0 - 2.0 ** (-2.0 * rp.r2))) / d1)
-    b2 = 0.5 * log2_pos((1.0 - rho**2 * (1.0 - 2.0 ** (-2.0 * rp.r1))) / d2)
-    g = 1.0 + math.sqrt(1.0 + 4.0 * rho**2 * d1 * d2 / (1.0 - rho**2) ** 2)
-    bsum = 0.5 * log2_pos((1.0 - rho**2) * g / (2.0 * d1 * d2))
+    bsum = wagner_sum_bound(src, dpair)
+    b1 = 0.5 * log2_pos((1.0 - rho**2 * (1.0 - 2.0 ** (-2.0 * rp.r2))) / dpair.d1)
+    b2 = 0.5 * log2_pos((1.0 - rho**2 * (1.0 - 2.0 ** (-2.0 * rp.r1))) / dpair.d2)
     slacks = {
         "r1": rp.r1 - b1,
         "r2": rp.r2 - b2,
@@ -129,7 +124,11 @@ def wagner_contains(src: SourceSpec, dpair: DistortionPair, rp: RatePoint) -> Fe
 
 
 def wagner_sum_bound(src: SourceSpec, dpair: DistortionPair) -> float:
-    """Sum-rate lower bound of the two-terminal region (bits)."""
+    """Sum-rate lower bound of the two-terminal region (bits).
+
+    ``(1/2)log2+[(1 - rho^2) g / (2 d1 d2)]`` with
+    ``g = 1 + sqrt(1 + 4 rho^2 d1 d2 / (1-rho^2)^2)``; undefined at rho = 1.
+    """
     rho = src.rho
     if rho >= 1.0:
         raise DegenerateError("two-terminal sum-rate bound is undefined at rho = 1")

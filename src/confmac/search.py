@@ -90,21 +90,16 @@ def _vq_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
 def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     """Largest shared rate whose conference requirement fits the budget.
 
-    The requirement ``rc - binning(r1, rc)`` is strictly increasing in ``rc``
-    (for rho < 1), so the saturating rate is found by bisection on the
-    bracket [c12, c12 + binning cap].
+    With ``k = rho^2 2^-2r1`` the requirement ``rc - binning(r1, rc)`` equals
+    ``(1/2)log2((1 - k) 4^rc + k)``, so the saturating rate is the closed form
+    ``c12 + (1/2)log2((1 - k 4^-c12) / (1 - k))``.  At ``k = 1`` (rho = 1,
+    r1 = 0) the requirement is 0 for every ``rc``; the rate is then capped at
+    ``c12 + (1/2)log2(1e300)``.
     """
-    r1 = np.asarray(r1, dtype=float)
-    lo = np.full_like(r1, c12)
-    cap = -0.5 * np.log2(np.maximum(1.0 - rho**2 * 2.0 ** (-2.0 * r1), 1e-300))
-    hi = c12 + cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        req, _ = vqscheme._conf_requirement_arrays(rho, r1, mid)
-        take = req <= c12
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return lo
+    k = rho**2 * 2.0 ** (-2.0 * np.asarray(r1, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rc = c12 + 0.5 * np.log2((1.0 - k * 4.0**-c12) / (1.0 - k))
+    return np.where(k < 1.0, rc, c12 - 0.5 * math.log2(1e-300))
 
 
 def _vq_slack_batch_budget(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
@@ -446,6 +441,22 @@ TRACE_SCHEMES = {
 }
 
 
+def check_trace_inputs(params: dict, grid) -> list[float]:
+    """The grid as floats, once it and the scheme tokens are known to be valid.
+
+    Raises :class:`DomainError` for an empty or non-increasing grid or an
+    unknown token in ``params["schemes"]``.
+    """
+    grid = [float(g) for g in grid]
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("grid", "must be nonempty and strictly increasing")
+    unknown = [tok for tok in params.get("schemes", ()) if tok not in TRACE_SCHEMES]
+    if unknown:
+        raise DomainError("schemes", f"unknown {', '.join(unknown)}; "
+                                     f"valid tokens are {', '.join(TRACE_SCHEMES)}")
+    return grid
+
+
 def trace_curve(kind: CurveKind, params: dict, grid) -> list[dict]:
     """One row per grid point; per-row failures are recorded, not raised.
 
@@ -453,9 +464,7 @@ def trace_curve(kind: CurveKind, params: dict, grid) -> list[dict]:
     ``schemes`` (list of trace tokens) and ``c12`` for PMIN_VS_ALPHA;
     additionally ``p`` for C12_VS_ALPHA; ``rho``, ``d2`` for D1D2_VS_SNR.
     """
-    grid = [float(g) for g in grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("grid", "must be nonempty and strictly increasing")
+    grid = check_trace_inputs(params, grid)
     src = SourceSpec(params.get("sigma2", 1.0), params["rho"])
     n0 = params.get("n0", 1.0)
     tol = params.get("tol", 1e-9)

@@ -46,8 +46,7 @@ def _wagner_boundary(src: SourceSpec, target: DistortionPair, r1: np.ndarray):
     rho = src.rho
     d1, d2 = target.d1, target.d2
     f2_floor = 0.5 * np.log2(np.maximum((1.0 - rho**2 * (1.0 - 4.0**-r1)) / d2, 1.0))
-    gamma = 1.0 + math.sqrt(1.0 + 4.0 * rho**2 * d1 * d2 / (1.0 - rho**2) ** 2)
-    rsum = 0.5 * log2_pos((1.0 - rho**2) * gamma / (2.0 * d1 * d2))
+    rsum = rdlib.wagner_sum_bound(src, target)
     if rho > 0.0:
         arg = (d1 * 4.0**r1 - (1.0 - rho**2)) / rho**2
         inv = np.where(arg >= 1.0, 0.0,
@@ -66,8 +65,7 @@ def sep1_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> F
     """
     rho = src.rho
     r1_lo = 0.5 * log2_pos((1.0 - rho**2) / target.d1)
-    gamma = 1.0 + math.sqrt(1.0 + 4.0 * rho**2 * target.d1 * target.d2 / (1.0 - rho**2) ** 2)
-    rsum = 0.5 * log2_pos((1.0 - rho**2) * gamma / (2.0 * target.d1 * target.d2))
+    rsum = rdlib.wagner_sum_bound(src, target)
     r1_hi = max(rsum, 0.5 * log2_pos(1.0 / target.d1)) + 2.0
 
     best = None

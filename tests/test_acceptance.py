@@ -93,7 +93,7 @@ def test_criterion_04_genie_distortion():
     src = SourceSpec(1.0, 0.5)
     cfg = vqscheme.VqConfig(1.0, 1.0, 0.5, 0.0, 0.0)
     est = montecarlo.genie_distortion_mc(src, cfg, 1_000_000, seed=42)
-    d1, d2 = montecarlo.genie_distortion_closed_form(src, cfg)
+    d1, d2 = vqscheme.vq_distortion(src, cfg).astuple()
     assert abs(est.d1_hat - d1) <= 3 * est.d1_se
     assert abs(est.d2_hat - d2) <= 3 * est.d2_se
     assert est.d1_se < 5e-4 and est.d2_se < 8e-4

@@ -35,6 +35,45 @@ def test_necessary_feasible_with_enough_power():
     assert report.slacks["cond_rate"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_necessary_split_matches_bisection_reference():
+    rng = np.random.default_rng(5)
+    interior = nudged = 0
+    for _ in range(3000):
+        src = SourceSpec(1.0, float(rng.uniform(0.0, 0.99)))
+        ch = ChannelSpec(1.0, float(rng.uniform(0.1, 20.0)), float(rng.uniform(0.2, 5.0)))
+        target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
+        need = rd_conditional(src, target.d2)
+        if not bounds._private_bound(src, ch, 1.0) < need <= bounds._private_bound(src, ch, 0.0):
+            continue
+        interior += 1
+        lo, hi = 0.0, 1.0  # private bound >= need at lo, < need at hi
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if bounds._private_bound(src, ch, mid) >= need:
+                lo = mid
+            else:
+                hi = mid
+        naive = 1.0 - (4.0**need - 1.0) * ch.n0 / (ch.p2 * (1.0 - src.rho**2))
+        nudged += bounds._private_bound(src, ch, naive) < need
+        report = necessary_condition(src, ch, target)
+        assert report.slacks["cond_rate"] >= 0.0
+        assert abs(report.witness["beta"] - lo) <= 1e-12
+    assert interior > 1000 and nudged > 0  # the rounding guard is exercised
+    # at the edge of the interior branch the formula can round to beta < 0
+    src = SourceSpec(1.0, 0.5)
+    edge = 0
+    for p2 in np.linspace(0.5, 20.0, 40):
+        ch = ChannelSpec(1.0, float(p2), 1.0)
+        d2 = 0.75 / (1.0 + 0.75 * float(p2))  # full private power just carries d2
+        if rd_conditional(src, d2) > bounds._private_bound(src, ch, 0.0):
+            continue
+        edge += 1
+        report = necessary_condition(src, ch, DistortionPair(0.5, d2))
+        assert 0.0 <= report.witness["beta"] <= 1.0
+        assert report.slacks["cond_rate"] >= 0.0
+    assert edge > 10
+
+
 def test_necessary_bound_monotonicities():
     src = SourceSpec(1.0, 0.5)
     ch = ChannelSpec(2.0, 3.0, 1.0)

@@ -48,6 +48,34 @@ def test_domain_error_exit_code():
     assert code == 1
 
 
+TRACE = ["trace", "--kind", "pmin-vs-alpha", "--noise", "1", "--schemes", "fullcoop"]
+
+BAD_INPUTS = {
+    "trace-without-rho": (TRACE + ["--d2", "0.2", "--alphas", "0.5"], ("1",)),
+    "trace-without-d2": (TRACE + ["--rho", "0.5", "--alphas", "0.5"], ("1",)),
+    "trace-unknown-scheme": (TRACE + ["--rho", "0.5", "--d2", "0.2", "--alphas", "0.3,0.6",
+                                      "--schemes", "bogus"], ("1", "2")),
+    "trace-decreasing-grid": (TRACE + ["--rho", "0.5", "--d2", "0.2", "--alphas", "0.5,0.3"],
+                              ("1", "2")),
+    "region-sep1-rho-one": (["region", "sep1", "--rho", "1", "--d1", "0.2", "--d2", "0.2"],
+                            ("1",)),
+    "region-wagner-rho-one": (["region", "wagner", "--rho", "1", "--d1", "0.2", "--d2", "0.2",
+                               "--r1", "1", "--r2", "1"], ("1",)),
+}
+
+
+@pytest.mark.parametrize("argv,threads", [
+    pytest.param(argv, t, id=f"{name}-threads{t}")
+    for name, (argv, ts) in BAD_INPUTS.items() for t in ts])
+def test_bad_input_exits_one_with_one_line(argv, threads, monkeypatch, capsys):
+    monkeypatch.setenv("GMAC_THREADS", threads)
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_minpower_fullcoop_value():
     code, out = run_cli([
         "minpower", "--scheme", "fullcoop", "--rho", "0.5",

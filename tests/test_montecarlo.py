@@ -12,14 +12,13 @@ from confmac.montecarlo import (
     cap_ratio_exact,
     gamma_ratio_exact,
     gamma_ratio_series,
-    genie_distortion_closed_form,
     genie_distortion_mc,
     mmse_gamma,
     mmse_gamma_oracle,
     sphere_cap_fraction_mc,
     surrogate_angle_moments,
 )
-from confmac.vqscheme import VqConfig, vq_constants
+from confmac.vqscheme import VqConfig, vq_constants, vq_distortion
 
 
 def test_surrogate_second_moments_match_constants():
@@ -104,7 +103,7 @@ def test_genie_mc_matches_closed_form():
     src = SourceSpec(1.0, 0.5)
     cfg = VqConfig(1.0, 1.0, 0.5, 0, 0)
     est = genie_distortion_mc(src, cfg, 200_000, seed=7)
-    d1, d2 = genie_distortion_closed_form(src, cfg)
+    d1, d2 = vq_distortion(src, cfg).astuple()
     assert abs(est.d1_hat - d1) <= 3 * est.d1_se
     assert abs(est.d2_hat - d2) <= 3 * est.d2_se
     # the closed form is the exact genie error, so the estimate cannot sit

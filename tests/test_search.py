@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, SourceSpec
@@ -29,6 +30,25 @@ def test_trivial_target_costs_nothing():
     for scheme in Scheme:
         res = min_power_symmetric(SRC, scheme, trivial)
         assert res.objective == 0.0
+
+
+def test_rc_budget_meets_the_conference_requirement():
+    # the requirement is strictly increasing in rc, so meeting c12 exactly
+    # makes the budget the largest admissible shared rate
+    r1 = np.linspace(0.0, 8.0, 161)
+    worst = 0.0
+    for rho in np.linspace(0.0, 1.0, 21):
+        free = rho**2 * 4.0**-r1 < 1.0
+        for c12 in np.linspace(0.0, 7.0, 15):
+            rc = search._rc_budget(float(rho), r1[free], float(c12))
+            req, _ = vqscheme._conf_requirement_arrays(float(rho), r1[free], rc)
+            worst = max(worst, float(np.max(np.abs(req - c12))))
+    assert worst <= 1e-12
+    # rho = 1, r1 = 0: every shared rate needs no conference bits; the budget
+    # is the finite ceiling, above the budget of any r1 > 0
+    for c12 in (0.0, 1.0):
+        corner = search._rc_budget(1.0, np.array([0.0, 1e-6, 1.0]), c12)
+        assert np.all(np.isfinite(corner)) and corner[0] > corner[1] >= corner[2] >= c12
 
 
 def test_bisection_invariants_and_witness():

@@ -39,6 +39,8 @@ EXIT_DOMAIN = 1
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
 
+MAX_GRID_POINTS = 100_000  # longest ``lo:hi:step`` grid; each point is a full solve
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -58,12 +60,15 @@ def parse_c12(raw):
 
 def parse_grid(spec: str) -> list[float]:
     """``lo:hi:step`` (inclusive of lo; hi kept within a step/2 rounding guard)
-    or a comma-separated list."""
+    or a comma-separated list.  A range of more than ``MAX_GRID_POINTS``
+    points is a :class:`DomainError`."""
     spec = spec.strip()
     if ":" in spec:
         lo, hi, step = (float(tok) for tok in spec.split(":"))
-        if step <= 0.0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
             raise DomainError("grid", f"bad grid spec {spec!r}")
+        if (hi - lo) / step + 0.5 >= MAX_GRID_POINTS:  # the loop makes floor(that) + 1
+            raise DomainError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
         values = []
         k = 0
         while True:
@@ -358,7 +363,7 @@ def cmd_trace(args) -> int:
     if cfg["schemes"]:
         params["schemes"] = [tok.strip() for tok in str(cfg["schemes"]).split(",") if tok.strip()]
     grid_flag = "snrs" if kind is CurveKind.D1D2_VS_SNR else "alphas"
-    grid = search.check_trace_inputs(params, parse_grid(str(cfg[grid_flag])))
+    grid = search.check_trace_inputs(kind, params, parse_grid(str(cfg[grid_flag])))
 
     workers = min(worker_count(), len(grid))
     if workers > 1:

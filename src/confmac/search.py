@@ -60,31 +60,14 @@ class OptimizationResult:
     bracket: tuple[float, float]
 
 
-def _vq_slack_core(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                   r1, r2, rc, b1, b2) -> np.ndarray:
-    """Worst slack (bits) of the full scheme at explicit parameter arrays."""
-    _, _, bnd = vqscheme._raw_quantities(
-        src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, r1, r2, rc, b1, b2)
-    combos = {
-        "r1": r1, "r2": r2, "rc": rc, "r1+r2": r1 + r2, "r1+rc": r1 + rc,
-        "r2+rc": r2 + rc, "r1+r2+rc": r1 + r2 + rc,
-    }
-    slack = np.minimum.reduce([bnd[name] - combos[name] for name in combos])
-    if not is_unlimited(ch.c12):
-        req, _ = vqscheme._conf_requirement_arrays(src.rho, r1, rc)
-        slack = np.minimum(slack, ch.c12 - req)
-    d1a, d2a = vqscheme._distortion_arrays(src.rho, r1, r2, rc)
-    slack = np.minimum(slack, 0.5 * (math.log2(target.d1) - np.log2(d1a)))
-    slack = np.minimum(slack, 0.5 * (math.log2(target.d2) - np.log2(d2a)))
-    return slack
-
-
 def _vq_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
                     pts: np.ndarray, rate_cap: float) -> np.ndarray:
-    """Box points (r1, r2, rc, b1, b2) with rates scaled by ``rate_cap``."""
-    return _vq_slack_core(src, ch, target, pts[:, 0] * rate_cap,
-                          pts[:, 1] * rate_cap, pts[:, 2] * rate_cap,
-                          pts[:, 3], pts[:, 4])
+    """Worst slack (bits) of the full scheme at box points (r1, r2, rc, b1, b2)
+    with rates scaled by ``rate_cap``."""
+    return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, ch.c12,
+                               target.d1, target.d2, pts[:, 0] * rate_cap,
+                               pts[:, 1] * rate_cap, pts[:, 2] * rate_cap,
+                               pts[:, 3], pts[:, 4])
 
 
 def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
@@ -110,23 +93,16 @@ def _vq_slack_batch_budget(src: SourceSpec, ch: ChannelSpec, target: DistortionP
     the saturated surface) and the search moves freely along it."""
     r1 = pts[:, 0] * rate_cap
     rc = pts[:, 2] * _rc_budget(src.rho, r1, c12)
-    ch_free = ChannelSpec(ch.p1, ch.p2, ch.n0, UNLIMITED)
-    return _vq_slack_core(src, ch_free, target, r1, pts[:, 1] * rate_cap, rc,
-                          pts[:, 3], pts[:, 4])
+    return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, UNLIMITED,
+                               target.d1, target.d2, r1, pts[:, 1] * rate_cap, rc,
+                               pts[:, 3], pts[:, 4])
 
 
 def _vq_unlimited_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
                               pts: np.ndarray, rate_cap: float) -> np.ndarray:
     """Worst slack on the unlimited-conference slice, points (r2, rc, beta)."""
-    r2 = pts[:, 0] * rate_cap
-    rc = pts[:, 1] * rate_cap
-    beta = pts[:, 2]
-    bnd, d1a, d2a, _ = vqscheme._unlimited_raw(
-        src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, r2, rc, beta)
-    slack = np.minimum.reduce([bnd["r2"] - r2, bnd["rc"] - rc, bnd["r2+rc"] - (r2 + rc)])
-    slack = np.minimum(slack, 0.5 * (math.log2(target.d1) - np.log2(d1a)))
-    slack = np.minimum(slack, 0.5 * (math.log2(target.d2) - np.log2(d2a)))
-    return slack
+    return vqscheme._unlimited_min_slack(src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
+                                         pts[:, 0] * rate_cap, pts[:, 1] * rate_cap, pts[:, 2])
 
 
 class _VqFeasibility:
@@ -248,9 +224,27 @@ def _vq_witness_ok(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig,
     return report.feasible and bits >= SLACK_TOL
 
 
+def _bisect(predicate, lo: float, hi: float, tol_rel: float, tol_abs: float,
+            iterations: int = 0) -> tuple[float, float, int, bool]:
+    """Narrow ``(lo, hi)``, ``hi`` feasible, around a monotone predicate's threshold.
+
+    Stops once ``hi - lo <= tol_rel * hi + tol_abs`` or at 200 iterations
+    (counting the ``iterations`` already spent).  Returns ``(lo, hi,
+    iterations, converged)``; ``converged`` is False when the cap stopped it.
+    """
+    while hi - lo > tol_rel * hi + tol_abs and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+        iterations += 1
+    return lo, hi, iterations, not hi - lo > tol_rel * hi + tol_abs
+
+
 def _expand_and_bisect(predicate, start: float, ceiling: float, tol_rel: float,
-                       tol_abs: float = 0.0) -> tuple[float, float, int]:
-    """Find the feasibility threshold of a monotone predicate by doubling + bisection."""
+                       tol_abs: float = 0.0) -> tuple[float, float, int, bool]:
+    """Find the feasibility threshold of a monotone predicate by doubling + :func:`_bisect`."""
     iterations = 0
     lo, hi = 0.0, start
     while not predicate(hi):
@@ -259,14 +253,7 @@ def _expand_and_bisect(predicate, start: float, ceiling: float, tol_rel: float,
         iterations += 1
         if hi > ceiling:
             raise UnboundedError(f"infeasible below ceiling {ceiling:g}")
-    while hi - lo > tol_rel * hi + tol_abs and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    return lo, hi, iterations
+    return _bisect(predicate, lo, hi, tol_rel, tol_abs, iterations)
 
 
 def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
@@ -307,7 +294,7 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
     else:
         raise DomainError("scheme", f"unsupported scheme {scheme}")
 
-    lo, hi, iterations = _expand_and_bisect(predicate, n0, p_ceiling, tol)
+    lo, hi, iterations, converged = _expand_and_bisect(predicate, n0, p_ceiling, tol)
 
     # the witness from the last feasible query certifies hi exactly
     if scheme is Scheme.VQ:
@@ -329,7 +316,7 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
         fn = separation.sep1_feasible if scheme is Scheme.SEP1 else separation.sep2_feasible
         witness_out = dict(fn(src, ChannelSpec(hi, hi, n0, c12), target).witness)
 
-    return OptimizationResult(hi, witness_out, iterations, True, (lo, hi))
+    return OptimizationResult(hi, witness_out, iterations, converged, (lo, hi))
 
 
 def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
@@ -358,7 +345,7 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
     if predicate_at(0.0):
         return OptimizationResult(0.0, {}, 0, True, (0.0, 0.0))
 
-    lo, hi, iterations = _expand_and_bisect(
+    lo, hi, iterations, converged = _expand_and_bisect(
         lambda c: predicate_at(c), 1.0, 300.0, 0.0, tol_abs=tol)
 
     witness: dict = {}
@@ -374,7 +361,7 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
             raise AssertionError("bisection invariant violated: hi not feasible")
         witness = dict(separation.sep1_feasible(
             src, ChannelSpec(p1, p2, n0, hi), target).witness)
-    return OptimizationResult(hi, witness, iterations, True, (lo, hi))
+    return OptimizationResult(hi, witness, iterations, converged, (lo, hi))
 
 
 def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec, d2_target: float,
@@ -405,22 +392,14 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec, d2_target: float,
 
     if not feasible(1.0):
         raise UnboundedError("even d1 = 1 infeasible at these powers")
-    lo_log = -2.0 * (rate_cap + 2.0)
-    hi_log = 0.0
-    iterations = 0
-    while hi_log - lo_log > tol and iterations < 200:
-        mid = 0.5 * (lo_log + hi_log)
-        if feasible(2.0**mid):
-            hi_log = mid
-        else:
-            lo_log = mid
-        iterations += 1
+    lo_log, hi_log, iterations, converged = _bisect(
+        lambda x: feasible(2.0**x), -2.0 * (rate_cap + 2.0), 0.0, 0.0, tol)
     d1 = 2.0**hi_log
     pt = warm["pt"]
     witness = {}
     if pt is not None:
         witness = {"r2": pt[0] * rate_cap, "rc": pt[1] * rate_cap, "beta": pt[2]}
-    return OptimizationResult(d1, witness, iterations, True, (2.0**lo_log, d1))
+    return OptimizationResult(d1, witness, iterations, converged, (2.0**lo_log, d1))
 
 
 class CurveKind(enum.Enum):
@@ -441,19 +420,28 @@ TRACE_SCHEMES = {
 }
 
 
-def check_trace_inputs(params: dict, grid) -> list[float]:
+# scheme tokens each curve kind can trace
+KIND_SCHEMES = {
+    CurveKind.PMIN_VS_ALPHA: tuple(TRACE_SCHEMES),
+    CurveKind.C12_VS_ALPHA: ("vq", "sep1"),
+    CurveKind.D1D2_VS_SNR: ("vq-unlimited",),
+}
+
+
+def check_trace_inputs(kind: CurveKind, params: dict, grid) -> list[float]:
     """The grid as floats, once it and the scheme tokens are known to be valid.
 
-    Raises :class:`DomainError` for an empty or non-increasing grid or an
-    unknown token in ``params["schemes"]``.
+    Raises :class:`DomainError` for an empty or non-increasing grid or a token
+    in ``params["schemes"]`` that ``kind`` cannot trace.
     """
     grid = [float(g) for g in grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid", "must be nonempty and strictly increasing")
-    unknown = [tok for tok in params.get("schemes", ()) if tok not in TRACE_SCHEMES]
-    if unknown:
-        raise DomainError("schemes", f"unknown {', '.join(unknown)}; "
-                                     f"valid tokens are {', '.join(TRACE_SCHEMES)}")
+    valid = KIND_SCHEMES[kind]
+    bad = [tok for tok in params.get("schemes", ()) if tok not in valid]
+    if bad:
+        raise DomainError("schemes", f"{kind.value} cannot trace {', '.join(bad)}; "
+                                     f"valid tokens are {', '.join(valid)}")
     return grid
 
 
@@ -464,7 +452,7 @@ def trace_curve(kind: CurveKind, params: dict, grid) -> list[dict]:
     ``schemes`` (list of trace tokens) and ``c12`` for PMIN_VS_ALPHA;
     additionally ``p`` for C12_VS_ALPHA; ``rho``, ``d2`` for D1D2_VS_SNR.
     """
-    grid = check_trace_inputs(params, grid)
+    grid = check_trace_inputs(kind, params, grid)
     src = SourceSpec(params.get("sigma2", 1.0), params["rho"])
     n0 = params.get("n0", 1.0)
     tol = params.get("tol", 1e-9)

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from confmac.cli import parse_grid, run
+from confmac import search
+from confmac.cli import MAX_GRID_POINTS, parse_grid, run
+from confmac.model import DomainError
 
 
 def run_cli(args):
@@ -57,6 +59,15 @@ BAD_INPUTS = {
                                       "--schemes", "bogus"], ("1", "2")),
     "trace-decreasing-grid": (TRACE + ["--rho", "0.5", "--d2", "0.2", "--alphas", "0.5,0.3"],
                               ("1", "2")),
+    "trace-c12-vs-alpha-sep2": (["trace", "--kind", "c12-vs-alpha", "--rho", "0.5",
+                                 "--d2", "0.2", "--p", "11.5", "--alphas", "0.5,0.6",
+                                 "--schemes", "vq,sep2"], ("1", "2")),
+    "trace-c12-vs-alpha-vq-none": (["trace", "--kind", "c12-vs-alpha", "--rho", "0.5",
+                                    "--d2", "0.2", "--p", "11.5", "--alphas", "0.5,0.6",
+                                    "--schemes", "vq-none"], ("1", "2")),
+    "trace-d1d2-vs-snr-schemes": (["trace", "--kind", "d1d2-vs-snr", "--rho", "0.5",
+                                   "--d2", "0.2", "--snrs", "10,100", "--schemes", "sep1"],
+                                  ("1", "2")),
     "region-sep1-rho-one": (["region", "sep1", "--rho", "1", "--d1", "0.2", "--d2", "0.2"],
                             ("1",)),
     "region-wagner-rho-one": (["region", "wagner", "--rho", "1", "--d1", "0.2", "--d2", "0.2",
@@ -69,6 +80,12 @@ BAD_INPUTS = {
     for name, (argv, ts) in BAD_INPUTS.items() for t in ts])
 def test_bad_input_exits_one_with_one_line(argv, threads, monkeypatch, capsys):
     monkeypatch.setenv("GMAC_THREADS", threads)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the input was rejected")
+
+    for name in ("min_power_symmetric", "min_conf_capacity", "min_d1_unlimited"):
+        monkeypatch.setattr(search, name, solve)
     code = run(argv)
     out, err = capsys.readouterr()
     assert code == 1
@@ -122,6 +139,15 @@ def test_parse_grid():
     assert parse_grid("1,2,5") == [1.0, 2.0, 5.0]
     with pytest.raises(Exception):
         parse_grid("1:0:0.1")
+
+
+def test_parse_grid_caps_the_point_count():
+    assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    with pytest.raises(DomainError):
+        parse_grid(f"0:{MAX_GRID_POINTS}:1")  # one point over the cap
+    for spec in ("0:inf:1", "0:1:nan"):
+        with pytest.raises(DomainError):
+            parse_grid(spec)
 
 
 def test_trace_csv_schema(tmp_path):

@@ -65,6 +65,19 @@ def test_bisection_invariants_and_witness():
     assert ach.d1 <= TARGET.d1 * (1 + 1e-8) and ach.d2 <= TARGET.d2 * (1 + 1e-8)
 
 
+def test_converged_reports_the_step_cap():
+    # at tol 0 the bracket of a stateless predicate shrinks to adjacent
+    # floats and never to zero width, so only the 200-step cap stops it
+    lo, hi, steps, converged = search._bisect(lambda p: p >= 1.0 / 3.0, 0.0, 1.0, 0.0, 0.0)
+    assert steps == 200 and not converged and lo < 1.0 / 3.0 <= hi
+    lo, hi, steps, converged = search._bisect(lambda p: p >= 1.0 / 3.0, 0.0, 1.0, 1e-9, 0.0)
+    assert steps < 200 and converged and hi - lo <= 1e-9 * hi
+    capped = min_power_symmetric(SRC, Scheme.NECESSARY, TARGET, tol=0.0)
+    assert capped.iterations == 200 and not capped.converged
+    met = min_power_symmetric(SRC, Scheme.NECESSARY, TARGET, tol=1e-9)
+    assert met.iterations < 200 and met.converged
+
+
 def test_determinism():
     a = min_power_symmetric(SRC, Scheme.VQ, TARGET, c12=0.0, tol=1e-7)
     b = min_power_symmetric(SRC, Scheme.VQ, TARGET, c12=0.0, tol=1e-7)
@@ -168,6 +181,7 @@ def test_min_d1_unlimited_matches_min_power_inverse():
     # just above the minimal power for (0.2, 0.2), the best reachable d1 is near 0.2
     p_inf = min_power_symmetric(SRC, Scheme.VQ, TARGET, c12=UNLIMITED, tol=1e-9).objective
     res = min_d1_unlimited(SRC, ChannelSpec(p_inf * 1.02, p_inf * 1.02, 1.0), 0.2)
+    assert res.converged and res.iterations < 200
     assert res.objective <= 0.2 * 1.01
     assert res.objective >= 0.2 * 0.8
 
@@ -202,6 +216,15 @@ def test_trace_rejects_bad_grid():
         trace_curve(CurveKind.PMIN_VS_ALPHA, {"rho": 0.5, "d2": 0.2}, [])
     with pytest.raises(Exception):
         trace_curve(CurveKind.PMIN_VS_ALPHA, {"rho": 0.5, "d2": 0.2}, [0.5, 0.5])
+
+
+def test_trace_accepts_the_tokens_of_each_curve_kind():
+    # tokens a kind cannot trace are refused in test_cli's bad-input table
+    params = {"rho": 0.5, "d2": 0.2, "n0": 1.0, "p": 11.5}
+    for kind, tokens in ((CurveKind.C12_VS_ALPHA, ["vq", "sep1"]),
+                         (CurveKind.D1D2_VS_SNR, ["vq-unlimited"]),
+                         (CurveKind.PMIN_VS_ALPHA, list(search.TRACE_SCHEMES))):
+        assert search.check_trace_inputs(kind, {**params, "schemes": tokens}, [0.5]) == [0.5]
 
 
 def test_trace_d1d2_vs_snr_row():

@@ -10,11 +10,14 @@ between its private description and the shared one.
 Everything here is closed-form and broadcasts over numpy arrays.
 ``_raw_quantities`` and ``_unlimited_raw`` build every gain, constant and rate
 bound in readable form; the public functions are thin scalar wrappers around
-them.  The searches poll many configurations at once through two fused
-kernels, ``_min_slack`` (full scheme) and ``_unlimited_min_slack``
-(unlimited-conference slice): they compute only the rate bounds, share
-subexpressions and fold each bound into a running minimum, and return the
-worst slack equal bit for bit to the minimum over the readable form.
+them.  Three fused kernels evaluate many configurations at once:
+``_rate_min_slack`` (the seven rate bounds of the full scheme; ``validate``
+screens its random configurations with it), ``_min_slack`` (those bounds
+plus the conference bound and the distortion targets; the searches' full
+scheme) and ``_unlimited_min_slack`` (the unlimited-conference slice).  They
+compute only the bounds, share subexpressions and fold each bound into a
+running minimum, and return the worst slack equal bit for bit to the
+minimum over the readable form.
 
 Degenerate-factor convention: a gain whose formula turns 0/0 because its
 power share is zero or its codebook is empty (rate 0, variance factor 0) is
@@ -240,10 +243,9 @@ def _fold_distortions(slack, d1a, d2a, d1, d2):
     return slack
 
 
-def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2):
-    """Worst slack (bits) of the full scheme over its seven rate bounds, the
-    conference bound (skipped when ``c12`` is unlimited) and the two
-    distortion targets ``d1``, ``d2``, at parameter arrays ``r1 .. b2``.
+def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
+    """Worst slack (bits) of the full scheme over its seven rate bounds, at
+    arrays that broadcast together (``rho .. n0`` may be arrays as well).
 
     Equal bit for bit to the minimum over :func:`_raw_quantities`'s bounds:
     the same expressions in the same operand order, without the gains the
@@ -251,6 +253,11 @@ def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2):
     bound folded into the running minimum as soon as it is known.  Arrays
     are dropped once no later bound reads them: a batch costs about as many
     live arrays as the reference's, not the sum of its intermediates.
+
+    Edge rows (``rho = 1``, empty codebooks, zero power shares) divide by
+    zero on the way to the reference's values, so call it under
+    ``np.errstate(divide="ignore", invalid="ignore")``, as
+    :func:`_min_slack` does.
     """
     s = float(sigma2)
     r1 = np.asarray(r1, dtype=float)
@@ -258,70 +265,80 @@ def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2):
     rc = np.asarray(rc, dtype=float)
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
+    m2r1 = -2.0 * r1
+    f1 = -np.expm1(m2r1 * math.log(2.0))
+    f2 = -np.expm1(-2.0 * r2 * math.log(2.0))
+    fc = -np.expm1(-2.0 * rc * math.log(2.0))
+    e1 = 2.0 ** m2r1
+    sv2 = s * e1 * fc
+    sv = np.sqrt(sv2)
+    bb1 = 1.0 - b1
+    bb2 = 1.0 - b2
+    bp1 = bb1 * p1
+    bp2 = bb2 * p2
+
+    has_v = sv2 > 0.0
+    coh = rho**2 * bb2 * f2
+    a22 = _guarded(has_v, lambda den: np.sqrt(p2 / s)
+                   * (np.sqrt(coh + s * b2 / den) - np.sqrt(coh)), sv2, 0.0)
+    share = np.sqrt(b1 * p1)
+    if not _everywhere(has_v):
+        share = np.where(has_v, share, 0.0)
+    eta = share + a22 * sv
+    trho = rho * np.sqrt(f1 * f2)
+    brho = rho * np.sqrt(e1 * f2 * fc)
+    del m2r1, e1, fc, has_v, coh, a22, share
+
+    t2 = trho**2
+    bq2 = brho**2
+    omt2 = 1.0 - t2
+    omb2 = 1.0 - bq2
+    a_res = omt2 - bq2
+    n0a = n0 * a_res
+    # bp1, bp2 and n0a between them read every parameter but the scalar sigma2
+    slack = np.full(np.broadcast(bp1, bp2, n0a).shape, np.inf)
+    _fold_bound(slack, bp1 * a_res + n0 * omb2, n0a, r1)
+    lam2 = n0**2 * bq2 * t2 * (2.0 + t2) / (b2 * p2 * a_res + n0)
+    _fold_bound(slack, bp2 * a_res + n0, n0a + lam2, r2)
+    del lam2
+
+    eta2 = eta**2
+    rho2f2 = rho**2 * f2
+    rc_num = eta2 * a_res + n0 * omt2
+    lamc = n0**2 * (rho2f2 / s) * (bq2 * bb1 * p1 - t2 * sv2) / rc_num
+    _fold_bound(slack, rc_num, n0a + lamc, rc)
+    del a_res, n0a, rc_num, lamc, sv2
+
+    r12 = r1 + r2
+    lam12 = bp1 + 2.0 * trho * np.sqrt(bb1 * bb2 * p1 * p2) + bp2
+    bp2_bq2 = bp2 * bq2
+    frac12 = _guarded(lam12 > 0.0, lambda den: bp2_bq2 / den, lam12, 0.0)
+    _fold_bound(slack, lam12 - bp2_bq2 + n0, (1.0 - frac12) * n0 * omt2, r12)
+    del trho, bb1, bb2, bq2, bp2_bq2, frac12
+
+    lam1c = (bp1 * omt2 + eta2 * omb2
+             - 2.0 * eta * (rho2f2 * sv / s) * np.sqrt(bp1 * s * f1))
+    _fold_bound(slack, (lam1c + n0) * (bp1 + eta2), lam1c * n0, r1 + rc)
+    del f1, sv, bp1, rho2f2, lam1c
+
+    coherent = 2.0 * eta * brho * np.sqrt(bp2)
+    lam2c = bp2 + coherent + eta2
+    bp2_t2 = bp2 * t2
+    frac2c = _guarded(lam2c > 0.0, lambda den: bp2_t2 / den, lam2c, 0.0)
+    _fold_bound(slack, lam2c - bp2_t2 + n0, (1.0 - frac2c) * n0 * omb2, r2 + rc)
+    _fold_bound(slack, lam12 + coherent + eta2 + n0, n0 * omt2 * omb2, r12 + rc)
+    return slack
+
+
+def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2):
+    """Worst slack (bits) of the full scheme over its seven rate bounds
+    (:func:`_rate_min_slack`), the conference bound (skipped when ``c12`` is
+    unlimited) and the two distortion targets ``d1``, ``d2``, at parameter
+    arrays ``r1 .. b2``; equal bit for bit to the same minimum composed from
+    :func:`_raw_quantities`.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        m2r1 = -2.0 * r1
-        f1 = -np.expm1(m2r1 * math.log(2.0))
-        f2 = -np.expm1(-2.0 * r2 * math.log(2.0))
-        fc = -np.expm1(-2.0 * rc * math.log(2.0))
-        e1 = 2.0 ** m2r1
-        sv2 = s * e1 * fc
-        sv = np.sqrt(sv2)
-        bb1 = 1.0 - b1
-        bb2 = 1.0 - b2
-        bp1 = bb1 * p1
-        bp2 = bb2 * p2
-
-        has_v = sv2 > 0.0
-        coh = rho**2 * bb2 * f2
-        a22 = _guarded(has_v, lambda den: np.sqrt(p2 / s)
-                       * (np.sqrt(coh + s * b2 / den) - np.sqrt(coh)), sv2, 0.0)
-        share = np.sqrt(b1 * p1)
-        if not _everywhere(has_v):
-            share = np.where(has_v, share, 0.0)
-        eta = share + a22 * sv
-        trho = rho * np.sqrt(f1 * f2)
-        brho = rho * np.sqrt(e1 * f2 * fc)
-        del m2r1, e1, fc, has_v, coh, a22, share
-
-        t2 = trho**2
-        bq2 = brho**2
-        omt2 = 1.0 - t2
-        omb2 = 1.0 - bq2
-        a_res = omt2 - bq2
-        n0a = n0 * a_res
-        slack = np.full(np.broadcast(r1, r2, rc, b1, b2).shape, np.inf)
-        _fold_bound(slack, bp1 * a_res + n0 * omb2, n0a, r1)
-        lam2 = n0**2 * bq2 * t2 * (2.0 + t2) / (b2 * p2 * a_res + n0)
-        _fold_bound(slack, bp2 * a_res + n0, n0a + lam2, r2)
-        del lam2
-
-        eta2 = eta**2
-        rho2f2 = rho**2 * f2
-        rc_num = eta2 * a_res + n0 * omt2
-        lamc = n0**2 * (rho2f2 / s) * (bq2 * bb1 * p1 - t2 * sv2) / rc_num
-        _fold_bound(slack, rc_num, n0a + lamc, rc)
-        del a_res, n0a, rc_num, lamc, sv2
-
-        r12 = r1 + r2
-        lam12 = bp1 + 2.0 * trho * np.sqrt(bb1 * bb2 * p1 * p2) + bp2
-        bp2_bq2 = bp2 * bq2
-        frac12 = _guarded(lam12 > 0.0, lambda den: bp2_bq2 / den, lam12, 0.0)
-        _fold_bound(slack, lam12 - bp2_bq2 + n0, (1.0 - frac12) * n0 * omt2, r12)
-        del trho, bb1, bb2, bq2, bp2_bq2, frac12
-
-        lam1c = (bp1 * omt2 + eta2 * omb2
-                 - 2.0 * eta * (rho2f2 * sv / s) * np.sqrt(bp1 * s * f1))
-        _fold_bound(slack, (lam1c + n0) * (bp1 + eta2), lam1c * n0, r1 + rc)
-        del f1, sv, bp1, rho2f2, lam1c
-
-        coherent = 2.0 * eta * brho * np.sqrt(bp2)
-        lam2c = bp2 + coherent + eta2
-        bp2_t2 = bp2 * t2
-        frac2c = _guarded(lam2c > 0.0, lambda den: bp2_t2 / den, lam2c, 0.0)
-        _fold_bound(slack, lam2c - bp2_t2 + n0, (1.0 - frac2c) * n0 * omb2, r2 + rc)
-        _fold_bound(slack, lam12 + coherent + eta2 + n0, n0 * omt2 * omb2, r12 + rc)
-        del eta, brho, t2, omt2, omb2, bp2, eta2, lam12, r12, coherent, lam2c, bp2_t2, frac2c
-
+        slack = _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
         if not is_unlimited(c12):
             requirement, _ = _conf_requirement_arrays(rho, r1, rc)
             np.minimum(slack, c12 - requirement, out=slack)

@@ -3,11 +3,20 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from confmac import search
-from confmac.cli import MAX_GRID_POINTS, parse_grid, run
-from confmac.model import DomainError
+from confmac.cli import (
+    _SCHEME_BLOCK_ROWS,
+    MAX_GRID_POINTS,
+    _feasible_scheme_rows,
+    _uniform_rows,
+    parse_grid,
+    run,
+)
+from confmac.model import ChannelSpec, DomainError, SourceSpec
+from confmac.vqscheme import VqConfig, vq_rate_region
 
 
 def run_cli(args):
@@ -198,6 +207,45 @@ def test_validate_quick_run_and_determinism():
     assert all(ln.startswith("PASS") for ln in lines)
     _, again = run_cli(["validate", "--seed", "7", "--samples", "20000"])
     assert again == out
+
+
+def test_validate_identical_across_worker_counts(monkeypatch):
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GMAC_THREADS", workers)
+        code, out = run_cli(["validate", "--seed", "7", "--samples", "20000"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_uniform_rows_match_scalar_draws():
+    lo, hi = (0.0, 0.25, 0.25, 0.0), (0.98, 4.0, 4.0, 5.0)
+    rng = np.random.default_rng(5)
+    rows = _uniform_rows(rng, lo, hi, 500)
+    ref_rng = np.random.default_rng(5)
+    ref = [[float(ref_rng.uniform(a, b)) for a, b in zip(lo, hi)] for _ in range(500)]
+    assert np.array_equal(rows.view(np.int64), np.array(ref).view(np.int64))
+    assert rng.random() == ref_rng.random()  # same generator state afterwards
+
+
+def test_feasible_scheme_rows_match_scalar_region_loop():
+    """Check 9's block sampler keeps the rows a scalar ``vq_rate_region``
+    loop keeps, in the same order, across a block boundary."""
+    ref_rng = np.random.default_rng(11)
+    ref = []
+    drawn = 0
+    while len(ref) < 200:
+        drawn += 1
+        rho = float(ref_rng.uniform(0.0, 0.95))
+        ch = ChannelSpec(*(float(v) for v in ref_rng.uniform(0.3, 8.0, 3)))
+        cfg = VqConfig(*(float(v) for v in ref_rng.uniform(0.0, 2.0, 3)),
+                       float(ref_rng.uniform(0, 1)), float(ref_rng.uniform(0, 1)))
+        if vq_rate_region(SourceSpec(1.0, rho), ch, cfg).feasible:
+            ref.append([rho, ch.p1, ch.p2, ch.n0, cfg.r1, cfg.r2, cfg.rc, cfg.beta1, cfg.beta2])
+    assert drawn > _SCHEME_BLOCK_ROWS
+    got = _feasible_scheme_rows(np.random.default_rng(11), 200)
+    assert np.array_equal(got.view(np.int64), np.array(ref).view(np.int64))
 
 
 def test_trace_identical_across_worker_counts(tmp_path, monkeypatch):

@@ -396,3 +396,45 @@ def test_unlimited_min_slack_kernel_matches_reference_bit_for_bit():
         seen["rc=0"] += int(np.any(rc == 0.0))
         seen["beta in {0,1}"] += int(np.any(beta == 0.0) and np.any(beta == 1.0))
     assert all(seen.values()), seen
+
+
+def reference_rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
+    """Minimum of ``_raw_quantities``' seven ``bound - rate`` slacks."""
+    with np.errstate(all="ignore"):
+        _, _, bnd = vqscheme._raw_quantities(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
+        rates = {
+            "r1": r1, "r2": r2, "rc": rc, "r1+r2": r1 + r2, "r1+rc": r1 + rc,
+            "r2+rc": r2 + rc, "r1+r2+rc": r1 + r2 + rc,
+        }
+        return np.minimum.reduce([bnd[name] - rates[name] for name in vqscheme.RATE_BOUND_NAMES])
+
+
+def test_rate_min_slack_kernel_matches_reference_bit_for_bit():
+    """Array ``rho``, ``p1``, ``p2``, ``n0`` over validate's sampling box, with
+    edge rows: rho at 0 and 1, r1 = 0, rc = 0, betas at 0 and 1."""
+    rng = np.random.default_rng(99)
+    lo = np.array([0.0, 0.3, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0])
+    hi = np.array([0.95, 8.0, 8.0, 8.0, 2.0, 2.0, 2.0, 1.0, 1.0])
+    seen = dict.fromkeys(("rho=0", "rho=1", "r1=0", "rc=0", "beta=0", "beta=1"), 0)
+    for m in (1, 340, 20000):
+        for sigma2 in (1.0, 2.35):
+            rows = rng.uniform(lo, hi, (m, 9))
+            u = rng.uniform(0.0, 1.0, (m, 9))
+            rows[u[:, 0] < 0.1, 0] = 0.0
+            rows[u[:, 0] > 0.9, 0] = 1.0
+            rows[u[:, 4] < 0.25, 4] = 0.0
+            rows[u[:, 6] < 0.25, 6] = 0.0
+            rows[:, 7:][u[:, 7:] < 0.125] = 0.0
+            rows[:, 7:][u[:, 7:] > 0.875] = 1.0
+            cols = [np.ascontiguousarray(c) for c in rows.T]
+            ref = reference_rate_min_slack(sigma2, *cols)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = vqscheme._rate_min_slack(sigma2, *cols)
+            assert same_bits(got, ref), (m, sigma2)
+            seen["rho=0"] += int(np.any(cols[0] == 0.0))
+            seen["rho=1"] += int(np.any(cols[0] == 1.0))
+            seen["r1=0"] += int(np.any(cols[4] == 0.0))
+            seen["rc=0"] += int(np.any(cols[6] == 0.0))
+            seen["beta=0"] += int(np.any(rows[:, 7:] == 0.0))
+            seen["beta=1"] += int(np.any(rows[:, 7:] == 1.0))
+    assert all(seen.values()), seen

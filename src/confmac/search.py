@@ -61,13 +61,20 @@ class OptimizationResult:
 
 
 def _vq_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                    pts: np.ndarray, rate_cap: float) -> np.ndarray:
+                    pts: np.ndarray, rate_cap: float, floor=None) -> np.ndarray:
     """Worst slack (bits) of the full scheme at box points (r1, r2, rc, b1, b2)
-    with rates scaled by ``rate_cap``."""
+    with rates scaled by ``rate_cap``; ``floor`` as in :func:`vqscheme._min_slack`."""
     return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, ch.c12,
                                target.d1, target.d2, pts[:, 0] * rate_cap,
                                pts[:, 1] * rate_cap, pts[:, 2] * rate_cap,
-                               pts[:, 3], pts[:, 4])
+                               pts[:, 3], pts[:, 4], floor)
+
+
+def _vq_noconf_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
+                           pts: np.ndarray, rate_cap: float) -> np.ndarray:
+    """Worst slack on the no-conference slice, points (r1, r2)."""
+    return vqscheme._noconf_min_slack(src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
+                                      pts[:, 0] * rate_cap, pts[:, 1] * rate_cap)
 
 
 def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
@@ -86,7 +93,8 @@ def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
 
 
 def _vq_slack_batch_budget(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                           pts: np.ndarray, rate_cap: float, c12: float) -> np.ndarray:
+                           pts: np.ndarray, rate_cap: float, c12: float,
+                           floor=None) -> np.ndarray:
     """Box points (r1, r2, t, b1, b2); the shared rate is ``t`` times the
     budget-saturating rate, so the conference constraint holds by construction
     (and is dropped from the objective, else it would pin the max-min at 0 on
@@ -95,7 +103,7 @@ def _vq_slack_batch_budget(src: SourceSpec, ch: ChannelSpec, target: DistortionP
     rc = pts[:, 2] * _rc_budget(src.rho, r1, c12)
     return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, UNLIMITED,
                                target.d1, target.d2, r1, pts[:, 1] * rate_cap, rc,
-                               pts[:, 3], pts[:, 4])
+                               pts[:, 3], pts[:, 4], floor)
 
 
 def _vq_unlimited_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
@@ -103,6 +111,27 @@ def _vq_unlimited_slack_batch(src: SourceSpec, ch: ChannelSpec, target: Distorti
     """Worst slack on the unlimited-conference slice, points (r2, rc, beta)."""
     return vqscheme._unlimited_min_slack(src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
                                          pts[:, 0] * rate_cap, pts[:, 1] * rate_cap, pts[:, 2])
+
+
+def _incumbent(f):
+    """``f`` for :func:`refine_grid_max`, called with the best value refine
+    has accepted so far as its ``floor``.
+
+    Refine keeps a grid's first argmax only when it is strictly greater than
+    that value, so rows at or below it cannot change its answer; the running
+    best follows the same rule (a NaN argmax is never accepted, and a NaN
+    centre is never beaten).  The first call, refine's centre, has no floor.
+    """
+    best = None
+
+    def objective(pts):
+        nonlocal best
+        vals = f(pts, floor=best)
+        i = int(np.argmax(vals))
+        if best is None or vals[i] > best:
+            best = vals[i]
+        return vals
+    return objective
 
 
 class _VqFeasibility:
@@ -117,7 +146,11 @@ class _VqFeasibility:
         self.warm3: np.ndarray | None = None
         self.witness: vqscheme.VqConfig | None = None
 
-    def _run(self, f, dim, warm, saturated_axis: int | None = None):
+    def _run(self, f, dim, warm, saturated_axis: int | None = None,
+             refine_below: float = _STOP_AT, floored: bool = False):
+        """Multistart compass search of ``f``, then a grid refine when the
+        compass value lies in ``[-0.3, refine_below)``.  ``floored``: ``f``
+        takes a ``floor`` and refine calls it through :func:`_incumbent`."""
         base = halton_points(16, dim)
         starts = [base]
         if saturated_axis is not None:
@@ -131,10 +164,10 @@ class _VqFeasibility:
         if warm is not None:
             starts.append(warm[None, :])
         val, pt, _ = compass_search_max(f, np.vstack(starts), stop_at=_STOP_AT)
-        if -0.3 <= val < _STOP_AT:
+        if -0.3 <= val < refine_below:
             # grid refinement climbs the max-min ridges that axis polls miss;
             # skipped when the compass value is hopeless
-            rval, rpt = refine_grid_max(f, pt, stop_at=_STOP_AT)
+            rval, rpt = refine_grid_max(_incumbent(f) if floored else f, pt, stop_at=_STOP_AT)
             if rval > val:
                 val, pt = rval, rpt
         return val, pt
@@ -146,13 +179,14 @@ class _VqFeasibility:
         best_cfg = None
 
         if not is_unlimited(c12) and c12 == 0.0:
-            # only the no-conference slice is reachable
-            def f2(pts):
-                full = np.zeros((pts.shape[0], 5))
-                full[:, :2] = pts
-                return _vq_slack_batch(src, ch, target, full, cap)
+            # only the no-conference slice is reachable.  Its zero rc bound
+            # and zero conference slack cap it at 0, below _STOP_AT: a
+            # feasible point runs the compass to the end at exactly 0, and
+            # refine, which accepts only larger values, would gain nothing
             warm = self.warm5[:2] if self.warm5 is not None else None
-            val, pt = self._run(f2, 2, warm)
+            val, pt = self._run(
+                lambda pts: _vq_noconf_slack_batch(src, ch, target, pts, cap),
+                2, warm, refine_below=0.0)
             best_val = val
             best_cfg = vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, 0.0, 0.0, 0.0)
             self.warm5 = np.array([pt[0], pt[1], 0.0, 0.0, 0.0])
@@ -165,8 +199,8 @@ class _VqFeasibility:
             self.warm3 = pt
             if best_val < _STOP_AT:
                 val, pt = self._run(
-                    lambda pts: _vq_slack_batch(src, ch, target, pts, cap),
-                    5, self.warm5)
+                    lambda pts, floor=None: _vq_slack_batch(src, ch, target, pts, cap, floor),
+                    5, self.warm5, floored=True)
                 if val > best_val:
                     best_val = val
                     best_cfg = vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, pt[2] * cap,
@@ -186,9 +220,10 @@ class _VqFeasibility:
             if best_val < _STOP_AT:
                 # budget-saturating parameterization: third coordinate is the
                 # fraction of the largest shared rate the budget admits
-                f5 = lambda pts: _vq_slack_batch_budget(src, ch, target, pts, cap, c12)
+                def f5(pts, floor=None):
+                    return _vq_slack_batch_budget(src, ch, target, pts, cap, c12, floor)
                 warm4 = (np.delete(self.warm5, 2) if self.warm5 is not None else None)
-                val, pt = self._run(f5, 5, self.warm5, saturated_axis=2)
+                val, pt = self._run(f5, 5, self.warm5, saturated_axis=2, floored=True)
                 self.warm5 = pt
                 best_pt = None
                 if val > best_val:
@@ -196,10 +231,9 @@ class _VqFeasibility:
                     best_pt = pt
                 if best_val < _STOP_AT:
                     # optima with an active budget sit on the t = 1 slice
-                    def f4(pts):
-                        full = np.insert(pts, 2, 1.0, axis=1)
-                        return f5(full)
-                    val, pt4 = self._run(f4, 4, warm4)
+                    def f4(pts, floor=None):
+                        return f5(np.insert(pts, 2, 1.0, axis=1), floor)
+                    val, pt4 = self._run(f4, 4, warm4, floored=True)
                     if val > best_val:
                         best_val = val
                         best_pt = np.insert(pt4, 2, 1.0)

@@ -10,14 +10,23 @@ between its private description and the shared one.
 Everything here is closed-form and broadcasts over numpy arrays.
 ``_raw_quantities`` and ``_unlimited_raw`` build every gain, constant and rate
 bound in readable form; the public functions are thin scalar wrappers around
-them.  Three fused kernels evaluate many configurations at once:
+them.  Four fused kernels evaluate many configurations at once:
 ``_rate_min_slack`` (the seven rate bounds of the full scheme; ``validate``
 screens its random configurations with it), ``_min_slack`` (those bounds
 plus the conference bound and the distortion targets; the searches' full
-scheme) and ``_unlimited_min_slack`` (the unlimited-conference slice).  They
-compute only the bounds, share subexpressions and fold each bound into a
-running minimum, and return the worst slack equal bit for bit to the
-minimum over the readable form.
+scheme), ``_unlimited_min_slack`` (the unlimited-conference slice) and
+``_noconf_min_slack`` (the no-conference slice: ``_min_slack`` at
+``rc = beta1 = beta2 = 0`` and ``c12 = 0``, without the bounds that are
+exactly 0 or repeat another there).  They compute only the bounds, share
+subexpressions and fold each bound into a running minimum, and return the
+worst slack equal bit for bit to the minimum over the readable form.
+
+Floor contract: ``_min_slack`` and ``_rate_min_slack`` take an optional
+``floor``.  A row whose partial minimum is already at or below it stops
+there and returns that partial minimum, so some value at or below the
+floor; every other row, NaN rows included, comes back bit for bit.  The
+searches' grid refine passes the best value it has accepted, since it only
+takes values above that.
 
 Degenerate-factor convention: a gain whose formula turns 0/0 because its
 power share is zero or its codebook is empty (rate 0, variance factor 0) is
@@ -243,7 +252,20 @@ def _fold_distortions(slack, d1a, d2a, d1, d2):
     return slack
 
 
-def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
+def _survivors(partial, floor):
+    """Indices of the rows whose partial minimum is above ``floor`` or NaN, or
+    None when every row is.  NaN rows stay: ``np.argmax`` picks the first NaN,
+    so a NaN value must come back as NaN."""
+    keep = ~(partial <= floor)
+    return None if _everywhere(keep) else np.flatnonzero(keep)
+
+
+def _take(rows, *arrays):
+    """Each array at ``rows``; scalars and 0-d arrays as they are."""
+    return [a[rows] if np.ndim(a) else a for a in arrays]
+
+
+def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor=None):
     """Worst slack (bits) of the full scheme over its seven rate bounds, at
     arrays that broadcast together (``rho .. n0`` may be arrays as well).
 
@@ -253,6 +275,11 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
     bound folded into the running minimum as soon as it is known.  Arrays
     are dropped once no later bound reads them: a batch costs about as many
     live arrays as the reference's, not the sum of its intermediates.
+
+    With a ``floor`` (1-D batches only), rows whose minimum over the ``r1``
+    and ``r2`` bounds is already at or below it stop there and return that
+    partial minimum; the other rows finish in the same fold order, so their
+    values are unchanged (see :func:`_min_slack`).
 
     Edge rows (``rho = 1``, empty codebooks, zero power shares) divide by
     zero on the way to the reference's values, so call it under
@@ -276,18 +303,9 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
     bb2 = 1.0 - b2
     bp1 = bb1 * p1
     bp2 = bb2 * p2
-
-    has_v = sv2 > 0.0
-    coh = rho**2 * bb2 * f2
-    a22 = _guarded(has_v, lambda den: np.sqrt(p2 / s)
-                   * (np.sqrt(coh + s * b2 / den) - np.sqrt(coh)), sv2, 0.0)
-    share = np.sqrt(b1 * p1)
-    if not _everywhere(has_v):
-        share = np.where(has_v, share, 0.0)
-    eta = share + a22 * sv
     trho = rho * np.sqrt(f1 * f2)
     brho = rho * np.sqrt(e1 * f2 * fc)
-    del m2r1, e1, fc, has_v, coh, a22, share
+    del m2r1, e1, fc
 
     t2 = trho**2
     bq2 = brho**2
@@ -301,6 +319,24 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
     lam2 = n0**2 * bq2 * t2 * (2.0 + t2) / (b2 * p2 * a_res + n0)
     _fold_bound(slack, bp2 * a_res + n0, n0a + lam2, r2)
     del lam2
+
+    rows = None if floor is None else _survivors(slack, floor)
+    if rows is not None:
+        partial, slack = slack, slack[rows]
+        (rho, p1, p2, n0, r1, r2, rc, b1, b2, f1, f2, sv2, sv, bb1, bb2, bp1, bp2,
+         trho, brho, t2, bq2, omt2, omb2, a_res, n0a) = _take(
+            rows, rho, p1, p2, n0, r1, r2, rc, b1, b2, f1, f2, sv2, sv, bb1, bb2, bp1,
+            bp2, trho, brho, t2, bq2, omt2, omb2, a_res, n0a)
+
+    has_v = sv2 > 0.0
+    coh = rho**2 * bb2 * f2
+    a22 = _guarded(has_v, lambda den: np.sqrt(p2 / s)
+                   * (np.sqrt(coh + s * b2 / den) - np.sqrt(coh)), sv2, 0.0)
+    share = np.sqrt(b1 * p1)
+    if not _everywhere(has_v):
+        share = np.where(has_v, share, 0.0)
+    eta = share + a22 * sv
+    del has_v, coh, a22, share
 
     eta2 = eta**2
     rho2f2 = rho**2 * f2
@@ -327,22 +363,80 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
     frac2c = _guarded(lam2c > 0.0, lambda den: bp2_t2 / den, lam2c, 0.0)
     _fold_bound(slack, lam2c - bp2_t2 + n0, (1.0 - frac2c) * n0 * omb2, r2 + rc)
     _fold_bound(slack, lam12 + coherent + eta2 + n0, n0 * omt2 * omb2, r12 + rc)
-    return slack
+    if rows is None:
+        return slack
+    partial[rows] = slack
+    return partial
 
 
-def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2):
+def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2, floor=None):
     """Worst slack (bits) of the full scheme over its seven rate bounds
     (:func:`_rate_min_slack`), the conference bound (skipped when ``c12`` is
     unlimited) and the two distortion targets ``d1``, ``d2``, at parameter
     arrays ``r1 .. b2``; equal bit for bit to the same minimum composed from
     :func:`_raw_quantities`.
+
+    Floor contract (1-D batches): rows whose value is above ``floor``, or
+    NaN, come back bit for bit; every other row comes back at some value at
+    or below ``floor``.  Rows are dropped once a partial minimum is at or
+    below the floor: first over the two distortion slacks, then over the
+    ``r1`` and ``r2`` bounds; the rest finish in the fold order above.  A
+    dropped row would lose a NaN that only a later bound produces.  With
+    finite inputs in range no rate bound is NaN while the residual
+    ``1 - trho^2 - brho^2`` is positive, which ``r2`` of at most 8 bits (the
+    searches' rate box) ensures.  ``floor=None`` runs every row through
+    every bound.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        slack = _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
+        d1a, d2a = _distortion_arrays(rho, r1, r2, rc)
+        rows = None
+        if floor is not None:
+            partial = _fold_distortions(np.full(np.shape(d1a), np.inf), d1a, d2a, d1, d2)
+            rows = _survivors(partial, floor)
+            if rows is not None:
+                rho, p1, p2, n0, r1, r2, rc, b1, b2, d1a, d2a = _take(
+                    rows, rho, p1, p2, n0, r1, r2, rc, b1, b2, d1a, d2a)
+        slack = _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor)
         if not is_unlimited(c12):
             requirement, _ = _conf_requirement_arrays(rho, r1, rc)
             np.minimum(slack, c12 - requirement, out=slack)
-        return _fold_distortions(slack, *_distortion_arrays(rho, r1, r2, rc), d1, d2)
+        slack = _fold_distortions(slack, d1a, d2a, d1, d2)
+        if rows is None:
+            return slack
+        partial[rows] = slack
+        return partial
+
+
+def _noconf_min_slack(rho, p1, p2, n0, d1, d2, r1, r2):
+    """Worst slack (bits) of the no-conference slice at ``(r1, r2)`` arrays:
+    :func:`_min_slack` at ``(r1, r2, 0, 0, 0)`` with ``c12 = 0``, equal to it
+    bit for bit (powers positive).
+
+    With ``rc = beta1 = beta2 = 0`` the shared description is absent:
+    ``brho``, ``eta``, ``lam2`` and ``lamc`` are 0, ``bp1 = p1``,
+    ``bp2 = p2`` and ``a_res = 1 - trho^2``.  The ``rc`` bound is then
+    ``0.5 log2(1) - 0`` and the conference slack ``0 - 0``, both exactly 0,
+    and the ``r1+r2+rc`` bound equals the ``r1+r2`` one.  Five rate bounds
+    are left, in the reference's operand order, folded into a running
+    minimum that starts at 0; so the slice is never above 0.
+    """
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trho = rho * np.sqrt(-np.expm1(-2.0 * r1 * math.log(2.0))
+                             * -np.expm1(-2.0 * r2 * math.log(2.0)))
+        t2 = trho**2
+        omt2 = 1.0 - t2
+        n0a = n0 * omt2
+        slack = np.zeros(np.broadcast(r1, r2).shape)
+        p1_omt2 = p1 * omt2
+        _fold_bound(slack, p1_omt2 + n0, n0a, r1)
+        _fold_bound(slack, p2 * omt2 + n0, n0a, r2)
+        _fold_bound(slack, p1 + 2.0 * trho * np.sqrt(p1 * p2) + p2 + n0, n0a, r1 + r2)
+        _fold_bound(slack, (p1_omt2 + n0) * p1, p1_omt2 * n0, r1)
+        p2_t2 = p2 * t2
+        _fold_bound(slack, p2 - p2_t2 + n0, (1.0 - p2_t2 / p2) * n0, r2)
+        return _fold_distortions(slack, *_distortion_arrays(rho, r1, r2, 0.0), d1, d2)
 
 
 def _unlimited_min_slack(rho, p1, p2, n0, d1, d2, r2, rc, beta):

@@ -232,3 +232,99 @@ def test_trace_d1d2_vs_snr_row():
     row = rows[0]
     assert row["ratio"] == pytest.approx(1.0, abs=0.05)
     assert row["errors"] == ""
+
+
+def _refine_problem(rng):
+    """A random floor-aware refine objective ``f(pts, floor=None)`` of one of
+    the three full-scheme families, and its dimension."""
+    src = SourceSpec(1.0, float(rng.uniform(0.1, 0.97)))
+    p = float(rng.uniform(0.5, 30.0))
+    n0 = float(rng.choice([1.0, 4.0, 1.0 / 16.0]))
+    ch = ChannelSpec(p * n0, p * n0, n0, UNLIMITED)
+    target = DistortionPair(*(float(v) for v in rng.uniform(0.02, 0.5, 2)))
+    c12 = float(rng.uniform(0.2, 2.0))
+    family = int(rng.integers(3))
+    if family == 0:
+        return (lambda pts, floor=None:
+                search._vq_slack_batch(src, ch, target, pts, 8.0, floor)), 5
+
+    def budget(pts, floor=None):
+        return search._vq_slack_batch_budget(src, ch, target, pts, 8.0, c12, floor)
+    if family == 1:
+        return budget, 5
+    return (lambda pts, floor=None: budget(np.insert(pts, 2, 1.0, axis=1), floor)), 4
+
+
+def _nan_at_call(f, call, row):
+    """``f`` with a NaN rate in ``row`` of its ``call``-th batch (counted from 0)."""
+    calls = [0]
+
+    def g(pts, floor=None):
+        if calls[0] == call:
+            pts = pts.copy()
+            pts[row % len(pts), 0] = np.nan
+        calls[0] += 1
+        return f(pts, floor)
+    return g
+
+
+def test_incumbent_refine_matches_plain_refine():
+    """Refine through ``_incumbent`` (floored grids) returns exactly the value
+    and point of refine on the unfloored objective, NaN rows included."""
+    rng = np.random.default_rng(77)
+    gains = nan_cases = 0
+    for case in range(200):
+        f, dim = _refine_problem(rng)
+        center = rng.uniform(0.0, 1.0, dim)
+        if case % 4 == 3:  # one NaN row, in one of the first grids
+            call, row = int(rng.integers(1, 4)), int(rng.integers(10**6))
+            make = lambda: _nan_at_call(f, call, row)
+            nan_cases += 1
+        else:
+            make = lambda: f
+        # eight grids per refine keep the test short; each grid is checked alike
+        plain_val, plain_pt = search.refine_grid_max(make(), center, rounds=8)
+        val, pt = search.refine_grid_max(search._incumbent(make()), center, rounds=8)
+        assert (val, pt.tolist()) == (plain_val, plain_pt.tolist()), case
+        gains += plain_val > f(center[None, :])[0]
+    assert gains >= 50 and nan_cases == 50, (gains, nan_cases)
+
+
+# (d1, d2, c12, tol, objective, bracket, iterations, witness) of VQ solves at
+# rho = 0.5: the four Fig. 3 VQ solves and one finite-link solve.  Recorded
+# before the searches skipped work that cannot change an answer; exact
+# optimisations must keep every one of them bit for bit.
+PINNED_VQ_SOLVES = (
+    (0.2 * 0.2, 0.2, UNLIMITED, 1e-9,
+     24.00000001490116, (24.0, 24.00000001490116), 35,
+     {"r1": 0.0, "r2": 1.11395263671875, "rc": 2.3149255823206016,
+      "beta1": 1.0, "beta2": 0.8561474609375,
+      "d1": 0.039994806274416234, "d2": 0.19999385055022878}),
+    (0.2 * 0.2, 0.2, 0.0, 1e-9,
+     32.45075449347496, (32.45075446367264, 32.45075449347496), 36,
+     {"r1": 2.31488037109375, "r2": 1.113972981770833, "rc": 0.0,
+      "beta1": 0.0, "beta2": 0.0,
+      "d1": 0.03999728479832369, "d2": 0.1999886098071263}),
+    (1.0 * 0.2, 0.2, UNLIMITED, 1e-9,
+     5.423972420394421, (5.42397241666913, 5.423972420394421), 33,
+     {"r1": 0.0, "r2": 1.1246179651331016, "rc": 1.1246337890625,
+      "beta1": 1.0, "beta2": 0.3418770782218492,
+      "d1": 0.19998440725218833, "d2": 0.19998850685261182}),
+    (1.0 * 0.2, 0.2, 0.0, 1e-9,
+     6.480761207640171, (6.480761203914881, 6.480761207640171), 33,
+     {"r1": 1.1246337890625, "r2": 1.1245772750289351, "rc": 0.0,
+      "beta1": 0.0, "beta2": 0.0,
+      "d1": 0.19998459142234046, "d2": 0.19999923322475333}),
+    (0.1, 0.2, 1.0, 1e-6,
+     10.312507629394531, (10.3125, 10.312507629394531), 24,
+     {"r1": 0.5788574218750001, "r2": 1.1186839916087963, "rc": 1.064192830201275,
+      "beta1": 0.7306455202686544, "beta2": 0.6588745265151515,
+      "d1": 0.09999977958336195, "d2": 0.1998146906235214}),
+)
+
+
+def test_vq_solves_match_pinned_results():
+    for d1, d2, c12, tol, objective, bracket, iterations, witness in PINNED_VQ_SOLVES:
+        res = min_power_symmetric(SRC, Scheme.VQ, DistortionPair(d1, d2), c12=c12, tol=tol)
+        assert (res.objective, res.bracket, res.iterations, res.witness) == (
+            objective, bracket, iterations, witness), (d1, c12)

@@ -354,12 +354,12 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def kernel_cases(dim):
+def kernel_cases(dim, sizes=KERNEL_SIZES, channels=KERNEL_CHANNELS):
     """(sigma2, rho, p1, p2, n0, d1, d2, rate_cap, points) over every batch size."""
     rng = np.random.default_rng(2024)
-    for m, batches in KERNEL_SIZES.items():
+    for m, batches in sizes.items():
         for rho in (0.0, 0.5, 0.97, 1.0):  # near 1 the residual a_res is small
-            for sigma2, p1, p2, n0 in KERNEL_CHANNELS:
+            for sigma2, p1, p2, n0 in channels:
                 for cap in RATE_CAPS:
                     for k in range(batches):
                         # loose targets (d = 1) leave the rate bounds to set the minimum
@@ -437,4 +437,52 @@ def test_rate_min_slack_kernel_matches_reference_bit_for_bit():
             seen["rc=0"] += int(np.any(cols[6] == 0.0))
             seen["beta=0"] += int(np.any(rows[:, 7:] == 0.0))
             seen["beta=1"] += int(np.any(rows[:, 7:] == 1.0))
+    assert all(seen.values()), seen
+
+
+def test_noconf_min_slack_kernel_matches_full_kernel_bit_for_bit():
+    """The no-conference slice equals ``_min_slack`` at (r1, r2, 0, 0, 0) with
+    c12 = 0, and never exceeds 0 (the search skips its refine at 0)."""
+    sizes = {1: 20, 66: 3, 289: 2, 5000: 1}
+    channels = KERNEL_CHANNELS + ((1.3, 3.0, 0.4, 1.0 / 64.0),)
+    seen = dict.fromkeys(("r1=0", "r2=0", "slack=0"), 0)
+    for sigma2, rho, p1, p2, n0, d1, d2, cap, pts in kernel_cases(2, sizes, channels):
+        r1, r2 = pts[:, 0] * cap, pts[:, 1] * cap
+        zero = np.zeros_like(r1)
+        ref = vqscheme._min_slack(sigma2, rho, p1, p2, n0, 0.0, d1, d2, r1, r2, zero, zero, zero)
+        got = vqscheme._noconf_min_slack(rho, p1, p2, n0, d1, d2, r1, r2)
+        assert same_bits(got, ref), (sigma2, rho, p1, p2, n0, d1, d2, cap)
+        assert not np.any(got > 0.0)  # NaN (0/0 distortions: rho = 1, rates past 27 bits) is not
+        seen["r1=0"] += int(np.any(r1 == 0.0))
+        seen["r2=0"] += int(np.any(r2 == 0.0))
+        seen["slack=0"] += int(np.any(got == 0.0))
+    assert all(seen.values()), seen
+
+
+def test_min_slack_floor_contract():
+    """With a floor, rows above it or NaN come back bit for bit and every
+    other row at or below it; NaN rates make NaN rows."""
+    sizes = {1: 10, 68: 2, 16807: 1}
+    seen = dict.fromkeys(("kept", "dropped", "partial", "nan"), 0)
+    for sigma2, rho, p1, p2, n0, d1, d2, cap, pts in kernel_cases(5, sizes):
+        r1, r2, rc = pts[:, 0] * cap, pts[:, 1] * cap, pts[:, 2] * cap
+        if r1.size > 1:
+            r1[::17] = np.nan
+        b1, b2 = pts[:, 3], pts[:, 4]
+        for c12 in (UNLIMITED, 1.5):
+            args = (sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2)
+            ref = vqscheme._min_slack(*args)
+            finite = ref[np.isfinite(ref)]
+            floors = [-np.inf, np.inf]
+            if finite.size:
+                floors += [float(x) for x in np.quantile(finite, (0.1, 0.5, 0.9, 1.0))]
+            for floor in floors:
+                got = vqscheme._min_slack(*args, floor=floor)
+                keep = ~(ref <= floor)
+                assert same_bits(got[keep], ref[keep]), (rho, p1, p2, n0, c12, cap, floor)
+                assert np.all(got[~keep] <= floor), (rho, p1, p2, n0, c12, cap, floor)
+                seen["kept"] += int(np.any(keep & ~np.isnan(ref)))
+                seen["dropped"] += int(np.any(~keep))
+                seen["partial"] += int(np.any(got[~keep] != ref[~keep]))
+                seen["nan"] += int(np.any(np.isnan(got[keep])))
     assert all(seen.values()), seen

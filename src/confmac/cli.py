@@ -2,7 +2,8 @@
 
 Subcommands: ``region`` (evaluate one region or feasibility operation),
 ``minpower``, ``minconf``, ``asymptote``, ``trace`` (curve sweeps to CSV) and
-``validate`` (the Monte-Carlo + oracle self-check suite).
+``validate`` (the Monte-Carlo + oracle self-check suite of
+:mod:`confmac.validation`).
 
 Flags may also be supplied through a flat JSON config (``--config``);
 explicit command-line flags win.  JSON results echo the resolved config under
@@ -17,11 +18,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from . import __version__, bounds, capacity, montecarlo, rdlib, search, separation, vqscheme
+from . import __version__, bounds, capacity, rdlib, search, separation, validation, vqscheme
 from .model import (
     UNLIMITED,
     ChannelSpec,
@@ -32,7 +30,6 @@ from .model import (
     is_unlimited,
 )
 from .search import CurveKind, Scheme, UnboundedError
-from ._mc import worker_count
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -363,223 +360,20 @@ def cmd_trace(args) -> int:
     if cfg["schemes"]:
         params["schemes"] = [tok.strip() for tok in str(cfg["schemes"]).split(",") if tok.strip()]
     grid_flag = "snrs" if kind is CurveKind.D1D2_VS_SNR else "alphas"
-    grid = search.check_trace_inputs(kind, params, parse_grid(str(cfg[grid_flag])))
-
-    workers = min(worker_count(), len(grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda g: search.trace_curve(kind, params, [g]), grid))
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = search.trace_curve(kind, params, grid)
-
+    rows = search.trace_curve(kind, params, parse_grid(str(cfg[grid_flag])))
     meta = {k: v for k, v in _config_echo({**cfg, "c12": c12}).items() if v is not None}
     write_csv(str(cfg["out"]), rows, meta)
     bad = [row for row in rows if row.get("errors")]
     return EXIT_INFEASIBLE if bad else EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# validation suite
-# ---------------------------------------------------------------------------
-
-# check 9's sampling box, per column: rho, p1, p2, n0, r1, r2, rc, beta1, beta2
-_SCHEME_BOX_LO = (0.0, 0.3, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0)
-_SCHEME_BOX_HI = (0.95, 8.0, 8.0, 8.0, 2.0, 2.0, 2.0, 1.0, 1.0)
-_SCHEME_BLOCK_ROWS = 8192  # about 150 of them meet the rate bounds
-
-
-def _uniform_rows(rng: np.random.Generator, lo, hi, m: int) -> np.ndarray:
-    """``m`` rows with column ``j`` uniform on ``[lo[j], hi[j])``.
-
-    Equal bit for bit to drawing the rows one after another with scalar
-    ``rng.uniform(lo[j], hi[j])`` calls, and leaves ``rng`` in the same state.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return lo + (hi - lo) * rng.random((m, lo.size))
-
-
-def _feasible_scheme_rows(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The first ``count`` rows of check 9's box, in draw order, whose VQ
-    configuration meets all seven rate bounds (the whole region at the
-    unlimited ``c12`` of check 9's channels).
-
-    Draws ``_SCHEME_BLOCK_ROWS`` rows at a time and screens each block with one
-    :func:`vqscheme._rate_min_slack` call, so ``rng`` ends up past the last
-    row returned.
-    """
-    kept = []
-    need = count
-    while need > 0:
-        rows = _uniform_rows(rng, _SCHEME_BOX_LO, _SCHEME_BOX_HI, _SCHEME_BLOCK_ROWS)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = vqscheme._rate_min_slack(1.0, *rows.T) >= 0.0
-        kept.append(rows[ok][:need])
-        need -= len(kept[-1])
-    return np.concatenate(kept)
-
-
-def _run_validation(seed: int, samples: int) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, bool(ok), detail))
-
-    # 1. side-information identity linking the conference requirement to the
-    #    binning rate, on a (rho, rc) grid
-    worst = 0.0
-    for rho in np.linspace(0.0, 0.95, 20):
-        src = SourceSpec(1.0, float(rho))
-        for rc in np.linspace(0.0, 6.0, 10):
-            d1 = 2.0 ** (-2.0 * float(rc))
-            lhs = rdlib.wz_rate(src, d1) if d1 > 0 else 0.0
-            req, _ = vqscheme.vq_conf_requirement(
-                src, vqscheme.VqConfig(0.0, 0.0, float(rc), 0.0, 0.0))
-            worst = max(worst, abs(lhs - req))
-    add("wz-identity", worst <= 1e-12, f"worst |diff|={worst:.3e}")
-
-    # 2. no-conference reduction of the rate region, against the
-    #    Lapidoth-Tinguely bounds written out in scalar math
-    rng = np.random.default_rng(seed)
-    rows = _uniform_rows(rng, (0.0, 0.25, 0.25, 0.25, 0.0, 0.0),
-                         (0.98, 4.0, 4.0, 4.0, 5.0, 5.0), 1000)
-    _, _, bnd = vqscheme._raw_quantities(1.0, *rows.T, 0.0, 0.0, 0.0)
-    r1, r2 = rows[:, 4], rows[:, 5]
-    rates = {"r1": r1, "r2": r2, "r1+r2": r1 + r2}
-    # bound read back from its slack, as ``vq_rate_region(...).slacks`` gives it
-    got = {name: ((bnd[name] - rate) + rate).tolist() for name, rate in rates.items()}
-    worst = 0.0
-    for i, (rho, p1, p2, n0, r1, r2) in enumerate(rows.tolist()):
-        tr = rho * math.sqrt((1 - 4.0**-r1) * (1 - 4.0**-r2))
-        lt = {
-            "r1": 0.5 * math.log2((p1 * (1 - tr**2) + n0) / (n0 * (1 - tr**2))),
-            "r2": 0.5 * math.log2((p2 * (1 - tr**2) + n0) / (n0 * (1 - tr**2))),
-            "r1+r2": 0.5 * math.log2(
-                (p1 + p2 + 2 * tr * math.sqrt(p1 * p2) + n0) / (n0 * (1 - tr**2))),
-        }
-        for name, bound in lt.items():
-            worst = max(worst, abs(got[name][i] - bound))
-    add("no-conference-reduction", worst <= 1e-12, f"worst |diff|={worst:.3e}")
-
-    # 3. estimator gains: closed form vs normal equations, plus range bounds
-    worst = 0.0
-    range_ok = True
-    for _ in range(1000):
-        rho = float(rng.uniform(0.05, 0.98))
-        r1, r2, rc = (float(v) for v in rng.uniform(0.05, 5.0, 3))
-        src = SourceSpec(float(rng.uniform(0.5, 2.0)), rho)
-        cfgq = vqscheme.VqConfig(r1, r2, rc, 0.0, 0.0)
-        g = montecarlo.mmse_gamma(src, cfgq)
-        go = montecarlo.mmse_gamma_oracle(montecarlo.build_surrogate(src, cfgq))
-        for name in ("g11", "g12", "g13", "g21", "g22", "g23"):
-            worst = max(worst, abs(getattr(g, name) - getattr(go, name)))
-        range_ok &= (0 < g.g11 <= 1) and (0 < g.g13 <= 1) and (0 < g.g22 <= 1)
-        range_ok &= (0 < g.g12 <= rho) and (0 < g.g21 <= rho) and (0 < g.g23 <= rho)
-    add("mmse-oracle", worst <= 1e-10 and range_ok,
-        f"worst |diff|={worst:.3e} range_ok={range_ok}")
-
-    # 4. genie-aided decoder distortion vs closed form
-    src = SourceSpec(1.0, 0.5)
-    cfgq = vqscheme.VqConfig(1.0, 1.0, 0.5, 0.0, 0.0)
-    est = montecarlo.genie_distortion_mc(src, cfgq, samples, seed)
-    d1c, d2c = vqscheme.vq_distortion(src, cfgq).astuple()
-    ok = (abs(est.d1_hat - d1c) <= 3 * est.d1_se and abs(est.d2_hat - d2c) <= 3 * est.d2_se)
-    add("genie-distortion", ok,
-        f"d1 {est.d1_hat:.6f}~{d1c:.6f} (se {est.d1_se:.2e}), "
-        f"d2 {est.d2_hat:.6f}~{d2c:.6f} (se {est.d2_se:.2e})")
-
-    # 5. maximum-correlation construction moments
-    ok = True
-    detail = []
-    for rho in (0.0, 0.3, 0.5, 0.8, 0.95):
-        for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            est = bounds.maxcorr_linear_maps(SourceSpec(1.0, rho), beta,
-                                             max(samples // 5, 10_000), seed + 7)
-            corr_truth = math.sqrt(rho**2 * (1 - beta) + beta)
-            cond_truth = (1 - beta) * (1 - rho**2)
-            ok &= abs(est.corr - corr_truth) <= 3 * max(est.corr_se, 1e-12)
-            ok &= abs(est.cond_var - cond_truth) <= 3 * max(est.cond_var_se, 1e-12)
-    add("maxcorr-moments", ok, "5x5 (rho, beta) grid, 3 se")
-
-    # 6. angle constants of the description vectors (finite-block expectation)
-    dim = 64
-    draws = min(100_000, max(samples // 10, 10_000))
-    est = montecarlo.surrogate_angle_moments(src, cfgq, dim=dim, draws=draws, seed=seed + 13)
-    _, consts = vqscheme.vq_constants(src, ChannelSpec(1.0, 1.0, 1.0), cfgq)
-    t_u1u2 = montecarlo.expected_cosine(consts.tilde_rho, dim)
-    t_vu2 = montecarlo.expected_cosine(consts.bar_rho, dim)
-    ok = (abs(est.cos_u1_u2 - t_u1u2) <= 3 * est.se_u1_u2 + 2 * consts.tilde_rho / dim**2
-          and abs(est.cos_v_u2 - t_vu2) <= 3 * est.se_v_u2 + 2 * consts.bar_rho / dim**2
-          and abs(est.cos_v_u1) <= 3 * est.se_v_u1)
-    add("angle-constants", ok,
-        f"cos(u1,u2)={est.cos_u1_u2:.5f}~{t_u1u2:.5f} "
-        f"cos(v,u2)={est.cos_v_u2:.5f}~{t_vu2:.5f}")
-
-    # 7. polar-cap sandwich, small-dimension closed forms, gamma-ratio series
-    geo_ok = True
-    for n in range(4, 201, 7):
-        for phi in np.linspace(0.1, 1.4, 14):
-            lower, upper = montecarlo.cap_ratio_bounds(n, float(phi))
-            exact = montecarlo.cap_ratio_exact(n, float(phi))
-            if lower > 0.0:
-                geo_ok &= lower <= exact * (1 + 1e-12) and exact <= upper * (1 + 1e-12)
-    geo_ok &= abs(montecarlo.cap_ratio_exact(2, math.pi / 3) - 1.0 / 3.0) <= 1e-12
-    geo_ok &= abs(montecarlo.cap_ratio_exact(3, math.pi / 3) - 0.25) <= 1e-12
-    series = montecarlo.gamma_ratio_series(1e4, terms=3)
-    exact = montecarlo.gamma_ratio_exact(1e4)
-    geo_ok &= abs(series / exact - 1.0) <= 1e-12
-    add("sphere-geometry", geo_ok, "cap sandwich + exact n=2,3 + gamma series")
-
-    # 8. cap fraction from uniform sphere samples
-    frac, se = montecarlo.sphere_cap_fraction_mc(8, 0.9, max(samples // 10, 10_000), seed + 21)
-    exact = montecarlo.cap_ratio_exact(8, 0.9)
-    add("sphere-sampling", abs(frac - exact) <= 3 * se,
-        f"frac={frac:.5f}~{exact:.5f} (se {se:.2e})")
-
-    # 9. every feasible scheme configuration passes the outer bound.  The
-    #    sampler's last block draws past the rows it returns; that is harmless
-    #    only because this is the last check that reads ``rng``.
-    violations = 0
-    for rho, p1, p2, n0, *cfg in _feasible_scheme_rows(rng, 1000).tolist():
-        srcr = SourceSpec(1.0, rho)
-        ach = vqscheme.vq_distortion(srcr, vqscheme.VqConfig(*cfg))
-        if not bounds.necessary_condition(srcr, ChannelSpec(p1, p2, n0), ach).feasible:
-            violations += 1
-    add("necessary-implied", violations == 0, f"violations={violations}/1000")
-
-    # 10. scheme-comparison threshold
-    ok = True
-    for c in (0.5, 1.0, 2.0):
-        ok &= abs(bounds.compare_threshold(c, 4.0**-c) - 1.0) <= 1e-12
-    for c in (0.5, 1.0, 2.0):
-        for alpha in (0.25, 0.5, 1.0):
-            thr = bounds.compare_threshold(c, alpha)
-            for rho in (0.3 * thr, 0.6 * thr, 0.9 * thr):
-                if rho >= 1.0 or rho <= 0.0:
-                    continue
-                srcr = SourceSpec(1.0, rho)
-                d2 = 0.2
-                p = 1000.0 / min(alpha * d2, d2)
-                q = bounds.high_snr_quantities(
-                    srcr, ChannelSpec(p, p, 1.0, c), DistortionPair(alpha * d2, d2))
-                ok &= q.varrho_vq_lower > q.varrho_sep1_fixed
-    add("comparison-threshold", ok, "threshold=1 at alpha=2^-2C; ordering below it")
-
-    return checks
-
-
 def cmd_validate(args) -> int:
-    names = ["seed", "samples"]
-    cfg = resolve(args, names)
-    seed = int(cfg["seed"])
-    samples = int(cfg["samples"])
-    checks = _run_validation(seed, samples)
-    failed = 0
+    cfg = resolve(args, ["seed", "samples"])
+    seed, samples = int(cfg["seed"]), int(cfg["samples"])
+    checks = list(validation.run(seed, samples))
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed += 0 if ok else 1
+    failed = sum(not ok for _, ok, _ in checks)
     print(f"{len(checks) - failed}/{len(checks)} checks passed (seed={seed}, samples={samples})")
     return EXIT_OK if failed == 0 else EXIT_VALIDATION
 

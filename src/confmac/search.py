@@ -62,11 +62,17 @@ class OptimizationResult:
 
 def _vq_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
                     pts: np.ndarray, rate_cap: float, floor=None) -> np.ndarray:
-    """Worst slack (bits) of the full scheme at box points (r1, r2, rc, b1, b2)
-    with rates scaled by ``rate_cap``; ``floor`` as in :func:`vqscheme._min_slack`."""
-    return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, ch.c12,
-                               target.d1, target.d2, pts[:, 0] * rate_cap,
-                               pts[:, 1] * rate_cap, pts[:, 2] * rate_cap,
+    """Worst slack (bits) of the full scheme at box points (r1, r2, t, b1, b2)
+    with rates scaled by ``rate_cap``; ``floor`` as in :func:`vqscheme._min_slack`.
+    The shared rate is ``t * rate_cap`` at unlimited ``ch.c12``, else ``t``
+    times the budget-saturating rate: the conference constraint then holds by
+    construction (and is dropped from the objective, else it would pin the
+    max-min at 0 on the saturated surface) and the search moves freely along it.
+    """
+    r1 = pts[:, 0] * rate_cap
+    rc_max = rate_cap if is_unlimited(ch.c12) else _rc_budget(src.rho, r1, ch.c12)
+    return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
+                               r1, pts[:, 1] * rate_cap, pts[:, 2] * rc_max,
                                pts[:, 3], pts[:, 4], floor)
 
 
@@ -90,20 +96,6 @@ def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         rc = c12 + 0.5 * np.log2((1.0 - k * 4.0**-c12) / (1.0 - k))
     return np.where(k < 1.0, rc, c12 - 0.5 * math.log2(1e-300))
-
-
-def _vq_slack_batch_budget(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                           pts: np.ndarray, rate_cap: float, c12: float,
-                           floor=None) -> np.ndarray:
-    """Box points (r1, r2, t, b1, b2); the shared rate is ``t`` times the
-    budget-saturating rate, so the conference constraint holds by construction
-    (and is dropped from the objective, else it would pin the max-min at 0 on
-    the saturated surface) and the search moves freely along it."""
-    r1 = pts[:, 0] * rate_cap
-    rc = pts[:, 2] * _rc_budget(src.rho, r1, c12)
-    return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, UNLIMITED,
-                               target.d1, target.d2, r1, pts[:, 1] * rate_cap, rc,
-                               pts[:, 3], pts[:, 4], floor)
 
 
 def _vq_unlimited_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
@@ -179,10 +171,10 @@ class _VqFeasibility:
         best_cfg = None
 
         if not is_unlimited(c12) and c12 == 0.0:
-            # only the no-conference slice is reachable.  Its zero rc bound
-            # and zero conference slack cap it at 0, below _STOP_AT: a
-            # feasible point runs the compass to the end at exactly 0, and
-            # refine, which accepts only larger values, would gain nothing
+            # only the no-conference slice is reachable.  Its rc bound,
+            # exactly 0 there, caps it at 0, below _STOP_AT: a feasible
+            # point runs the compass to the end at exactly 0, and refine,
+            # which accepts only larger values, would gain nothing
             warm = self.warm5[:2] if self.warm5 is not None else None
             val, pt = self._run(
                 lambda pts: _vq_noconf_slack_batch(src, ch, target, pts, cap),
@@ -221,7 +213,7 @@ class _VqFeasibility:
                 # budget-saturating parameterization: third coordinate is the
                 # fraction of the largest shared rate the budget admits
                 def f5(pts, floor=None):
-                    return _vq_slack_batch_budget(src, ch, target, pts, cap, c12, floor)
+                    return _vq_slack_batch(src, ch, target, pts, cap, floor)
                 warm4 = (np.delete(self.warm5, 2) if self.warm5 is not None else None)
                 val, pt = self._run(f5, 5, self.warm5, saturated_axis=2, floored=True)
                 self.warm5 = pt

@@ -13,11 +13,11 @@ bound in readable form; the public functions are thin scalar wrappers around
 them.  Four fused kernels evaluate many configurations at once:
 ``_rate_min_slack`` (the seven rate bounds of the full scheme; ``validate``
 screens its random configurations with it), ``_min_slack`` (those bounds
-plus the conference bound and the distortion targets; the searches' full
-scheme), ``_unlimited_min_slack`` (the unlimited-conference slice) and
-``_noconf_min_slack`` (the no-conference slice: ``_min_slack`` at
-``rc = beta1 = beta2 = 0`` and ``c12 = 0``, without the bounds that are
-exactly 0 or repeat another there).  They compute only the bounds, share
+plus the distortion targets; the searches' full scheme, whose conference
+bound is absent or met by construction), ``_unlimited_min_slack`` (the
+unlimited-conference slice) and ``_noconf_min_slack`` (the no-conference
+slice: ``_min_slack`` at ``rc = beta1 = beta2 = 0``, without the bounds
+that are exactly 0 or repeat another there).  They compute only the bounds, share
 subexpressions and fold each bound into a running minimum, and return the
 worst slack equal bit for bit to the minimum over the readable form.
 
@@ -369,12 +369,12 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor=None):
     return partial
 
 
-def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2, floor=None):
+def _min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2, floor=None):
     """Worst slack (bits) of the full scheme over its seven rate bounds
-    (:func:`_rate_min_slack`), the conference bound (skipped when ``c12`` is
-    unlimited) and the two distortion targets ``d1``, ``d2``, at parameter
-    arrays ``r1 .. b2``; equal bit for bit to the same minimum composed from
-    :func:`_raw_quantities`.
+    (:func:`_rate_min_slack`) and the two distortion targets ``d1``, ``d2``,
+    at parameter arrays ``r1 .. b2``; equal bit for bit to the same minimum
+    composed from :func:`_raw_quantities`.  No conference bound: the searches
+    call it at unlimited ``c12`` or with a shared rate within the budget.
 
     Floor contract (1-D batches): rows whose value is above ``floor``, or
     NaN, come back bit for bit; every other row comes back at some value at
@@ -397,9 +397,6 @@ def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2, floor=N
                 rho, p1, p2, n0, r1, r2, rc, b1, b2, d1a, d2a = _take(
                     rows, rho, p1, p2, n0, r1, r2, rc, b1, b2, d1a, d2a)
         slack = _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor)
-        if not is_unlimited(c12):
-            requirement, _ = _conf_requirement_arrays(rho, r1, rc)
-            np.minimum(slack, c12 - requirement, out=slack)
         slack = _fold_distortions(slack, d1a, d2a, d1, d2)
         if rows is None:
             return slack
@@ -409,16 +406,16 @@ def _min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2, floor=N
 
 def _noconf_min_slack(rho, p1, p2, n0, d1, d2, r1, r2):
     """Worst slack (bits) of the no-conference slice at ``(r1, r2)`` arrays:
-    :func:`_min_slack` at ``(r1, r2, 0, 0, 0)`` with ``c12 = 0``, equal to it
-    bit for bit (powers positive).
+    :func:`_min_slack` at ``(r1, r2, 0, 0, 0)``, equal to it bit for bit
+    (powers positive).
 
     With ``rc = beta1 = beta2 = 0`` the shared description is absent:
     ``brho``, ``eta``, ``lam2`` and ``lamc`` are 0, ``bp1 = p1``,
     ``bp2 = p2`` and ``a_res = 1 - trho^2``.  The ``rc`` bound is then
-    ``0.5 log2(1) - 0`` and the conference slack ``0 - 0``, both exactly 0,
-    and the ``r1+r2+rc`` bound equals the ``r1+r2`` one.  Five rate bounds
-    are left, in the reference's operand order, folded into a running
-    minimum that starts at 0; so the slice is never above 0.
+    ``0.5 log2(1) - 0``, exactly 0, and the ``r1+r2+rc`` bound equals the
+    ``r1+r2`` one.  Five rate bounds are left, in the reference's operand
+    order, folded into a running minimum that starts at 0; so the slice is
+    never above 0.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)

@@ -9,10 +9,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, SourceSpec
-from confmac import bounds, montecarlo, rdlib, search, separation, vqscheme
+from confmac import bounds, search, validation, vqscheme
 from confmac.search import Scheme
 
 
@@ -25,15 +24,7 @@ def _report(name: str, started: float, budget_s: float, detail: str = ""):
 def test_criterion_01_side_information_identity():
     """Conference requirement at r1 = 0 equals the side-information rate."""
     started = time.time()
-    worst = 0.0
-    for rho in np.linspace(0.0, 0.95, 20):
-        src = SourceSpec(1.0, float(rho))
-        for rc in np.linspace(0.0, 6.0, 10):
-            d1 = 2.0 ** (-2.0 * float(rc))
-            lhs = rdlib.wz_rate(src, d1)
-            req, _ = vqscheme.vq_conf_requirement(
-                src, vqscheme.VqConfig(0.0, 0.0, float(rc), 0.0, 0.0))
-            worst = max(worst, abs(lhs - req))
+    worst = validation.wz_identity_worst()
     assert worst <= 1e-12
     _report("criterion-01 side-information identity", started, 1.0,
             f"200 grid points, worst |diff| = {worst:.2e}")
@@ -43,24 +34,8 @@ def test_criterion_02_no_conference_reduction():
     """With rc = 0 and no power split, the region collapses to the
     no-conference reference formulas."""
     started = time.time()
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(1000):
-        rho = float(rng.uniform(0.0, 0.98))
-        p1, p2, n0 = (float(v) for v in rng.uniform(0.25, 4.0, 3))
-        r1, r2 = (float(v) for v in rng.uniform(0.0, 5.0, 2))
-        src = SourceSpec(1.0, rho)
-        report = vqscheme.vq_rate_region(
-            src, ChannelSpec(p1, p2, n0, 0.0), vqscheme.VqConfig(r1, r2, 0, 0, 0))
-        tr2 = rho**2 * (1 - 4.0**-r1) * (1 - 4.0**-r2)
-        ref = {
-            "r1": (r1, 0.5 * math.log2((p1 * (1 - tr2) + n0) / (n0 * (1 - tr2)))),
-            "r2": (r2, 0.5 * math.log2((p2 * (1 - tr2) + n0) / (n0 * (1 - tr2)))),
-            "r1+r2": (r1 + r2, 0.5 * math.log2(
-                (p1 + p2 + 2 * math.sqrt(tr2 * p1 * p2) + n0) / (n0 * (1 - tr2)))),
-        }
-        for name, (rate, bound) in ref.items():
-            worst = max(worst, abs(report.slacks[name] + rate - bound))
+    worst = validation.no_conference_worst(
+        validation.no_conference_rows(np.random.default_rng(2024), 1000))
     assert worst <= 1e-12
     _report("criterion-02 no-conference reduction", started, 1.0,
             f"1000 draws, worst |diff| = {worst:.2e}")
@@ -70,18 +45,13 @@ def test_criterion_03_mmse_oracle_equivalence():
     """Closed-form estimator gains match the normal-equation solve and obey
     their range bounds."""
     started = time.time()
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(1000):
-        rho = float(rng.uniform(0.02, 0.98))
-        src = SourceSpec(float(rng.uniform(0.5, 2.0)), rho)
-        cfg = vqscheme.VqConfig(*(float(v) for v in rng.uniform(0.05, 5.0, 3)), 0.0, 0.0)
-        g = montecarlo.mmse_gamma(src, cfg)
-        o = montecarlo.mmse_gamma_oracle(montecarlo.build_surrogate(src, cfg))
-        for name in ("g11", "g12", "g13", "g21", "g22", "g23"):
-            worst = max(worst, abs(getattr(g, name) - getattr(o, name)))
-        assert 0.0 < g.g11 <= 1.0 and 0.0 < g.g13 <= 1.0 and 0.0 < g.g22 <= 1.0
-        assert 0.0 < g.g12 <= rho and 0.0 < g.g21 <= rho and 0.0 < g.g23 <= rho
+    # rows (rho, sigma2, r1, r2, rc), drawn in that order
+    rows = validation._uniform_rows(np.random.default_rng(3), (0.02, 0.5, 0.05, 0.05, 0.05),
+                                    (0.98, 2.0, 5.0, 5.0, 5.0), 1000)
+    draws = [(SourceSpec(sigma2, rho), vqscheme.VqConfig(r1, r2, rc, 0.0, 0.0))
+             for rho, sigma2, r1, r2, rc in rows.tolist()]
+    worst, range_ok = validation.mmse_oracle(draws)
+    assert range_ok
     assert worst <= 1e-10
     _report("criterion-03 mmse oracle equivalence", started, 1.0,
             f"1000 draws, worst |diff| = {worst:.2e}")
@@ -90,10 +60,7 @@ def test_criterion_03_mmse_oracle_equivalence():
 def test_criterion_04_genie_distortion():
     """Sampled genie-aided distortion matches the closed form within 3 se."""
     started = time.time()
-    src = SourceSpec(1.0, 0.5)
-    cfg = vqscheme.VqConfig(1.0, 1.0, 0.5, 0.0, 0.0)
-    est = montecarlo.genie_distortion_mc(src, cfg, 1_000_000, seed=42)
-    d1, d2 = vqscheme.vq_distortion(src, cfg).astuple()
+    est, (d1, d2) = validation.genie_distortion(1_000_000, 42)
     assert abs(est.d1_hat - d1) <= 3 * est.d1_se
     assert abs(est.d2_hat - d2) <= 3 * est.d2_se
     assert est.d1_se < 5e-4 and est.d2_se < 8e-4
@@ -105,14 +72,11 @@ def test_criterion_04_genie_distortion():
 def test_criterion_05_maximum_correlation_construction():
     """Sampled correlation and residual variance of the optimal linear maps."""
     started = time.time()
-    for rho in (0.0, 0.25, 0.5, 0.75, 0.95):
-        for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            est = bounds.maxcorr_linear_maps(
-                SourceSpec(1.0, rho), beta, 1_000_000, seed=1234)
-            corr_truth = math.sqrt(rho**2 * (1 - beta) + beta)
-            cond_truth = (1 - beta) * (1 - rho**2)
-            assert abs(est.corr - corr_truth) <= 3 * est.corr_se + 1e-12
-            assert abs(est.cond_var - cond_truth) <= 3 * est.cond_var_se + 1e-12
+    errors = validation.maxcorr_errors((0.0, 0.25, 0.5, 0.75, 0.95),
+                                       (0.0, 0.25, 0.5, 0.75, 1.0), 1_000_000, 1234)
+    for corr, corr_se, cond, cond_se in errors:
+        assert corr <= 3 * corr_se + 1e-12
+        assert cond <= 3 * cond_se + 1e-12
     _report("criterion-05 maximum-correlation construction", started, 30.0,
             "5x5 (rho, beta) grid at 1e6 samples, 3 se")
 
@@ -175,8 +139,8 @@ def test_criterion_08_necessary_implied_by_achievable():
     """Every feasible scheme configuration passes the outer bound."""
     started = time.time()
     rng = np.random.default_rng(8)
-    tested = 0
-    while tested < 1000:
+    cases = []
+    while len(cases) < 1000:
         rho = float(rng.uniform(0.0, 0.95))
         src = SourceSpec(1.0, rho)
         ch = ChannelSpec(*(float(v) for v in rng.uniform(0.3, 8.0, 3)),
@@ -189,11 +153,10 @@ def test_criterion_08_necessary_implied_by_achievable():
             if vqscheme.vq_rate_region(src, ch, cand).feasible:
                 cfg = cand
                 break
-        if cfg is None:
-            continue
-        tested += 1
-        achieved = vqscheme.vq_distortion(src, cfg)
-        assert bounds.necessary_condition(src, ch, achieved).feasible, (src, ch, cfg)
+        if cfg is not None:
+            cases.append((src, ch, cfg))
+    violations = validation.necessary_violations(cases)
+    assert not violations, violations[:3]
     _report("criterion-08 necessary implied by achievable", started, 10.0,
             "1000 feasible configurations, no violations")
 
@@ -201,24 +164,11 @@ def test_criterion_08_necessary_implied_by_achievable():
 def test_criterion_09_scheme_comparison_threshold():
     """Threshold value and the correlation ordering below it."""
     started = time.time()
-    for c in (0.25, 0.5, 1.0, 2.0, 3.0):
-        att = 2.0 ** (-2.0 * c)
-        assert bounds.compare_threshold(c, att) == 1.0
-    d2 = 0.2
-    checked = 0
-    for c in (0.5, 1.0, 2.0):
-        for alpha in (0.25, 0.5, 0.75, 1.0):
-            threshold = bounds.compare_threshold(c, alpha)
-            for frac in (0.25, 0.5, 0.75, 0.9):
-                rho = frac * threshold
-                if not 0.0 < rho < 0.98:
-                    continue
-                src = SourceSpec(1.0, rho)
-                p = 1000.0 / min(alpha * d2, d2)  # regime proxy ~1e-3
-                q = bounds.high_snr_quantities(
-                    src, ChannelSpec(p, p, 1.0, c), DistortionPair(alpha * d2, d2))
-                assert q.varrho_vq_lower > q.varrho_sep1_fixed, (c, alpha, rho)
-                checked += 1
+    worst, checked, violations = validation.comparison_threshold(
+        (0.25, 0.5, 1.0, 2.0, 3.0), (0.5, 1.0, 2.0), (0.25, 0.5, 0.75, 1.0),
+        (0.25, 0.5, 0.75, 0.9), 0.98)
+    assert worst == 0.0
+    assert violations == 0
     assert checked >= 40
     _report("criterion-09 scheme-comparison threshold", started, 1.0,
             f"exact unit threshold; ordering verified at {checked} grid points")
@@ -227,19 +177,10 @@ def test_criterion_09_scheme_comparison_threshold():
 def test_criterion_10_sphere_geometry():
     """Polar-cap sandwich, small-dimension closed forms, gamma-ratio series."""
     started = time.time()
-    for n in range(4, 201):
-        for phi in np.linspace(0.05, 1.4, 14):
-            lower, upper = montecarlo.cap_ratio_bounds(n, float(phi))
-            exact = montecarlo.cap_ratio_exact(n, float(phi))
-            assert exact <= upper * (1 + 1e-12)
-            if lower > 0.0:
-                assert lower <= exact * (1 + 1e-12)
-    for phi in np.linspace(0.05, math.pi / 2, 30):
-        assert abs(montecarlo.cap_ratio_exact(2, float(phi)) - phi / math.pi) <= 1e-12
-        assert abs(montecarlo.cap_ratio_exact(3, float(phi))
-                   - (1 - math.cos(phi)) / 2) <= 1e-12
-    series = montecarlo.gamma_ratio_series(1e4, terms=3)
-    exact = montecarlo.gamma_ratio_exact(1e4)
-    assert abs(series / exact - 1.0) <= 1e-12
+    bad, small, err = validation.sphere_geometry(
+        range(4, 201), np.linspace(0.05, 1.4, 14), np.linspace(0.05, math.pi / 2, 30))
+    assert bad == 0
+    assert small <= 1e-12
+    assert abs(err) <= 1e-12
     _report("criterion-10 sphere geometry", started, 1.0,
-            f"sandwich on n in 4..200; series/exact - 1 = {series / exact - 1:.2e}")
+            f"sandwich on n in 4..200; series/exact - 1 = {err:.2e}")

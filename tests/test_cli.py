@@ -2,20 +2,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from confmac import search
-from confmac.cli import (
-    _SCHEME_BLOCK_ROWS,
-    MAX_GRID_POINTS,
-    _feasible_scheme_rows,
-    _uniform_rows,
-    parse_grid,
-    run,
-)
+from confmac.cli import MAX_GRID_POINTS, parse_grid, run
 from confmac.model import ChannelSpec, DomainError, SourceSpec
+from confmac.validation import _SCHEME_BLOCK_ROWS, _feasible_scheme_rows, _uniform_rows
 from confmac.vqscheme import VqConfig, vq_rate_region
 
 
@@ -205,6 +200,9 @@ def test_validate_quick_run_and_determinism():
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(ln.startswith("PASS") for ln in lines)
+    # the benchmark fails a validate run whose check names differ from these
+    reference = json.loads((Path(__file__).parents[1] / "bench" / "reference.json").read_text())
+    assert [ln.split()[1].rstrip(":") for ln in lines] == reference["validate"]["checks"]
     _, again = run_cli(["validate", "--seed", "7", "--samples", "20000"])
     assert again == out
 

@@ -248,8 +248,10 @@ def _refine_problem(rng):
         return (lambda pts, floor=None:
                 search._vq_slack_batch(src, ch, target, pts, 8.0, floor)), 5
 
+    budget_ch = ChannelSpec(p * n0, p * n0, n0, c12)
+
     def budget(pts, floor=None):
-        return search._vq_slack_batch_budget(src, ch, target, pts, 8.0, c12, floor)
+        return search._vq_slack_batch(src, budget_ch, target, pts, 8.0, floor)
     if family == 1:
         return budget, 5
     return (lambda pts, floor=None: budget(np.insert(pts, 2, 1.0, axis=1), floor)), 4

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from confmac.model import UNLIMITED, ChannelSpec, DomainError, SourceSpec, is_unlimited
+from confmac.model import UNLIMITED, ChannelSpec, DomainError, SourceSpec
 from confmac import vqscheme
 from confmac.vqscheme import (
     VqConfig,
@@ -310,7 +310,7 @@ KERNEL_CHANNELS = ((1.0, 1.0, 1.0, 1.0), (0.7, 12.0, 3.0, 0.5), (2.5, 0.01, 100.
 RATE_CAPS = (8.0, 40.0)  # 40 bits saturates 1 - 4^-r to exactly 1
 
 
-def reference_min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2):
+def reference_min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
     """Worst slack composed from ``_raw_quantities``, and whether any rate
     bound had a nonpositive denominator (+inf)."""
     with np.errstate(all="ignore"):
@@ -320,9 +320,6 @@ def reference_min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2
             "r2+rc": r2 + rc, "r1+r2+rc": r1 + r2 + rc,
         }
         slack = np.minimum.reduce([bnd[name] - combos[name] for name in combos])
-        if not is_unlimited(c12):
-            req, _ = vqscheme._conf_requirement_arrays(rho, r1, rc)
-            slack = np.minimum(slack, c12 - req)
         d1a, d2a = vqscheme._distortion_arrays(rho, r1, r2, rc)
         slack = np.minimum(slack, 0.5 * (math.log2(d1) - np.log2(d1a)))
         slack = np.minimum(slack, 0.5 * (math.log2(d2) - np.log2(d2a)))
@@ -372,12 +369,10 @@ def test_min_slack_kernel_matches_reference_bit_for_bit():
     for sigma2, rho, p1, p2, n0, d1, d2, cap, pts in kernel_cases(5):
         r1, r2, rc = pts[:, 0] * cap, pts[:, 1] * cap, pts[:, 2] * cap
         b1, b2 = pts[:, 3], pts[:, 4]
-        for c12 in (UNLIMITED, 0.0, 1.5):
-            ref, inf_bound = reference_min_slack(
-                sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2)
-            got = vqscheme._min_slack(sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2)
-            assert same_bits(got, ref), (sigma2, rho, p1, p2, n0, c12, d1, d2, cap)
-            seen["den<=0"] += inf_bound
+        ref, inf_bound = reference_min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2)
+        got = vqscheme._min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2)
+        assert same_bits(got, ref), (sigma2, rho, p1, p2, n0, d1, d2, cap)
+        seen["den<=0"] += inf_bound
         seen["r1=0"] += int(np.any(r1 == 0.0))
         seen["rc=0"] += int(np.any(rc == 0.0))
         seen["beta1 in {0,1}"] += int(np.any(b1 == 0.0) and np.any(b1 == 1.0))
@@ -441,15 +436,15 @@ def test_rate_min_slack_kernel_matches_reference_bit_for_bit():
 
 
 def test_noconf_min_slack_kernel_matches_full_kernel_bit_for_bit():
-    """The no-conference slice equals ``_min_slack`` at (r1, r2, 0, 0, 0) with
-    c12 = 0, and never exceeds 0 (the search skips its refine at 0)."""
+    """The no-conference slice equals ``_min_slack`` at (r1, r2, 0, 0, 0), and
+    never exceeds 0 (the search skips its refine at 0)."""
     sizes = {1: 20, 66: 3, 289: 2, 5000: 1}
     channels = KERNEL_CHANNELS + ((1.3, 3.0, 0.4, 1.0 / 64.0),)
     seen = dict.fromkeys(("r1=0", "r2=0", "slack=0"), 0)
     for sigma2, rho, p1, p2, n0, d1, d2, cap, pts in kernel_cases(2, sizes, channels):
         r1, r2 = pts[:, 0] * cap, pts[:, 1] * cap
         zero = np.zeros_like(r1)
-        ref = vqscheme._min_slack(sigma2, rho, p1, p2, n0, 0.0, d1, d2, r1, r2, zero, zero, zero)
+        ref = vqscheme._min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, zero, zero, zero)
         got = vqscheme._noconf_min_slack(rho, p1, p2, n0, d1, d2, r1, r2)
         assert same_bits(got, ref), (sigma2, rho, p1, p2, n0, d1, d2, cap)
         assert not np.any(got > 0.0)  # NaN (0/0 distortions: rho = 1, rates past 27 bits) is not
@@ -469,20 +464,19 @@ def test_min_slack_floor_contract():
         if r1.size > 1:
             r1[::17] = np.nan
         b1, b2 = pts[:, 3], pts[:, 4]
-        for c12 in (UNLIMITED, 1.5):
-            args = (sigma2, rho, p1, p2, n0, c12, d1, d2, r1, r2, rc, b1, b2)
-            ref = vqscheme._min_slack(*args)
-            finite = ref[np.isfinite(ref)]
-            floors = [-np.inf, np.inf]
-            if finite.size:
-                floors += [float(x) for x in np.quantile(finite, (0.1, 0.5, 0.9, 1.0))]
-            for floor in floors:
-                got = vqscheme._min_slack(*args, floor=floor)
-                keep = ~(ref <= floor)
-                assert same_bits(got[keep], ref[keep]), (rho, p1, p2, n0, c12, cap, floor)
-                assert np.all(got[~keep] <= floor), (rho, p1, p2, n0, c12, cap, floor)
-                seen["kept"] += int(np.any(keep & ~np.isnan(ref)))
-                seen["dropped"] += int(np.any(~keep))
-                seen["partial"] += int(np.any(got[~keep] != ref[~keep]))
-                seen["nan"] += int(np.any(np.isnan(got[keep])))
+        args = (sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2)
+        ref = vqscheme._min_slack(*args)
+        finite = ref[np.isfinite(ref)]
+        floors = [-np.inf, np.inf]
+        if finite.size:
+            floors += [float(x) for x in np.quantile(finite, (0.1, 0.5, 0.9, 1.0))]
+        for floor in floors:
+            got = vqscheme._min_slack(*args, floor=floor)
+            keep = ~(ref <= floor)
+            assert same_bits(got[keep], ref[keep]), (rho, p1, p2, n0, cap, floor)
+            assert np.all(got[~keep] <= floor), (rho, p1, p2, n0, cap, floor)
+            seen["kept"] += int(np.any(keep & ~np.isnan(ref)))
+            seen["dropped"] += int(np.any(~keep))
+            seen["partial"] += int(np.any(got[~keep] != ref[~keep]))
+            seen["nan"] += int(np.any(np.isnan(got[keep])))
     assert all(seen.values()), seen

@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`confmac.model` -- parameter types, validation, feasibility reports
+* :mod:`confmac.model` -- parameter types, feasibility reports
 * :mod:`confmac.rdlib` -- closed-form rate-distortion quantities
 * :mod:`confmac.vqscheme` -- the two-stage vector-quantizer scheme
 * :mod:`confmac.capacity` -- MAC capacity regions (plain / conferencing)
@@ -22,7 +22,6 @@ from .model import (
     RatePoint,
     SourceSpec,
     is_unlimited,
-    validate_problem,
 )
 
 __version__ = "0.1.0"
@@ -36,6 +35,5 @@ __all__ = [
     "RatePoint",
     "SourceSpec",
     "is_unlimited",
-    "validate_problem",
     "__version__",
 ]

@@ -125,11 +125,11 @@ def halton(index: int, base: int) -> float:
 _HALTON_BASES: Sequence[int] = (2, 3, 5, 7, 11, 13, 17)
 
 
-def halton_points(count: int, dim: int, skip: int = 1) -> np.ndarray:
+def halton_points(count: int, dim: int) -> np.ndarray:
     """Deterministic low-discrepancy start schedule in the unit ``dim``-cube."""
     bases = _HALTON_BASES[:dim]
     pts = np.empty((count, dim))
     for i in range(count):
         for j, b in enumerate(bases):
-            pts[i, j] = halton(i + skip, b)
+            pts[i, j] = halton(i + 1, b)  # element 0 is the origin
     return pts

@@ -13,15 +13,18 @@ from typing import Callable
 
 import numpy as np
 
+_STEP0 = 0.25          # compass: first poll step
+_STEP_MIN = 1e-5       # a start stops once its step is below this
+_CONTRACTION = 0.5     # step factor after a round without improvement
+_MAX_ITER = 400        # round cap
+_REFINE_WIDTH = 0.25   # refine: half-width of the first grid
+_REFINE_SHRINK = 0.65  # grid width factor per round
+
 
 def compass_search_max(
     f_batch: Callable[[np.ndarray], np.ndarray],
     starts: np.ndarray,
-    step0: float = 0.25,
-    step_min: float = 1e-5,
-    contraction: float = 0.5,
     stop_at: float | None = None,
-    max_iter: int = 400,
 ) -> tuple[float, np.ndarray, int]:
     """Maximize ``f_batch`` over [0, 1]^d from the given start points.
 
@@ -32,11 +35,11 @@ def compass_search_max(
     pts = np.clip(np.asarray(starts, dtype=float), 0.0, 1.0)
     k, d = pts.shape
     vals = np.asarray(f_batch(pts), dtype=float)
-    steps = np.full(k, step0)
+    steps = np.full(k, _STEP0)
     dirs = np.concatenate([np.eye(d), -np.eye(d)])  # (2d, d)
 
     rounds = 0
-    while rounds < max_iter and steps.max() >= step_min:
+    while rounds < _MAX_ITER and steps.max() >= _STEP_MIN:
         if stop_at is not None and vals.max() >= stop_at:
             break
         polls = np.clip(pts[:, None, :] + steps[:, None, None] * dirs[None, :, :], 0.0, 1.0)
@@ -46,8 +49,8 @@ def compass_search_max(
         improved = best_vals > vals
         pts[improved] = polls[improved, best[improved]]
         vals[improved] = best_vals[improved]
-        active = steps >= step_min
-        steps[~improved & active] *= contraction
+        active = steps >= _STEP_MIN
+        steps[~improved & active] *= _CONTRACTION
         rounds += 1
 
     i = int(vals.argmax())
@@ -60,9 +63,7 @@ _GRID_POINTS = {1: 33, 2: 17, 3: 13, 4: 9, 5: 7}
 def refine_grid_max(
     f_batch: Callable[[np.ndarray], np.ndarray],
     center: np.ndarray,
-    width: float = 0.25,
     rounds: int = 24,
-    shrink: float = 0.65,
     stop_at: float | None = None,
 ) -> tuple[float, np.ndarray]:
     """Shrinking tensor-grid ascent around ``center`` on [0, 1]^d.
@@ -75,7 +76,7 @@ def refine_grid_max(
     n = _GRID_POINTS.get(d, 5)
     best_val = float(np.asarray(f_batch(center[None, :]))[0])
     best = center.copy()
-    w = width
+    w = _REFINE_WIDTH
     stale = 0
     for _ in range(rounds):
         if stop_at is not None and best_val >= stop_at:
@@ -94,5 +95,5 @@ def refine_grid_max(
             stale = 0
         else:
             stale += 1
-        w *= shrink
+        w *= _REFINE_SHRINK
     return best_val, best

@@ -149,29 +149,30 @@ class AsymptoticQuantities:
     d1d2_limit_vq_fixed: float
 
 
-def high_snr_quantities(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                        c12=None, regime_threshold: float = 0.1) -> AsymptoticQuantities:
-    """Asymptotic correlations and predicted distortion products.
+_HIGH_SNR_PROXY = 0.1  # largest N/(d_i P_i) taken as high SNR
 
-    The regime is enforced through the finite proxy ``N/(d_i P_i) <=
-    regime_threshold`` for both components; outside it the asymptotics are
-    meaningless and :class:`RegimeError` is raised.
+
+def high_snr_quantities(src: SourceSpec, ch: ChannelSpec,
+                        target: DistortionPair) -> AsymptoticQuantities:
+    """Asymptotic correlations and predicted distortion products at ``ch.c12``.
+
+    The regime is enforced through the finite proxy ``N/(d_i P_i) <= 0.1``
+    for both components; outside it the asymptotics are meaningless and
+    :class:`RegimeError` is raised.
 
     ``check_rho`` is the shared-description correlation at the operating
     point that saturates the conference budget with no private first stage,
     ``rho sqrt((1-2^-2C)/(1 - rho^2 2^-2C))``; it enters only the
     scheme-side product prediction at finite link capacity.
     """
-    if c12 is None:
-        c12 = ch.c12
-    rho, n0 = src.rho, ch.n0
+    c12, rho, n0 = ch.c12, src.rho, ch.n0
     d1, d2 = target.d1, target.d2
     x1 = n0 / (d1 * ch.p1)
     x2 = n0 / (d2 * ch.p2)
-    if x1 > regime_threshold or x2 > regime_threshold:
+    if x1 > _HIGH_SNR_PROXY or x2 > _HIGH_SNR_PROXY:
         raise RegimeError(
             f"outside high-SNR regime: N/(d1 P1)={x1:.4g}, N/(d2 P2)={x2:.4g} "
-            f"exceed threshold {regime_threshold}"
+            f"exceed threshold {_HIGH_SNR_PROXY}"
         )
     att = 0.0 if is_unlimited(c12) else 2.0 ** (-2.0 * float(c12))
 

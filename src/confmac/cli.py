@@ -146,28 +146,37 @@ _FLAGS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, names) -> None:
+def _add_common(parser: argparse.ArgumentParser, fn, names) -> None:
+    """Make ``parser`` run ``fn``, with a ``--name`` flag per entry of ``names``."""
     for name in names:
         parser.add_argument(f"--{name}", default=None)
     parser.add_argument("--config", default=None)
     parser.add_argument("--json", action="store_true")
+    parser.set_defaults(fn=fn)
 
 
-def resolve(args: argparse.Namespace, names) -> dict:
-    """Merge defaults, config file and explicit flags (flags win)."""
-    merged = {name: _FLAGS[name] for name in names}
+def resolve(args: argparse.Namespace) -> dict:
+    """Merge defaults, config file and explicit flags (flags win) for the
+    flags the subcommand's parser declares; ``c12`` comes back parsed."""
+    merged = {name: value for name, value in _FLAGS.items() if hasattr(args, name)}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        if isinstance(loaded, dict) and isinstance(loaded.get("config"), dict):
+        if not isinstance(loaded, dict):
+            raise DomainError("config", "must hold a JSON object")
+        if isinstance(loaded.get("config"), dict):
             loaded = loaded["config"]
         for key, value in loaded.items():
             if key in merged:
+                if isinstance(value, (list, dict)):
+                    raise DomainError(key, "config value must be a number, string or null")
                 merged[key] = value
-    for name in names:
-        value = getattr(args, name, None)
+    for name in merged:
+        value = getattr(args, name)
         if value is not None:
             merged[name] = value
+    if "c12" in merged:
+        merged["c12"] = parse_c12(merged["c12"])
     return merged
 
 
@@ -198,13 +207,9 @@ def _config_echo(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_region(args) -> int:
-    names = ["sigma2", "rho", "p1", "p2", "noise", "c12", "d1", "d2",
-             "r1", "r2", "rc", "beta", "beta1", "beta2", "sw2", "su2", "sv2", "which"]
-    cfg = resolve(args, names)
-    cfg["which"] = args.which or cfg.get("which")
+    cfg = resolve(args)
     which = cfg["which"]
-    c12 = parse_c12(cfg["c12"])
-    echo = _config_echo({**cfg, "c12": c12})
+    echo = _config_echo(cfg)
 
     def src() -> SourceSpec:
         sigma2, rho = _floats(cfg, "sigma2", "rho")
@@ -212,7 +217,7 @@ def cmd_region(args) -> int:
 
     if which == "vq":
         p1, p2, n0 = _floats(cfg, "p1", "p2", "noise")
-        ch = ChannelSpec(p1, p2, n0, c12)
+        ch = ChannelSpec(p1, p2, n0, cfg["c12"])
         vq = vqscheme.VqConfig(*_floats(cfg, "r1", "r2", "rc", "beta1", "beta2"))
         report = vqscheme.vq_rate_region(src(), ch, vq)
         ach = vqscheme.vq_distortion(src(), vq)
@@ -249,7 +254,7 @@ def cmd_region(args) -> int:
         return EXIT_OK
     if which in ("mac", "mac-conf", "mac-conf-fixed"):
         p1, p2, n0, r1, r2 = _floats(cfg, "p1", "p2", "noise", "r1", "r2")
-        ch = ChannelSpec(p1, p2, n0, c12)
+        ch = ChannelSpec(p1, p2, n0, cfg["c12"])
         rp = RatePoint(r1, r2)
         if which == "mac":
             report = capacity.mac_plain_contains(ch, rp)
@@ -261,7 +266,7 @@ def cmd_region(args) -> int:
         return emit_report(report, echo, args.json)
     if which in ("necessary", "sep1", "sep2"):
         p1, p2, n0, d1, d2 = _floats(cfg, "p1", "p2", "noise", "d1", "d2")
-        ch = ChannelSpec(p1, p2, n0, c12)
+        ch = ChannelSpec(p1, p2, n0, cfg["c12"])
         target = DistortionPair(d1, d2)
         fn = {"necessary": bounds.necessary_condition,
               "sep1": separation.sep1_feasible,
@@ -291,8 +296,7 @@ def _emit_optimization(res: search.OptimizationResult, echo: dict, as_json: bool
 
 
 def cmd_minpower(args) -> int:
-    names = ["sigma2", "rho", "noise", "c12", "d1", "d2", "alpha", "tol", "scheme"]
-    cfg = resolve(args, names)
+    cfg = resolve(args)
     sigma2, rho, n0 = _floats(cfg, "sigma2", "rho", "noise")
     src = SourceSpec(sigma2, rho)
     d2 = float(cfg["d2"]) if cfg["d2"] is not None else None
@@ -305,14 +309,12 @@ def cmd_minpower(args) -> int:
     target = DistortionPair(d1, d2)
     scheme = Scheme(cfg["scheme"])
     tol = float(cfg["tol"]) if cfg["tol"] is not None else 1e-6
-    c12 = parse_c12(cfg["c12"])
-    res = search.min_power_symmetric(src, scheme, target, c12=c12, n0=n0, tol=tol)
-    return _emit_optimization(res, _config_echo({**cfg, "c12": c12}), args.json)
+    res = search.min_power_symmetric(src, scheme, target, c12=cfg["c12"], n0=n0, tol=tol)
+    return _emit_optimization(res, _config_echo(cfg), args.json)
 
 
 def cmd_minconf(args) -> int:
-    names = ["sigma2", "rho", "p1", "p2", "noise", "d1", "d2", "tol", "scheme"]
-    cfg = resolve(args, names)
+    cfg = resolve(args)
     sigma2, rho, p1, p2, n0, d1, d2 = _floats(
         cfg, "sigma2", "rho", "p1", "p2", "noise", "d1", "d2")
     src = SourceSpec(sigma2, rho)
@@ -324,18 +326,16 @@ def cmd_minconf(args) -> int:
 
 
 def cmd_asymptote(args) -> int:
-    names = ["sigma2", "rho", "p1", "p2", "noise", "c12", "d1", "d2"]
-    cfg = resolve(args, names)
+    cfg = resolve(args)
     sigma2, rho, p1, p2, n0, d1, d2 = _floats(
         cfg, "sigma2", "rho", "p1", "p2", "noise", "d1", "d2")
-    c12 = parse_c12(cfg["c12"])
     src = SourceSpec(sigma2, rho)
-    ch = ChannelSpec(p1, p2, n0, c12)
+    ch = ChannelSpec(p1, p2, n0, cfg["c12"])
     q = bounds.high_snr_quantities(src, ch, DistortionPair(d1, d2))
     payload = {name: getattr(q, name) for name in (
         "varrho_inf", "varrho_sep1", "varrho_sep1_fixed", "varrho_vq_lower",
         "check_rho", "d1d2_limit", "d1d2_limit_sep1_fixed", "d1d2_limit_vq_fixed")}
-    payload["config"] = _config_echo({**cfg, "c12": c12})
+    payload["config"] = _config_echo(cfg)
     if args.json:
         emit_json(payload)
     else:
@@ -346,14 +346,11 @@ def cmd_asymptote(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    names = ["sigma2", "rho", "noise", "c12", "d2", "p", "tol",
-             "alphas", "snrs", "schemes", "kind", "out"]
-    cfg = resolve(args, names)
+    cfg = resolve(args)
     kind = CurveKind(cfg["kind"])
-    c12 = parse_c12(cfg["c12"])
     params = dict(zip(("sigma2", "rho", "n0", "d2"),
                       _floats(cfg, "sigma2", "rho", "noise", "d2")))
-    params["c12"] = c12
+    params["c12"] = cfg["c12"]
     params["tol"] = float(cfg["tol"]) if cfg["tol"] is not None else 1e-9
     if kind is CurveKind.C12_VS_ALPHA:
         params["p"] = _floats(cfg, "p")[0]
@@ -361,14 +358,14 @@ def cmd_trace(args) -> int:
         params["schemes"] = [tok.strip() for tok in str(cfg["schemes"]).split(",") if tok.strip()]
     grid_flag = "snrs" if kind is CurveKind.D1D2_VS_SNR else "alphas"
     rows = search.trace_curve(kind, params, parse_grid(str(cfg[grid_flag])))
-    meta = {k: v for k, v in _config_echo({**cfg, "c12": c12}).items() if v is not None}
+    meta = {k: v for k, v in _config_echo(cfg).items() if v is not None}
     write_csv(str(cfg["out"]), rows, meta)
     bad = [row for row in rows if row.get("errors")]
     return EXIT_INFEASIBLE if bad else EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    cfg = resolve(args, ["seed", "samples"])
+    cfg = resolve(args)
     seed, samples = int(cfg["seed"]), int(cfg["samples"])
     checks = list(validation.run(seed, samples))
     for name, ok, detail in checks:
@@ -390,36 +387,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("which", nargs="?", default=None,
                           choices=["vq", "vq-unlimited", "wagner", "kaspi", "mac",
                                    "mac-conf", "mac-conf-fixed", "necessary", "sep1", "sep2"])
-    _add_common(p_region, ["sigma2", "rho", "p1", "p2", "noise", "c12", "d1", "d2",
-                           "r1", "r2", "rc", "beta", "beta1", "beta2",
-                           "sw2", "su2", "sv2"])
-    p_region.set_defaults(fn=cmd_region)
+    _add_common(p_region, cmd_region, ["sigma2", "rho", "p1", "p2", "noise", "c12", "d1", "d2",
+                                       "r1", "r2", "rc", "beta", "beta1", "beta2",
+                                       "sw2", "su2", "sv2"])
 
     p_minpower = sub.add_parser("minpower", help="minimal symmetric power for a target")
     p_minpower.add_argument("--scheme", default=None,
                             choices=[s.value for s in Scheme])
-    _add_common(p_minpower, ["sigma2", "rho", "noise", "c12", "d1", "d2", "alpha", "tol"])
-    p_minpower.set_defaults(fn=cmd_minpower)
+    _add_common(p_minpower, cmd_minpower,
+                ["sigma2", "rho", "noise", "c12", "d1", "d2", "alpha", "tol"])
 
     p_minconf = sub.add_parser("minconf", help="minimal conference capacity for a target")
     p_minconf.add_argument("--scheme", default=None, choices=["vq", "sep1"])
-    _add_common(p_minconf, ["sigma2", "rho", "p1", "p2", "noise", "d1", "d2", "tol"])
-    p_minconf.set_defaults(fn=cmd_minconf)
+    _add_common(p_minconf, cmd_minconf,
+                ["sigma2", "rho", "p1", "p2", "noise", "d1", "d2", "tol"])
 
     p_asym = sub.add_parser("asymptote", help="high-SNR quantities at a target")
-    _add_common(p_asym, ["sigma2", "rho", "p1", "p2", "noise", "c12", "d1", "d2"])
-    p_asym.set_defaults(fn=cmd_asymptote)
+    _add_common(p_asym, cmd_asymptote, ["sigma2", "rho", "p1", "p2", "noise", "c12", "d1", "d2"])
 
     p_trace = sub.add_parser("trace", help="sweep a figure curve to CSV")
     p_trace.add_argument("--kind", default=None,
                          choices=[k.value for k in CurveKind])
-    _add_common(p_trace, ["sigma2", "rho", "noise", "c12", "d2", "p", "tol",
-                          "alphas", "snrs", "schemes", "out"])
-    p_trace.set_defaults(fn=cmd_trace)
+    _add_common(p_trace, cmd_trace, ["sigma2", "rho", "noise", "c12", "d2", "p", "tol",
+                                     "alphas", "snrs", "schemes", "out"])
 
     p_val = sub.add_parser("validate", help="run the Monte-Carlo / oracle self-checks")
-    _add_common(p_val, ["seed", "samples"])
-    p_val.set_defaults(fn=cmd_validate)
+    _add_common(p_val, cmd_validate, ["seed", "samples"])
 
     return parser
 

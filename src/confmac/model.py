@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 
 class DomainError(ValueError):
@@ -99,17 +99,6 @@ class ChannelSpec:
             if c12 < 0.0:
                 raise DomainError("c12", f"must be >= 0 or UNLIMITED, got {c12}")
 
-    @property
-    def unlimited_conference(self) -> bool:
-        return is_unlimited(self.c12)
-
-    def with_power(self, p: float) -> "ChannelSpec":
-        """Same channel with symmetric power ``p1 = p2 = p``."""
-        return ChannelSpec(p, p, self.n0, self.c12)
-
-    def with_c12(self, c12) -> "ChannelSpec":
-        return ChannelSpec(self.p1, self.p2, self.n0, c12)
-
 
 @dataclass(frozen=True)
 class DistortionPair:
@@ -124,12 +113,6 @@ class DistortionPair:
             object.__setattr__(self, name, value)
             if not 0.0 < value <= 1.0:
                 raise DomainError(name, f"must lie in (0, 1], got {value}")
-
-    @classmethod
-    def from_absolute(cls, big_d1: float, big_d2: float, sigma2: float) -> "DistortionPair":
-        if sigma2 <= 0.0 or not math.isfinite(sigma2):
-            raise DomainError("sigma2", f"must be > 0 and finite, got {sigma2}")
-        return cls(big_d1 / sigma2, big_d2 / sigma2)
 
     def absolute(self, sigma2: float) -> tuple[float, float]:
         return self.d1 * sigma2, self.d2 * sigma2
@@ -151,25 +134,6 @@ class RatePoint:
             object.__setattr__(self, name, value)
             if value < 0.0:
                 raise DomainError(name, f"must be >= 0, got {value}")
-
-
-class ValidatedProblem(NamedTuple):
-    source: SourceSpec
-    channel: ChannelSpec
-    target: DistortionPair
-
-
-def validate_problem(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> ValidatedProblem:
-    """Re-assert every type invariant and bundle the problem instance.
-
-    The dataclasses validate on construction, so this mainly guards against
-    instances built through ``__new__`` tricks or mutated via ``object.__setattr__``.
-    Pure: same input, same verdict.
-    """
-    src = SourceSpec(src.sigma2, src.rho)
-    ch = ChannelSpec(ch.p1, ch.p2, ch.n0, ch.c12)
-    target = DistortionPair(target.d1, target.d2)
-    return ValidatedProblem(src, ch, target)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,6 @@ from .model import DomainError, SourceSpec
 from .vqscheme import VqConfig
 from ._mc import MomentAccumulator, accumulate_chunks
 
-_VARS = ("s1", "s2", "u1", "v", "u2")
-
 
 class SingularError(ArithmeticError):
     """The description Gram matrix is singular after degenerate rows were removed."""
@@ -46,9 +44,6 @@ class SurrogateModel:
     nu2: float
     nu3: float
     covariance: np.ndarray  # 5x5, order (S1, S2, U1, V, U2)
-
-    def index(self, name: str) -> int:
-        return _VARS.index(name)
 
 
 def build_surrogate(src: SourceSpec, cfg: VqConfig) -> SurrogateModel:

@@ -129,11 +129,9 @@ def _incumbent(f):
 class _VqFeasibility:
     """Scheme feasibility with warm-started searches across repeated queries."""
 
-    def __init__(self, src: SourceSpec, target: DistortionPair,
-                 rate_cap: float = RATE_BOX_BITS):
+    def __init__(self, src: SourceSpec, target: DistortionPair):
         self.src = src
         self.target = target
-        self.rate_cap = rate_cap
         self.warm5: np.ndarray | None = None
         self.warm3: np.ndarray | None = None
         self.witness: vqscheme.VqConfig | None = None
@@ -165,7 +163,7 @@ class _VqFeasibility:
         return val, pt
 
     def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
-        src, target, cap = self.src, self.target, self.rate_cap
+        src, target, cap = self.src, self.target, RATE_BOX_BITS
         ch = ChannelSpec(p1, p2, n0, c12)
         best_val = -math.inf
         best_cfg = None
@@ -250,6 +248,11 @@ def _vq_witness_ok(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig,
     return report.feasible and bits >= SLACK_TOL
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise DomainError("tol", f"must be finite and >= 0, got {tol}")
+
+
 def _bisect(predicate, lo: float, hi: float, tol_rel: float, tol_abs: float,
             iterations: int = 0) -> tuple[float, float, int, bool]:
     """Narrow ``(lo, hi)``, ``hi`` feasible, around a monotone predicate's threshold.
@@ -288,44 +291,48 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
     """Least symmetric power ``p1 = p2 = p`` at which the scheme meets the target.
 
     Outer bisection over the scheme's feasibility predicate, which is monotone
-    in power (raising the power only enlarges every bound).  ``tol`` is the
-    relative bracket width; ``p_ceiling`` (default ``1e6 n0``) bounds the
-    search and triggers :class:`UnboundedError` when exceeded.
+    in power (raising the power only enlarges every bound).  ``tol`` (finite,
+    >= 0) is the relative bracket width; ``p_ceiling`` bounds the search and
+    triggers :class:`UnboundedError` when exceeded.  Its default is ``1e6``
+    times the larger of ``n0`` and the full-cooperation power, below which no
+    scheme meets the target.
     """
-    if p_ceiling is None:
-        p_ceiling = 1e6 * n0
+    _check_tol(tol)
     if target.d1 >= 1.0 and target.d2 >= 1.0:
         return OptimizationResult(0.0, {}, 0, True, (0.0, 0.0))
 
+    need = rd_joint(src, target)
+    p_full = (4.0**need - 1.0) * n0 / 4.0
     if scheme is Scheme.FULL_COOP:
-        need = rd_joint(src, target)
-        p = (4.0**need - 1.0) * n0 / 4.0
-        return OptimizationResult(p, {"joint_rate": need}, 0, True, (p, p))
+        return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
+    if p_full == math.inf:
+        raise UnboundedError("infeasible at every finite power, full cooperation included")
+    if p_ceiling is None:
+        p_ceiling = 1e6 * max(n0, p_full)
 
-    witness_out: dict = {}
     if scheme is Scheme.VQ:
         inner = _VqFeasibility(src, target)
 
         def predicate(p: float) -> bool:
             return inner(p, p, n0, c12)
-    elif scheme is Scheme.NECESSARY:
-        def predicate(p: float) -> bool:
-            return bounds.necessary_condition(src, ChannelSpec(p, p, n0, c12), target).feasible
-    elif scheme is Scheme.SEP1:
-        def predicate(p: float) -> bool:
-            return separation.sep1_feasible(src, ChannelSpec(p, p, n0, c12), target).feasible
-    elif scheme is Scheme.SEP2:
-        def predicate(p: float) -> bool:
-            return separation.sep2_feasible(src, ChannelSpec(p, p, n0, c12), target).feasible
     else:
-        raise DomainError("scheme", f"unsupported scheme {scheme}")
+        # read from the modules at each solve: a wrapper installed there sees every call
+        report_fn = {Scheme.NECESSARY: bounds.necessary_condition,
+                     Scheme.SEP1: separation.sep1_feasible,
+                     Scheme.SEP2: separation.sep2_feasible}.get(scheme)
+        if report_fn is None:
+            raise DomainError("scheme", f"unsupported scheme {scheme}")
+
+        def predicate(p: float) -> bool:
+            return report_fn(src, ChannelSpec(p, p, n0, c12), target).feasible
 
     lo, hi, iterations, converged = _expand_and_bisect(predicate, n0, p_ceiling, tol)
 
-    # the witness from the last feasible query certifies hi exactly
+    ch = ChannelSpec(hi, hi, n0, c12)
     if scheme is Scheme.VQ:
+        # the witness from the last feasible query certifies hi exactly
         cfg = inner.witness
-        if cfg is None or not _vq_witness_ok(src, ChannelSpec(hi, hi, n0, c12), cfg, target):
+        if cfg is None or not _vq_witness_ok(src, ch, cfg, target):
             raise AssertionError("bisection invariant violated: witness fails at hi")
         ach = vqscheme.vq_distortion(src, cfg)
         witness_out = {
@@ -333,15 +340,11 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
             "beta1": cfg.beta1, "beta2": cfg.beta2,
             "d1": ach.d1, "d2": ach.d2,
         }
-    elif not predicate(hi):  # stateless predicates: re-validate directly
-        raise AssertionError("bisection invariant violated: hi not feasible")
-    if scheme is Scheme.NECESSARY:
-        witness_out = dict(bounds.necessary_condition(
-            src, ChannelSpec(hi, hi, n0, c12), target).witness)
-    elif scheme in (Scheme.SEP1, Scheme.SEP2):
-        fn = separation.sep1_feasible if scheme is Scheme.SEP1 else separation.sep2_feasible
-        witness_out = dict(fn(src, ChannelSpec(hi, hi, n0, c12), target).witness)
-
+    else:
+        report = report_fn(src, ch, target)  # stateless: evaluated once at hi
+        if not report.feasible:
+            raise AssertionError("bisection invariant violated: hi not feasible")
+        witness_out = dict(report.witness)
     return OptimizationResult(hi, witness_out, iterations, converged, (lo, hi))
 
 
@@ -350,8 +353,10 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
     """Least conference capacity at which the scheme meets the target.
 
     Powers and noise come from ``ch_powers`` (its own ``c12`` is ignored).
-    Raises :class:`UnboundedError` when even unlimited capacity fails.
+    ``tol`` (finite, >= 0) is the absolute bracket width in bits.  Raises
+    :class:`UnboundedError` when even unlimited capacity fails.
     """
+    _check_tol(tol)
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
 
     if scheme is Scheme.VQ:
@@ -372,31 +377,31 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
         return OptimizationResult(0.0, {}, 0, True, (0.0, 0.0))
 
     lo, hi, iterations, converged = _expand_and_bisect(
-        lambda c: predicate_at(c), 1.0, 300.0, 0.0, tol_abs=tol)
+        predicate_at, 1.0, 300.0, 0.0, tol_abs=tol)
 
-    witness: dict = {}
+    ch = ChannelSpec(p1, p2, n0, hi)
     if scheme is Scheme.VQ:
         cfg = inner.witness
-        if cfg is None or not _vq_witness_ok(src, ChannelSpec(p1, p2, n0, hi), cfg, target):
+        if cfg is None or not _vq_witness_ok(src, ch, cfg, target):
             raise AssertionError("bisection invariant violated: witness fails at hi")
         req, _ = vqscheme.vq_conf_requirement(src, cfg)
         witness = {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
                    "beta1": cfg.beta1, "beta2": cfg.beta2, "required_c12": req}
     else:
-        if not predicate_at(hi):
+        report = separation.sep1_feasible(src, ch, target)  # stateless: evaluated once at hi
+        if not report.feasible:
             raise AssertionError("bisection invariant violated: hi not feasible")
-        witness = dict(separation.sep1_feasible(
-            src, ChannelSpec(p1, p2, n0, hi), target).witness)
+        witness = dict(report.witness)
     return OptimizationResult(hi, witness, iterations, converged, (lo, hi))
 
 
-def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec, d2_target: float,
-                     tol: float = 1e-7) -> OptimizationResult:
+def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
+                     d2_target: float) -> OptimizationResult:
     """Smallest ``d1`` the unlimited-conference scheme reaches at ``d2 <= d2_target``.
 
-    Bisection on ``log2 d1`` with the unlimited-slice feasibility search; the
-    rate box grows with the coherent sum capacity so high-SNR operating
-    points stay reachable.
+    Bisection on ``log2 d1`` to a bracket 1e-7 wide, with the unlimited-slice
+    feasibility search; the rate box grows with the coherent sum capacity so
+    high-SNR operating points stay reachable.
     """
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
     rate_cap = 0.5 * math.log2(1.0 + (p1 + p2 + 2.0 * math.sqrt(p1 * p2)) / n0) + 1.0
@@ -419,7 +424,7 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec, d2_target: float,
     if not feasible(1.0):
         raise UnboundedError("even d1 = 1 infeasible at these powers")
     lo_log, hi_log, iterations, converged = _bisect(
-        lambda x: feasible(2.0**x), -2.0 * (rate_cap + 2.0), 0.0, 0.0, tol)
+        lambda x: feasible(2.0**x), -2.0 * (rate_cap + 2.0), 0.0, 0.0, 1e-7)
     d1 = 2.0**hi_log
     pt = warm["pt"]
     witness = {}
@@ -475,58 +480,17 @@ def trace_curve(kind: CurveKind, params: dict, grid) -> list[dict]:
     """One row per grid point; per-row failures are recorded, not raised.
 
     ``params`` carries the fixed problem data: ``rho``, ``n0``, ``d2``,
-    ``schemes`` (list of trace tokens) and ``c12`` for PMIN_VS_ALPHA;
+    ``tol``, ``schemes`` (list of trace tokens) and ``c12`` for PMIN_VS_ALPHA;
     additionally ``p`` for C12_VS_ALPHA; ``rho``, ``d2`` for D1D2_VS_SNR.
+    The alpha kinds check every target and ``tol`` before the first solve.
     """
     grid = check_trace_inputs(kind, params, grid)
     src = SourceSpec(params.get("sigma2", 1.0), params["rho"])
     n0 = params.get("n0", 1.0)
-    tol = params.get("tol", 1e-9)
+    d2 = params["d2"]
     rows = []
 
-    if kind is CurveKind.PMIN_VS_ALPHA:
-        d2 = params["d2"]
-        tokens = params.get("schemes", ["fullcoop", "necessary", "vq-unlimited", "vq-none"])
-        for alpha in grid:
-            row = {"alpha": alpha, "d1": alpha * d2, "d2": d2}
-            errors = []
-            target = DistortionPair(alpha * d2, d2)
-            for token in tokens:
-                scheme, c12 = TRACE_SCHEMES[token]
-                if c12 is None:
-                    c12 = params.get("c12", UNLIMITED)
-                try:
-                    res = min_power_symmetric(src, scheme, target, c12=c12, n0=n0, tol=tol)
-                    row[f"pmin_{token}"] = res.objective
-                except UnboundedError as exc:
-                    row[f"pmin_{token}"] = math.nan
-                    errors.append(f"{token}:UnboundedError:{exc}")
-            row["errors"] = ";".join(errors)
-            rows.append(row)
-
-    elif kind is CurveKind.C12_VS_ALPHA:
-        d2 = params["d2"]
-        p = params["p"]
-        ch = ChannelSpec(p, p, n0, UNLIMITED)
-        tokens = params.get("schemes", ["vq", "sep1"])
-        for alpha in grid:
-            row = {"alpha": alpha, "d1": alpha * d2, "d2": d2, "p": p}
-            errors = []
-            target = DistortionPair(alpha * d2, d2)
-            for token in tokens:
-                scheme, _ = TRACE_SCHEMES[token]
-                try:
-                    # capacity rows resolve to curve precision, not bisection depth
-                    res = min_conf_capacity(src, ch, scheme, target, tol=max(tol, 1e-6))
-                    row[f"c12_{token}"] = res.objective
-                except UnboundedError as exc:
-                    row[f"c12_{token}"] = math.nan
-                    errors.append(f"{token}:UnboundedError:{exc}")
-            row["errors"] = ";".join(errors)
-            rows.append(row)
-
-    elif kind is CurveKind.D1D2_VS_SNR:
-        d2 = params["d2"]
+    if kind is CurveKind.D1D2_VS_SNR:
         for snr in grid:
             row = {"p_over_n": snr}
             errors = []
@@ -542,6 +506,39 @@ def trace_curve(kind: CurveKind, params: dict, grid) -> list[dict]:
                 errors.append(f"vq-unlimited:UnboundedError:{exc}")
             row["errors"] = ";".join(errors)
             rows.append(row)
+        return rows
+
+    tol = params.get("tol", 1e-9)
+    _check_tol(tol)
+    if kind is CurveKind.PMIN_VS_ALPHA:
+        column, fixed = "pmin", {}
+        tokens = params.get("schemes", ["fullcoop", "necessary", "vq-unlimited", "vq-none"])
+
+        def solve(token, target):
+            scheme, c12 = TRACE_SCHEMES[token]
+            if c12 is None:
+                c12 = params.get("c12", UNLIMITED)
+            return min_power_symmetric(src, scheme, target, c12=c12, n0=n0, tol=tol)
     else:
-        raise DomainError("kind", f"unknown curve kind {kind}")
+        column, fixed = "c12", {"p": params["p"]}
+        tokens = params.get("schemes", ["vq", "sep1"])
+        ch = ChannelSpec(params["p"], params["p"], n0, UNLIMITED)
+
+        def solve(token, target):
+            # capacity rows resolve to curve precision, not bisection depth
+            return min_conf_capacity(src, ch, TRACE_SCHEMES[token][0], target,
+                                     tol=max(tol, 1e-6))
+
+    targets = [DistortionPair(alpha * d2, d2) for alpha in grid]
+    for alpha, target in zip(grid, targets):
+        row = {"alpha": alpha, "d1": alpha * d2, "d2": d2, **fixed}
+        errors = []
+        for token in tokens:
+            try:
+                row[f"{column}_{token}"] = solve(token, target).objective
+            except UnboundedError as exc:
+                row[f"{column}_{token}"] = math.nan
+                errors.append(f"{token}:UnboundedError:{exc}")
+        row["errors"] = ";".join(errors)
+        rows.append(row)
     return rows

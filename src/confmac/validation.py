@@ -57,10 +57,10 @@ def wz_identity_worst() -> float:
     return worst
 
 
-def no_conference_rows(rng: np.random.Generator, m: int = 1000) -> np.ndarray:
-    """``m`` rows ``(rho, p1, p2, n0, r1, r2)`` for the no-conference check."""
+def no_conference_rows(rng: np.random.Generator) -> np.ndarray:
+    """1000 rows ``(rho, p1, p2, n0, r1, r2)`` for the no-conference check."""
     return _uniform_rows(rng, (0.0, 0.25, 0.25, 0.25, 0.0, 0.0),
-                         (0.98, 4.0, 4.0, 4.0, 5.0, 5.0), m)
+                         (0.98, 4.0, 4.0, 4.0, 5.0, 5.0), 1000)
 
 
 def no_conference_worst(rows: np.ndarray) -> float:
@@ -81,9 +81,9 @@ def no_conference_worst(rows: np.ndarray) -> float:
     return worst
 
 
-def mmse_draws(rng: np.random.Generator, m: int = 1000) -> list:
-    """``m`` (source, configuration) pairs from rows (rho, r1, r2, rc, sigma2)."""
-    rows = _uniform_rows(rng, (0.05, 0.05, 0.05, 0.05, 0.5), (0.98, 5.0, 5.0, 5.0, 2.0), m)
+def mmse_draws(rng: np.random.Generator) -> list:
+    """1000 (source, configuration) pairs from rows (rho, r1, r2, rc, sigma2)."""
+    rows = _uniform_rows(rng, (0.05, 0.05, 0.05, 0.05, 0.5), (0.98, 5.0, 5.0, 5.0, 2.0), 1000)
     return [(SourceSpec(sigma2, rho), vqscheme.VqConfig(r1, r2, rc, 0.0, 0.0))
             for rho, r1, r2, rc, sigma2 in rows.tolist()]
 

@@ -550,11 +550,11 @@ def _unlimited_raw(sigma2, rho, p1, p2, n0, r2, rc, beta):
         "rc": _half_log2_ratio(delta1**2 * (1.0 - hrho2) + n0, n0 * (1.0 - hrho2)),
         "r2+rc": _half_log2_ratio(delta2 + n0, n0 * (1.0 - hrho2)),
     }
-    return bounds, d1, d2, np.sqrt(hrho2)
+    return bounds, d1, d2
 
 
 def vq_unlimited_region(src: SourceSpec, ch: ChannelSpec, r2: float, rc: float,
-                        beta: float, margin: float = 0.0) -> tuple[FeasibilityReport, DistortionPair]:
+                        beta: float) -> tuple[FeasibilityReport, DistortionPair]:
     """Unlimited-conference form of the scheme at ``(r2, rc, beta)``.
 
     With unlimited conference capacity the first-stage private description is
@@ -569,14 +569,14 @@ def vq_unlimited_region(src: SourceSpec, ch: ChannelSpec, r2: float, rc: float,
         raise DomainError("beta", f"must lie in [0, 1], got {beta}")
     if rc < 0.0 or r2 < 0.0:
         raise DomainError("rc" if rc < 0.0 else "r2", "must be >= 0")
-    bounds, d1, d2, _ = _unlimited_raw(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, r2, rc, beta)
+    bounds, d1, d2 = _unlimited_raw(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, r2, rc, beta)
     slacks = {
         "r2": float(bounds["r2"]) - r2,
         "rc": float(bounds["rc"]) - rc,
         "r2+rc": float(bounds["r2+rc"]) - (r2 + rc),
     }
     report = FeasibilityReport(
-        feasible=all(v >= margin for v in slacks.values()),
+        feasible=all(v >= 0.0 for v in slacks.values()),
         slacks=slacks,
         witness={"r2": r2, "rc": rc, "beta": beta},
     )

@@ -35,7 +35,7 @@ def test_criterion_02_no_conference_reduction():
     no-conference reference formulas."""
     started = time.time()
     worst = validation.no_conference_worst(
-        validation.no_conference_rows(np.random.default_rng(2024), 1000))
+        validation.no_conference_rows(np.random.default_rng(2024)))
     assert worst <= 1e-12
     _report("criterion-02 no-conference reduction", started, 1.0,
             f"1000 draws, worst |diff| = {worst:.2e}")

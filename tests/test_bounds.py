@@ -149,7 +149,7 @@ def test_check_rho_range():
     ch = ChannelSpec(1e4, 1e4, 1.0, 1.0)
     q = high_snr_quantities(src, ch, DistortionPair(0.1, 0.1))
     assert 0.0 < q.check_rho < 0.7
-    q0 = high_snr_quantities(src, ch.with_c12(0.0), DistortionPair(0.1, 0.1))
+    q0 = high_snr_quantities(src, ChannelSpec(1e4, 1e4, 1.0, 0.0), DistortionPair(0.1, 0.1))
     assert q0.check_rho == 0.0
 
 

@@ -72,6 +72,10 @@ BAD_INPUTS = {
     "trace-d1d2-vs-snr-schemes": (["trace", "--kind", "d1d2-vs-snr", "--rho", "0.5",
                                    "--d2", "0.2", "--snrs", "10,100", "--schemes", "sep1"],
                                   ("1", "2")),
+    "trace-alpha-above-one": (TRACE + ["--rho", "0.5", "--d2", "0.2", "--alphas", "0.5,6"],
+                              ("1",)),
+    "trace-tol-nan": (TRACE + ["--rho", "0.5", "--d2", "0.2", "--alphas", "0.5", "--tol", "nan"],
+                      ("1",)),
     "region-sep1-rho-one": (["region", "sep1", "--rho", "1", "--d1", "0.2", "--d2", "0.2"],
                             ("1",)),
     "region-wagner-rho-one": (["region", "wagner", "--rho", "1", "--d1", "0.2", "--d2", "0.2",
@@ -93,6 +97,42 @@ def test_bad_input_exits_one_with_one_line(argv, threads, monkeypatch, capsys):
     code = run(argv)
     out, err = capsys.readouterr()
     assert code == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
+
+MINPOWER = ["minpower", "--scheme", "necessary", "--rho", "0.5", "--d1", "0.1", "--d2", "0.2"]
+
+# name: (argv, content of the --config file or None, documented exit code)
+ADVERSARIAL_INPUTS = {
+    "minpower-tol-nan": (MINPOWER + ["--tol", "nan"], None, 1),
+    "minpower-tol-inf": (MINPOWER + ["--tol", "inf"], None, 1),
+    "minconf-tol-negative": (["minconf", "--scheme", "sep1", "--rho", "0.5", "--p1", "11.5",
+                              "--p2", "11.5", "--d1", "0.1", "--d2", "0.2", "--tol", "-1"],
+                             None, 1),
+    "config-json-list": (["minpower", "--scheme", "necessary"], "[1, 2]", 1),
+    "config-list-value": (["minpower", "--scheme", "necessary"],
+                          '{"rho": [0.5], "d1": 0.1, "d2": 0.2}', 1),
+    "trace-token-kind-cannot-trace": (["trace", "--kind", "d1d2-vs-snr", "--rho", "0.5",
+                                       "--d2", "0.2", "--snrs", "10", "--schemes", "vq"],
+                                      None, 1),
+    "minpower-missing-d1": (["minpower", "--scheme", "necessary", "--rho", "0.5", "--d2", "0.2"],
+                            None, 1),
+    "validate-samples-not-an-integer": (["validate", "--samples", "1e6"], None, 1),
+    "minconf-unbounded": (["minconf", "--scheme", "sep1", "--rho", "0.5", "--p1", "0.1",
+                           "--p2", "0.1", "--d1", "0.2", "--d2", "0.2"], None, 2),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL_INPUTS)
+def test_adversarial_input_exits_with_one_line(name, tmp_path, capsys):
+    argv, config, code = ADVERSARIAL_INPUTS[name]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
 

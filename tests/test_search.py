@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, SourceSpec
+from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, DomainError, SourceSpec
 from confmac import search, vqscheme
 from confmac.search import (
     CurveKind,
@@ -30,6 +30,30 @@ def test_trivial_target_costs_nothing():
     for scheme in Scheme:
         res = min_power_symmetric(SRC, scheme, trivial)
         assert res.objective == 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_tol_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(DomainError, match="tol"):
+        min_power_symmetric(SRC, Scheme.NECESSARY, TARGET, tol=tol)
+    with pytest.raises(DomainError, match="tol"):
+        min_conf_capacity(SRC, ChannelSpec(11.5, 11.5, 1.0), Scheme.SEP1, TARGET, tol=tol)
+    with pytest.raises(DomainError, match="tol"):
+        trace_curve(CurveKind.PMIN_VS_ALPHA, {"rho": 0.5, "d2": 0.2, "tol": tol}, [0.5])
+
+
+def test_default_ceiling_follows_full_cooperation():
+    """A target whose least power is above 1e6 n0 is solved, not reported
+    unbounded: the default ceiling scales with the full-cooperation power."""
+    target = DistortionPair(2.5e-4, 5e-4)
+    p_full = min_power_symmetric(SRC, Scheme.FULL_COOP, target).objective
+    assert p_full > 1e6
+    for scheme in (Scheme.NECESSARY, Scheme.SEP1, Scheme.VQ):
+        p = min_power_symmetric(SRC, scheme, target).objective
+        assert math.isfinite(p) and p >= p_full
+    # a target that no finite power meets with full cooperation is unbounded at once
+    with pytest.raises(UnboundedError):
+        min_power_symmetric(SRC, Scheme.VQ, DistortionPair(1e-310, 0.5))
 
 
 def test_rc_budget_meets_the_conference_requirement():
@@ -96,7 +120,7 @@ def test_bracket_sides_revalidate_for_stateless_predicates():
     lo, hi = res.bracket
     ch = ChannelSpec(lo, lo, 1.0, UNLIMITED)
     assert not separation.sep1_feasible(SRC, ch, TARGET).feasible
-    assert separation.sep1_feasible(SRC, ch.with_power(hi), TARGET).feasible
+    assert separation.sep1_feasible(SRC, ChannelSpec(hi, hi, 1.0, UNLIMITED), TARGET).feasible
 
 
 def test_scheme_orderings_single_alpha():

@@ -330,7 +330,7 @@ def reference_unlimited_min_slack(rho, p1, p2, n0, d1, d2, r2, rc, beta):
     """Worst slack composed from ``_unlimited_raw``, and whether any rate
     bound had a nonpositive denominator (+inf)."""
     with np.errstate(all="ignore"):
-        bnd, d1a, d2a, _ = vqscheme._unlimited_raw(1.0, rho, p1, p2, n0, r2, rc, beta)
+        bnd, d1a, d2a = vqscheme._unlimited_raw(1.0, rho, p1, p2, n0, r2, rc, beta)
         slack = np.minimum.reduce([bnd["r2"] - r2, bnd["rc"] - rc, bnd["r2+rc"] - (r2 + rc)])
         slack = np.minimum(slack, 0.5 * (math.log2(d1) - np.log2(d1a)))
         slack = np.minimum(slack, 0.5 * (math.log2(d2) - np.log2(d2a)))

@@ -186,7 +186,21 @@ def _floats(cfg: dict, *names) -> list[float]:
         value = cfg.get(name)
         if value is None:
             raise DomainError(name, "required flag missing")
-        out.append(float(value))
+        try:
+            out.append(float(value))
+        except ValueError:
+            raise DomainError(name, f"must be a number, got {value!r}") from None
+    return out
+
+
+def _integers(cfg: dict, *names) -> list[int]:
+    """Whole-number flags, ``1e6`` included; digits are read exactly."""
+    out = []
+    for name, value in zip(names, _floats(cfg, *names)):
+        if not value.is_integer():
+            raise DomainError(name, f"must be an integer, got {cfg[name]}")
+        raw = str(cfg[name]).strip()
+        out.append(int(raw) if raw.isdigit() else int(value))  # digits stay exact past 2^53
     return out
 
 
@@ -366,7 +380,7 @@ def cmd_trace(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = resolve(args)
-    seed, samples = int(cfg["seed"]), int(cfg["samples"])
+    seed, samples = _integers(cfg, "seed", "samples")
     checks = list(validation.run(seed, samples))
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

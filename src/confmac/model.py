@@ -150,9 +150,6 @@ class FeasibilityReport:
     slacks: Mapping[str, float]
     witness: Mapping[str, float] = field(default_factory=dict)
 
-    def min_slack(self) -> float:
-        return min(self.slacks.values()) if self.slacks else math.inf
-
     def as_dict(self) -> dict:
         return {
             "feasible": bool(self.feasible),

@@ -1,13 +1,12 @@
 """Optimizers behind the figure-level questions.
 
 Minimal symmetric power and minimal conference capacity are found by outer
-bisection over a monotone feasibility predicate.  The quantizer scheme's
-inner feasibility is a deterministic multistart compass search over its free
-parameters (rates boxed to [0, 8] bits, splits to [0, 1]), run on three
-nested families: the no-conference slice, the unlimited-conference slice
-(when applicable), and the full parameter set.  The slice searches make the
-scheme orderings robust: every configuration reachable at zero conference
-capacity is polled verbatim when the capacity is larger.
+bisection over a monotone feasibility predicate.  On the quantizer scheme's
+slices ``c12 = 0`` and ``c12 = inf`` that predicate is certified: a
+branch-and-bound (:func:`_certify`) returns a witness or proves that no
+point of the rate box (rates in [0, 8] bits, splits in [0, 1]) meets the
+target.  Only a finite ``c12`` runs a multistart compass search, whose
+"infeasible" is not proven.
 
 All schedules are fixed, so identical inputs give identical results,
 iteration counts included.
@@ -16,6 +15,7 @@ iteration counts included.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +37,9 @@ from ._opt import compass_search_max, refine_grid_max
 SLACK_TOL = -1e-9
 RATE_BOX_BITS = 8.0
 _STOP_AT = 1e-7  # early-exit slack for pure feasibility queries
+_MAX_ROUNDS = 52  # branch-and-bound rounds: a box side is then 1 ulp of the rate box's top
+_MAX_BOXES = 2**13  # boxes one branch-and-bound round may evaluate
+_BOUND_MARGIN = 32 * math.ulp(RATE_BOX_BITS)  # twice a box bound's worst rounding seen (rho = 1)
 
 
 class UnboundedError(RuntimeError):
@@ -64,23 +67,16 @@ def _vq_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
                     pts: np.ndarray, rate_cap: float, floor=None) -> np.ndarray:
     """Worst slack (bits) of the full scheme at box points (r1, r2, t, b1, b2)
     with rates scaled by ``rate_cap``; ``floor`` as in :func:`vqscheme._min_slack`.
-    The shared rate is ``t * rate_cap`` at unlimited ``ch.c12``, else ``t``
-    times the budget-saturating rate: the conference constraint then holds by
-    construction (and is dropped from the objective, else it would pin the
-    max-min at 0 on the saturated surface) and the search moves freely along it.
+    The shared rate is ``t`` times the budget-saturating rate at the finite
+    ``ch.c12``: the conference constraint then holds by construction (and is
+    dropped from the objective, else it would pin the max-min at 0 on the
+    saturated surface) and the search moves freely along it.
     """
     r1 = pts[:, 0] * rate_cap
-    rc_max = rate_cap if is_unlimited(ch.c12) else _rc_budget(src.rho, r1, ch.c12)
+    rc_max = _rc_budget(src.rho, r1, ch.c12)
     return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
                                r1, pts[:, 1] * rate_cap, pts[:, 2] * rc_max,
                                pts[:, 3], pts[:, 4], floor)
-
-
-def _vq_noconf_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                           pts: np.ndarray, rate_cap: float) -> np.ndarray:
-    """Worst slack on the no-conference slice, points (r1, r2)."""
-    return vqscheme._noconf_min_slack(src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
-                                      pts[:, 0] * rate_cap, pts[:, 1] * rate_cap)
 
 
 def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
@@ -126,8 +122,98 @@ def _incumbent(f):
     return objective
 
 
+def _certify(exact, bound, hi) -> np.ndarray | None:
+    """A point of the box ``[0, hi]`` whose ``exact`` slack (at ``(m, d)``
+    points) reaches :data:`SLACK_TOL`, or None when none does.
+
+    Each round returns the first box centre that reaches the tolerance,
+    else drops the boxes whose ``bound(lo, up)`` is below it by more than
+    :data:`_BOUND_MARGIN` (NaN keeps a box) and halves the rest along every
+    axis.  None proves infeasibility once no box is left, unless a round
+    kept more boxes than the next may evaluate (:data:`_MAX_BOXES`): then
+    only those with the best centres were split.  That happens on flat
+    ridges of the slack, near rho = 1, and whenever the best slack lies
+    within rounding of the tolerance, which ends at the round cap.
+    """
+    hi = np.asarray(hi, dtype=float)
+    d = hi.size
+    upper_half = np.array(list(itertools.product((False, True), repeat=d)))
+    lo, up = np.zeros((1, d)), hi[None, :]
+    for _ in range(_MAX_ROUNDS):
+        mid = 0.5 * (lo + up)
+        vals = exact(mid)
+        hits = np.flatnonzero(vals >= SLACK_TOL)
+        if hits.size:
+            return mid[hits[0]]
+        keep = np.flatnonzero(~(bound(lo, up) < SLACK_TOL - _BOUND_MARGIN))
+        if not keep.size:
+            return None
+        if keep.size << d > _MAX_BOXES:
+            keep = np.sort(keep[np.argsort(-vals[keep], kind="stable")[:_MAX_BOXES >> d]])
+        lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
+        lo, up = (np.where(upper_half, mid, lo).reshape(-1, d),
+                  np.where(upper_half, up, mid).reshape(-1, d))
+    return None
+
+
+def _noconf_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
+    """``(exact, bound)`` for :func:`_certify` on the no-conference slice,
+    points ``(r1, r2)`` in bits: the full scheme at ``rc = beta1 = beta2 = 0``.
+
+    There ``brho = eta = 0``, the ``rc`` bound is 0, and every other bound
+    is ``0.5 log2`` of a term rising with ``trho^2``: ``p1/n0 + 1/(1 -
+    trho^2)`` (``r1``, ``r1+rc``), its ``p2`` twin, or ``(p1 + 2 trho
+    sqrt(p1 p2) + p2 + n0)/(n0 (1 - trho^2))`` (``r1+r2``, ``r1+r2+rc``).
+    ``trho = rho sqrt(f1 f2)`` rises and both distortions fall with ``r1``
+    and ``r2``, and no rate sum falls by more than the box widths from
+    ``up`` to ``lo``: the slack is at most ``exact(up)`` plus their sum.
+    """
+    def exact(pts):
+        return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, target.d1,
+                                   target.d2, pts[:, 0], pts[:, 1], 0.0, 0.0, 0.0)
+
+    def bound(lo, up):
+        return exact(up) + (up - lo).sum(axis=1)
+    return exact, bound
+
+
+def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
+    """``(exact, bound)`` for :func:`_certify` on the unlimited-conference
+    slice, points ``(r2, rc, beta)`` with rates in bits.
+
+    ``h = rho^2 f2 fc`` rises with ``r2`` and ``rc``, and so does each
+    distortion slack; rates are taken at ``lo``.  The bounds of
+    :func:`vqscheme._unlimited_raw` are ``0.5 log2`` of: for ``r2``,
+    ``(1 - beta) p2/n0 + 1/(1 - h)``, at most at (rates ``up``, ``beta``
+    ``lo``); for ``r2+rc``, ``(p1 + p2 + 2 sqrt((h + beta (1 - h)) p1 p2)
+    + n0)/(n0 (1 - h))``, at most at ``up``; for ``rc``, ``delta1^2/n0 +
+    1/(1 - h)``, ``delta1 = sqrt(p1) + sqrt(p2) (sqrt(g + beta) - sqrt(g))``,
+    ``g = (1 - beta) h``.  ``delta1`` falls with ``g``, hence with ``h``, and
+    rises with ``beta``, so the ``rc`` term is at most ``delta1(h_lo,
+    beta_up)^2/n0 + 1/(1 - h_up)``: at most ``(1 - h_lo)/(1 - h_up)`` times
+    its value at (rates ``lo``, ``beta`` ``up``).
+    """
+    def exact(pts):
+        return _vq_unlimited_slack_batch(src, ch, target, pts, 1.0)
+
+    def bound(lo, up):
+        m = len(lo)
+        # one call at the three corners: (rates up, beta lo), (up, up), (rates lo, beta up)
+        rates = np.concatenate([up[:, :2], up[:, :2], lo[:, :2]])
+        beta = np.concatenate([lo[:, 2], up[:, 2], up[:, 2]])
+        bnd, d1a, d2a = vqscheme._unlimited_raw(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0,
+                                                rates[:, 0], rates[:, 1], beta)
+        one_minus_h = 1.0 - src.rho**2 * np.prod(-np.expm1(-2.0 * math.log(2.0) * rates), axis=1)
+        r2, rc = lo[:, 0], lo[:, 1]
+        rc_bound = bnd["rc"][2 * m:] + 0.5 * np.log2(one_minus_h[2 * m:] / one_minus_h[:m])
+        slack = np.minimum(np.minimum(bnd["r2"][:m] - r2, rc_bound - rc),
+                           bnd["r2+rc"][m:2 * m] - (r2 + rc))
+        return vqscheme._fold_distortions(slack, d1a[:m], d2a[:m], target.d1, target.d2)
+    return exact, bound
+
+
 class _VqFeasibility:
-    """Scheme feasibility with warm-started searches across repeated queries."""
+    """Scheme feasibility, with warm-started searches across repeated finite-``c12`` queries."""
 
     def __init__(self, src: SourceSpec, target: DistortionPair):
         self.src = src
@@ -136,10 +222,9 @@ class _VqFeasibility:
         self.warm3: np.ndarray | None = None
         self.witness: vqscheme.VqConfig | None = None
 
-    def _run(self, f, dim, warm, saturated_axis: int | None = None,
-             refine_below: float = _STOP_AT, floored: bool = False):
+    def _run(self, f, dim, warm, saturated_axis: int | None = None, floored: bool = False):
         """Multistart compass search of ``f``, then a grid refine when the
-        compass value lies in ``[-0.3, refine_below)``.  ``floored``: ``f``
+        compass value lies in ``[-0.3, _STOP_AT)``.  ``floored``: ``f``
         takes a ``floor`` and refine calls it through :func:`_incumbent`."""
         base = halton_points(16, dim)
         starts = [base]
@@ -154,7 +239,7 @@ class _VqFeasibility:
         if warm is not None:
             starts.append(warm[None, :])
         val, pt, _ = compass_search_max(f, np.vstack(starts), stop_at=_STOP_AT)
-        if -0.3 <= val < refine_below:
+        if -0.3 <= val < _STOP_AT:
             # grid refinement climbs the max-min ridges that axis polls miss;
             # skipped when the compass value is hopeless
             rval, rpt = refine_grid_max(_incumbent(f) if floored else f, pt, stop_at=_STOP_AT)
@@ -165,37 +250,13 @@ class _VqFeasibility:
     def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
         src, target, cap = self.src, self.target, RATE_BOX_BITS
         ch = ChannelSpec(p1, p2, n0, c12)
-        best_val = -math.inf
-        best_cfg = None
 
-        if not is_unlimited(c12) and c12 == 0.0:
-            # only the no-conference slice is reachable.  Its rc bound,
-            # exactly 0 there, caps it at 0, below _STOP_AT: a feasible
-            # point runs the compass to the end at exactly 0, and refine,
-            # which accepts only larger values, would gain nothing
-            warm = self.warm5[:2] if self.warm5 is not None else None
-            val, pt = self._run(
-                lambda pts: _vq_noconf_slack_batch(src, ch, target, pts, cap),
-                2, warm, refine_below=0.0)
-            best_val = val
-            best_cfg = vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, 0.0, 0.0, 0.0)
-            self.warm5 = np.array([pt[0], pt[1], 0.0, 0.0, 0.0])
-        elif is_unlimited(c12):
-            val, pt = self._run(
-                lambda pts: _vq_unlimited_slack_batch(src, ch, target, pts, cap),
-                3, self.warm3)
-            best_val = val
-            best_cfg = vqscheme.VqConfig(0.0, pt[0] * cap, pt[1] * cap, 1.0, pt[2])
-            self.warm3 = pt
-            if best_val < _STOP_AT:
-                val, pt = self._run(
-                    lambda pts, floor=None: _vq_slack_batch(src, ch, target, pts, cap, floor),
-                    5, self.warm5, floored=True)
-                if val > best_val:
-                    best_val = val
-                    best_cfg = vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, pt[2] * cap,
-                                                 pt[3], pt[4])
-                self.warm5 = pt
+        if is_unlimited(c12):
+            pt = _certify(*_unlimited_slice(src, ch, target), [cap, cap, 1.0])
+            best_cfg = None if pt is None else vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])
+        elif c12 == 0.0:
+            pt = _certify(*_noconf_slice(src, ch, target), [cap, cap])
+            best_cfg = None if pt is None else vqscheme.VqConfig(pt[0], pt[1], 0.0, 0.0, 0.0)
         else:
             # generous budgets first: the unlimited-slice optimum may already
             # fit within c12, a basin the budget-saturating search undercovers
@@ -231,21 +292,24 @@ class _VqFeasibility:
                     rc = float(best_pt[2] * _rc_budget(src.rho, np.asarray(best_pt[0] * cap), c12))
                     best_cfg = vqscheme.VqConfig(best_pt[0] * cap, best_pt[1] * cap, rc,
                                                  best_pt[3], best_pt[4])
+            if best_val < SLACK_TOL:
+                best_cfg = None
 
-        if best_val >= SLACK_TOL:
-            self.witness = best_cfg
-            return True
-        return False
+        if best_cfg is None:
+            return False
+        self.witness = best_cfg
+        return True
 
 
 def _vq_witness_ok(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig,
-                   target: DistortionPair) -> bool:
-    """Closed-form re-validation of a search witness (slack tolerance -1e-9 bits)."""
+                   target: DistortionPair) -> DistortionPair | None:
+    """Achieved distortions of a search witness that the closed forms
+    re-validate (slack tolerance -1e-9 bits), else None."""
     report = vqscheme.vq_rate_region(src, ch, cfg, margin=SLACK_TOL)
     ach = vqscheme.vq_distortion(src, cfg)
     bits = min(0.5 * (math.log2(target.d1) - math.log2(ach.d1)),
                0.5 * (math.log2(target.d2) - math.log2(ach.d2)))
-    return report.feasible and bits >= SLACK_TOL
+    return ach if report.feasible and bits >= SLACK_TOL else None
 
 
 def _check_tol(tol: float) -> None:
@@ -303,10 +367,10 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
 
     need = rd_joint(src, target)
     p_full = (4.0**need - 1.0) * n0 / 4.0
-    if scheme is Scheme.FULL_COOP:
-        return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
     if p_full == math.inf:
         raise UnboundedError("infeasible at every finite power, full cooperation included")
+    if scheme is Scheme.FULL_COOP:
+        return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
     if p_ceiling is None:
         p_ceiling = 1e6 * max(n0, p_full)
 
@@ -332,9 +396,9 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
     if scheme is Scheme.VQ:
         # the witness from the last feasible query certifies hi exactly
         cfg = inner.witness
-        if cfg is None or not _vq_witness_ok(src, ch, cfg, target):
+        ach = None if cfg is None else _vq_witness_ok(src, ch, cfg, target)
+        if ach is None:
             raise AssertionError("bisection invariant violated: witness fails at hi")
-        ach = vqscheme.vq_distortion(src, cfg)
         witness_out = {
             "r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
             "beta1": cfg.beta1, "beta2": cfg.beta2,
@@ -382,7 +446,7 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
     ch = ChannelSpec(p1, p2, n0, hi)
     if scheme is Scheme.VQ:
         cfg = inner.witness
-        if cfg is None or not _vq_witness_ok(src, ch, cfg, target):
+        if cfg is None or _vq_witness_ok(src, ch, cfg, target) is None:
             raise AssertionError("bisection invariant violated: witness fails at hi")
         req, _ = vqscheme.vq_conf_requirement(src, cfg)
         witness = {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
@@ -399,37 +463,28 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
                      d2_target: float) -> OptimizationResult:
     """Smallest ``d1`` the unlimited-conference scheme reaches at ``d2 <= d2_target``.
 
-    Bisection on ``log2 d1`` to a bracket 1e-7 wide, with the unlimited-slice
-    feasibility search; the rate box grows with the coherent sum capacity so
-    high-SNR operating points stay reachable.
+    Bisection on ``log2 d1`` to a bracket 1e-7 wide, with the certified
+    unlimited-slice predicate; the rate box grows with the coherent sum
+    capacity so high-SNR operating points stay reachable.
     """
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
     rate_cap = 0.5 * math.log2(1.0 + (p1 + p2 + 2.0 * math.sqrt(p1 * p2)) / n0) + 1.0
-    warm: dict = {"pt": None}
+    ch = ChannelSpec(p1, p2, n0, UNLIMITED)
+    witness = {}
 
     def feasible(d1: float) -> bool:
-        target = DistortionPair(d1, d2_target)
-        ch = ChannelSpec(p1, p2, n0, UNLIMITED)
-        starts = [halton_points(16, 3)]
-        if warm["pt"] is not None:
-            starts.append(warm["pt"][None, :])
-        val, pt, _ = compass_search_max(
-            lambda pts: _vq_unlimited_slack_batch(src, ch, target, pts, rate_cap),
-            np.vstack(starts), stop_at=_STOP_AT)
-        if val >= SLACK_TOL:
-            warm["pt"] = pt
-            return True
-        return False
+        slice_fns = _unlimited_slice(src, ch, DistortionPair(d1, d2_target))
+        pt = _certify(*slice_fns, [rate_cap, rate_cap, 1.0])
+        if pt is None:
+            return False
+        witness.update(r2=pt[0], rc=pt[1], beta=pt[2])
+        return True
 
     if not feasible(1.0):
         raise UnboundedError("even d1 = 1 infeasible at these powers")
     lo_log, hi_log, iterations, converged = _bisect(
         lambda x: feasible(2.0**x), -2.0 * (rate_cap + 2.0), 0.0, 0.0, 1e-7)
     d1 = 2.0**hi_log
-    pt = warm["pt"]
-    witness = {}
-    if pt is not None:
-        witness = {"r2": pt[0] * rate_cap, "rc": pt[1] * rate_cap, "beta": pt[2]}
     return OptimizationResult(d1, witness, iterations, converged, (2.0**lo_log, d1))
 
 

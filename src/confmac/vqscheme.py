@@ -10,14 +10,13 @@ between its private description and the shared one.
 Everything here is closed-form and broadcasts over numpy arrays.
 ``_raw_quantities`` and ``_unlimited_raw`` build every gain, constant and rate
 bound in readable form; the public functions are thin scalar wrappers around
-them.  Four fused kernels evaluate many configurations at once:
+them.  Three fused kernels evaluate many configurations at once:
 ``_rate_min_slack`` (the seven rate bounds of the full scheme; ``validate``
 screens its random configurations with it), ``_min_slack`` (those bounds
 plus the distortion targets; the searches' full scheme, whose conference
-bound is absent or met by construction), ``_unlimited_min_slack`` (the
-unlimited-conference slice) and ``_noconf_min_slack`` (the no-conference
-slice: ``_min_slack`` at ``rc = beta1 = beta2 = 0``, without the bounds
-that are exactly 0 or repeat another there).  They compute only the bounds, share
+bound is absent or met by construction, and at ``rc = beta1 = beta2 = 0``
+the no-conference slice) and ``_unlimited_min_slack`` (the
+unlimited-conference slice).  They compute only the bounds, share
 subexpressions and fold each bound into a running minimum, and return the
 worst slack equal bit for bit to the minimum over the readable form.
 
@@ -374,7 +373,7 @@ def _min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2, floor=None):
     (:func:`_rate_min_slack`) and the two distortion targets ``d1``, ``d2``,
     at parameter arrays ``r1 .. b2``; equal bit for bit to the same minimum
     composed from :func:`_raw_quantities`.  No conference bound: the searches
-    call it at unlimited ``c12`` or with a shared rate within the budget.
+    call it with a shared rate within the budget, or at ``rc = 0``.
 
     Floor contract (1-D batches): rows whose value is above ``floor``, or
     NaN, come back bit for bit; every other row comes back at some value at
@@ -402,38 +401,6 @@ def _min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2, floor=None):
             return slack
         partial[rows] = slack
         return partial
-
-
-def _noconf_min_slack(rho, p1, p2, n0, d1, d2, r1, r2):
-    """Worst slack (bits) of the no-conference slice at ``(r1, r2)`` arrays:
-    :func:`_min_slack` at ``(r1, r2, 0, 0, 0)``, equal to it bit for bit
-    (powers positive).
-
-    With ``rc = beta1 = beta2 = 0`` the shared description is absent:
-    ``brho``, ``eta``, ``lam2`` and ``lamc`` are 0, ``bp1 = p1``,
-    ``bp2 = p2`` and ``a_res = 1 - trho^2``.  The ``rc`` bound is then
-    ``0.5 log2(1) - 0``, exactly 0, and the ``r1+r2+rc`` bound equals the
-    ``r1+r2`` one.  Five rate bounds are left, in the reference's operand
-    order, folded into a running minimum that starts at 0; so the slice is
-    never above 0.
-    """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        trho = rho * np.sqrt(-np.expm1(-2.0 * r1 * math.log(2.0))
-                             * -np.expm1(-2.0 * r2 * math.log(2.0)))
-        t2 = trho**2
-        omt2 = 1.0 - t2
-        n0a = n0 * omt2
-        slack = np.zeros(np.broadcast(r1, r2).shape)
-        p1_omt2 = p1 * omt2
-        _fold_bound(slack, p1_omt2 + n0, n0a, r1)
-        _fold_bound(slack, p2 * omt2 + n0, n0a, r2)
-        _fold_bound(slack, p1 + 2.0 * trho * np.sqrt(p1 * p2) + p2 + n0, n0a, r1 + r2)
-        _fold_bound(slack, (p1_omt2 + n0) * p1, p1_omt2 * n0, r1)
-        p2_t2 = p2 * t2
-        _fold_bound(slack, p2 - p2_t2 + n0, (1.0 - p2_t2 / p2) * n0, r2)
-        return _fold_distortions(slack, *_distortion_arrays(rho, r1, r2, 0.0), d1, d2)
 
 
 def _unlimited_min_slack(rho, p1, p2, n0, d1, d2, r2, rc, beta):

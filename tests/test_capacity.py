@@ -94,11 +94,11 @@ def test_split_exists_against_beta_grid():
         ch = ChannelSpec(p1, p2, n0)
         rp = RatePoint(r1, r2)
         grid_ok = any(
-            mac_conf_unlimited_contains(ch, rp, float(b)).min_slack() >= 0.0
+            min(mac_conf_unlimited_contains(ch, rp, float(b)).slacks.values()) >= 0.0
             for b in betas)
         got, bw = conf_unlimited_split_exists(p1, p2, n0, r1, r2)
         if bool(got):
-            assert mac_conf_unlimited_contains(ch, rp, float(bw)).min_slack() >= -1e-9
+            assert min(mac_conf_unlimited_contains(ch, rp, float(bw)).slacks.values()) >= -1e-9
         else:
             assert not grid_ok
 
@@ -115,7 +115,8 @@ def test_fixed_split_exists_against_grid():
         grid_ok = False
         for b1 in grid:
             for b2 in grid:
-                if mac_conf_fixed_contains(ch, rp, MacPowerSplit(float(b1), float(b2))).min_slack() >= 0.0:
+                split = MacPowerSplit(float(b1), float(b2))
+                if min(mac_conf_fixed_contains(ch, rp, split).slacks.values()) >= 0.0:
                     grid_ok = True
                     break
             if grid_ok:
@@ -123,7 +124,7 @@ def test_fixed_split_exists_against_grid():
         got, b1w, b2w = conf_fixed_split_exists(p1, p2, n0, c12, r1, r2)
         if bool(got):
             report = mac_conf_fixed_contains(ch, rp, MacPowerSplit(float(b1w), float(b2w)))
-            assert report.min_slack() >= -1e-9
+            assert min(report.slacks.values()) >= -1e-9
         else:
             assert not grid_ok
 

@@ -118,7 +118,10 @@ ADVERSARIAL_INPUTS = {
                                       None, 1),
     "minpower-missing-d1": (["minpower", "--scheme", "necessary", "--rho", "0.5", "--d2", "0.2"],
                             None, 1),
-    "validate-samples-not-an-integer": (["validate", "--samples", "1e6"], None, 1),
+    "validate-samples-not-an-integer": (["validate", "--samples", "1.5"], None, 1),
+    "validate-seed-not-a-number": (["validate", "--seed", "x"], None, 1),
+    "minpower-fullcoop-infinite-power": (["minpower", "--scheme", "fullcoop", "--rho", "0.5",
+                                          "--d1", "1e-310", "--d2", "0.5"], None, 2),
     "minconf-unbounded": (["minconf", "--scheme", "sep1", "--rho", "0.5", "--p1", "0.1",
                            "--p2", "0.1", "--d1", "0.2", "--d2", "0.2"], None, 2),
 }

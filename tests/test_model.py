@@ -83,4 +83,3 @@ def test_report_as_dict_shape():
     assert set(d) == {"feasible", "slacks", "witness"}
     assert d["feasible"] is True
     assert d["slacks"] == {"a": 1.0}
-    assert report.min_slack() == 1.0

@@ -258,25 +258,151 @@ def test_trace_d1d2_vs_snr_row():
     assert row["errors"] == ""
 
 
+# (p1, p2, n0) of the slice-bound checks
+SLICE_CHANNELS = ((1.0, 1.0, 1.0), (12.0, 3.0, 0.5), (0.01, 100.0, 2.0), (5.0, 5.0, 1.0 / 16.0),
+                  (1e4, 1e4, 1.0))
+SLICES = ((search._noconf_slice, 0.0, (8.0, 8.0)),
+          (search._unlimited_slice, UNLIMITED, (8.0, 8.0, 1.0)))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
+def test_slice_bounds_hold_over_their_boxes(rho):
+    """No point of a random box, corners included, has a slack above the
+    box's bound by more than the rounding margin."""
+    rng = np.random.default_rng(int(100 * rho))
+    src = SourceSpec(1.0, rho)
+    for p1, p2, n0 in SLICE_CHANNELS:
+        for make, c12, hi in SLICES:
+            target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
+            exact, bound = make(src, ChannelSpec(p1, p2, n0, c12), target)
+            hi = np.array(hi)
+            m, d = 2000, hi.size
+            lo = rng.uniform(0.0, 1.0, (m, d)) * hi
+            up = np.minimum(lo + hi * 2.0 ** rng.uniform(-30.0, 0.0, (m, d)), hi)
+            ceiling = bound(lo, up) + search._BOUND_MARGIN
+            for k in range(8):
+                u = rng.uniform(0.0, 1.0, (m, d))
+                if k < 2:
+                    u = np.round(u)
+                pts = lo + u * (up - lo)
+                assert np.all(exact(pts) <= ceiling), (rho, p1, p2, n0, target, d)
+
+
+def _noconf_reference(src, ch, target):
+    """No-conference slack at (r1, r2) points from the readable rate bounds."""
+    def slack(pts):
+        r1, r2 = pts[:, 0], pts[:, 1]
+        zero = np.zeros_like(r1)
+        _, _, bnd = vqscheme._raw_quantities(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0,
+                                             r1, r2, zero, zero, zero)
+        rates = {"r1": r1, "r2": r2, "rc": zero, "r1+r2": r1 + r2, "r1+rc": r1,
+                 "r2+rc": r2, "r1+r2+rc": r1 + r2}
+        d1a, d2a = vqscheme._distortion_arrays(src.rho, r1, r2, zero)
+        return np.min([bnd[k] - rates[k] for k in rates]
+                      + [0.5 * np.log2(target.d1 / d1a), 0.5 * np.log2(target.d2 / d2a)], axis=0)
+    return slack
+
+
+def _unlimited_reference(src, ch, target):
+    """Unlimited-conference slack at (r2, rc) points, at its best ``beta``
+    from the readable region.  The ``r2`` term falls with ``beta`` and the
+    ``rc`` and ``r2+rc`` terms rise with it, so their minimum peaks where
+    they cross; bisection finds the crossing."""
+    def slack(pts):
+        r2, rc = pts[:, 0], pts[:, 1]
+
+        def terms(beta):
+            bnd, d1a, d2a = vqscheme._unlimited_raw(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0,
+                                                    r2, rc, beta)
+            rising = np.minimum(bnd["rc"] - rc, bnd["r2+rc"] - (r2 + rc))
+            rest = np.min([bnd["r2"] - r2, 0.5 * np.log2(target.d1 / d1a),
+                           0.5 * np.log2(target.d2 / d2a)], axis=0)
+            return rising, bnd["r2"] - r2, np.minimum(rising, rest)
+        lo, hi = np.zeros_like(r2), np.ones_like(r2)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            rising, falling, _ = terms(mid)
+            lo, hi = np.where(rising < falling, mid, lo), np.where(rising < falling, hi, mid)
+        return np.maximum(terms(lo)[2], terms(hi)[2])
+    return slack
+
+
+def _grid_zoom_max(slack, hi, rounds=48, n=33):
+    """Best slack a dense grid finds over the box ``[0, hi]``: each round
+    grids a window around the best point so far and halves it."""
+    hi = np.asarray(hi, dtype=float)
+    best, centre, half = -math.inf, 0.5 * hi, 0.5 * hi
+    for _ in range(rounds):
+        axes = [np.linspace(max(c - h, 0.0), min(c + h, top), n)
+                for c, h, top in zip(centre, half, hi)]
+        pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+        vals = slack(pts)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, centre = float(vals[i]), pts[i]
+        half = 0.5 * half
+    return best
+
+
+@pytest.mark.parametrize("rho, alpha, c12", [(0.5, 0.2, UNLIMITED), (0.5, 1.0, 0.0),
+                                              (0.8, 0.2, 0.0), (0.3, 1.0, UNLIMITED)])
+def test_certified_slice_minimum_against_grid_oracle(rho, alpha, c12):
+    """A dense grid zoom over the slice finds no point at the tolerance just
+    below the certified minimum, and finds one just above it."""
+    src = SourceSpec(1.0, rho)
+    target = DistortionPair(alpha * 0.2, 0.2)
+    res = min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=1e-7)
+    lo, hi = res.bracket
+    reference = _unlimited_reference if c12 is UNLIMITED else _noconf_reference
+    for p, feasible in ((lo * (1.0 - 1e-6), False), (hi * (1.0 + 1e-4), True)):
+        best = _grid_zoom_max(reference(src, ChannelSpec(p, p, 1.0, c12), target), (8.0, 8.0))
+        assert (best >= search.SLACK_TOL) == feasible, (p, best)
+
+
+def test_finite_link_lies_between_the_certified_slices():
+    """Every finite-``c12`` answer lies between the two certified slices."""
+    target = DistortionPair(0.1, 0.2)
+    for n0 in (1.0, 1.0 / 16.0):
+        def pmin(c12):
+            return min_power_symmetric(SRC, Scheme.VQ, target, c12=c12, n0=n0,
+                                       tol=1e-6).objective
+        unlimited, none = pmin(UNLIMITED), pmin(0.0)
+        for c12 in (1.0, 1.5):
+            assert unlimited <= pmin(c12) <= none, (n0, c12)
+
+
+def test_certify_stops_when_the_best_slack_is_within_rounding():
+    """A best slack one rounding step below the tolerance is neither reached
+    nor refuted: the search ends at its round or box cap without a witness."""
+    edge = np.nextafter(search.SLACK_TOL, -math.inf)
+    centre = np.array([2.0 / 3.0, math.pi, 0.1])
+    for power in (1, 2):  # a sharp and a smooth maximum
+        def exact(pts):
+            return edge - (np.abs(pts - centre) ** power).sum(axis=1)
+
+        def bound(lo, up):
+            return exact(np.clip(centre, lo, up))
+        batches = []
+
+        def counted(pts):
+            batches.append(len(pts))
+            return exact(pts)
+        assert search._certify(counted, bound, [8.0, 8.0, 1.0]) is None
+        assert len(batches) <= search._MAX_ROUNDS and max(batches) <= search._MAX_BOXES
+
+
 def _refine_problem(rng):
     """A random floor-aware refine objective ``f(pts, floor=None)`` of one of
-    the three full-scheme families, and its dimension."""
+    the two budget-saturating families, and its dimension."""
     src = SourceSpec(1.0, float(rng.uniform(0.1, 0.97)))
     p = float(rng.uniform(0.5, 30.0))
     n0 = float(rng.choice([1.0, 4.0, 1.0 / 16.0]))
-    ch = ChannelSpec(p * n0, p * n0, n0, UNLIMITED)
     target = DistortionPair(*(float(v) for v in rng.uniform(0.02, 0.5, 2)))
-    c12 = float(rng.uniform(0.2, 2.0))
-    family = int(rng.integers(3))
-    if family == 0:
-        return (lambda pts, floor=None:
-                search._vq_slack_batch(src, ch, target, pts, 8.0, floor)), 5
-
-    budget_ch = ChannelSpec(p * n0, p * n0, n0, c12)
+    ch = ChannelSpec(p * n0, p * n0, n0, float(rng.uniform(0.2, 2.0)))
 
     def budget(pts, floor=None):
-        return search._vq_slack_batch(src, budget_ch, target, pts, 8.0, floor)
-    if family == 1:
+        return search._vq_slack_batch(src, ch, target, pts, 8.0, floor)
+    if rng.integers(2) == 0:
         return budget, 5
     return (lambda pts, floor=None: budget(np.insert(pts, 2, 1.0, axis=1), floor)), 4
 
@@ -317,30 +443,32 @@ def test_incumbent_refine_matches_plain_refine():
 
 
 # (d1, d2, c12, tol, objective, bracket, iterations, witness) of VQ solves at
-# rho = 0.5: the four Fig. 3 VQ solves and one finite-link solve.  Recorded
-# before the searches skipped work that cannot change an answer; exact
-# optimisations must keep every one of them bit for bit.
+# rho = 0.5: the four Fig. 3 VQ solves and one finite-link solve.  The four
+# slice rows are the certified branch-and-bound's answers; each lies below
+# the compass search's old answer, which these witnesses refute.  The
+# finite-link row is the compass search's.  Exact optimisations must keep
+# every one of them bit for bit.
 PINNED_VQ_SOLVES = (
     (0.2 * 0.2, 0.2, UNLIMITED, 1e-9,
-     24.00000001490116, (24.0, 24.00000001490116), 35,
-     {"r1": 0.0, "r2": 1.11395263671875, "rc": 2.3149255823206016,
-      "beta1": 1.0, "beta2": 0.8561474609375,
-      "d1": 0.039994806274416234, "d2": 0.19999385055022878}),
+     23.992380127310753, (23.99238011240959, 23.992380127310753), 35,
+     {"r1": 0.0, "r2": 1.1139293141895905, "rc": 2.31483106513042,
+      "beta1": 1.0, "beta2": 0.8561289038771065,
+      "d1": 0.040000000050960924, "d2": 0.20000000026326425}),
     (0.2 * 0.2, 0.2, 0.0, 1e-9,
-     32.45075449347496, (32.45075446367264, 32.45075449347496), 36,
-     {"r1": 2.31488037109375, "r2": 1.113972981770833, "rc": 0.0,
+     32.446769416332245, (32.44676938652992, 32.446769416332245), 36,
+     {"r1": 2.31483106513042, "r2": 1.1139293141895905, "rc": 0.0,
       "beta1": 0.0, "beta2": 0.0,
-      "d1": 0.03999728479832369, "d2": 0.1999886098071263}),
+      "d1": 0.040000000050960924, "d2": 0.20000000026326425}),
     (1.0 * 0.2, 0.2, UNLIMITED, 1e-9,
-     5.423972420394421, (5.42397241666913, 5.423972420394421), 33,
-     {"r1": 0.0, "r2": 1.1246179651331016, "rc": 1.1246337890625,
-      "beta1": 1.0, "beta2": 0.3418770782218492,
-      "d1": 0.19998440725218833, "d2": 0.19998850685261182}),
+     5.423282735049725, (5.423282731324434, 5.423282735049725), 33,
+     {"r1": 0.0, "r2": 1.1245753685943782, "rc": 1.1245753685943782,
+      "beta1": 1.0, "beta2": 0.3418464592541568,
+      "d1": 0.20000000025500764, "d2": 0.20000000025500764}),
     (1.0 * 0.2, 0.2, 0.0, 1e-9,
-     6.480761207640171, (6.480761203914881, 6.480761207640171), 33,
-     {"r1": 1.1246337890625, "r2": 1.1245772750289351, "rc": 0.0,
+     6.480237826704979, (6.480237822979689, 6.480237826704979), 33,
+     {"r1": 1.1245753685943782, "r2": 1.1245753685943782, "rc": 0.0,
       "beta1": 0.0, "beta2": 0.0,
-      "d1": 0.19998459142234046, "d2": 0.19999923322475333}),
+      "d1": 0.20000000025500764, "d2": 0.20000000025500764}),
     (0.1, 0.2, 1.0, 1e-6,
      10.312507629394531, (10.3125, 10.312507629394531), 24,
      {"r1": 0.5788574218750001, "r2": 1.1186839916087963, "rc": 1.064192830201275,

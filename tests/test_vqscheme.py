@@ -435,25 +435,6 @@ def test_rate_min_slack_kernel_matches_reference_bit_for_bit():
     assert all(seen.values()), seen
 
 
-def test_noconf_min_slack_kernel_matches_full_kernel_bit_for_bit():
-    """The no-conference slice equals ``_min_slack`` at (r1, r2, 0, 0, 0), and
-    never exceeds 0 (the search skips its refine at 0)."""
-    sizes = {1: 20, 66: 3, 289: 2, 5000: 1}
-    channels = KERNEL_CHANNELS + ((1.3, 3.0, 0.4, 1.0 / 64.0),)
-    seen = dict.fromkeys(("r1=0", "r2=0", "slack=0"), 0)
-    for sigma2, rho, p1, p2, n0, d1, d2, cap, pts in kernel_cases(2, sizes, channels):
-        r1, r2 = pts[:, 0] * cap, pts[:, 1] * cap
-        zero = np.zeros_like(r1)
-        ref = vqscheme._min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, zero, zero, zero)
-        got = vqscheme._noconf_min_slack(rho, p1, p2, n0, d1, d2, r1, r2)
-        assert same_bits(got, ref), (sigma2, rho, p1, p2, n0, d1, d2, cap)
-        assert not np.any(got > 0.0)  # NaN (0/0 distortions: rho = 1, rates past 27 bits) is not
-        seen["r1=0"] += int(np.any(r1 == 0.0))
-        seen["r2=0"] += int(np.any(r2 == 0.0))
-        seen["slack=0"] += int(np.any(got == 0.0))
-    assert all(seen.values()), seen
-
-
 def test_min_slack_floor_contract():
     """With a floor, rows above it or NaN come back bit for bit and every
     other row at or below it; NaN rates make NaN rows."""

@@ -19,6 +19,7 @@ _CONTRACTION = 0.5     # step factor after a round without improvement
 _MAX_ITER = 400        # round cap
 _REFINE_WIDTH = 0.25   # refine: half-width of the first grid
 _REFINE_SHRINK = 0.65  # grid width factor per round
+_REFINE_ROUNDS = 24    # refine: grid cap
 
 
 def compass_search_max(
@@ -63,7 +64,6 @@ _GRID_POINTS = {1: 33, 2: 17, 3: 13, 4: 9, 5: 7}
 def refine_grid_max(
     f_batch: Callable[[np.ndarray], np.ndarray],
     center: np.ndarray,
-    rounds: int = 24,
     stop_at: float | None = None,
 ) -> tuple[float, np.ndarray]:
     """Shrinking tensor-grid ascent around ``center`` on [0, 1]^d.
@@ -78,7 +78,7 @@ def refine_grid_max(
     best = center.copy()
     w = _REFINE_WIDTH
     stale = 0
-    for _ in range(rounds):
+    for _ in range(_REFINE_ROUNDS):
         if stop_at is not None and best_val >= stop_at:
             break
         if stale >= 6:  # six shrinks without improvement: converged enough

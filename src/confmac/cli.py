@@ -193,6 +193,11 @@ def _floats(cfg: dict, *names) -> list[float]:
     return out
 
 
+def _float_or(cfg: dict, name: str, default: float) -> float:
+    """Flag ``name`` as a float, or ``default`` when it is absent."""
+    return default if cfg.get(name) is None else _floats(cfg, name)[0]
+
+
 def _integers(cfg: dict, *names) -> list[int]:
     """Whole-number flags, ``1e6`` included; digits are read exactly."""
     out = []
@@ -273,7 +278,7 @@ def cmd_region(args) -> int:
         if which == "mac":
             report = capacity.mac_plain_contains(ch, rp)
         elif which == "mac-conf":
-            report = capacity.mac_conf_unlimited_contains(ch, rp, float(cfg["beta"]))
+            report = capacity.mac_conf_unlimited_contains(ch, rp, *_floats(cfg, "beta"))
         else:
             split = capacity.MacPowerSplit(*_floats(cfg, "beta1", "beta2"))
             report = capacity.mac_conf_fixed_contains(ch, rp, split)
@@ -311,18 +316,17 @@ def _emit_optimization(res: search.OptimizationResult, echo: dict, as_json: bool
 
 def cmd_minpower(args) -> int:
     cfg = resolve(args)
-    sigma2, rho, n0 = _floats(cfg, "sigma2", "rho", "noise")
+    sigma2, rho, n0, d2 = _floats(cfg, "sigma2", "rho", "noise", "d2")
     src = SourceSpec(sigma2, rho)
-    d2 = float(cfg["d2"]) if cfg["d2"] is not None else None
     if cfg["d1"] is not None:
-        d1 = float(cfg["d1"])
-    elif cfg["alpha"] is not None and d2 is not None:
-        d1 = float(cfg["alpha"]) * d2
+        d1 = _floats(cfg, "d1")[0]
+    elif cfg["alpha"] is not None:
+        d1 = _floats(cfg, "alpha")[0] * d2
     else:
         raise DomainError("d1", "need --d1 or --alpha with --d2")
     target = DistortionPair(d1, d2)
     scheme = Scheme(cfg["scheme"])
-    tol = float(cfg["tol"]) if cfg["tol"] is not None else 1e-6
+    tol = _float_or(cfg, "tol", 1e-6)
     res = search.min_power_symmetric(src, scheme, target, c12=cfg["c12"], n0=n0, tol=tol)
     return _emit_optimization(res, _config_echo(cfg), args.json)
 
@@ -333,7 +337,7 @@ def cmd_minconf(args) -> int:
         cfg, "sigma2", "rho", "p1", "p2", "noise", "d1", "d2")
     src = SourceSpec(sigma2, rho)
     scheme = Scheme(cfg["scheme"])
-    tol = float(cfg["tol"]) if cfg["tol"] is not None else 1e-6
+    tol = _float_or(cfg, "tol", 1e-6)
     res = search.min_conf_capacity(src, ChannelSpec(p1, p2, n0), scheme,
                                    DistortionPair(d1, d2), tol=tol)
     return _emit_optimization(res, _config_echo(cfg), args.json)
@@ -365,12 +369,14 @@ def cmd_trace(args) -> int:
     params = dict(zip(("sigma2", "rho", "n0", "d2"),
                       _floats(cfg, "sigma2", "rho", "noise", "d2")))
     params["c12"] = cfg["c12"]
-    params["tol"] = float(cfg["tol"]) if cfg["tol"] is not None else 1e-9
+    params["tol"] = _float_or(cfg, "tol", 1e-9)
     if kind is CurveKind.C12_VS_ALPHA:
         params["p"] = _floats(cfg, "p")[0]
     if cfg["schemes"]:
         params["schemes"] = [tok.strip() for tok in str(cfg["schemes"]).split(",") if tok.strip()]
     grid_flag = "snrs" if kind is CurveKind.D1D2_VS_SNR else "alphas"
+    if cfg[grid_flag] is None:
+        raise DomainError(grid_flag, "required flag missing")
     rows = search.trace_curve(kind, params, parse_grid(str(cfg[grid_flag])))
     meta = {k: v for k, v in _config_echo(cfg).items() if v is not None}
     write_csv(str(cfg["out"]), rows, meta)

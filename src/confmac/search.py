@@ -5,8 +5,11 @@ bisection over a monotone feasibility predicate.  On the quantizer scheme's
 slices ``c12 = 0`` and ``c12 = inf`` that predicate is certified: a
 branch-and-bound (:func:`_certify`) returns a witness or proves that no
 point of the rate box (rates in [0, 8] bits, splits in [0, 1]) meets the
-target.  Only a finite ``c12`` runs a multistart compass search, whose
-"infeasible" is not proven.
+target.  A finite ``c12`` asks the unlimited slice first: its "infeasible"
+is proven, and its witness answers when the shared rate fits the budget.
+Otherwise the no-conference slice answers, and only when it finds no
+witness does a multistart compass search decide, whose "infeasible" is not
+proven.
 
 All schedules are fixed, so identical inputs give identical results,
 iteration counts included.
@@ -63,22 +66,6 @@ class OptimizationResult:
     bracket: tuple[float, float]
 
 
-def _vq_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                    pts: np.ndarray, rate_cap: float, floor=None) -> np.ndarray:
-    """Worst slack (bits) of the full scheme at box points (r1, r2, t, b1, b2)
-    with rates scaled by ``rate_cap``; ``floor`` as in :func:`vqscheme._min_slack`.
-    The shared rate is ``t`` times the budget-saturating rate at the finite
-    ``ch.c12``: the conference constraint then holds by construction (and is
-    dropped from the objective, else it would pin the max-min at 0 on the
-    saturated surface) and the search moves freely along it.
-    """
-    r1 = pts[:, 0] * rate_cap
-    rc_max = _rc_budget(src.rho, r1, ch.c12)
-    return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
-                               r1, pts[:, 1] * rate_cap, pts[:, 2] * rc_max,
-                               pts[:, 3], pts[:, 4], floor)
-
-
 def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     """Largest shared rate whose conference requirement fits the budget.
 
@@ -92,34 +79,6 @@ def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         rc = c12 + 0.5 * np.log2((1.0 - k * 4.0**-c12) / (1.0 - k))
     return np.where(k < 1.0, rc, c12 - 0.5 * math.log2(1e-300))
-
-
-def _vq_unlimited_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                              pts: np.ndarray, rate_cap: float) -> np.ndarray:
-    """Worst slack on the unlimited-conference slice, points (r2, rc, beta)."""
-    return vqscheme._unlimited_min_slack(src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
-                                         pts[:, 0] * rate_cap, pts[:, 1] * rate_cap, pts[:, 2])
-
-
-def _incumbent(f):
-    """``f`` for :func:`refine_grid_max`, called with the best value refine
-    has accepted so far as its ``floor``.
-
-    Refine keeps a grid's first argmax only when it is strictly greater than
-    that value, so rows at or below it cannot change its answer; the running
-    best follows the same rule (a NaN argmax is never accepted, and a NaN
-    centre is never beaten).  The first call, refine's centre, has no floor.
-    """
-    best = None
-
-    def objective(pts):
-        nonlocal best
-        vals = f(pts, floor=best)
-        i = int(np.argmax(vals))
-        if best is None or vals[i] > best:
-            best = vals[i]
-        return vals
-    return objective
 
 
 def _certify(exact, bound, hi) -> np.ndarray | None:
@@ -194,7 +153,8 @@ def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     its value at (rates ``lo``, ``beta`` ``up``).
     """
     def exact(pts):
-        return _vq_unlimited_slack_batch(src, ch, target, pts, 1.0)
+        return vqscheme._unlimited_min_slack(src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
+                                             pts[:, 0], pts[:, 1], pts[:, 2])
 
     def bound(lo, up):
         m = len(lo)
@@ -213,26 +173,26 @@ def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
 
 
 class _VqFeasibility:
-    """Scheme feasibility, with warm-started searches across repeated finite-``c12`` queries."""
+    """Scheme feasibility.  At a finite ``c12`` the certified unlimited slice
+    answers first, then the certified no-conference slice, then a compass
+    search warm-started across repeated queries."""
 
     def __init__(self, src: SourceSpec, target: DistortionPair):
         self.src = src
         self.target = target
         self.warm5: np.ndarray | None = None
-        self.warm3: np.ndarray | None = None
         self.witness: vqscheme.VqConfig | None = None
+        self.certified: dict = {}
 
-    def _run(self, f, dim, warm, saturated_axis: int | None = None, floored: bool = False):
+    def _run(self, f, dim, warm):
         """Multistart compass search of ``f``, then a grid refine when the
-        compass value lies in ``[-0.3, _STOP_AT)``.  ``floored``: ``f``
-        takes a ``floor`` and refine calls it through :func:`_incumbent`."""
+        compass value lies in ``[-0.3, _STOP_AT)``."""
         base = halton_points(16, dim)
         starts = [base]
-        if saturated_axis is not None:
-            boundary = base.copy()
-            boundary[:, saturated_axis] = 1.0  # optima sit on the active budget surface
-            starts.append(boundary)
         if dim == 5:
+            boundary = base.copy()
+            boundary[:, 2] = 1.0  # optima sit on the active budget surface
+            starts.append(boundary)
             # no-conference and unlimited-slice corners help the full search
             starts.append(np.array([[0.3, 0.3, 0.0, 0.0, 0.0],
                                     [0.0, 0.3, 0.3, 1.0, 0.5]]))
@@ -242,58 +202,68 @@ class _VqFeasibility:
         if -0.3 <= val < _STOP_AT:
             # grid refinement climbs the max-min ridges that axis polls miss;
             # skipped when the compass value is hopeless
-            rval, rpt = refine_grid_max(_incumbent(f) if floored else f, pt, stop_at=_STOP_AT)
+            rval, rpt = refine_grid_max(f, pt, stop_at=_STOP_AT)
             if rval > val:
                 val, pt = rval, rpt
         return val, pt
 
-    def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
+    def _certified(self, slice_fn, ch: ChannelSpec, hi) -> np.ndarray | None:
+        """:func:`_certify` on ``slice_fn``'s slice at ``ch``'s powers.  No
+        slice reads ``c12``, so a conference search certifies each one once."""
+        key = (slice_fn, ch.p1, ch.p2, ch.n0)
+        if key not in self.certified:
+            self.certified[key] = _certify(*slice_fn(self.src, ch, self.target), hi)
+        return self.certified[key]
+
+    def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
+        """The certified no-conference slice's witness, or None."""
+        pt = self._certified(_noconf_slice, ch, [RATE_BOX_BITS] * 2)
+        return None if pt is None else vqscheme.VqConfig(pt[0], pt[1], 0.0, 0.0, 0.0)
+
+    def _compass(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
+        """The compass search's witness at the finite ``ch.c12``, or None.
+
+        Its points are (r1, r2, t, b1, b2), rates scaled by ``RATE_BOX_BITS``.
+        The shared rate is ``t`` times the budget-saturating rate: the
+        conference constraint then holds by construction (and is dropped
+        from the objective, else it would pin the max-min at 0 on the
+        saturated surface) and the search moves freely along it.
+        """
         src, target, cap = self.src, self.target, RATE_BOX_BITS
+
+        def f5(pts):
+            r1 = pts[:, 0] * cap
+            return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, target.d1,
+                                       target.d2, r1, pts[:, 1] * cap,
+                                       pts[:, 2] * _rc_budget(src.rho, r1, ch.c12),
+                                       pts[:, 3], pts[:, 4])
+        warm4 = (np.delete(self.warm5, 2) if self.warm5 is not None else None)
+        val, pt = self._run(f5, 5, self.warm5)
+        self.warm5 = pt
+        if val < _STOP_AT:
+            # optima with an active budget sit on the t = 1 slice
+            def f4(pts):
+                return f5(np.insert(pts, 2, 1.0, axis=1))
+            val4, pt4 = self._run(f4, 4, warm4)
+            if val4 > val:
+                val, pt = val4, np.insert(pt4, 2, 1.0)
+        if val < SLACK_TOL:
+            return None
+        rc = float(pt[2] * _rc_budget(src.rho, np.asarray(pt[0] * cap), ch.c12))
+        return vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, rc, pt[3], pt[4])
+
+    def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
         ch = ChannelSpec(p1, p2, n0, c12)
-
-        if is_unlimited(c12):
-            pt = _certify(*_unlimited_slice(src, ch, target), [cap, cap, 1.0])
-            best_cfg = None if pt is None else vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])
-        elif c12 == 0.0:
-            pt = _certify(*_noconf_slice(src, ch, target), [cap, cap])
-            best_cfg = None if pt is None else vqscheme.VqConfig(pt[0], pt[1], 0.0, 0.0, 0.0)
+        if c12 == 0.0:
+            best_cfg = self._noconf(ch)
         else:
-            # generous budgets first: the unlimited-slice optimum may already
-            # fit within c12, a basin the budget-saturating search undercovers
-            val3, pt3 = self._run(
-                lambda pts: _vq_unlimited_slack_batch(src, ch, target, pts, cap),
-                3, self.warm3)
-            self.warm3 = pt3
-            req3, _ = vqscheme._conf_requirement_arrays(src.rho, 0.0, pt3[1] * cap)
-            best_val = min(val3, c12 - float(req3))
-            best_cfg = vqscheme.VqConfig(0.0, pt3[0] * cap, pt3[1] * cap, 1.0, pt3[2])
-
-            if best_val < _STOP_AT:
-                # budget-saturating parameterization: third coordinate is the
-                # fraction of the largest shared rate the budget admits
-                def f5(pts, floor=None):
-                    return _vq_slack_batch(src, ch, target, pts, cap, floor)
-                warm4 = (np.delete(self.warm5, 2) if self.warm5 is not None else None)
-                val, pt = self._run(f5, 5, self.warm5, saturated_axis=2, floored=True)
-                self.warm5 = pt
-                best_pt = None
-                if val > best_val:
-                    best_val = val
-                    best_pt = pt
-                if best_val < _STOP_AT:
-                    # optima with an active budget sit on the t = 1 slice
-                    def f4(pts, floor=None):
-                        return f5(np.insert(pts, 2, 1.0, axis=1), floor)
-                    val, pt4 = self._run(f4, 4, warm4, floored=True)
-                    if val > best_val:
-                        best_val = val
-                        best_pt = np.insert(pt4, 2, 1.0)
-                if best_pt is not None:
-                    rc = float(best_pt[2] * _rc_budget(src.rho, np.asarray(best_pt[0] * cap), c12))
-                    best_cfg = vqscheme.VqConfig(best_pt[0] * cap, best_pt[1] * cap, rc,
-                                                 best_pt[3], best_pt[4])
-            if best_val < SLACK_TOL:
-                best_cfg = None
+            # a finite link's scheme lies inside the unlimited one: no unlimited
+            # witness refutes the query, and one within the budget answers it
+            pt = self._certified(_unlimited_slice, ch, [RATE_BOX_BITS, RATE_BOX_BITS, 1.0])
+            best_cfg = None if pt is None else vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])
+            budget = math.inf if is_unlimited(c12) else _rc_budget(self.src.rho, 0.0, c12)
+            if pt is not None and pt[1] > budget:
+                best_cfg = self._noconf(ch) or self._compass(ch)
 
         if best_cfg is None:
             return False

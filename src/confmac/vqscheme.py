@@ -20,13 +20,6 @@ unlimited-conference slice).  They compute only the bounds, share
 subexpressions and fold each bound into a running minimum, and return the
 worst slack equal bit for bit to the minimum over the readable form.
 
-Floor contract: ``_min_slack`` and ``_rate_min_slack`` take an optional
-``floor``.  A row whose partial minimum is already at or below it stops
-there and returns that partial minimum, so some value at or below the
-floor; every other row, NaN rows included, comes back bit for bit.  The
-searches' grid refine passes the best value it has accepted, since it only
-takes values above that.
-
 Degenerate-factor convention: a gain whose formula turns 0/0 because its
 power share is zero or its codebook is empty (rate 0, variance factor 0) is
 defined as 0 -- the corresponding signal component is absent.  In particular
@@ -251,20 +244,7 @@ def _fold_distortions(slack, d1a, d2a, d1, d2):
     return slack
 
 
-def _survivors(partial, floor):
-    """Indices of the rows whose partial minimum is above ``floor`` or NaN, or
-    None when every row is.  NaN rows stay: ``np.argmax`` picks the first NaN,
-    so a NaN value must come back as NaN."""
-    keep = ~(partial <= floor)
-    return None if _everywhere(keep) else np.flatnonzero(keep)
-
-
-def _take(rows, *arrays):
-    """Each array at ``rows``; scalars and 0-d arrays as they are."""
-    return [a[rows] if np.ndim(a) else a for a in arrays]
-
-
-def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor=None):
+def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
     """Worst slack (bits) of the full scheme over its seven rate bounds, at
     arrays that broadcast together (``rho .. n0`` may be arrays as well).
 
@@ -274,11 +254,6 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor=None):
     bound folded into the running minimum as soon as it is known.  Arrays
     are dropped once no later bound reads them: a batch costs about as many
     live arrays as the reference's, not the sum of its intermediates.
-
-    With a ``floor`` (1-D batches only), rows whose minimum over the ``r1``
-    and ``r2`` bounds is already at or below it stop there and return that
-    partial minimum; the other rows finish in the same fold order, so their
-    values are unchanged (see :func:`_min_slack`).
 
     Edge rows (``rho = 1``, empty codebooks, zero power shares) divide by
     zero on the way to the reference's values, so call it under
@@ -319,14 +294,6 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor=None):
     _fold_bound(slack, bp2 * a_res + n0, n0a + lam2, r2)
     del lam2
 
-    rows = None if floor is None else _survivors(slack, floor)
-    if rows is not None:
-        partial, slack = slack, slack[rows]
-        (rho, p1, p2, n0, r1, r2, rc, b1, b2, f1, f2, sv2, sv, bb1, bb2, bp1, bp2,
-         trho, brho, t2, bq2, omt2, omb2, a_res, n0a) = _take(
-            rows, rho, p1, p2, n0, r1, r2, rc, b1, b2, f1, f2, sv2, sv, bb1, bb2, bp1,
-            bp2, trho, brho, t2, bq2, omt2, omb2, a_res, n0a)
-
     has_v = sv2 > 0.0
     coh = rho**2 * bb2 * f2
     a22 = _guarded(has_v, lambda den: np.sqrt(p2 / s)
@@ -362,45 +329,20 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor=None):
     frac2c = _guarded(lam2c > 0.0, lambda den: bp2_t2 / den, lam2c, 0.0)
     _fold_bound(slack, lam2c - bp2_t2 + n0, (1.0 - frac2c) * n0 * omb2, r2 + rc)
     _fold_bound(slack, lam12 + coherent + eta2 + n0, n0 * omt2 * omb2, r12 + rc)
-    if rows is None:
-        return slack
-    partial[rows] = slack
-    return partial
+    return slack
 
 
-def _min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2, floor=None):
+def _min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
     """Worst slack (bits) of the full scheme over its seven rate bounds
     (:func:`_rate_min_slack`) and the two distortion targets ``d1``, ``d2``,
     at parameter arrays ``r1 .. b2``; equal bit for bit to the same minimum
     composed from :func:`_raw_quantities`.  No conference bound: the searches
     call it with a shared rate within the budget, or at ``rc = 0``.
-
-    Floor contract (1-D batches): rows whose value is above ``floor``, or
-    NaN, come back bit for bit; every other row comes back at some value at
-    or below ``floor``.  Rows are dropped once a partial minimum is at or
-    below the floor: first over the two distortion slacks, then over the
-    ``r1`` and ``r2`` bounds; the rest finish in the fold order above.  A
-    dropped row would lose a NaN that only a later bound produces.  With
-    finite inputs in range no rate bound is NaN while the residual
-    ``1 - trho^2 - brho^2`` is positive, which ``r2`` of at most 8 bits (the
-    searches' rate box) ensures.  ``floor=None`` runs every row through
-    every bound.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         d1a, d2a = _distortion_arrays(rho, r1, r2, rc)
-        rows = None
-        if floor is not None:
-            partial = _fold_distortions(np.full(np.shape(d1a), np.inf), d1a, d2a, d1, d2)
-            rows = _survivors(partial, floor)
-            if rows is not None:
-                rho, p1, p2, n0, r1, r2, rc, b1, b2, d1a, d2a = _take(
-                    rows, rho, p1, p2, n0, r1, r2, rc, b1, b2, d1a, d2a)
-        slack = _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2, floor)
-        slack = _fold_distortions(slack, d1a, d2a, d1, d2)
-        if rows is None:
-            return slack
-        partial[rows] = slack
-        return partial
+        slack = _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
+        return _fold_distortions(slack, d1a, d2a, d1, d2)
 
 
 def _unlimited_min_slack(rho, p1, p2, n0, d1, d2, r2, rc, beta):

@@ -118,6 +118,11 @@ ADVERSARIAL_INPUTS = {
                                       None, 1),
     "minpower-missing-d1": (["minpower", "--scheme", "necessary", "--rho", "0.5", "--d2", "0.2"],
                             None, 1),
+    "minpower-missing-d2": (["minpower", "--scheme", "vq", "--rho", "0.5", "--d1", "0.1"],
+                            None, 1),
+    "minpower-tol-not-a-number": (MINPOWER + ["--tol", "x"], None, 1),
+    "trace-missing-alphas": (["trace", "--kind", "pmin-vs-alpha", "--rho", "0.5",
+                              "--d2", "0.2"], None, 1),
     "validate-samples-not-an-integer": (["validate", "--samples", "1.5"], None, 1),
     "validate-seed-not-a-number": (["validate", "--seed", "x"], None, 1),
     "minpower-fullcoop-infinite-power": (["minpower", "--scheme", "fullcoop", "--rho", "0.5",
@@ -138,6 +143,7 @@ def test_adversarial_input_exits_with_one_line(name, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith({1: "domain error: ", 2: "unbounded: "}[code])
 
 
 def test_minpower_fullcoop_value():

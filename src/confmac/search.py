@@ -5,11 +5,12 @@ bisection over a monotone feasibility predicate.  On the quantizer scheme's
 slices ``c12 = 0`` and ``c12 = inf`` that predicate is certified: a
 branch-and-bound (:func:`_certify`) returns a witness or proves that no
 point of the rate box (rates in [0, 8] bits, splits in [0, 1]) meets the
-target.  A finite ``c12`` asks the unlimited slice first: its "infeasible"
-is proven, and its witness answers when the shared rate fits the budget.
-Otherwise the no-conference slice answers, and only when it finds no
-witness does a multistart compass search decide, whose "infeasible" is not
-proven.
+target, unless it gives up (see :func:`_certify`).  A finite ``c12`` asks
+the unlimited slice first, on a box whose shared rate also covers ``r1 +
+rc`` of the finite scheme: its proven "infeasible" refutes the query, and
+its witness answers when the shared rate fits the budget.  Otherwise the
+no-conference slice answers, and only when it finds no witness does a
+multistart compass search decide, whose "infeasible" is not proven.
 
 All schedules are fixed, so identical inputs give identical results,
 iteration counts included.
@@ -81,38 +82,41 @@ def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     return np.where(k < 1.0, rc, c12 - 0.5 * math.log2(1e-300))
 
 
-def _certify(exact, bound, hi) -> np.ndarray | None:
-    """A point of the box ``[0, hi]`` whose ``exact`` slack (at ``(m, d)``
-    points) reaches :data:`SLACK_TOL`, or None when none does.
+def _certify(exact, bound, hi, lo=0.0) -> tuple[np.ndarray | None, bool]:
+    """``(point, proof)``: a point of the box ``[lo, hi]`` whose ``exact``
+    slack (at ``(m, d)`` points) reaches :data:`SLACK_TOL`, or None; ``proof``
+    tells whether a None shows that no point of the box does.
 
     Each round returns the first box centre that reaches the tolerance,
     else drops the boxes whose ``bound(lo, up)`` is below it by more than
     :data:`_BOUND_MARGIN` (NaN keeps a box) and halves the rest along every
-    axis.  None proves infeasibility once no box is left, unless a round
-    kept more boxes than the next may evaluate (:data:`_MAX_BOXES`): then
-    only those with the best centres were split.  That happens on flat
-    ridges of the slack, near rho = 1, and whenever the best slack lies
-    within rounding of the tolerance, which ends at the round cap.
+    axis.  A None is a proof once no box is left, unless a round kept more
+    boxes than the next may evaluate (:data:`_MAX_BOXES`): then only those
+    with the best centres were split.  A None at the round cap is no proof
+    either.  Both happen on flat ridges of the slack, near rho = 1, and
+    whenever the best slack lies within rounding of the tolerance.
     """
     hi = np.asarray(hi, dtype=float)
     d = hi.size
     upper_half = np.array(list(itertools.product((False, True), repeat=d)))
-    lo, up = np.zeros((1, d)), hi[None, :]
+    lo, up = np.full((1, d), lo, dtype=float), hi[None, :]
+    proof = True
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo + up)
         vals = exact(mid)
         hits = np.flatnonzero(vals >= SLACK_TOL)
         if hits.size:
-            return mid[hits[0]]
+            return mid[hits[0]], True
         keep = np.flatnonzero(~(bound(lo, up) < SLACK_TOL - _BOUND_MARGIN))
         if not keep.size:
-            return None
+            return None, proof
         if keep.size << d > _MAX_BOXES:
+            proof = False
             keep = np.sort(keep[np.argsort(-vals[keep], kind="stable")[:_MAX_BOXES >> d]])
         lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
         lo, up = (np.where(upper_half, mid, lo).reshape(-1, d),
                   np.where(upper_half, up, mid).reshape(-1, d))
-    return None
+    return None, False
 
 
 def _noconf_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
@@ -168,14 +172,15 @@ def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
         rc_bound = bnd["rc"][2 * m:] + 0.5 * np.log2(one_minus_h[2 * m:] / one_minus_h[:m])
         slack = np.minimum(np.minimum(bnd["r2"][:m] - r2, rc_bound - rc),
                            bnd["r2+rc"][m:2 * m] - (r2 + rc))
-        return vqscheme._fold_distortions(slack, d1a[:m], d2a[:m], target.d1, target.d2)
+        with np.errstate(divide="ignore"):  # a distortion reaches 0 at rho = 1, or underflows
+            return vqscheme._fold_distortions(slack, d1a[:m], d2a[:m], target.d1, target.d2)
     return exact, bound
 
 
 class _VqFeasibility:
     """Scheme feasibility.  At a finite ``c12`` the certified unlimited slice
     answers first, then the certified no-conference slice, then a compass
-    search warm-started across repeated queries."""
+    search warm-started across repeated queries (:meth:`_finite`)."""
 
     def __init__(self, src: SourceSpec, target: DistortionPair):
         self.src = src
@@ -207,17 +212,18 @@ class _VqFeasibility:
                 val, pt = rval, rpt
         return val, pt
 
-    def _certified(self, slice_fn, ch: ChannelSpec, hi) -> np.ndarray | None:
-        """:func:`_certify` on ``slice_fn``'s slice at ``ch``'s powers.  No
-        slice reads ``c12``, so a conference search certifies each one once."""
-        key = (slice_fn, ch.p1, ch.p2, ch.n0)
+    def _certified(self, slice_fn, ch: ChannelSpec, hi, lo):
+        """:func:`_certify` on ``slice_fn``'s slice at ``ch``'s powers over
+        the box ``[lo, hi]``.  No slice reads ``c12``, so a conference search
+        certifies each box once."""
+        key = (slice_fn, ch.p1, ch.p2, ch.n0, tuple(lo), tuple(hi))
         if key not in self.certified:
-            self.certified[key] = _certify(*slice_fn(self.src, ch, self.target), hi)
+            self.certified[key] = _certify(*slice_fn(self.src, ch, self.target), hi, lo)
         return self.certified[key]
 
     def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The certified no-conference slice's witness, or None."""
-        pt = self._certified(_noconf_slice, ch, [RATE_BOX_BITS] * 2)
+        pt, _ = self._certified(_noconf_slice, ch, [RATE_BOX_BITS] * 2, (0.0, 0.0))
         return None if pt is None else vqscheme.VqConfig(pt[0], pt[1], 0.0, 0.0, 0.0)
 
     def _compass(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
@@ -252,18 +258,41 @@ class _VqFeasibility:
         rc = float(pt[2] * _rc_budget(src.rho, np.asarray(pt[0] * cap), ch.c12))
         return vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, rc, pt[3], pt[4])
 
+    def _unlimited(self, ch: ChannelSpec, rc_lo: float, rc_hi: float):
+        """The certified unlimited slice's witness or None for shared rates in
+        ``[rc_lo, rc_hi]``, and whether a None is a proof."""
+        pt, proof = self._certified(_unlimited_slice, ch, (RATE_BOX_BITS, rc_hi, 1.0),
+                                    (0.0, rc_lo, 0.0))
+        return (None if pt is None else vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])), proof
+
+    def _finite(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
+        """A witness at the finite ``ch.c12``, or None.
+
+        The unlimited scheme contains the finite one, its shared rate standing
+        for ``r1 + rc <= RATE_BOX_BITS + budget`` (the compass's reach): a None
+        proven over the usual box and the slab above it refutes the query.  An
+        unproven None or a witness over budget leaves it to the no-conference
+        slice and the compass.
+        """
+        budget = float(_rc_budget(self.src.rho, 0.0, ch.c12))
+        cfg, proof = self._unlimited(ch, 0.0, RATE_BOX_BITS)
+        if cfg is None:
+            cfg, slab_proof = self._unlimited(ch, RATE_BOX_BITS, RATE_BOX_BITS + budget)
+            proof = proof and slab_proof
+        if cfg is not None and cfg.rc <= budget:
+            return cfg
+        if cfg is None and proof:
+            return None
+        return self._noconf(ch) or self._compass(ch)
+
     def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
         ch = ChannelSpec(p1, p2, n0, c12)
         if c12 == 0.0:
             best_cfg = self._noconf(ch)
+        elif is_unlimited(c12):
+            best_cfg, _ = self._unlimited(ch, 0.0, RATE_BOX_BITS)
         else:
-            # a finite link's scheme lies inside the unlimited one: no unlimited
-            # witness refutes the query, and one within the budget answers it
-            pt = self._certified(_unlimited_slice, ch, [RATE_BOX_BITS, RATE_BOX_BITS, 1.0])
-            best_cfg = None if pt is None else vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])
-            budget = math.inf if is_unlimited(c12) else _rc_budget(self.src.rho, 0.0, c12)
-            if pt is not None and pt[1] > budget:
-                best_cfg = self._noconf(ch) or self._compass(ch)
+            best_cfg = self._finite(ch)
 
         if best_cfg is None:
             return False
@@ -444,7 +473,7 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
 
     def feasible(d1: float) -> bool:
         slice_fns = _unlimited_slice(src, ch, DistortionPair(d1, d2_target))
-        pt = _certify(*slice_fns, [rate_cap, rate_cap, 1.0])
+        pt, _ = _certify(*slice_fns, [rate_cap, rate_cap, 1.0])
         if pt is None:
             return False
         witness.update(r2=pt[0], rc=pt[1], beta=pt[2])

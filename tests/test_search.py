@@ -261,8 +261,10 @@ def test_trace_d1d2_vs_snr_row():
 # (p1, p2, n0) of the slice-bound checks
 SLICE_CHANNELS = ((1.0, 1.0, 1.0), (12.0, 3.0, 0.5), (0.01, 100.0, 2.0), (5.0, 5.0, 1.0 / 16.0),
                   (1e4, 1e4, 1.0))
+# the unlimited slice's box at a finite link has a taller shared-rate side
 SLICES = ((search._noconf_slice, 0.0, (8.0, 8.0)),
-          (search._unlimited_slice, UNLIMITED, (8.0, 8.0, 1.0)))
+          (search._unlimited_slice, UNLIMITED, (8.0, 8.0, 1.0)),
+          (search._unlimited_slice, UNLIMITED, (8.0, 40.0, 1.0)))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
@@ -379,9 +381,34 @@ def test_finite_link_lies_between_the_certified_slices():
                 assert answer <= unlimited * (1.0 + tol), (rho, n0, c12, unlimited, answer)
 
 
+def test_finite_link_reaches_past_the_unlimited_slice_box():
+    """A finite link's ``r1 + rc`` may exceed the unlimited slice's rate box:
+    at rho = 0.5, d1 = 1e-5 needs about 8.3 bits of it.  That box finding no
+    witness does not refute such a query."""
+    res = min_power_symmetric(SRC, Scheme.VQ, DistortionPair(1e-5, 0.2), c12=1.0, tol=1e-3)
+    w = res.witness
+    assert w["r1"] + w["rc"] > search.RATE_BOX_BITS and w["d1"] <= 1e-5, w
+
+
+def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
+    """An unlimited-slice None refutes a finite-``c12`` query only when it
+    is a proof; otherwise the compass decides, here between the finite
+    answer 10.31 and the no-conference one 12.96."""
+    certify = search._certify
+    for proof, feasible in ((True, False), (False, True)):
+        def stub(exact, bound, hi, lo=0.0):
+            return (None, proof) if len(hi) == 3 else certify(exact, bound, hi, lo)
+        monkeypatch.setattr(search, "_certify", stub)
+        query = search._VqFeasibility(SRC, DistortionPair(0.1, 0.2))
+        assert query(11.5, 11.5, 1.0, 1.0) is feasible
+        if feasible:  # neither slice's witness: both r1 and rc are positive
+            assert query.witness.r1 > 0.0 and query.witness.rc > 0.0, query.witness
+
+
 def test_certify_stops_when_the_best_slack_is_within_rounding():
     """A best slack one rounding step below the tolerance is neither reached
-    nor refuted: the search ends at its round or box cap without a witness."""
+    nor refuted: the search ends at its round or box cap without a witness
+    and says that its None proves nothing."""
     edge = np.nextafter(search.SLACK_TOL, -math.inf)
     centre = np.array([2.0 / 3.0, math.pi, 0.1])
     for power in (1, 2):  # a sharp and a smooth maximum
@@ -395,7 +422,7 @@ def test_certify_stops_when_the_best_slack_is_within_rounding():
         def counted(pts):
             batches.append(len(pts))
             return exact(pts)
-        assert search._certify(counted, bound, [8.0, 8.0, 1.0]) is None
+        assert search._certify(counted, bound, [8.0, 8.0, 1.0]) == (None, False)
         assert len(batches) <= search._MAX_ROUNDS and max(batches) <= search._MAX_BOXES
 
 

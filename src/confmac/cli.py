@@ -55,17 +55,21 @@ def parse_c12(raw):
     return UNLIMITED if math.isinf(value) else value
 
 
-def parse_grid(spec: str) -> list[float]:
+def parse_grid(spec: str, flag: str) -> list[float]:
     """``lo:hi:step`` (inclusive of lo; hi kept within a step/2 rounding guard)
-    or a comma-separated list.  A range of more than ``MAX_GRID_POINTS``
-    points is a :class:`DomainError`."""
+    or a comma-separated list, given to the CLI flag ``flag``.  A malformed
+    spec or a range of more than ``MAX_GRID_POINTS`` points is a
+    :class:`DomainError` naming ``flag``."""
     spec = spec.strip()
     if ":" in spec:
-        lo, hi, step = (float(tok) for tok in spec.split(":"))
+        try:
+            lo, hi, step = (float(tok) for tok in spec.split(":"))
+        except ValueError:
+            raise DomainError(flag, f"bad grid spec {spec!r}; want lo:hi:step") from None
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
-            raise DomainError("grid", f"bad grid spec {spec!r}")
+            raise DomainError(flag, f"bad grid spec {spec!r}")
         if (hi - lo) / step + 0.5 >= MAX_GRID_POINTS:  # the loop makes floor(that) + 1
-            raise DomainError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
+            raise DomainError(flag, f"{spec!r} has more than {MAX_GRID_POINTS} points")
         values = []
         k = 0
         while True:
@@ -75,7 +79,10 @@ def parse_grid(spec: str) -> list[float]:
             values.append(min(v, hi) if v > hi else v)
             k += 1
         return values
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise DomainError(flag, f"bad grid spec {spec!r}; want numbers") from None
 
 
 def _json_default(obj):
@@ -377,7 +384,7 @@ def cmd_trace(args) -> int:
     grid_flag = "snrs" if kind is CurveKind.D1D2_VS_SNR else "alphas"
     if cfg[grid_flag] is None:
         raise DomainError(grid_flag, "required flag missing")
-    rows = search.trace_curve(kind, params, parse_grid(str(cfg[grid_flag])))
+    rows = search.trace_curve(kind, params, parse_grid(str(cfg[grid_flag]), grid_flag))
     meta = {k: v for k, v in _config_echo(cfg).items() if v is not None}
     write_csv(str(cfg["out"]), rows, meta)
     bad = [row for row in rows if row.get("errors")]

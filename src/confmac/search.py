@@ -12,6 +12,15 @@ its witness answers when the shared rate fits the budget.  Otherwise the
 no-conference slice answers, and only when it finds no witness does a
 multistart compass search decide, whose "infeasible" is not proven.
 
+Within one solve, a certified query starts from the boxes of the round in
+which the lowest feasible query so far on the same box found its witness
+(same ``n0``, each power at or below it; or, for :func:`min_d1_unlimited`,
+``d1`` at or below it).  The slack and the box bounds rise with power and
+``d1``, so every box that query dropped holds no witness of the lower one:
+the warm start skips the rounds from the whole box and, while no round is
+cut to the box cap, returns the same witness or proof (see
+:func:`_certify`).  The boxes are kept per solve, never across solves.
+
 All schedules are fixed, so identical inputs give identical results,
 iteration counts included.
 """
@@ -82,10 +91,11 @@ def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     return np.where(k < 1.0, rc, c12 - 0.5 * math.log2(1e-300))
 
 
-def _certify(exact, bound, hi, lo=0.0) -> tuple[np.ndarray | None, bool]:
-    """``(point, proof)``: a point of the box ``[lo, hi]`` whose ``exact``
-    slack (at ``(m, d)`` points) reaches :data:`SLACK_TOL`, or None; ``proof``
-    tells whether a None shows that no point of the box does.
+def _certify(exact, bound, hi, lo=0.0,
+             start=None) -> tuple[np.ndarray | None, bool, tuple | None]:
+    """``(point, proof, frontier)``: a point of the box ``[lo, hi]`` whose
+    ``exact`` slack (at ``(m, d)`` points) reaches :data:`SLACK_TOL`, or
+    None; ``proof`` tells whether a None shows that no point of the box does.
 
     Each round returns the first box centre that reaches the tolerance,
     else drops the boxes whose ``bound(lo, up)`` is below it by more than
@@ -95,28 +105,56 @@ def _certify(exact, bound, hi, lo=0.0) -> tuple[np.ndarray | None, bool]:
     with the best centres were split.  A None at the round cap is no proof
     either.  Both happen on flat ridges of the slack, near rho = 1, and
     whenever the best slack lies within rounding of the tolerance.
+
+    ``frontier`` is the round that found the point, ``(lo, up, round)``,
+    unless an earlier round was cut to :data:`_MAX_BOXES` (then None).
+    ``start`` begins the search from such a frontier instead of the whole
+    box.  That is sound for a query whose ``exact`` and ``bound`` lie at or
+    below those of the query that found the frontier everywhere: a box that
+    query dropped is dropped here too, and the rounds before its frontier
+    saw no hit there, so none is seen here.  Its frontier is then an
+    order-preserving superset of this query's own at every round.  The
+    extra boxes lie in boxes this query's bound drops, so they hold no hit
+    and, their bounds being no higher, are dropped: the first hit and the
+    proof are those of a search from the whole box.  Only a round cut to
+    :data:`_MAX_BOXES`, where the extra boxes take room, can differ; its
+    None is no proof either way.
     """
     hi = np.asarray(hi, dtype=float)
     d = hi.size
     upper_half = np.array(list(itertools.product((False, True), repeat=d)))
-    lo, up = np.full((1, d), lo, dtype=float), hi[None, :]
+    lo, up, first = start or (np.full((1, d), lo, dtype=float), hi[None, :], 0)
     proof = True
-    for _ in range(_MAX_ROUNDS):
+    for rnd in range(first, _MAX_ROUNDS):
         mid = 0.5 * (lo + up)
         vals = exact(mid)
         hits = np.flatnonzero(vals >= SLACK_TOL)
         if hits.size:
-            return mid[hits[0]], True
+            return mid[hits[0]], True, (lo, up, rnd) if proof else None
         keep = np.flatnonzero(~(bound(lo, up) < SLACK_TOL - _BOUND_MARGIN))
         if not keep.size:
-            return None, proof
+            return None, proof, None
         if keep.size << d > _MAX_BOXES:
             proof = False
             keep = np.sort(keep[np.argsort(-vals[keep], kind="stable")[:_MAX_BOXES >> d]])
         lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
         lo, up = (np.where(upper_half, mid, lo).reshape(-1, d),
                   np.where(upper_half, up, mid).reshape(-1, d))
-    return None, False
+    return None, False, None
+
+
+def _certify_below(frontiers: dict, box, at: tuple, slice_fns, hi, lo=0.0):
+    """``(point, proof)`` of :func:`_certify` on ``slice_fns = (exact,
+    bound)`` over the box ``[lo, hi]``, started from ``frontiers[box]`` when
+    each value in ``at`` (parameters the slack and bound rise with) lies at
+    or below that of the stored query.  A feasible query that could start
+    there replaces it, so ``frontiers`` keeps the lowest feasible query."""
+    top, start = frontiers.get(box, ((math.inf,) * len(at), None))
+    below = all(a <= t for a, t in zip(at, top))
+    pt, proof, frontier = _certify(*slice_fns, hi, lo, start if below else None)
+    if frontier is not None and below:
+        frontiers[box] = at, frontier
+    return pt, proof
 
 
 def _noconf_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
@@ -188,6 +226,7 @@ class _VqFeasibility:
         self.warm5: np.ndarray | None = None
         self.witness: vqscheme.VqConfig | None = None
         self.certified: dict = {}
+        self.frontiers: dict = {}
 
     def _run(self, f, dim, warm):
         """Multistart compass search of ``f``, then a grid refine when the
@@ -215,10 +254,14 @@ class _VqFeasibility:
     def _certified(self, slice_fn, ch: ChannelSpec, hi, lo):
         """:func:`_certify` on ``slice_fn``'s slice at ``ch``'s powers over
         the box ``[lo, hi]``.  No slice reads ``c12``, so a conference search
-        certifies each box once."""
+        certifies each box once.  Both slices' slack and bound rise with each
+        power, so a query at or below the powers (same ``n0``) of the lowest
+        feasible one on its box starts from that one's frontier."""
         key = (slice_fn, ch.p1, ch.p2, ch.n0, tuple(lo), tuple(hi))
         if key not in self.certified:
-            self.certified[key] = _certify(*slice_fn(self.src, ch, self.target), hi, lo)
+            self.certified[key] = _certify_below(
+                self.frontiers, (slice_fn, ch.n0, tuple(lo), tuple(hi)), (ch.p1, ch.p2),
+                slice_fn(self.src, ch, self.target), hi, lo)
         return self.certified[key]
 
     def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
@@ -464,16 +507,20 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
 
     Bisection on ``log2 d1`` to a bracket 1e-7 wide, with the certified
     unlimited-slice predicate; the rate box grows with the coherent sum
-    capacity so high-SNR operating points stay reachable.
+    capacity so high-SNR operating points stay reachable.  The slice's
+    slack and bound rise with ``d1``, so a query at or below the lowest
+    feasible ``d1`` so far starts from that query's frontier.
     """
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
     rate_cap = 0.5 * math.log2(1.0 + (p1 + p2 + 2.0 * math.sqrt(p1 * p2)) / n0) + 1.0
     ch = ChannelSpec(p1, p2, n0, UNLIMITED)
     witness = {}
+    frontiers = {}
 
     def feasible(d1: float) -> bool:
-        slice_fns = _unlimited_slice(src, ch, DistortionPair(d1, d2_target))
-        pt, _ = _certify(*slice_fns, [rate_cap, rate_cap, 1.0])
+        pt, _ = _certify_below(frontiers, "d1", (d1,),
+                               _unlimited_slice(src, ch, DistortionPair(d1, d2_target)),
+                               [rate_cap, rate_cap, 1.0])
         if pt is None:
             return False
         witness.update(r2=pt[0], rc=pt[1], beta=pt[2])

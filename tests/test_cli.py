@@ -123,6 +123,10 @@ ADVERSARIAL_INPUTS = {
     "minpower-tol-not-a-number": (MINPOWER + ["--tol", "x"], None, 1),
     "trace-missing-alphas": (["trace", "--kind", "pmin-vs-alpha", "--rho", "0.5",
                               "--d2", "0.2"], None, 1),
+    "trace-alphas-not-a-number": (["trace", "--kind", "pmin-vs-alpha", "--rho", "0.5",
+                                   "--d2", "0.2", "--alphas", "x"], None, 1),
+    "trace-alphas-two-field-range": (["trace", "--kind", "pmin-vs-alpha", "--rho", "0.5",
+                                      "--d2", "0.2", "--alphas", "1:2"], None, 1),
     "validate-samples-not-an-integer": (["validate", "--samples", "1.5"], None, 1),
     "validate-seed-not-a-number": (["validate", "--seed", "x"], None, 1),
     "minpower-fullcoop-infinite-power": (["minpower", "--scheme", "fullcoop", "--rho", "0.5",
@@ -186,21 +190,24 @@ def test_asymptote_json():
 
 
 def test_parse_grid():
-    assert parse_grid("0.1:0.5:0.2") == pytest.approx([0.1, 0.3, 0.5])
-    assert parse_grid("0.1:1.0:0.1") == pytest.approx(
+    assert parse_grid("0.1:0.5:0.2", "alphas") == pytest.approx([0.1, 0.3, 0.5])
+    assert parse_grid("0.1:1.0:0.1", "alphas") == pytest.approx(
         [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-    assert parse_grid("1,2,5") == [1.0, 2.0, 5.0]
+    assert parse_grid("1,2,5", "alphas") == [1.0, 2.0, 5.0]
     with pytest.raises(Exception):
-        parse_grid("1:0:0.1")
+        parse_grid("1:0:0.1", "alphas")
+    for spec in ("x", "1:2", "1:2:3:4", "0.1,y"):  # each names the flag it came from
+        with pytest.raises(DomainError, match="^snrs: "):
+            parse_grid(spec, "snrs")
 
 
 def test_parse_grid_caps_the_point_count():
-    assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1", "alphas")) == MAX_GRID_POINTS
     with pytest.raises(DomainError):
-        parse_grid(f"0:{MAX_GRID_POINTS}:1")  # one point over the cap
+        parse_grid(f"0:{MAX_GRID_POINTS}:1", "alphas")  # one point over the cap
     for spec in ("0:inf:1", "0:1:nan"):
         with pytest.raises(DomainError):
-            parse_grid(spec)
+            parse_grid(spec, "alphas")
 
 
 def test_trace_csv_schema(tmp_path):

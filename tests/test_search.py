@@ -396,8 +396,8 @@ def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
     answer 10.31 and the no-conference one 12.96."""
     certify = search._certify
     for proof, feasible in ((True, False), (False, True)):
-        def stub(exact, bound, hi, lo=0.0):
-            return (None, proof) if len(hi) == 3 else certify(exact, bound, hi, lo)
+        def stub(exact, bound, hi, lo=0.0, start=None):
+            return (None, proof, None) if len(hi) == 3 else certify(exact, bound, hi, lo, start)
         monkeypatch.setattr(search, "_certify", stub)
         query = search._VqFeasibility(SRC, DistortionPair(0.1, 0.2))
         assert query(11.5, 11.5, 1.0, 1.0) is feasible
@@ -422,8 +422,65 @@ def test_certify_stops_when_the_best_slack_is_within_rounding():
         def counted(pts):
             batches.append(len(pts))
             return exact(pts)
-        assert search._certify(counted, bound, [8.0, 8.0, 1.0]) == (None, False)
+        assert search._certify(counted, bound, [8.0, 8.0, 1.0]) == (None, False, None)
         assert len(batches) <= search._MAX_ROUNDS and max(batches) <= search._MAX_BOXES
+
+
+def test_warm_certificate_matches_cold():
+    """A query started from the frontier of a feasible query above it, in
+    power on each slice or in ``d1`` on ``min_d1_unlimited``'s box, returns
+    the point and proof of a search from the whole box, on both sides of the
+    threshold.  A warm query that reaches the box cap still proves nothing."""
+    target = DistortionPair(0.1, 0.2)
+    for rho in (0.5, 0.97):
+        src = SourceSpec(1.0, rho)
+        cases = []  # (slice functions at x, threshold in x, box)
+        for make, c12, hi in SLICES[:2]:
+            pmin = min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=1e-6).objective
+            cases.append((lambda p, make=make, c12=c12: make(src, ChannelSpec(p, p, 1.0, c12),
+                                                             target), pmin, hi))
+        ch = ChannelSpec(100.0, 100.0, 1.0, UNLIMITED)
+        rate_cap = 0.5 * math.log2(1.0 + 400.0) + 1.0  # min_d1_unlimited's box at P/N = 100
+        d1min = min_d1_unlimited(src, ch, 0.2).objective
+        cases.append((lambda d1: search._unlimited_slice(src, ch, DistortionPair(d1, 0.2)),
+                      d1min, (rate_cap, rate_cap, 1.0)))
+        for at, threshold, hi in cases:
+            _, _, frontier = search._certify(*at(threshold * 1.01), hi)
+            assert frontier is not None, (rho, hi)
+            outcomes = set()
+            for factor in (1.005, 1.0 + 1e-6, 1.0 - 1e-6, 0.99, 0.5):
+                answers = []
+                for start in (None, frontier):
+                    pt, proof, _ = search._certify(*at(threshold * factor), hi, start=start)
+                    answers.append((None if pt is None else pt.tolist(), proof))
+                assert answers[0] == answers[1], (rho, hi, factor)
+                outcomes.add(answers[0][0] is None)
+            assert outcomes == {False, True}, (rho, hi)
+
+    edge = np.nextafter(search.SLACK_TOL, -math.inf)
+    centre = np.array([2.0 / 3.0, math.pi, 0.1])
+
+    def exact(pts, lift=0.0):
+        return edge + lift - np.abs(pts - centre).sum(axis=1)
+
+    def bound(lo, up, lift=0.0):
+        return exact(np.clip(centre, lo, up), lift)
+    _, _, frontier = search._certify(lambda pts: exact(pts, 1e-6),
+                                     lambda lo, up: bound(lo, up, 1e-6), [8.0, 8.0, 1.0])
+    batches = []
+
+    def counted(pts):
+        batches.append(len(pts))
+        return exact(pts)
+    assert frontier is not None
+    assert search._certify(counted, bound, [8.0, 8.0, 1.0], start=frontier) == (None, False, None)
+    assert max(batches) == search._MAX_BOXES
+
+    def ridge(pts):  # flat along two axes: the rounds reach the box cap before the witness
+        return search.SLACK_TOL + 1e-6 - np.abs(pts[:, 0] - centre[0])
+    pt, _, frontier = search._certify(ridge, lambda lo, up: ridge(np.clip(centre, lo, up)),
+                                      [8.0, 8.0, 1.0])
+    assert pt is not None and frontier is None
 
 
 # (d1, d2, c12, tol, objective, bracket, iterations, witness) of VQ solves at
@@ -468,3 +525,19 @@ def test_vq_solves_match_pinned_results():
         res = min_power_symmetric(SRC, Scheme.VQ, DistortionPair(d1, d2), c12=c12, tol=tol)
         assert (res.objective, res.bracket, res.iterations, res.witness) == (
             objective, bracket, iterations, witness), (d1, c12)
+
+
+# (P/N, objective, bracket) of min_d1_unlimited at rho = 0.5, d2 = 0.2, n0 = 1:
+# the d1d2-vs-snr trace's solves.  Exact optimisations must keep them bit for bit.
+PINNED_D1_SOLVES = (
+    (1e2, 0.009424814857280313, (0.009424814500812206, 0.009424814857280313)),
+    (1e4, 9.37548873189858e-05, (9.375488216540352e-05, 9.37548873189858e-05)),
+    (1e6, 9.375005148607797e-07, (9.375004810525492e-07, 9.375005148607797e-07)),
+    (1e8, 9.375000260027057e-09, (9.374999841528098e-09, 9.375000260027057e-09)),
+)
+
+
+def test_min_d1_solves_match_pinned_results():
+    for snr, objective, bracket in PINNED_D1_SOLVES:
+        res = min_d1_unlimited(SRC, ChannelSpec(snr, snr, 1.0), 0.2)
+        assert (res.objective, res.bracket) == (objective, bracket), snr

@@ -1,6 +1,14 @@
-"""Deterministic derivative-free maximization on the unit box.
+"""Deterministic searches on boxes.
 
-Lockstep multistart compass search: every start polls +/- step along each
+:func:`_certify` is a branch-and-bound: given a point slack and a bound of
+the slack over each sub-box, it returns a point that reaches
+:data:`SLACK_TOL` or, unless it gives up, proves that none exists.  It
+answers the quantizer scheme's two certified slices (``search``) and
+separation scheme 2 (``separation``); :func:`_certify_below` starts a query
+from the boxes of an earlier, higher query of the same solve.
+
+The lockstep multistart compass search serves the quantizer scheme at a
+finite conference capacity: every start polls +/- step along each
 coordinate, moves to its best improving poll or halves its step.  All starts
 share one vectorized objective call per round, ties resolve to the lowest
 poll index, and the whole schedule is deterministic, so repeated runs (and
@@ -9,9 +17,16 @@ any caller-side parallelism) give identical results.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable
 
 import numpy as np
+
+SLACK_TOL = -1e-9  # a slack at or above this counts as met: exact boundary points are feasible
+_MAX_ROUNDS = 52  # branch-and-bound rounds: a box side is then 1 ulp of the box's top
+_MAX_BOXES = 2**13  # boxes one branch-and-bound round may evaluate
+_BOUND_MARGIN = 32 * math.ulp(8.0)  # twice a box bound's worst rounding seen (rho = 1, 8-bit box)
 
 _STEP0 = 0.25          # compass: first poll step
 _STEP_MIN = 1e-5       # a start stops once its step is below this
@@ -20,6 +35,73 @@ _MAX_ITER = 400        # round cap
 _REFINE_WIDTH = 0.25   # refine: half-width of the first grid
 _REFINE_SHRINK = 0.65  # grid width factor per round
 _REFINE_ROUNDS = 24    # refine: grid cap
+
+
+def _certify(exact, bound, hi, lo=0.0,
+             start=None) -> tuple[np.ndarray | None, bool, tuple | None]:
+    """``(point, proof, frontier)``: a point of the box ``[lo, hi]`` whose
+    ``exact`` slack (at ``(m, d)`` points) reaches :data:`SLACK_TOL`, or
+    None; ``proof`` tells whether a None shows that no point of the box does.
+
+    Each round returns the first box centre that reaches the tolerance,
+    else drops the boxes whose ``bound(lo, up)`` is below it by more than
+    :data:`_BOUND_MARGIN` (NaN keeps a box) and halves the rest along every
+    axis.  A None is a proof once no box is left, unless a round kept more
+    boxes than the next may evaluate (:data:`_MAX_BOXES`): then only those
+    with the best centres were split.  A None at the round cap is no proof
+    either.  Both happen on flat ridges of the slack, near rho = 1, and
+    whenever the best slack lies within rounding of the tolerance.
+
+    ``frontier`` is the round that found the point, ``(lo, up, round)``,
+    unless an earlier round was cut to :data:`_MAX_BOXES` (then None).
+    ``start`` begins the search from such a frontier instead of the whole
+    box.  That is sound for a query whose ``exact`` and ``bound`` lie at or
+    below those of the query that found the frontier everywhere: a box that
+    query dropped is dropped here too, and the rounds before its frontier
+    saw no hit there, so none is seen here.  Its frontier is then an
+    order-preserving superset of this query's own at every round.  The
+    extra boxes lie in boxes this query's bound drops, so they hold no hit
+    and, their bounds being no higher, are dropped: the first hit and the
+    proof are those of a search from the whole box.  Only a round cut to
+    :data:`_MAX_BOXES`, where the extra boxes take room, can differ; its
+    None is no proof either way.
+    """
+    hi = np.asarray(hi, dtype=float)
+    d = hi.size
+    upper_half = np.array(list(itertools.product((False, True), repeat=d)))
+    lo, up, first = start or (np.full((1, d), lo, dtype=float), hi[None, :], 0)
+    proof = True
+    for rnd in range(first, _MAX_ROUNDS):
+        mid = 0.5 * (lo + up)
+        vals = exact(mid)
+        hits = np.flatnonzero(vals >= SLACK_TOL)
+        if hits.size:
+            return mid[hits[0]], True, (lo, up, rnd) if proof else None
+        keep = np.flatnonzero(~(bound(lo, up) < SLACK_TOL - _BOUND_MARGIN))
+        if not keep.size:
+            return None, proof, None
+        if keep.size << d > _MAX_BOXES:
+            proof = False
+            keep = np.sort(keep[np.argsort(-vals[keep], kind="stable")[:_MAX_BOXES >> d]])
+        lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
+        lo, up = (np.where(upper_half, mid, lo).reshape(-1, d),
+                  np.where(upper_half, up, mid).reshape(-1, d))
+    return None, False, None
+
+
+def _certify_below(frontiers: dict, box, at: tuple, slice_fns, hi, lo=0.0):
+    """``(point, proof)`` of :func:`_certify` on ``slice_fns = (exact,
+    bound)`` over the box ``[lo, hi]``, started from ``frontiers[box]`` when
+    each value in ``at`` (parameters the slack and bound rise with) lies at
+    or below that of the stored query.  A feasible query that could start
+    there replaces it, so ``frontiers`` keeps the lowest feasible query."""
+    top, start = frontiers.get(box, ((math.inf,) * len(at), None))
+    below = all(a <= t for a, t in zip(at, top))
+    pt, proof, frontier = _certify(*slice_fns, hi, lo, start if below else None)
+    if frontier is not None and below:
+        frontiers[box] = at, frontier
+    return pt, proof
+
 
 
 def compass_search_max(

@@ -3,14 +3,16 @@
 Minimal symmetric power and minimal conference capacity are found by outer
 bisection over a monotone feasibility predicate.  On the quantizer scheme's
 slices ``c12 = 0`` and ``c12 = inf`` that predicate is certified: a
-branch-and-bound (:func:`_certify`) returns a witness or proves that no
+branch-and-bound (:func:`_opt._certify`) returns a witness or proves that no
 point of the rate box (rates in [0, 8] bits, splits in [0, 1]) meets the
-target, unless it gives up (see :func:`_certify`).  A finite ``c12`` asks
-the unlimited slice first, on a box whose shared rate also covers ``r1 +
-rc`` of the finite scheme: its proven "infeasible" refutes the query, and
+target, unless it gives up (see :func:`_opt._certify`).  A finite ``c12``
+asks the unlimited slice first, on a box whose shared rate also covers ``r1
++ rc`` of the finite scheme: its proven "infeasible" refutes the query, and
 its witness answers when the shared rate fits the budget.  Otherwise the
 no-conference slice answers, and only when it finds no witness does a
 multistart compass search decide, whose "infeasible" is not proven.
+Separation scheme 2's predicate is certified by the same branch-and-bound
+(see :mod:`separation`).
 
 Within one solve, a certified query starts from the boxes of the round in
 which the lowest feasible query so far on the same box found its witness
@@ -19,16 +21,19 @@ which the lowest feasible query so far on the same box found its witness
 ``d1``, so every box that query dropped holds no witness of the lower one:
 the warm start skips the rounds from the whole box and, while no round is
 cut to the box cap, returns the same witness or proof (see
-:func:`_certify`).  The boxes are kept per solve, never across solves.
+:func:`_opt._certify`).  The boxes are kept per solve, never across solves:
+a solve owns the ``frontiers`` dict it passes to scheme 2's predicate.
 
-All schedules are fixed, so identical inputs give identical results,
-iteration counts included.
+A bisection's last feasible query is at the ``hi`` it returns, so each
+solve takes its witness from that query; a quantizer witness is
+re-validated there by the closed forms.  All schedules are fixed, so
+identical inputs give identical results, iteration counts included.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,14 +50,10 @@ from .model import (
 )
 from .rdlib import rd_joint
 from ._mc import halton_points
-from ._opt import compass_search_max, refine_grid_max
+from ._opt import SLACK_TOL, _certify_below, compass_search_max, refine_grid_max
 
-SLACK_TOL = -1e-9
 RATE_BOX_BITS = 8.0
 _STOP_AT = 1e-7  # early-exit slack for pure feasibility queries
-_MAX_ROUNDS = 52  # branch-and-bound rounds: a box side is then 1 ulp of the rate box's top
-_MAX_BOXES = 2**13  # boxes one branch-and-bound round may evaluate
-_BOUND_MARGIN = 32 * math.ulp(RATE_BOX_BITS)  # twice a box bound's worst rounding seen (rho = 1)
 
 
 class UnboundedError(RuntimeError):
@@ -91,74 +92,8 @@ def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     return np.where(k < 1.0, rc, c12 - 0.5 * math.log2(1e-300))
 
 
-def _certify(exact, bound, hi, lo=0.0,
-             start=None) -> tuple[np.ndarray | None, bool, tuple | None]:
-    """``(point, proof, frontier)``: a point of the box ``[lo, hi]`` whose
-    ``exact`` slack (at ``(m, d)`` points) reaches :data:`SLACK_TOL`, or
-    None; ``proof`` tells whether a None shows that no point of the box does.
-
-    Each round returns the first box centre that reaches the tolerance,
-    else drops the boxes whose ``bound(lo, up)`` is below it by more than
-    :data:`_BOUND_MARGIN` (NaN keeps a box) and halves the rest along every
-    axis.  A None is a proof once no box is left, unless a round kept more
-    boxes than the next may evaluate (:data:`_MAX_BOXES`): then only those
-    with the best centres were split.  A None at the round cap is no proof
-    either.  Both happen on flat ridges of the slack, near rho = 1, and
-    whenever the best slack lies within rounding of the tolerance.
-
-    ``frontier`` is the round that found the point, ``(lo, up, round)``,
-    unless an earlier round was cut to :data:`_MAX_BOXES` (then None).
-    ``start`` begins the search from such a frontier instead of the whole
-    box.  That is sound for a query whose ``exact`` and ``bound`` lie at or
-    below those of the query that found the frontier everywhere: a box that
-    query dropped is dropped here too, and the rounds before its frontier
-    saw no hit there, so none is seen here.  Its frontier is then an
-    order-preserving superset of this query's own at every round.  The
-    extra boxes lie in boxes this query's bound drops, so they hold no hit
-    and, their bounds being no higher, are dropped: the first hit and the
-    proof are those of a search from the whole box.  Only a round cut to
-    :data:`_MAX_BOXES`, where the extra boxes take room, can differ; its
-    None is no proof either way.
-    """
-    hi = np.asarray(hi, dtype=float)
-    d = hi.size
-    upper_half = np.array(list(itertools.product((False, True), repeat=d)))
-    lo, up, first = start or (np.full((1, d), lo, dtype=float), hi[None, :], 0)
-    proof = True
-    for rnd in range(first, _MAX_ROUNDS):
-        mid = 0.5 * (lo + up)
-        vals = exact(mid)
-        hits = np.flatnonzero(vals >= SLACK_TOL)
-        if hits.size:
-            return mid[hits[0]], True, (lo, up, rnd) if proof else None
-        keep = np.flatnonzero(~(bound(lo, up) < SLACK_TOL - _BOUND_MARGIN))
-        if not keep.size:
-            return None, proof, None
-        if keep.size << d > _MAX_BOXES:
-            proof = False
-            keep = np.sort(keep[np.argsort(-vals[keep], kind="stable")[:_MAX_BOXES >> d]])
-        lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
-        lo, up = (np.where(upper_half, mid, lo).reshape(-1, d),
-                  np.where(upper_half, up, mid).reshape(-1, d))
-    return None, False, None
-
-
-def _certify_below(frontiers: dict, box, at: tuple, slice_fns, hi, lo=0.0):
-    """``(point, proof)`` of :func:`_certify` on ``slice_fns = (exact,
-    bound)`` over the box ``[lo, hi]``, started from ``frontiers[box]`` when
-    each value in ``at`` (parameters the slack and bound rise with) lies at
-    or below that of the stored query.  A feasible query that could start
-    there replaces it, so ``frontiers`` keeps the lowest feasible query."""
-    top, start = frontiers.get(box, ((math.inf,) * len(at), None))
-    below = all(a <= t for a, t in zip(at, top))
-    pt, proof, frontier = _certify(*slice_fns, hi, lo, start if below else None)
-    if frontier is not None and below:
-        frontiers[box] = at, frontier
-    return pt, proof
-
-
 def _noconf_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(exact, bound)`` for :func:`_certify` on the no-conference slice,
+    """``(exact, bound)`` for :func:`_opt._certify` on the no-conference slice,
     points ``(r1, r2)`` in bits: the full scheme at ``rc = beta1 = beta2 = 0``.
 
     There ``brho = eta = 0``, the ``rc`` bound is 0, and every other bound
@@ -179,7 +114,7 @@ def _noconf_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
 
 
 def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(exact, bound)`` for :func:`_certify` on the unlimited-conference
+    """``(exact, bound)`` for :func:`_opt._certify` on the unlimited-conference
     slice, points ``(r2, rc, beta)`` with rates in bits.
 
     ``h = rho^2 f2 fc`` rises with ``r2`` and ``rc``, and so does each
@@ -252,7 +187,7 @@ class _VqFeasibility:
         return val, pt
 
     def _certified(self, slice_fn, ch: ChannelSpec, hi, lo):
-        """:func:`_certify` on ``slice_fn``'s slice at ``ch``'s powers over
+        """:func:`_opt._certify` on ``slice_fn``'s slice at ``ch``'s powers over
         the box ``[lo, hi]``.  No slice reads ``c12``, so a conference search
         certifies each box once.  Both slices' slack and bound rise with each
         power, so a query at or below the powers (same ``n0``) of the lowest
@@ -391,6 +326,18 @@ def _expand_and_bisect(predicate, start: float, ceiling: float, tol_rel: float,
     return _bisect(predicate, lo, hi, tol_rel, tol_abs, iterations)
 
 
+def _keeping_witness(report_at, found: dict):
+    """The feasibility of ``report_at(x)``'s report as a predicate, which
+    keeps the witness of the last feasible report in ``found["witness"]``.
+    A bisection's last feasible query is at its ``hi``."""
+    def predicate(x) -> bool:
+        report = report_at(x)
+        if report.feasible:
+            found["witness"] = report.witness
+        return report.feasible
+    return predicate
+
+
 def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
                         c12=UNLIMITED, n0: float = 1.0, tol: float = 1e-6,
                         p_ceiling: float | None = None) -> OptimizationResult:
@@ -422,23 +369,25 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
         def predicate(p: float) -> bool:
             return inner(p, p, n0, c12)
     else:
-        # read from the modules at each solve: a wrapper installed there sees every call
+        found = {}
+        # read from the modules at each solve: a wrapper installed there sees every call;
+        # sep2's certified queries start from the boxes of this solve's earlier ones
         report_fn = {Scheme.NECESSARY: bounds.necessary_condition,
                      Scheme.SEP1: separation.sep1_feasible,
-                     Scheme.SEP2: separation.sep2_feasible}.get(scheme)
+                     Scheme.SEP2: functools.partial(separation.sep2_feasible,
+                                                    frontiers={})}.get(scheme)
         if report_fn is None:
             raise DomainError("scheme", f"unsupported scheme {scheme}")
-
-        def predicate(p: float) -> bool:
-            return report_fn(src, ChannelSpec(p, p, n0, c12), target).feasible
+        predicate = _keeping_witness(
+            lambda p: report_fn(src, ChannelSpec(p, p, n0, c12), target), found)
 
     lo, hi, iterations, converged = _expand_and_bisect(predicate, n0, p_ceiling, tol)
 
-    ch = ChannelSpec(hi, hi, n0, c12)
     if scheme is Scheme.VQ:
         # the witness from the last feasible query certifies hi exactly
         cfg = inner.witness
-        ach = None if cfg is None else _vq_witness_ok(src, ch, cfg, target)
+        ach = None if cfg is None else _vq_witness_ok(src, ChannelSpec(hi, hi, n0, c12),
+                                                      cfg, target)
         if ach is None:
             raise AssertionError("bisection invariant violated: witness fails at hi")
         witness_out = {
@@ -447,10 +396,7 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
             "d1": ach.d1, "d2": ach.d2,
         }
     else:
-        report = report_fn(src, ch, target)  # stateless: evaluated once at hi
-        if not report.feasible:
-            raise AssertionError("bisection invariant violated: hi not feasible")
-        witness_out = dict(report.witness)
+        witness_out = dict(found["witness"])
     return OptimizationResult(hi, witness_out, iterations, converged, (lo, hi))
 
 
@@ -471,9 +417,9 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
         def predicate_at(c) -> bool:
             return inner(p1, p2, n0, c)
     elif scheme is Scheme.SEP1:
-        def predicate_at(c) -> bool:
-            return separation.sep1_feasible(
-                src, ChannelSpec(p1, p2, n0, c), target).feasible
+        found = {}
+        predicate_at = _keeping_witness(
+            lambda c: separation.sep1_feasible(src, ChannelSpec(p1, p2, n0, c), target), found)
     else:
         raise DomainError("scheme", f"conference search supports VQ and SEP1, got {scheme}")
 
@@ -485,19 +431,15 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
     lo, hi, iterations, converged = _expand_and_bisect(
         predicate_at, 1.0, 300.0, 0.0, tol_abs=tol)
 
-    ch = ChannelSpec(p1, p2, n0, hi)
     if scheme is Scheme.VQ:
         cfg = inner.witness
-        if cfg is None or _vq_witness_ok(src, ch, cfg, target) is None:
+        if cfg is None or _vq_witness_ok(src, ChannelSpec(p1, p2, n0, hi), cfg, target) is None:
             raise AssertionError("bisection invariant violated: witness fails at hi")
         req, _ = vqscheme.vq_conf_requirement(src, cfg)
         witness = {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
                    "beta1": cfg.beta1, "beta2": cfg.beta2, "required_c12": req}
     else:
-        report = separation.sep1_feasible(src, ch, target)  # stateless: evaluated once at hi
-        if not report.feasible:
-            raise AssertionError("bisection invariant violated: hi not feasible")
-        witness = dict(report.witness)
+        witness = dict(found["witness"])
     return OptimizationResult(hi, witness, iterations, converged, (lo, hi))
 
 

@@ -6,8 +6,31 @@ parametrically (sweep ``r1``, take the least admissible ``r2``), and a
 closed-form power-split existence test decides channel membership per point.
 
 Scheme 2: source coding with the conference link (Gaussian inner bound),
-then channel coding over the plain MAC.  The three auxiliary noise variances
-are optimized by a deterministic multistart compass search in log space.
+then channel coding over the plain MAC.  Its three auxiliaries enter through
+the inverse ratios ``iw``, ``iu``, ``iv`` (``sigma^2`` over each auxiliary's
+noise variance, 0 when absent) of :func:`rdlib._kaspi_arrays`.  With ``s =
+iw + iv`` the bounds read
+
+    Delta = 1 + iu + (1 + iu (1 - rho^2)) s,   rsum = (1/2) log2 Delta,
+    1/d1 = s + (1 + iu)/(1 + iu (1 - rho^2)),
+    1/d2 = 1 + iu + rho^2 s/(1 + (1 - rho^2) s),
+    r2 = (1/2) log2(1 + iu (1 + (1 - rho^2) s)/(1 + s)),
+    r1 = (1/2) log2(1 + iv (1 + (1 - rho^2) iu)/(1 + iw + iu (1 + (1 - rho^2) iw))),
+    c12 = (1/2) log2(1 + (1 - rho^2) iw),
+
+so moving mass from ``iv`` to ``iw`` at a fixed ``s`` changes neither
+distortion nor ``r2`` nor ``rsum``, lowers ``r1`` and raises only the
+conference rate.  Some best point therefore has ``iw = min(s, wmax)``,
+``wmax = (4^c12 - 1)/(1 - rho^2)`` (infinite at ``c12 = inf`` or ``rho =
+1``), and ``iv = s - iw``: the search runs over ``(s, iu)`` and the
+conference bound holds by construction.  There every term is monotone
+(``1 - rho^2 <= 1``): both distortions fall and ``rsum`` rises with ``s``
+and ``iu``, ``r1`` rises with ``s`` and falls with ``iu``, and ``r2`` falls
+with ``s`` and rises with ``iu``.  The certified branch-and-bound
+``_opt._certify`` searches box points ``z`` in ``[0, 1]^2``, mapped to
+``(s, iu)`` by ``10^(8 - 16 z)`` for ``z < 1`` and to 0 at ``z = 1``, so an
+absent auxiliary is reached exactly.  That caps ``s`` at 1e8 (three
+separate ratios would reach ``iw + iv = 2e8``).
 
 Feasibility is declared when the worst slack is >= -1e-9, so exact boundary
 points count as feasible.
@@ -30,12 +53,9 @@ from .model import (
     is_unlimited,
     log2_pos,
 )
-from ._mc import halton_points
-from ._opt import compass_search_max, refine_grid_max
-
-SLACK_TOL = -1e-9
-
-_SEP2_LOG_SPAN = 16.0  # log10 range of auxiliary variances around sigma^2
+from ._opt import SLACK_TOL, _certify_below
+# unused here: bench/tracer.py's BY_NAME requires these names in this module
+from ._opt import compass_search_max, refine_grid_max  # noqa: F401
 
 
 def _wagner_boundary(src: SourceSpec, target: DistortionPair, r1: np.ndarray):
@@ -120,54 +140,73 @@ def _sep1_report(src, ch, target, r1, r2, split) -> FeasibilityReport:
     return FeasibilityReport(min(slacks.values()) >= SLACK_TOL, slacks, witness)
 
 
-def _sep2_slack_batch(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                      pts: np.ndarray) -> np.ndarray:
-    """Worst slack of the scheme-2 pipeline at log-variance box points.
+def _sep2_ratios(rho: float, c12, z: np.ndarray):
+    """Inverse ratios ``(iw, iu, iv)`` at box points ``z``, whose last axis
+    holds the coordinates of ``(s, iu)``: the conference description takes
+    as much of ``s`` as ``c12`` allows and the refinement the rest."""
+    rc = 1.0 - rho**2
+    bits = 64.0 if is_unlimited(c12) else min(c12, 64.0)  # beyond 64 bits wmax tops the 1e8 cap
+    wmax = math.expm1(bits * math.log(4.0)) / rc if rc > 0.0 else math.inf
+    s, iu = np.moveaxis(np.where(z >= 1.0, 0.0, 10.0 ** (8.0 - 16.0 * z)), -1, 0)
+    iw = np.minimum(s, wmax)
+    return iw, iu, s - iw
 
-    The upper box edge compactifies an absent auxiliary: its inverse ratio is
-    exactly 0 there, so e.g. a zero conference budget is attainable exactly.
+
+def _sep2_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
+    """``(exact, bound)`` for ``_opt._certify`` on scheme 2's box ``[0, 1]^2``.
+
+    ``exact`` is the worst of six slacks: ``r1``, ``r2``, ``rsum`` and ``r1
+    + r2`` against the plain MAC's bounds, and both distortions.  A higher
+    ``z`` means a lower ``s`` or ``iu``, so a box's bound takes each slack at
+    its own corner (see the module docstring): ``r1`` at (``s`` lowest,
+    ``iu`` highest), ``r2`` at the opposite corner, ``rsum`` at ``up``, the
+    distortions at ``lo``, and ``r1 + r2`` as the sum of the ``r1`` and
+    ``r2`` corner values.
     """
-    logs = (pts * _SEP2_LOG_SPAN) - _SEP2_LOG_SPAN / 2.0
-    inv = np.where(pts >= 1.0, 0.0, 10.0 ** (-logs))  # sigma^2 / sigma_x^2
-    c12b, r1b, r2b, rsb, d1, d2 = rdlib._kaspi_arrays(src.rho, inv[:, 0], inv[:, 1], inv[:, 2])
     c1 = 0.5 * math.log2(1.0 + ch.p1 / ch.n0)
     c2 = 0.5 * math.log2(1.0 + ch.p2 / ch.n0)
     csum = 0.5 * math.log2(1.0 + (ch.p1 + ch.p2) / ch.n0)
-    slacks = [
-        0.5 * (math.log2(target.d1) - np.log2(d1)),
-        0.5 * (math.log2(target.d2) - np.log2(d2)),
-        c1 - r1b,
-        c2 - r2b,
-        csum - rsb,
-        csum - (r1b + r2b),
-    ]
-    if not is_unlimited(ch.c12):
-        slacks.append(ch.c12 - c12b)
-    return np.minimum.reduce(slacks)
+
+    def terms(z):  # r1b, r2b, rsb, d1, d2 at points z of any shape (..., 2)
+        return rdlib._kaspi_arrays(src.rho, *_sep2_ratios(src.rho, ch.c12, z))[1:]
+
+    def slack(r1b, r2b, rsb, d1, d2):
+        return np.minimum.reduce([c1 - r1b, c2 - r2b, csum - rsb, csum - (r1b + r2b),
+                                  0.5 * np.log2(target.d1 / d1), 0.5 * np.log2(target.d2 / d2)])
+
+    def exact(z):
+        return slack(*terms(z))
+
+    def bound(lo, up):
+        # corner k of each box: lo, (up, lo), (lo, up), up; r1b reads 1, r2b 2, rsb 3, d1, d2 0
+        z = np.where(np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=bool)[:, None], up, lo)
+        return slack(*(t[k] for k, t in zip((1, 2, 3, 0, 0), terms(z))))
+    return exact, bound
 
 
-def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> FeasibilityReport:
+def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
+                  frontiers: dict | None = None) -> FeasibilityReport:
     """Conferencing source coding followed by plain-MAC channel coding.
 
-    Searches the three auxiliary noise variances (log-scaled, 16 deterministic
-    starts); a point is feasible when the achieved distortions meet the
-    target, the conference bound fits ``c12``, and the rate lower bounds fit
-    inside the plain MAC region (individually, summed, and via the region's
-    own sum bound).
+    A point is feasible when the achieved distortions meet the target, the
+    conference bound fits ``c12``, and the rate lower bounds fit inside the
+    plain MAC region (individually, summed, and via the region's own sum
+    bound).  ``_opt._certify`` searches the square of ``(s, iu)`` set out in
+    the module docstring, so a witness's conference bound fits by
+    construction.  Its slack and bound rise with each power, so a query
+    at or below the powers (same ``n0`` and ``c12``) of the lowest feasible
+    one in ``frontiers``, which one solve owns, starts from that one's
+    boxes.  The witness's variances (``UNLIMITED`` where a ratio is 0), its
+    Kaspi point, rate split and plain-MAC report are evaluated afresh, so
+    the report re-validates the search's point.  A None that the search
+    could not prove is reported infeasible too.
     """
-    base = halton_points(16, 3)
-    no_conf = base.copy()
-    no_conf[:, 0] = 1.0  # conference description absent (tight budgets)
-    starts = np.vstack([base, no_conf, np.ones((1, 3))])
-    f = lambda p: _sep2_slack_batch(src, ch, target, p)
-    value, point, _ = compass_search_max(f, starts, stop_at=1e-6)
-    if value < 1e-6:
-        rval, rpt = refine_grid_max(f, point, stop_at=1e-6)
-        if rval > value:
-            value, point = rval, rpt
-    logs = (point * _SEP2_LOG_SPAN) - _SEP2_LOG_SPAN / 2.0
-    sw2, su2, sv2 = (UNLIMITED if z >= 1.0 else src.sigma2 * 10.0**v
-                     for z, v in zip(point, logs))
+    pt, _ = _certify_below({} if frontiers is None else frontiers, (ch.n0, ch.c12),
+                           (ch.p1, ch.p2), _sep2_slice(src, ch, target), [1.0, 1.0])
+    with np.errstate(divide="ignore", over="ignore"):  # a ratio of 0: an absent auxiliary
+        variances = src.sigma2 / np.array(_sep2_ratios(src.rho, ch.c12,
+                                                       np.ones(2) if pt is None else pt))
+    sw2, su2, sv2 = (UNLIMITED if math.isinf(v) else float(v) for v in variances)
     kp = rdlib.kaspi_region_point(src, rdlib.KaspiParams(sw2, su2, sv2))
 
     # witness rate point: distribute the binding sum across the two bounds
@@ -184,5 +223,5 @@ def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> F
     }
     slacks.update({f"mac:{k}": v for k, v in mac.slacks.items()})
     witness = {"sw2": sw2, "su2": su2, "sv2": sv2, "r1": rp.r1, "r2": rp.r2}
-    feasible = value >= SLACK_TOL and min(slacks.values()) >= SLACK_TOL
+    feasible = pt is not None and min(slacks.values()) >= SLACK_TOL
     return FeasibilityReport(feasible, slacks, witness)

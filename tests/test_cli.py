@@ -263,6 +263,24 @@ def test_validate_quick_run_and_determinism():
     assert again == out
 
 
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    """The traced benchmark's tracer reaches every by-name import it lists
+    (``tracer.BY_NAME``; it raises at install when one is missing) and
+    restores the package's functions on uninstall."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import tracer
+
+    originals = {name: getattr(search, name)
+                 for name in ("compass_search_max", "min_power_symmetric")}
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        assert "confmac.separation.sep2_feasible" in traced.patched_names()
+    finally:
+        traced.uninstall()
+    assert all(getattr(search, name) is fn for name, fn in originals.items())
+
+
 def test_validate_identical_across_worker_counts(monkeypatch):
     outputs = []
     for workers in ("1", "2"):

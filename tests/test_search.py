@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, DomainError, SourceSpec
-from confmac import search, vqscheme
+from confmac import _opt, search, vqscheme
 from confmac.search import (
     CurveKind,
     Scheme,
@@ -281,7 +281,7 @@ def test_slice_bounds_hold_over_their_boxes(rho):
             m, d = 2000, hi.size
             lo = rng.uniform(0.0, 1.0, (m, d)) * hi
             up = np.minimum(lo + hi * 2.0 ** rng.uniform(-30.0, 0.0, (m, d)), hi)
-            ceiling = bound(lo, up) + search._BOUND_MARGIN
+            ceiling = bound(lo, up) + _opt._BOUND_MARGIN
             for k in range(8):
                 u = rng.uniform(0.0, 1.0, (m, d))
                 if k < 2:
@@ -358,7 +358,7 @@ def test_certified_slice_minimum_against_grid_oracle(rho, alpha, c12):
     reference = _unlimited_reference if c12 is UNLIMITED else _noconf_reference
     for p, feasible in ((lo * (1.0 - 1e-6), False), (hi * (1.0 + 1e-4), True)):
         best = _grid_zoom_max(reference(src, ChannelSpec(p, p, 1.0, c12), target), (8.0, 8.0))
-        assert (best >= search.SLACK_TOL) == feasible, (p, best)
+        assert (best >= _opt.SLACK_TOL) == feasible, (p, best)
 
 
 def test_finite_link_lies_between_the_certified_slices():
@@ -394,11 +394,11 @@ def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
     """An unlimited-slice None refutes a finite-``c12`` query only when it
     is a proof; otherwise the compass decides, here between the finite
     answer 10.31 and the no-conference one 12.96."""
-    certify = search._certify
+    certify = _opt._certify
     for proof, feasible in ((True, False), (False, True)):
         def stub(exact, bound, hi, lo=0.0, start=None):
             return (None, proof, None) if len(hi) == 3 else certify(exact, bound, hi, lo, start)
-        monkeypatch.setattr(search, "_certify", stub)
+        monkeypatch.setattr(_opt, "_certify", stub)
         query = search._VqFeasibility(SRC, DistortionPair(0.1, 0.2))
         assert query(11.5, 11.5, 1.0, 1.0) is feasible
         if feasible:  # neither slice's witness: both r1 and rc are positive
@@ -409,7 +409,7 @@ def test_certify_stops_when_the_best_slack_is_within_rounding():
     """A best slack one rounding step below the tolerance is neither reached
     nor refuted: the search ends at its round or box cap without a witness
     and says that its None proves nothing."""
-    edge = np.nextafter(search.SLACK_TOL, -math.inf)
+    edge = np.nextafter(_opt.SLACK_TOL, -math.inf)
     centre = np.array([2.0 / 3.0, math.pi, 0.1])
     for power in (1, 2):  # a sharp and a smooth maximum
         def exact(pts):
@@ -422,8 +422,8 @@ def test_certify_stops_when_the_best_slack_is_within_rounding():
         def counted(pts):
             batches.append(len(pts))
             return exact(pts)
-        assert search._certify(counted, bound, [8.0, 8.0, 1.0]) == (None, False, None)
-        assert len(batches) <= search._MAX_ROUNDS and max(batches) <= search._MAX_BOXES
+        assert _opt._certify(counted, bound, [8.0, 8.0, 1.0]) == (None, False, None)
+        assert len(batches) <= _opt._MAX_ROUNDS and max(batches) <= _opt._MAX_BOXES
 
 
 def test_warm_certificate_matches_cold():
@@ -445,19 +445,19 @@ def test_warm_certificate_matches_cold():
         cases.append((lambda d1: search._unlimited_slice(src, ch, DistortionPair(d1, 0.2)),
                       d1min, (rate_cap, rate_cap, 1.0)))
         for at, threshold, hi in cases:
-            _, _, frontier = search._certify(*at(threshold * 1.01), hi)
+            _, _, frontier = _opt._certify(*at(threshold * 1.01), hi)
             assert frontier is not None, (rho, hi)
             outcomes = set()
             for factor in (1.005, 1.0 + 1e-6, 1.0 - 1e-6, 0.99, 0.5):
                 answers = []
                 for start in (None, frontier):
-                    pt, proof, _ = search._certify(*at(threshold * factor), hi, start=start)
+                    pt, proof, _ = _opt._certify(*at(threshold * factor), hi, start=start)
                     answers.append((None if pt is None else pt.tolist(), proof))
                 assert answers[0] == answers[1], (rho, hi, factor)
                 outcomes.add(answers[0][0] is None)
             assert outcomes == {False, True}, (rho, hi)
 
-    edge = np.nextafter(search.SLACK_TOL, -math.inf)
+    edge = np.nextafter(_opt.SLACK_TOL, -math.inf)
     centre = np.array([2.0 / 3.0, math.pi, 0.1])
 
     def exact(pts, lift=0.0):
@@ -465,21 +465,21 @@ def test_warm_certificate_matches_cold():
 
     def bound(lo, up, lift=0.0):
         return exact(np.clip(centre, lo, up), lift)
-    _, _, frontier = search._certify(lambda pts: exact(pts, 1e-6),
-                                     lambda lo, up: bound(lo, up, 1e-6), [8.0, 8.0, 1.0])
+    _, _, frontier = _opt._certify(lambda pts: exact(pts, 1e-6),
+                                   lambda lo, up: bound(lo, up, 1e-6), [8.0, 8.0, 1.0])
     batches = []
 
     def counted(pts):
         batches.append(len(pts))
         return exact(pts)
     assert frontier is not None
-    assert search._certify(counted, bound, [8.0, 8.0, 1.0], start=frontier) == (None, False, None)
-    assert max(batches) == search._MAX_BOXES
+    assert _opt._certify(counted, bound, [8.0, 8.0, 1.0], start=frontier) == (None, False, None)
+    assert max(batches) == _opt._MAX_BOXES
 
     def ridge(pts):  # flat along two axes: the rounds reach the box cap before the witness
-        return search.SLACK_TOL + 1e-6 - np.abs(pts[:, 0] - centre[0])
-    pt, _, frontier = search._certify(ridge, lambda lo, up: ridge(np.clip(centre, lo, up)),
-                                      [8.0, 8.0, 1.0])
+        return _opt.SLACK_TOL + 1e-6 - np.abs(pts[:, 0] - centre[0])
+    pt, _, frontier = _opt._certify(ridge, lambda lo, up: ridge(np.clip(centre, lo, up)),
+                                    [8.0, 8.0, 1.0])
     assert pt is not None and frontier is None
 
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, RatePoint, SourceSpec
-from confmac import capacity, rdlib, separation
+from confmac.model import (UNLIMITED, ChannelSpec, DistortionPair, RatePoint, SourceSpec,
+                           is_unlimited)
+from confmac import _opt, capacity, rdlib, separation
+from confmac.search import Scheme, min_power_symmetric
 from confmac.separation import sep1_feasible, sep2_feasible
 
 
@@ -155,3 +157,142 @@ def test_sep2_monotone_in_distortion():
     tight = sep2_feasible(src, ch, DistortionPair(0.15, 0.15)).feasible
     loose = sep2_feasible(src, ch, DistortionPair(0.3, 0.3)).feasible
     assert loose >= tight
+
+
+SEP2_LINKS = (0.0, 0.5, 2.0, UNLIMITED)
+
+
+def _sep2_reference(src, ch, target, iw, iu, iv):
+    """Scheme 2's worst slack at inverse ratios ``(iw, iu, iv)`` over all
+    three auxiliaries, the conference bound included."""
+    c12b, r1b, r2b, rsb, d1, d2 = rdlib._kaspi_arrays(src.rho, iw, iu, iv)
+    c1, c2, csum = (0.5 * math.log2(1.0 + p / ch.n0) for p in (ch.p1, ch.p2, ch.p1 + ch.p2))
+    slacks = [0.5 * np.log2(target.d1 / d1), 0.5 * np.log2(target.d2 / d2),
+              c1 - r1b, c2 - r2b, csum - rsb, csum - (r1b + r2b)]
+    if not is_unlimited(ch.c12):
+        slacks.append(ch.c12 - c12b)
+    return np.min(np.broadcast_arrays(*slacks), axis=0)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99, 1.0])
+def test_sep2_bound_holds_over_its_boxes(rho):
+    """No point of a random sub-box of ``[0, 1]^2``, corners included, has a
+    slack above the box's bound by more than the rounding margin."""
+    rng = np.random.default_rng(int(100 * rho))
+    src = SourceSpec(1.0, rho)
+    for p1, p2, n0 in ((1.0, 1.0, 1.0), (12.0, 3.0, 0.5), (0.01, 100.0, 2.0), (1e4, 1e4, 1.0)):
+        for c12 in SEP2_LINKS:
+            target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
+            exact, bound = separation._sep2_slice(src, ChannelSpec(p1, p2, n0, c12), target)
+            m = 400
+            lo = rng.uniform(0.0, 1.0, (m, 2))
+            up = np.minimum(lo + 2.0 ** rng.uniform(-30.0, 0.0, (m, 2)), 1.0)
+            ceiling = bound(lo, up) + _opt._BOUND_MARGIN
+            for k in range(8):
+                u = rng.uniform(0.0, 1.0, (m, 2))
+                if k < 2:
+                    u = np.round(u)
+                assert np.all(exact(lo + u * (up - lo)) <= ceiling), (rho, p1, p2, n0, c12)
+
+
+def test_sep2_reduction_is_never_worse():
+    """At random ratios ``(iw, iu, iv)`` whose conference bound fits the
+    link, the searched point ``(s = iw + iv, iu)`` has no lower slack."""
+    rng = np.random.default_rng(3)
+    for rho in (0.0, 0.5, 0.99, 1.0):
+        src = SourceSpec(1.0, rho)
+        for c12 in SEP2_LINKS:
+            ch = ChannelSpec(*rng.uniform(0.5, 50.0, 2), 1.0, c12)
+            target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
+            iw, iu, iv = np.where(rng.uniform(size=(3, 4000)) < 0.2, 0.0,
+                                  10.0 ** rng.uniform(-8.0, 7.5, (3, 4000)))
+            fits = is_unlimited(c12) or 0.5 * np.log2(1.0 + (1.0 - rho**2) * iw) <= c12
+            fits = np.broadcast_to(fits, iw.shape)
+            assert fits.sum() >= 800, (rho, c12)
+            s = iw + iv
+            with np.errstate(divide="ignore"):
+                z = np.stack([np.where(r > 0.0, (8.0 - np.log10(r)) / 16.0, 1.0) for r in (s, iu)],
+                             axis=1)
+            exact, _ = separation._sep2_slice(src, ch, target)
+            old = _sep2_reference(src, ch, target, iw, iu, iv)
+            assert np.all(exact(z[fits]) >= old[fits] - 1e-12), (rho, c12)
+
+
+def test_sep2_minimum_against_grid_oracle():
+    """A 2001^2 grid over ``(s, iu)`` at ``c12 = inf`` finds a feasible
+    point at P = 9.10, below the multistart search's former answer 9.1617,
+    and none just below the certified minimum."""
+    src, target = SourceSpec(1.0, 0.5), DistortionPair(0.2, 0.2)
+    res = min_power_symmetric(src, Scheme.SEP2, target, tol=1e-9)
+    ratios = 10.0 ** (8.0 - 16.0 * np.linspace(0.0, 1.0, 2001))
+    ratios[-1] = 0.0
+
+    def best(p):
+        ch = ChannelSpec(p, p, 1.0, UNLIMITED)
+        return max(float(_sep2_reference(src, ch, target, ratios[i:i + 200, None],
+                                         ratios[None, :], 0.0).max())
+                   for i in range(0, ratios.size, 200))
+    assert res.objective < 9.10
+    assert best(9.10) >= _opt.SLACK_TOL
+    assert best(res.bracket[0] * (1.0 - 1e-6)) < _opt.SLACK_TOL
+
+
+@pytest.mark.parametrize("alpha", [0.2, 1.0])
+def test_sep2_warm_queries_match_cold(alpha, monkeypatch):
+    """Every query of a Fig. 3 sep2 solve returns the same point and proof
+    from the boxes of the last feasible query as from the whole box."""
+    certify, warm = _opt._certify, []
+
+    def both(exact, bound, hi, lo=0.0, start=None):
+        answers = [certify(exact, bound, hi, lo, begin) for begin in (None, start)]
+        (pt0, proof0, _), (pt1, proof1, _) = answers
+        assert (None if pt0 is None else pt0.tolist(), proof0) == \
+            (None if pt1 is None else pt1.tolist(), proof1)
+        warm.append(start is not None)
+        return answers[1]
+    monkeypatch.setattr(_opt, "_certify", both)
+    min_power_symmetric(SourceSpec(1.0, 0.5), Scheme.SEP2, DistortionPair(alpha * 0.2, 0.2),
+                        tol=1e-9)
+    assert sum(warm) >= len(warm) // 2, warm
+
+
+@pytest.mark.parametrize("c12", [0.0, 0.5, UNLIMITED])
+def test_sep2_matches_closed_form_at_zero_rho(c12):
+    """Independent components need ``P/N = max((1/(d1 d2) - 1)/2, 1/(d1
+    4^c12) - 1, 1/d2 - 1)``.  At ``rho = 0`` the conference description
+    carries ``c12`` of the first component's ``(1/2)log2(1/d1)`` bits and
+    either encoder may send it, so only the rest binds the first user.  The
+    sum, first and second rate bounds bind in turn at ``c12 = 0``."""
+    tol = 1e-7
+    link = math.inf if is_unlimited(c12) else c12
+    for d1, d2 in ((0.1, 0.2), (0.3, 0.9), (0.9, 0.05)):
+        closed = max((1.0 / (d1 * d2) - 1.0) / 2.0, 1.0 / (d1 * 4.0**link) - 1.0, 1.0 / d2 - 1.0)
+        p = min_power_symmetric(SourceSpec(1.0, 0.0), Scheme.SEP2, DistortionPair(d1, d2),
+                                c12=c12, tol=tol).objective
+        assert p == pytest.approx(closed, rel=tol), (d1, d2, c12)
+
+
+# certified sep2 minima at d2 = 0.2, n0 = 1, tol 1e-9, keyed (rho, alpha): the
+# same at c12 = inf and 0.5.  Each lies below the multistart search's former answer.
+PINNED_SEP2 = {
+    (0.3, 0.2): 56.42440739274025, (0.3, 0.5): 22.299343436956406,
+    (0.3, 1.0): 10.924237377941608, (0.5, 0.2): 46.5410780608654,
+    (0.5, 0.5): 18.415210887789726, (0.5, 1.0): 9.038804553449154,
+    (0.8, 0.2): 22.85629992187023, (0.8, 0.5): 9.315072871744633,
+    (0.8, 1.0): 4.760398626327515,
+}
+
+
+@pytest.mark.parametrize("c12", [UNLIMITED, 0.5])
+def test_sep2_pinned_minima(c12):
+    for (rho, alpha), pinned in PINNED_SEP2.items():
+        p = min_power_symmetric(SourceSpec(1.0, rho), Scheme.SEP2,
+                                DistortionPair(alpha * 0.2, 0.2), c12=c12, tol=1e-9).objective
+        assert p == pytest.approx(pinned, rel=1e-7), (rho, alpha, c12)
+
+
+def test_sep2_minimum_does_not_rise_with_the_link():
+    for rho, target in ((0.3, DistortionPair(0.04, 0.2)), (0.99, DistortionPair(0.1, 0.2))):
+        answers = [min_power_symmetric(SourceSpec(1.0, rho), Scheme.SEP2, target, c12=c12,
+                                       tol=1e-6).objective for c12 in SEP2_LINKS]
+        assert all(b <= a for a, b in zip(answers, answers[1:])), (rho, answers)

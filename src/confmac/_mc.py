@@ -3,8 +3,13 @@
 Sampling is built on the Philox counter-based bit generator, keyed by
 ``(seed, stream_index)``.  Each chunk of work owns one stream, so any mix of
 serial and parallel execution produces bit-identical 64-bit integer streams;
-results are always combined in chunk-index order.  Moment accumulation uses
-the parallel Welford combine, which is exact in a fixed order.
+results are always combined in chunk-index order.
+
+A chunk returns its samples as a ``(k, n)`` array: one contiguous row of
+``n`` samples per estimated quantity.  Each row is reduced on its own with
+numpy's pairwise summation, whose rounding error grows with ``log n`` rather
+than ``n``, and chunks are merged with the parallel Welford combine, which is
+exact in a fixed order.
 """
 
 from __future__ import annotations
@@ -12,9 +17,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .model import DomainError
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -57,11 +65,12 @@ class MomentAccumulator:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "MomentAccumulator":
+        """Moments of a ``(k, n)`` block: row ``i`` holds ``n`` samples of
+        coordinate ``i``, summed pairwise along the row."""
         values = np.asarray(values, dtype=np.float64)
-        n = values.shape[0]
-        mean = values.mean(axis=0)
-        m2 = ((values - mean) ** 2).sum(axis=0)
-        return cls(n, mean, m2)
+        mean = values.mean(axis=1)
+        m2 = ((values - mean[:, None]) ** 2).sum(axis=1)
+        return cls(values.shape[1], mean, m2)
 
     def combine(self, other: "MomentAccumulator") -> "MomentAccumulator":
         n = self.count + other.count
@@ -85,12 +94,16 @@ def accumulate_chunks(
     total: int,
     chunk: int = DEFAULT_CHUNK,
 ) -> MomentAccumulator:
-    """Run ``fn(rng, n) -> (n, k) samples`` over chunks, reduce in chunk order.
+    """Run ``fn(rng, n) -> (k, n) samples`` over chunks, reduce in chunk order.
 
-    Chunks may be evaluated concurrently (GMAC_THREADS workers), but the
-    Welford combination always proceeds in chunk-index order, so the result
-    is independent of the degree of parallelism.
+    Each chunk's ``k`` rows are reduced along their contiguous length by
+    :meth:`MomentAccumulator.from_values`.  Chunks may be evaluated
+    concurrently (GMAC_THREADS workers), but the Welford combination always
+    proceeds in chunk-index order, so the result is independent of the
+    degree of parallelism.  ``total`` must be at least 1.
     """
+    if total < 1:
+        raise DomainError("total", f"must be >= 1, got {total}")
     sizes = chunk_sizes(total, chunk)
 
     def run(idx_size):
@@ -104,10 +117,7 @@ def accumulate_chunks(
     else:
         parts = [run(item) for item in enumerate(sizes)]
 
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = acc.combine(part)
-    return acc
+    return reduce(MomentAccumulator.combine, parts)
 
 
 def halton(index: int, base: int) -> float:

@@ -106,8 +106,6 @@ def maxcorr_linear_maps(src: SourceSpec, beta: float, sample_count: int,
     """
     if not 0.0 <= beta <= 1.0:
         raise DomainError("beta", f"must lie in [0, 1], got {beta}")
-    if sample_count < 1:
-        raise DomainError("sample_count", f"must be >= 1, got {sample_count}")
     rho = src.rho
     sigma = math.sqrt(src.sigma2)
     bb = 1.0 - beta
@@ -119,7 +117,7 @@ def maxcorr_linear_maps(src: SourceSpec, beta: float, sample_count: int,
         s2 = sigma * (rho * z[:, 0] + math.sqrt(1.0 - rho**2) * z[:, 1])
         phi1 = s1 / sigma
         phi2 = (math.sqrt(bb) * s2 + gain * s1) / sigma
-        return np.column_stack([phi1, phi2, phi1**2, phi2**2, phi1 * phi2])
+        return np.stack([phi1, phi2, phi1**2, phi2**2, phi1 * phi2])
 
     acc = accumulate_chunks(chunk, seed, sample_count)
     m1, m2, m11, m22, m12 = (float(v) for v in acc.mean)

@@ -205,14 +205,17 @@ def _float_or(cfg: dict, name: str, default: float) -> float:
     return default if cfg.get(name) is None else _floats(cfg, name)[0]
 
 
-def _integers(cfg: dict, *names) -> list[int]:
-    """Whole-number flags, ``1e6`` included; digits are read exactly."""
+def _integers(cfg: dict, **least) -> list[int]:
+    """Whole-number flags, ``1e6`` included, each at least its ``least``
+    value; digits are read exactly."""
     out = []
-    for name, value in zip(names, _floats(cfg, *names)):
+    for (name, low), value in zip(least.items(), _floats(cfg, *least)):
         if not value.is_integer():
             raise DomainError(name, f"must be an integer, got {cfg[name]}")
         raw = str(cfg[name]).strip()
         out.append(int(raw) if raw.isdigit() else int(value))  # digits stay exact past 2^53
+        if out[-1] < low:
+            raise DomainError(name, f"must be >= {low}, got {out[-1]}")
     return out
 
 
@@ -393,7 +396,7 @@ def cmd_trace(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = resolve(args)
-    seed, samples = _integers(cfg, "seed", "samples")
+    seed, samples = _integers(cfg, seed=0, samples=1000)
     checks = list(validation.run(seed, samples))
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

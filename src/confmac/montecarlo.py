@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .model import DomainError, SourceSpec
-from .vqscheme import VqConfig
+from .vqscheme import VqConfig, _distortion_terms
 from ._mc import MomentAccumulator, accumulate_chunks
 
 
@@ -85,9 +85,7 @@ def mmse_gamma(src: SourceSpec, cfg: VqConfig) -> GammaCoeffs:
         g21 = g23 = rho b / den                  g22 = (1 - rho^2 (1-a)) / den
     """
     rho = src.rho
-    a = 2.0 ** (-2.0 * (cfg.r1 + cfg.rc))
-    b = 2.0 ** (-2.0 * cfg.r2)
-    den = 1.0 - rho**2 * (1.0 - b) * (1.0 - a)
+    a, b, den = _distortion_terms(rho, cfg.r1, cfg.r2, cfg.rc)
     g11 = (1.0 - rho**2 * (1.0 - b)) / den
     g12 = rho * a / den
     g21 = rho * b / den
@@ -120,8 +118,9 @@ def mmse_gamma_oracle(model: SurrogateModel) -> GammaCoeffs:
     )
 
 
-def _sample_tuple(rng: np.random.Generator, n: int, model: SurrogateModel) -> np.ndarray:
-    """Draw n rows of (s1, s2, u1, v, u2) via the structural recipe."""
+def _sample_tuple(rng: np.random.Generator, n: int, model: SurrogateModel) -> tuple:
+    """Draw n samples of (s1, s2, u1, v, u2) via the structural recipe, as five
+    contiguous arrays."""
     s, rho = model.sigma2, model.rho
     nu1, nu2, nu3 = model.nu1, model.nu2, model.nu3
     z = rng.standard_normal((n, 5))
@@ -131,7 +130,7 @@ def _sample_tuple(rng: np.random.Generator, n: int, model: SurrogateModel) -> np
     zq1 = s1 - u1
     v = nu3 * zq1 + math.sqrt(s * (1.0 - nu1) * nu3 * (1.0 - nu3)) * z[:, 3]
     u2 = nu2 * s2 + math.sqrt(s * nu2 * (1.0 - nu2)) * z[:, 4]
-    return np.column_stack([s1, s2, u1, v, u2])
+    return s1, s2, u1, v, u2
 
 
 @dataclass(frozen=True)
@@ -158,11 +157,10 @@ def genie_distortion_mc(src: SourceSpec, cfg: VqConfig, sample_count: int,
     g = mmse_gamma(src, cfg)
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
-        t = _sample_tuple(rng, n, model)
-        s1, s2, u1, v, u2 = t.T
+        s1, s2, u1, v, u2 = _sample_tuple(rng, n, model)
         e1 = (s1 - (g.g11 * u1 + g.g12 * u2 + g.g13 * v)) ** 2
         e2 = (s2 - (g.g21 * u1 + g.g22 * u2 + g.g23 * v)) ** 2
-        return np.column_stack([e1, e2]) / src.sigma2
+        return np.stack([e1, e2]) / src.sigma2
 
     acc = accumulate_chunks(chunk, seed, sample_count)
     se = acc.se_of_mean
@@ -192,16 +190,17 @@ def surrogate_angle_moments(src: SourceSpec, cfg: VqConfig, dim: int,
     vectors and records cos(angle) for (U1, U2), (V, U2) and (V, U1); their
     means converge to the scheme's scaled correlations.
     """
+    if dim < 1:
+        raise DomainError("dim", f"must be >= 1, got {dim}")
     model = build_surrogate(src, cfg)
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
-        t = _sample_tuple(rng, n * dim, model).reshape(n, dim, 5)
-        u1, v, u2 = t[:, :, 2], t[:, :, 3], t[:, :, 4]
+        _, _, u1, v, u2 = (x.reshape(n, dim) for x in _sample_tuple(rng, n * dim, model))
         def cos(a, b):
             denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
             denom = np.where(denom > 0.0, denom, 1.0)
             return np.einsum("ij,ij->i", a, b) / denom
-        return np.column_stack([cos(u1, u2), cos(v, u2), cos(v, u1)])
+        return np.stack([cos(u1, u2), cos(v, u2), cos(v, u1)])
 
     acc = accumulate_chunks(chunk, seed, draws, chunk=1 << 12)
     se = acc.se_of_mean
@@ -275,7 +274,7 @@ def sphere_cap_fraction_mc(n: int, phi: float, sample_count: int, seed: int) -> 
     def chunk(rng: np.random.Generator, m: int) -> np.ndarray:
         x = rng.standard_normal((m, n))
         frac = x[:, 0] / np.linalg.norm(x, axis=1)
-        return (frac >= cos_phi).astype(float)[:, None]
+        return (frac >= cos_phi).astype(float)[None, :]
 
     acc = accumulate_chunks(chunk, seed, sample_count)
     p = float(acc.mean[0])

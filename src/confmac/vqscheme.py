@@ -193,11 +193,19 @@ def _raw_quantities(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
     return gains, consts, bounds
 
 
+def _distortion_terms(rho, r1, r2, rc):
+    """``a = 4^-(r1+rc)``, ``b = 4^-r2`` and their common denominator
+    ``1 - rho^2 (1-b)(1-a)``, shared by the distortions and the estimator
+    gains.  Python floats stay Python floats: numpy's ``power`` can differ
+    from Python's in the last bit."""
+    a = 2.0 ** (-2.0 * (r1 + rc))
+    b = 2.0 ** (-2.0 * r2)
+    return a, b, 1.0 - rho**2 * (1.0 - b) * (1.0 - a)
+
+
 def _distortion_arrays(rho, r1, r2, rc):
     """Normalized distortion pair of the scheme, broadcast over arrays."""
-    a = 2.0 ** (-2.0 * (np.asarray(r1, dtype=float) + np.asarray(rc, dtype=float)))
-    b = 2.0 ** (-2.0 * np.asarray(r2, dtype=float))
-    den = 1.0 - rho**2 * (1.0 - b) * (1.0 - a)
+    a, b, den = _distortion_terms(rho, *(np.asarray(x, dtype=float) for x in (r1, r2, rc)))
     d1 = a * (1.0 - rho**2 * (1.0 - b)) / den
     d2 = b * (1.0 - rho**2 * (1.0 - a)) / den
     return d1, d2

@@ -129,6 +129,8 @@ ADVERSARIAL_INPUTS = {
                                       "--d2", "0.2", "--alphas", "1:2"], None, 1),
     "validate-samples-not-an-integer": (["validate", "--samples", "1.5"], None, 1),
     "validate-seed-not-a-number": (["validate", "--seed", "x"], None, 1),
+    "validate-seed-negative": (["validate", "--seed", "-1"], None, 1),
+    "validate-samples-below-minimum": (["validate", "--samples", "999"], None, 1),
     "minpower-fullcoop-infinite-power": (["minpower", "--scheme", "fullcoop", "--rho", "0.5",
                                           "--d1", "1e-310", "--d2", "0.5"], None, 2),
     "minconf-unbounded": (["minconf", "--scheme", "sep1", "--rho", "0.5", "--p1", "0.1",
@@ -148,6 +150,13 @@ def test_adversarial_input_exits_with_one_line(name, tmp_path, capsys):
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith({1: "domain error: ", 2: "unbounded: "}[code])
+
+
+def test_validate_input_errors_name_their_flags(capsys):
+    for argv, message in ((["--seed", "-1"], "seed: must be >= 0, got -1"),
+                          (["--samples", "999"], "samples: must be >= 1000, got 999")):
+        assert run(["validate"] + argv) == 1
+        assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 def test_minpower_fullcoop_value():

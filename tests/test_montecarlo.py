@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from confmac.model import ChannelSpec, DomainError, SourceSpec
-from confmac import montecarlo
+from confmac import bounds, montecarlo
+from confmac._mc import MomentAccumulator, accumulate_chunks
 from confmac.montecarlo import (
     SingularError,
     build_surrogate,
@@ -147,6 +149,73 @@ def test_surrogate_angle_moments():
     assert abs(est.cos_v_u2 - montecarlo.expected_cosine(consts.bar_rho, dim)) \
         <= 3 * est.se_v_u2 + 2 * consts.bar_rho / dim**2
     assert abs(est.cos_v_u1) <= 3 * est.se_v_u1
+
+
+# Raw outputs recorded when each chunk still returned an (n, k) array and was
+# summed down its columns.  Each case spans at least two chunks; the tolerance
+# admits a change of summation order but not of the sample streams or chunking.
+_CFG = VqConfig(1.0, 1.0, 0.5, 0, 0)
+PINNED_ESTIMATES = {
+    "genie": (lambda: dataclasses.astuple(
+        genie_distortion_mc(SourceSpec(1.0, 0.5), _CFG, 150_000, seed=11)),
+        (0.12151954143384408, 0.0004397998731396205, 0.23481365278654928,
+         0.0008593622022058658, 150000)),
+    "maxcorr": (lambda: dataclasses.astuple(
+        bounds.maxcorr_linear_maps(SourceSpec(1.0, 0.3), 0.25, 150_000, seed=18)),
+        (-0.0028260609109996074, -0.001340868742439499, 0.9997587424726446,
+         0.9932323465856665, 0.5620260086886478, 0.6794968327167458,
+         0.0017664077131326495, 0.0024811716202151734, 150000)),
+    "angle": (lambda: dataclasses.astuple(
+        surrogate_angle_moments(SourceSpec(1.0, 0.5), _CFG, dim=16, draws=10_000, seed=24)),
+        (0.3645373750096548, 0.002200423254146217, 0.14670710448264604,
+         0.002474753424410652, 0.002124965640896952, 0.002511333991033578, 10000, 16)),
+    "sphere": (lambda: sphere_cap_fraction_mc(8, 0.9, 150_000, seed=30),
+               (0.03734666666666667, 0.0004895705135153707)),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ESTIMATES)
+def test_estimates_pinned_and_thread_independent(name, monkeypatch):
+    estimate, pinned = PINNED_ESTIMATES[name]
+    monkeypatch.setenv("GMAC_THREADS", "1")
+    serial = estimate()
+    monkeypatch.setenv("GMAC_THREADS", "2")
+    assert estimate() == serial
+    assert serial == pytest.approx(pinned, rel=0.0, abs=1e-12)
+
+
+def test_from_values_sums_each_row_to_within_ulps():
+    rng = np.random.default_rng(3)
+    rows = 1e6 + rng.standard_normal((3, 100_003))  # a large offset exposes a running sum
+    acc = MomentAccumulator.from_values(rows)
+    assert acc.count == rows.shape[1]
+    for mean, row in zip(acc.mean, rows):
+        exact = math.fsum(row.tolist()) / row.size
+        assert abs(mean - exact) <= 8 * math.ulp(exact)
+
+
+def test_combine_matches_one_block():
+    rng = np.random.default_rng(4)
+    values = 3.0 + rng.standard_normal((4, 150_000))
+    for cut in (1, 65_536, 149_999):
+        joined = MomentAccumulator.from_values(values[:, :cut]).combine(
+            MomentAccumulator.from_values(values[:, cut:]))
+        whole = MomentAccumulator.from_values(values)
+        assert joined.count == whole.count
+        np.testing.assert_allclose(joined.mean, whole.mean, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(joined.m2, whole.m2, rtol=1e-15, atol=0.0)
+
+
+def test_empty_monte_carlo_runs_raise():
+    src = SourceSpec(1.0, 0.5)
+    with pytest.raises(DomainError, match="^total: "):
+        accumulate_chunks(lambda rng, n: rng.standard_normal((1, n)), 1, 0)
+    with pytest.raises(DomainError, match="^total: "):
+        sphere_cap_fraction_mc(8, 0.9, 0, seed=1)
+    with pytest.raises(DomainError, match="^total: "):
+        surrogate_angle_moments(src, _CFG, dim=8, draws=0, seed=1)
+    with pytest.raises(DomainError, match="^dim: "):
+        surrogate_angle_moments(src, _CFG, dim=0, draws=100, seed=1)
 
 
 def test_cap_ratio_small_dimensions():

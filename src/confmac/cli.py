@@ -307,7 +307,7 @@ def cmd_region(args) -> int:
 def _emit_optimization(res: search.OptimizationResult, echo: dict, as_json: bool) -> int:
     payload = {
         "objective": res.objective,
-        "witness": {k: float(v) for k, v in res.witness.items()},
+        "witness": {k: v if is_unlimited(v) else float(v) for k, v in res.witness.items()},
         "iterations": res.iterations,
         "converged": res.converged,
         "bracket": list(res.bracket),

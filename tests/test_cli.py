@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -351,3 +352,42 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "confmac" in proc.stdout
+
+
+@pytest.mark.parametrize("c12, unlimited", [("0", "sw2"), ("inf", "sv2")])
+def test_minpower_sep2_prints_unlimited_witness(c12, unlimited):
+    args = ["minpower", "--scheme", "sep2", "--rho", "0.5", "--d1", "0.1", "--d2", "0.2",
+            "--c12", c12]
+    code, out = run_cli(args)
+    assert code == 0
+    assert f"  witness[{unlimited}] = UNLIMITED" in out.splitlines()
+    code, out = run_cli(args + ["--json"])
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert witness[unlimited] == "inf"
+    assert all(isinstance(v, float) for k, v in witness.items() if k != unlimited)
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _run_python(
+        "import sys, confmac.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_validate_passes_without_scipy():
+    proc = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from confmac import cli\n"
+        "sys.exit(cli.run(['validate', '--seed', '42', '--samples', '20000']))")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "10/10 checks passed" in proc.stdout

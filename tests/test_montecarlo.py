@@ -219,11 +219,34 @@ def test_empty_monte_carlo_runs_raise():
 
 
 def test_cap_ratio_small_dimensions():
-    for phi in np.linspace(0.05, math.pi / 2, 20):
-        assert cap_ratio_exact(2, float(phi)) == pytest.approx(phi / math.pi, abs=1e-12)
+    for phi in np.linspace(0.05, math.pi / 2, 60):
+        assert cap_ratio_exact(2, float(phi)) == pytest.approx(phi / math.pi, abs=1e-15)
         assert cap_ratio_exact(3, float(phi)) == pytest.approx(
-            (1 - math.cos(phi)) / 2, abs=1e-12)
+            (1 - math.cos(phi)) / 2, abs=1e-15)
     assert cap_ratio_exact(3, math.pi / 3) == pytest.approx(0.25, abs=1e-15)
+    assert cap_ratio_exact(2, math.pi / 2) == 0.5
+    assert cap_ratio_exact(200, math.pi / 2) == 0.5
+
+
+def test_cap_ratio_matches_betainc():
+    special = pytest.importorskip("scipy.special")
+    phis = np.linspace(0.05, math.pi / 2, 60)
+    for n in range(2, 201):
+        ref = 0.5 * special.betainc((n - 1) / 2.0, 0.5, np.sin(phis) ** 2)
+        got = np.array([cap_ratio_exact(n, float(phi)) for phi in phis])
+        keep = ref >= 1e-280
+        assert keep[-1]
+        np.testing.assert_allclose(got[keep], ref[keep], rtol=5e-13, atol=0.0, err_msg=f"n={n}")
+
+
+def test_gamma_ratio_matches_gammaln():
+    special = pytest.importorskip("scipy.special")
+    for x in (0.5, 3.3, 15.9, 16.0, 50.0):
+        ref = math.exp(special.gammaln(x + 0.5) - special.gammaln(x))
+        assert gamma_ratio_exact(x) == pytest.approx(ref, rel=5e-14, abs=0.0)
+    # past x = 1e3 the five-term series is off by less than 2e-18 relative
+    for x in (1e3, 1e5, 1e8, 1e12):
+        assert gamma_ratio_exact(x) == pytest.approx(gamma_ratio_series(x, terms=5), rel=5e-15)
 
 
 def test_cap_ratio_sandwich():

@@ -1,11 +1,19 @@
 """Deterministic searches on boxes.
 
-:func:`_certify` is a branch-and-bound: given a point slack and a bound of
-the slack over each sub-box, it returns a point that reaches
-:data:`SLACK_TOL` or, unless it gives up, proves that none exists.  It
-answers the quantizer scheme's two certified slices (``search``) and
-separation scheme 2 (``separation``); :func:`_certify_below` starts a query
-from the boxes of an earlier, higher query of the same solve.
+Two branch-and-bounds share one box schedule: each round evaluates every
+box centre, drops the boxes a bound rules out and halves the rest along
+every axis, up to :data:`_MAX_ROUNDS` rounds of at most :data:`_MAX_BOXES`
+boxes.  :func:`_certify`, given a point slack and a bound of the slack over
+each sub-box, returns a point that reaches :data:`SLACK_TOL` or, unless it
+gives up, proves that none exists; it answers the feasibility queries of the
+quantizer scheme's slices (``search``) and of separation scheme 2
+(``separation``), and :func:`_certify_below` starts a query from the boxes
+of an earlier, higher query of the same solve.  Its minimizing twin
+:func:`_least`, given a point value and a lower bound of it over each
+sub-box, returns the least value it saw and, unless it gives up, proves
+that no point lies below it by more than a relative gap; it finds the least
+power of those slices and of scheme 2 in one run, from the closed forms of
+:func:`_least_power`.
 
 The lockstep multistart compass search serves the quantizer scheme at a
 finite conference capacity: every start polls +/- step along each
@@ -27,6 +35,10 @@ SLACK_TOL = -1e-9  # a slack at or above this counts as met: exact boundary poin
 _MAX_ROUNDS = 52  # branch-and-bound rounds: a box side is then 1 ulp of the box's top
 _MAX_BOXES = 2**13  # boxes one branch-and-bound round may evaluate
 _BOUND_MARGIN = 32 * math.ulp(8.0)  # twice a box bound's worst rounding seen (rho = 1, 8-bit box)
+# least-power forms: a rate bound's slack reaches a hair above SLACK_TOL, so the
+# closed forms re-validate a witness at any power at or above its least power
+_LEAST_EPS = -0.9999 * SLACK_TOL
+_LEAST_MARGIN = 2.0**-46  # relative: twice a least-power bound's worst rounding seen (sep2)
 
 _STEP0 = 0.25          # compass: first poll step
 _STEP_MIN = 1e-5       # a start stops once its step is below this
@@ -68,7 +80,7 @@ def _certify(exact, bound, hi, lo=0.0,
     """
     hi = np.asarray(hi, dtype=float)
     d = hi.size
-    upper_half = np.array(list(itertools.product((False, True), repeat=d)))
+    upper_half = _upper_halves(d)
     lo, up, first = start or (np.full((1, d), lo, dtype=float), hi[None, :], 0)
     proof = True
     for rnd in range(first, _MAX_ROUNDS):
@@ -83,10 +95,78 @@ def _certify(exact, bound, hi, lo=0.0,
         if keep.size << d > _MAX_BOXES:
             proof = False
             keep = np.sort(keep[np.argsort(-vals[keep], kind="stable")[:_MAX_BOXES >> d]])
-        lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
-        lo, up = (np.where(upper_half, mid, lo).reshape(-1, d),
-                  np.where(upper_half, up, mid).reshape(-1, d))
+        lo, up = _split(lo, mid, up, keep, upper_half)
     return None, False, None
+
+
+def _upper_halves(d: int) -> np.ndarray:
+    """``(2^d, d)`` flags: which half of a box each of its halves takes per axis."""
+    return np.array(list(itertools.product((False, True), repeat=d)))
+
+
+def _split(lo, mid, up, keep, upper_half):
+    """``(lo, up)`` of the kept boxes halved along every axis, in box order."""
+    d = lo.shape[1]
+    lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
+    return (np.where(upper_half, mid, lo).reshape(-1, d),
+            np.where(upper_half, up, mid).reshape(-1, d))
+
+
+def _least(value, bound, hi, gap) -> tuple[np.ndarray | None, float, bool]:
+    """``(point, least, proof)``: the box centre of ``[0, hi]`` with the
+    least ``value`` (at ``(m, d)`` points) seen, that value (+inf when none
+    is finite), and whether no point of the box lies below ``least * (1 -
+    gap)``.
+
+    The minimizing twin of :func:`_certify`, on its box schedule and caps:
+    each round evaluates every box centre, then drops the boxes whose
+    ``bound(lo, up)``, a lower bound of ``value`` over the box, less the
+    relative margin :data:`_LEAST_MARGIN`, is at or above ``least * (1 -
+    gap)`` (NaN keeps a box), and halves the rest along every axis.  The
+    result is a proof once no box is left.  A round that keeps more boxes
+    than the next may evaluate splits only those with the lowest bounds, and
+    its result is no proof; nor is one at the round cap.
+    """
+    hi = np.asarray(hi, dtype=float)
+    d = hi.size
+    upper_half = _upper_halves(d)
+    lo, up = np.zeros((1, d)), hi[None, :]
+    best, point, proof = math.inf, None, True
+    for _ in range(_MAX_ROUNDS):
+        mid = 0.5 * (lo + up)
+        vals = value(mid)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, point = float(vals[i]), mid[i]
+        lower = bound(lo, up)
+        keep = np.flatnonzero(~(lower * (1.0 - _LEAST_MARGIN) >= best * (1.0 - gap)))
+        if not keep.size:
+            return point, best, proof
+        if keep.size << d > _MAX_BOXES:
+            proof = False
+            keep = np.sort(keep[np.argsort(lower[keep], kind="stable")[:_MAX_BOXES >> d]])
+        lo, up = _split(lo, mid, up, keep, upper_half)
+    return point, best, False
+
+
+def _excess(rate):
+    """``4^(rate - _LEAST_EPS) - 1``, accurate near 0: the power over noise
+    at which a rate bound ``0.5 log2(1 + x)`` meets ``rate`` less the hair."""
+    return np.expm1(math.log(4.0) * (rate - _LEAST_EPS))
+
+
+def _least_power(n0: float, terms, d1a, d2a, d1: float, d2: float) -> np.ndarray:
+    """``n0`` times the largest of the ``(num, den)`` ``terms``, each ``num /
+    den`` where ``num > 0`` and 0 elsewhere; +inf where an achieved
+    distortion ``d1a``, ``d2a`` misses its target times ``4^_LEAST_EPS``.
+
+    The clamp makes the same form a lower bound over a box when each
+    ``num`` is taken at its least and each ``den`` (> 0) at its largest.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = n0 * np.maximum.reduce([np.where(num > 0.0, num / den, 0.0) for num, den in terms])
+    met = (d1a <= d1 * 4.0**_LEAST_EPS) & (d2a <= d2 * 4.0**_LEAST_EPS)
+    return np.where(met, power, np.inf)
 
 
 def _certify_below(frontiers: dict, box, at: tuple, slice_fns, hi, lo=0.0):

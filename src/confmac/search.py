@@ -1,33 +1,43 @@
 """Optimizers behind the figure-level questions.
 
 Minimal symmetric power and minimal conference capacity are found by outer
-bisection over a monotone feasibility predicate.  On the quantizer scheme's
-slices ``c12 = 0`` and ``c12 = inf`` that predicate is certified: a
-branch-and-bound (:func:`_opt._certify`) returns a witness or proves that no
-point of the rate box (rates in [0, 8] bits, splits in [0, 1]) meets the
-target, unless it gives up (see :func:`_opt._certify`).  A finite ``c12``
-asks the unlimited slice first, on a box whose shared rate also covers ``r1
-+ rc`` of the finite scheme: its proven "infeasible" refutes the query, and
+bisection over a predicate monotone in the objective; all schedules are
+fixed, so identical inputs give identical results, iteration counts
+included.
+
+One least-power branch-and-bound per solve.  On the quantizer scheme's
+slices ``c12 = 0`` and ``c12 = inf`` and for separation scheme 2 at any
+``c12``, every rate bound is linear in the power ``p1 = p2 = p`` and no
+distortion reads it, so each point of the search box (rates in [0, 8] bits,
+splits in [0, 1]; scheme 2's square, see :mod:`separation`) has a
+closed-form least power.  :func:`_opt._least` finds ``m``, the least power
+over the box, and the point that needs it; the bisection then runs its
+usual schedule on ``p >= m``, and that point is the witness at the ``hi`` it
+returns.  When the search ends without a proof (near ``rho = 1``, or on a
+flat ridge of optimal points) the solve also runs the bisection by queries
+below and returns the lower answer.
+
+One feasibility query per bisection step elsewhere: a finite ``c12``
+(``minpower``), ``min_conf_capacity``, :func:`min_d1_unlimited`
+(``d1d2-vs-snr``), separation scheme 1 and the necessary condition.  A
+finite-``c12`` query asks the certified unlimited slice
+(:func:`_opt._certify`) first, on a box whose shared rate also covers ``r1 +
+rc`` of the finite scheme: its proven "infeasible" refutes the query, and
 its witness answers when the shared rate fits the budget.  Otherwise the
-no-conference slice answers, and only when it finds no witness does a
-multistart compass search decide, whose "infeasible" is not proven.
-Separation scheme 2's predicate is certified by the same branch-and-bound
-(see :mod:`separation`).
-
-Within one solve, a certified query starts from the boxes of the round in
-which the lowest feasible query so far on the same box found its witness
-(same ``n0``, each power at or below it; or, for :func:`min_d1_unlimited`,
-``d1`` at or below it).  The slack and the box bounds rise with power and
-``d1``, so every box that query dropped holds no witness of the lower one:
-the warm start skips the rounds from the whole box and, while no round is
-cut to the box cap, returns the same witness or proof (see
-:func:`_opt._certify`).  The boxes are kept per solve, never across solves:
-a solve owns the ``frontiers`` dict it passes to scheme 2's predicate.
-
-A bisection's last feasible query is at the ``hi`` it returns, so each
-solve takes its witness from that query; a quantizer witness is
-re-validated there by the closed forms.  All schedules are fixed, so
-identical inputs give identical results, iteration counts included.
+certified no-conference slice answers, and only when it finds no witness
+does a multistart compass search decide, whose "infeasible" is not proven:
+a solve whose witness re-validates at the bracket's ``lo`` reports
+``converged = False``.  Within one solve, a certified query starts from the
+boxes of the round in which the lowest feasible query so far on the same
+box found its witness (same ``n0``, each power at or below it; or, for
+:func:`min_d1_unlimited`, ``d1`` at or below it).  The slack and the box
+bounds rise with power and ``d1``, so every box that query dropped holds no
+witness of the lower one: the warm start skips the rounds from the whole
+box and, while no round is cut to the box cap, returns the same witness or
+proof (see :func:`_opt._certify`).  The boxes are kept per solve, never
+across solves.  A bisection's last feasible query is at the ``hi`` it
+returns, so each solve takes its witness from that query; a quantizer
+witness is re-validated there by the closed forms.
 """
 
 from __future__ import annotations
@@ -50,7 +60,15 @@ from .model import (
 )
 from .rdlib import rd_joint
 from ._mc import halton_points
-from ._opt import SLACK_TOL, _certify_below, compass_search_max, refine_grid_max
+from ._opt import (
+    SLACK_TOL,
+    _certify_below,
+    _excess,
+    _least,
+    _least_power,
+    compass_search_max,
+    refine_grid_max,
+)
 
 RATE_BOX_BITS = 8.0
 _STOP_AT = 1e-7  # early-exit slack for pure feasibility queries
@@ -150,6 +168,94 @@ def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     return exact, bound
 
 
+def _noconf_least(src: SourceSpec, n0: float, target: DistortionPair):
+    """``(value, bound)`` for :func:`_opt._least` on the no-conference slice
+    at ``p1 = p2``, points ``(r1, r2)`` in bits: each point's least power.
+
+    With ``t = rho^2 f1 f2`` the rate bounds of :func:`_noconf_slice` meet
+    ``r1``, ``r2`` and ``r1 + r2`` less ``_LEAST_EPS`` at ``n0 (4^r1 - 1/(1 -
+    t))``, its ``r2`` twin and ``n0 (4^(r1+r2) (1 - t) - 1)/(2 (1 +
+    sqrt t))``.  Each numerator falls with ``t``, which rises with both
+    rates, and both distortions fall with them: a box's bound takes the
+    rates at ``lo`` and ``t`` and the distortions at ``up``.
+    """
+    rho = src.rho
+
+    def least(r1, r2, t, d1a, d2a):
+        odds = t / (1.0 - t)
+        return _least_power(n0, ((_excess(r1) - odds, 1.0), (_excess(r2) - odds, 1.0),
+                                 (_excess(r1 + r2) * (1.0 - t) - t, 2.0 + 2.0 * np.sqrt(t))),
+                            d1a, d2a, target.d1, target.d2)
+
+    def t_at(pts):
+        return rho**2 * np.prod(-np.expm1(-2.0 * math.log(2.0) * pts), axis=1)
+
+    def value(pts):
+        return least(pts[:, 0], pts[:, 1], t_at(pts),
+                     *vqscheme._distortion_arrays(rho, pts[:, 0], pts[:, 1], 0.0))
+
+    def bound(lo, up):
+        return least(lo[:, 0], lo[:, 1], t_at(up),
+                     *vqscheme._distortion_arrays(rho, up[:, 0], up[:, 1], 0.0))
+    return value, bound
+
+
+def _unlimited_least(src: SourceSpec, n0: float, target: DistortionPair):
+    """``(value, bound)`` for :func:`_opt._least` on the unlimited-conference
+    slice at ``p1 = p2``, points ``(r2, rc, beta)``: each point's least power.
+
+    With ``h = rho^2 f2 fc``, ``g = (1 - beta) h`` and ``delta = 1 + sqrt(g
+    + beta) - sqrt(g)``, the bounds of :func:`_unlimited_slice` meet ``r2``,
+    ``rc`` and ``r2 + rc`` less ``_LEAST_EPS`` at ``n0 (4^r2 - 1/(1 -
+    h))/(1 - beta)``, ``n0 (4^rc - 1/(1 - h))/delta^2`` and ``n0 (4^(r2+rc)
+    (1 - h) - 1)/(2 + 2 sqrt(g + beta))``.  A box's bound takes the
+    numerators at (rates ``lo``, ``h`` ``up``); ``1 - beta`` at ``beta``
+    ``lo``; ``delta``, which rises with ``beta`` and falls with ``h``, at
+    (``h`` ``lo``, ``beta`` ``up``); ``g + beta``, rising in both, at ``up``;
+    and the distortions, falling with both rates, at ``up``.
+    """
+    rho2 = src.rho**2
+
+    def at(rates):  # h and both distortions at (r2, rc) rows
+        f2, fc = (-np.expm1(-2.0 * math.log(2.0) * rates)).T
+        omh = 1.0 - rho2 * f2 * fc
+        return (1.0 - omh, 2.0 ** (-2.0 * rates[:, 1]) * (1.0 - rho2 * f2) / omh,
+                2.0 ** (-2.0 * rates[:, 0]) * (1.0 - rho2 * fc) / omh)
+
+    def least(r2, rc, h, one_minus_beta, delta, gain, d1a, d2a):
+        odds = h / (1.0 - h)
+        return _least_power(n0, ((_excess(r2) - odds, one_minus_beta),
+                                 (_excess(rc) - odds, delta**2),
+                                 (_excess(r2 + rc) * (1.0 - h) - h, 2.0 + 2.0 * np.sqrt(gain))),
+                            d1a, d2a, target.d1, target.d2)
+
+    def delta_gain(h, beta):  # delta and g + beta
+        g = (1.0 - beta) * h
+        return 1.0 + np.sqrt(g + beta) - np.sqrt(g), g + beta
+
+    def value(pts):
+        h, d1a, d2a = at(pts[:, :2])
+        return least(pts[:, 0], pts[:, 1], h, 1.0 - pts[:, 2], *delta_gain(h, pts[:, 2]),
+                     d1a, d2a)
+
+    def bound(lo, up):
+        h_up, d1a, d2a = at(up[:, :2])
+        delta, _ = delta_gain(at(lo[:, :2])[0], up[:, 2])
+        _, gain = delta_gain(h_up, up[:, 2])
+        return least(lo[:, 0], lo[:, 1], h_up, 1.0 - lo[:, 2], delta, gain, d1a, d2a)
+    return value, bound
+
+
+def _noconf_config(pt) -> vqscheme.VqConfig:
+    """The full scheme's configuration at a no-conference slice point."""
+    return vqscheme.VqConfig(pt[0], pt[1], 0.0, 0.0, 0.0)
+
+
+def _unlimited_config(pt) -> vqscheme.VqConfig:
+    """The full scheme's configuration at an unlimited-conference slice point."""
+    return vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])
+
+
 class _VqFeasibility:
     """Scheme feasibility.  At a finite ``c12`` the certified unlimited slice
     answers first, then the certified no-conference slice, then a compass
@@ -202,7 +308,7 @@ class _VqFeasibility:
     def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The certified no-conference slice's witness, or None."""
         pt, _ = self._certified(_noconf_slice, ch, [RATE_BOX_BITS] * 2, (0.0, 0.0))
-        return None if pt is None else vqscheme.VqConfig(pt[0], pt[1], 0.0, 0.0, 0.0)
+        return None if pt is None else _noconf_config(pt)
 
     def _compass(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The compass search's witness at the finite ``ch.c12``, or None.
@@ -241,7 +347,7 @@ class _VqFeasibility:
         ``[rc_lo, rc_hi]``, and whether a None is a proof."""
         pt, proof = self._certified(_unlimited_slice, ch, (RATE_BOX_BITS, rc_hi, 1.0),
                                     (0.0, rc_lo, 0.0))
-        return (None if pt is None else vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])), proof
+        return (None if pt is None else _unlimited_config(pt)), proof
 
     def _finite(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """A witness at the finite ``ch.c12``, or None.
@@ -343,12 +449,15 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
                         p_ceiling: float | None = None) -> OptimizationResult:
     """Least symmetric power ``p1 = p2 = p`` at which the scheme meets the target.
 
-    Outer bisection over the scheme's feasibility predicate, which is monotone
-    in power (raising the power only enlarges every bound).  ``tol`` (finite,
-    >= 0) is the relative bracket width; ``p_ceiling`` bounds the search and
-    triggers :class:`UnboundedError` when exceeded.  Its default is ``1e6``
-    times the larger of ``n0`` and the full-cooperation power, below which no
-    scheme meets the target.
+    Outer bisection over a feasibility predicate that is monotone in power
+    (raising the power only enlarges every bound).  On the quantizer
+    scheme's two slices (``c12`` 0 or inf) and for separation scheme 2 the
+    predicate is ``p >= m``, ``m`` the least power one branch-and-bound
+    (:func:`_least_power_solve`) finds; elsewhere it is a feasibility query
+    per step.  ``tol`` (finite, >= 0) is the relative bracket width;
+    ``p_ceiling`` bounds the search and triggers :class:`UnboundedError`
+    when exceeded.  Its default is ``1e6`` times the larger of ``n0`` and
+    the full-cooperation power, below which no scheme meets the target.
     """
     _check_tol(tol)
     if target.d1 >= 1.0 and target.d2 >= 1.0:
@@ -362,7 +471,72 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
         return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
     if p_ceiling is None:
         p_ceiling = 1e6 * max(n0, p_full)
+    if scheme is Scheme.SEP2 or (scheme is Scheme.VQ and (c12 == 0.0 or is_unlimited(c12))):
+        return _least_power_solve(src, scheme, target, c12, n0, tol, p_ceiling)
+    return _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
 
+
+def _vq_witness(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig | None,
+                target: DistortionPair) -> dict:
+    """A quantizer solve's witness at its answer ``ch``, which the closed
+    forms must re-validate."""
+    ach = None if cfg is None else _vq_witness_ok(src, ch, cfg, target)
+    if ach is None:
+        raise AssertionError("bisection invariant violated: witness fails at hi")
+    return {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc, "beta1": cfg.beta1, "beta2": cfg.beta2,
+            "d1": ach.d1, "d2": ach.d2}
+
+
+def _least_power_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12,
+                       n0: float, tol: float, p_ceiling: float) -> OptimizationResult:
+    """:func:`min_power_symmetric` on a slice whose rate bounds are linear in
+    the power and whose distortions do not read it.
+
+    One :func:`_opt._least` run finds ``m``, the least power any box point
+    needs, to a relative gap of ``min(tol, 1e-12)``, and the point that needs
+    it, which is the witness; the bisection then runs its usual schedule on
+    the predicate ``p >= m``.  When the run ends without a proof, the solve
+    by one query per step (:func:`_query_solve`) runs too, and the lower
+    answer is returned.
+    """
+    if scheme is Scheme.SEP2:
+        (value, bound), box = separation._sep2_least(src, n0, c12, target), [1.0, 1.0]
+    elif c12 == 0.0:
+        (value, bound), box = _noconf_least(src, n0, target), [RATE_BOX_BITS] * 2
+    else:
+        (value, bound), box = _unlimited_least(src, n0, target), [RATE_BOX_BITS] * 2 + [1.0]
+
+    pt, least, proof = _least(value, bound, box, gap=min(tol, 1e-12))
+    try:
+        lo, hi, iterations, converged = _expand_and_bisect(lambda p: p >= least, n0,
+                                                           p_ceiling, tol)
+    except UnboundedError:
+        if proof:
+            raise
+        return _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
+    ch = ChannelSpec(hi, hi, n0, c12)
+    if scheme is Scheme.SEP2:
+        report = separation._sep2_report(src, ch, target, pt)
+        if not report.feasible:
+            raise AssertionError("bisection invariant violated: witness fails at hi")
+        witness = dict(report.witness)
+    else:
+        config = _noconf_config if c12 == 0.0 else _unlimited_config
+        witness = _vq_witness(src, ch, config(pt), target)
+    result = OptimizationResult(hi, witness, iterations, converged, (lo, hi))
+    if not proof:
+        try:
+            queried = _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
+        except UnboundedError:
+            return result
+        if queried.objective < result.objective:
+            return queried
+    return result
+
+
+def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n0: float,
+                 tol: float, p_ceiling: float) -> OptimizationResult:
+    """:func:`min_power_symmetric` by one feasibility query per bisection step."""
     if scheme is Scheme.VQ:
         inner = _VqFeasibility(src, target)
 
@@ -383,21 +557,14 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
 
     lo, hi, iterations, converged = _expand_and_bisect(predicate, n0, p_ceiling, tol)
 
-    if scheme is Scheme.VQ:
-        # the witness from the last feasible query certifies hi exactly
-        cfg = inner.witness
-        ach = None if cfg is None else _vq_witness_ok(src, ChannelSpec(hi, hi, n0, c12),
-                                                      cfg, target)
-        if ach is None:
-            raise AssertionError("bisection invariant violated: witness fails at hi")
-        witness_out = {
-            "r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
-            "beta1": cfg.beta1, "beta2": cfg.beta2,
-            "d1": ach.d1, "d2": ach.d2,
-        }
-    else:
-        witness_out = dict(found["witness"])
-    return OptimizationResult(hi, witness_out, iterations, converged, (lo, hi))
+    if scheme is not Scheme.VQ:
+        return OptimizationResult(hi, dict(found["witness"]), iterations, converged, (lo, hi))
+    # the witness from the last feasible query certifies hi exactly; an
+    # unproven "infeasible" (the compass's) at lo is refuted when it holds there too
+    witness = _vq_witness(src, ChannelSpec(hi, hi, n0, c12), inner.witness, target)
+    if _vq_witness_ok(src, ChannelSpec(lo, lo, n0, c12), inner.witness, target) is not None:
+        converged = False
+    return OptimizationResult(hi, witness, iterations, converged, (lo, hi))
 
 
 def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
@@ -438,6 +605,8 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
         req, _ = vqscheme.vq_conf_requirement(src, cfg)
         witness = {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
                    "beta1": cfg.beta1, "beta2": cfg.beta2, "required_c12": req}
+        if req <= lo:  # the witness refutes the compass's unproven "infeasible" at lo
+            converged = False
     else:
         witness = dict(found["witness"])
     return OptimizationResult(hi, witness, iterations, converged, (lo, hi))

@@ -53,7 +53,7 @@ from .model import (
     is_unlimited,
     log2_pos,
 )
-from ._opt import SLACK_TOL, _certify_below
+from ._opt import SLACK_TOL, _certify_below, _excess, _least_power
 # unused here: bench/tracer.py's BY_NAME requires these names in this module
 from ._opt import compass_search_max, refine_grid_max  # noqa: F401
 
@@ -152,36 +152,66 @@ def _sep2_ratios(rho: float, c12, z: np.ndarray):
     return iw, iu, s - iw
 
 
+def _sep2_terms(rho: float, c12, z: np.ndarray):
+    """``(r1b, r2b, rsb, d1, d2)`` at box points ``z`` of any shape ``(..., 2)``."""
+    return rdlib._kaspi_arrays(rho, *_sep2_ratios(rho, c12, z))[1:]
+
+
+def _sep2_corner_terms(rho: float, c12, lo: np.ndarray, up: np.ndarray):
+    """:func:`_sep2_terms` of each box ``[lo, up]``, each at the corner where
+    it is most favourable.  A higher ``z`` means a lower ``s`` or ``iu`` (see
+    the module docstring): ``r1b`` is least at (``s`` lowest, ``iu``
+    highest), ``r2b`` at the opposite corner, ``rsb`` at ``up``, and the
+    distortions at ``lo``."""
+    # corner k of each box: lo, (up, lo), (lo, up), up; r1b reads 1, r2b 2, rsb 3, d1, d2 0
+    z = np.where(np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=bool)[:, None], up, lo)
+    return tuple(t[k] for k, t in zip((1, 2, 3, 0, 0), _sep2_terms(rho, c12, z)))
+
+
 def _sep2_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     """``(exact, bound)`` for ``_opt._certify`` on scheme 2's box ``[0, 1]^2``.
 
     ``exact`` is the worst of six slacks: ``r1``, ``r2``, ``rsum`` and ``r1
-    + r2`` against the plain MAC's bounds, and both distortions.  A higher
-    ``z`` means a lower ``s`` or ``iu``, so a box's bound takes each slack at
-    its own corner (see the module docstring): ``r1`` at (``s`` lowest,
-    ``iu`` highest), ``r2`` at the opposite corner, ``rsum`` at ``up``, the
-    distortions at ``lo``, and ``r1 + r2`` as the sum of the ``r1`` and
-    ``r2`` corner values.
+    + r2`` against the plain MAC's bounds, and both distortions.  A box's
+    bound takes each slack at its own corner (:func:`_sep2_corner_terms`),
+    and ``r1 + r2`` as the sum of the ``r1`` and ``r2`` corner values.
     """
     c1 = 0.5 * math.log2(1.0 + ch.p1 / ch.n0)
     c2 = 0.5 * math.log2(1.0 + ch.p2 / ch.n0)
     csum = 0.5 * math.log2(1.0 + (ch.p1 + ch.p2) / ch.n0)
-
-    def terms(z):  # r1b, r2b, rsb, d1, d2 at points z of any shape (..., 2)
-        return rdlib._kaspi_arrays(src.rho, *_sep2_ratios(src.rho, ch.c12, z))[1:]
 
     def slack(r1b, r2b, rsb, d1, d2):
         return np.minimum.reduce([c1 - r1b, c2 - r2b, csum - rsb, csum - (r1b + r2b),
                                   0.5 * np.log2(target.d1 / d1), 0.5 * np.log2(target.d2 / d2)])
 
     def exact(z):
-        return slack(*terms(z))
+        return slack(*_sep2_terms(src.rho, ch.c12, z))
 
     def bound(lo, up):
-        # corner k of each box: lo, (up, lo), (lo, up), up; r1b reads 1, r2b 2, rsb 3, d1, d2 0
-        z = np.where(np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=bool)[:, None], up, lo)
-        return slack(*(t[k] for k, t in zip((1, 2, 3, 0, 0), terms(z))))
+        return slack(*_sep2_corner_terms(src.rho, ch.c12, lo, up))
     return exact, bound
+
+
+def _sep2_least(src: SourceSpec, n0: float, c12, target: DistortionPair):
+    """``(value, bound)`` for ``_opt._least`` on scheme 2's box ``[0, 1]^2``
+    at ``p1 = p2``: each point's least power.
+
+    The plain MAC's bounds meet ``r1b``, ``r2b`` and ``max(rsb, r1b + r2b)``
+    less ``_LEAST_EPS`` at ``n0 (4^r1b - 1)``, ``n0 (4^r2b - 1)`` and ``n0
+    (4^max(rsb, r1b + r2b) - 1)/2``.  A box's bound takes the terms of
+    :func:`_sep2_corner_terms`.
+    """
+    def least(r1b, r2b, rsb, d1, d2):
+        return _least_power(n0, ((_excess(r1b), 1.0), (_excess(r2b), 1.0),
+                                 (_excess(np.maximum(rsb, r1b + r2b)), 2.0)),
+                            d1, d2, target.d1, target.d2)
+
+    def value(z):
+        return least(*_sep2_terms(src.rho, c12, z))
+
+    def bound(lo, up):
+        return least(*_sep2_corner_terms(src.rho, c12, lo, up))
+    return value, bound
 
 
 def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
@@ -196,13 +226,21 @@ def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
     construction.  Its slack and bound rise with each power, so a query
     at or below the powers (same ``n0`` and ``c12``) of the lowest feasible
     one in ``frontiers``, which one solve owns, starts from that one's
-    boxes.  The witness's variances (``UNLIMITED`` where a ratio is 0), its
-    Kaspi point, rate split and plain-MAC report are evaluated afresh, so
-    the report re-validates the search's point.  A None that the search
-    could not prove is reported infeasible too.
+    boxes.  The report is :func:`_sep2_report`'s at the search's point.  A
+    None that the search could not prove is reported infeasible too.
     """
     pt, _ = _certify_below({} if frontiers is None else frontiers, (ch.n0, ch.c12),
                            (ch.p1, ch.p2), _sep2_slice(src, ch, target), [1.0, 1.0])
+    return _sep2_report(src, ch, target, pt)
+
+
+def _sep2_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
+                 pt) -> FeasibilityReport:
+    """Scheme 2's report at the box point ``pt`` (None: infeasible, reported
+    at the point of absent auxiliaries).  The point's variances
+    (``UNLIMITED`` where a ratio is 0), its Kaspi point, rate split and
+    plain-MAC report are evaluated afresh, so the report re-validates the
+    point."""
     with np.errstate(divide="ignore", over="ignore"):  # a ratio of 0: an absent auxiliary
         variances = src.sigma2 / np.array(_sep2_ratios(src.rho, ch.c12,
                                                        np.ones(2) if pt is None else pt))

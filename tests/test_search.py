@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, DomainError, SourceSpec
-from confmac import _opt, search, vqscheme
+from confmac import _opt, search, separation, vqscheme
 from confmac.search import (
     CurveKind,
     Scheme,
@@ -290,6 +290,91 @@ def test_slice_bounds_hold_over_their_boxes(rho):
                 assert np.all(exact(pts) <= ceiling), (rho, p1, p2, n0, target, d)
 
 
+def _least_forms(src, n0, target):
+    """``((value, bound), box)`` of each least-power form: both quantizer
+    slices, and separation scheme 2 at three links."""
+    yield search._noconf_least(src, n0, target), (8.0, 8.0)
+    yield search._unlimited_least(src, n0, target), (8.0, 8.0, 1.0)
+    for c12 in (0.0, 0.5, UNLIMITED):
+        yield separation._sep2_least(src, n0, c12, target), (1.0, 1.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
+def test_least_power_bounds_hold_over_their_boxes(rho):
+    """No point of a random box, corners included, needs less power than the
+    box's lower bound less the relative rounding margin."""
+    rng = np.random.default_rng(int(100 * rho) + 1)
+    src = SourceSpec(1.0, rho)
+    for n0 in (1.0, 0.5, 1.0 / 16.0):
+        target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
+        for (value, bound), hi in _least_forms(src, n0, target):
+            hi = np.array(hi)
+            m, d = 2000, hi.size
+            lo = rng.uniform(0.0, 1.0, (m, d)) * hi
+            up = np.minimum(lo + hi * 2.0 ** rng.uniform(-30.0, 0.0, (m, d)), hi)
+            floor = bound(lo, up) * (1.0 - _opt._LEAST_MARGIN)
+            assert not np.isnan(floor).any()
+            for k in range(8):
+                u = rng.uniform(0.0, 1.0, (m, d))
+                if k < 2:
+                    u = np.round(u)
+                assert np.all(value(lo + u * (up - lo)) >= floor), (rho, n0, target, d)
+
+
+def _least_by_bisection(slack, n0):
+    """Least power at which ``slack(p)``, rising in ``p``, reaches the
+    tolerance: doubling from ``n0``, then 100 bisection steps."""
+    lo, hi = 0.0, n0
+    while slack(hi) < _opt.SLACK_TOL:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if slack(mid) >= _opt.SLACK_TOL else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
+def test_least_power_forms_match_the_slack_kernels(rho):
+    """At random points each least-power form equals the power at which its
+    slack kernel reaches the tolerance, found by scalar bisection; a point
+    whose form is +inf misses the target at any power."""
+    rng = np.random.default_rng(int(100 * rho) + 2)
+    src = SourceSpec(1.0, rho)
+    for n0 in (1.0, 1.0 / 16.0):
+        target = DistortionPair(*(float(v) for v in rng.uniform(0.05, 1.0, 2)))
+        d1, d2 = target.d1, target.d2
+        rates = rng.uniform(0.05, 3.0, (12, 2))
+
+        def noconf(p, pt):
+            return vqscheme._min_slack(1.0, rho, p, p, n0, d1, d2, pt[:1], pt[1:], 0.0, 0.0, 0.0)
+
+        def unlimited(p, pt):
+            return vqscheme._unlimited_min_slack(rho, p, p, n0, d1, d2, pt[:1], pt[1:2], pt[2:])
+
+        cases = [(search._noconf_least(src, n0, target)[0], rates, noconf),
+                 (search._unlimited_least(src, n0, target)[0],
+                  np.column_stack([rates, rng.uniform(0.0, 1.0, 12)]), unlimited)]
+        for c12 in (0.0, 0.5, UNLIMITED):
+            def sep2(p, pt, c12=c12):
+                return separation._sep2_slice(src, ChannelSpec(p, p, n0, c12), target)[0](pt[None])
+            cases.append((separation._sep2_least(src, n0, c12, target)[0],
+                          rng.uniform(0.0, 1.0, (12, 2)), sep2))
+        finite = 0
+        for value, pts, kernel in cases:
+            for pt, form in zip(pts, value(pts)):
+                def slack(p):
+                    return float(kernel(p, pt)[0])
+                if math.isinf(form):
+                    assert slack(1e12 * n0) < _opt.SLACK_TOL, (rho, n0, pt)
+                elif form == 0.0:
+                    assert slack(1e-12 * n0) >= _opt.SLACK_TOL, (rho, n0, pt)
+                else:
+                    finite += 1
+                    assert form == pytest.approx(_least_by_bisection(slack, n0), rel=1e-9), \
+                        (rho, n0, pt)
+        assert finite >= 12, (rho, n0)
+
+
 def _noconf_reference(src, ch, target):
     """No-conference slack at (r1, r2) points from the readable rate bounds."""
     def slack(pts):
@@ -405,6 +490,86 @@ def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
             assert query.witness.r1 > 0.0 and query.witness.rc > 0.0, query.witness
 
 
+def test_least_power_solves_match_the_query_solves(monkeypatch):
+    """On proven searches the least-power solve makes every decision of the
+    solve by one feasibility query per step: same objective, bracket and
+    iteration count."""
+    least, proofs = search._least, []
+
+    def recorded(*args, **kwargs):
+        out = least(*args, **kwargs)
+        proofs.append(out[2])
+        return out
+    monkeypatch.setattr(search, "_least", recorded)
+    for rho, target, tol in ((0.3, DistortionPair(0.1, 0.2), 1e-6),
+                             (0.8, DistortionPair(0.2, 0.1), 1e-9)):
+        src = SourceSpec(1.0, rho)
+        for scheme, c12 in ((Scheme.VQ, UNLIMITED), (Scheme.VQ, 0.0),
+                            (Scheme.SEP2, UNLIMITED), (Scheme.SEP2, 0.5)):
+            res = min_power_symmetric(src, scheme, target, c12=c12, tol=tol)
+            ref = search._query_solve(src, scheme, target, c12, 1.0, tol, 1e9)
+            assert (res.objective, res.bracket, res.iterations, res.converged) == (
+                ref.objective, ref.bracket, ref.iterations, ref.converged), (rho, scheme, c12)
+    assert len(proofs) == 8 and all(proofs), proofs
+
+
+def test_unproven_least_power_also_runs_the_query_solve(monkeypatch):
+    """A least-power search that ends without a proof leaves the answer to
+    the lower of its own bisection and the solve by queries."""
+    least = search._least
+    target = DistortionPair(0.1, 0.2)
+    for scheme, c12 in ((Scheme.VQ, UNLIMITED), (Scheme.VQ, 0.0), (Scheme.SEP2, UNLIMITED)):
+        proven = min_power_symmetric(SRC, scheme, target, c12=c12, tol=1e-6)
+        queried = search._query_solve(SRC, scheme, target, c12, 1.0, 1e-6, 1e9)
+        for outcome, expected in ((lambda pt, m: (pt, m * 1.001, False), queried),
+                                  (lambda pt, m: (None, math.inf, False), queried),
+                                  (lambda pt, m: (pt, m, False), proven)):
+            monkeypatch.setattr(search, "_least", lambda *a, outcome=outcome, **k:
+                                outcome(*least(*a, **k)[:2]))
+            assert min_power_symmetric(SRC, scheme, target, c12=c12, tol=1e-6) == expected, \
+                (scheme, c12)
+
+
+def test_refuted_finite_link_bracket_is_not_converged():
+    """At a finite link the compass search's "infeasible" is no proof: where
+    the answer's own witness holds at the bracket's lower end, the solve keeps
+    its answer and reports that it did not converge.  Where the certified
+    unlimited slice decides, the bracket stands."""
+    for rho, target, c12, refuted in ((0.5, DistortionPair(0.1, 0.2), 1.0, True),
+                                      (0.8, DistortionPair(0.04, 0.2), 0.25, True),
+                                      (0.5, DistortionPair(0.1, 0.2), 1.5, False)):
+        src = SourceSpec(1.0, rho)
+        res = min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=1e-6)
+        lo = res.bracket[0]
+        cfg = vqscheme.VqConfig(*(res.witness[k] for k in ("r1", "r2", "rc", "beta1", "beta2")))
+        holds = search._vq_witness_ok(src, ChannelSpec(lo, lo, 1.0, c12), cfg, target)
+        assert (holds is not None, res.converged) == (refuted, not refuted), (rho, c12)
+
+
+def test_min_conf_refuted_bracket_is_not_converged(monkeypatch):
+    """A quantizer conference solve whose witness needs no more than the
+    bracket's lower end reports that it did not converge; with a predicate
+    that finds the witness wherever it holds, the solve converges."""
+    unlimited = min_power_symmetric(SRC, Scheme.VQ, DistortionPair(0.1, 0.2), tol=1e-6).witness
+    cfg = vqscheme.VqConfig(*(unlimited[k] for k in ("r1", "r2", "rc", "beta1", "beta2")))
+    need, _ = vqscheme.vq_conf_requirement(SRC, cfg)
+    for missed in (0.3, 0.0):
+        class Stub:  # finds the witness only ``missed`` bits above its requirement
+            def __init__(self, src, target):
+                self.witness = None
+
+            def __call__(self, p1, p2, n0, c12):
+                if search.is_unlimited(c12) or c12 >= need + missed:
+                    self.witness = cfg
+                    return True
+                return False
+        monkeypatch.setattr(search, "_VqFeasibility", Stub)
+        res = min_conf_capacity(SRC, ChannelSpec(11.5, 11.5, 1.0), Scheme.VQ,
+                                DistortionPair(0.1, 0.2), tol=1e-6)
+        assert res.bracket[0] < need + missed <= res.bracket[1]
+        assert res.converged is (missed == 0.0), (missed, need, res)
+
+
 def test_certify_stops_when_the_best_slack_is_within_rounding():
     """A best slack one rounding step below the tolerance is neither reached
     nor refuted: the search ends at its round or box cap without a witness
@@ -486,7 +651,9 @@ def test_warm_certificate_matches_cold():
 # (d1, d2, c12, tol, objective, bracket, iterations, witness) of VQ solves at
 # rho = 0.5: the four Fig. 3 VQ solves and one finite-link solve.  The four
 # slice rows are the certified branch-and-bound's answers; each lies below
-# the compass search's old answer, which these witnesses refute.  In the
+# the compass search's old answer, which these witnesses refute.  Their
+# witnesses are the least-power branch-and-bound's points, within 1.3e-9 of
+# the feasibility queries' witnesses of the same optimum.  In the
 # finite-link row the unlimited witness's shared rate (about 1.65 bits)
 # exceeds the 1.16 bits the link carries and the no-conference slice fails
 # below 12.96, so the compass search decides its bracket.  Exact
@@ -494,24 +661,24 @@ def test_warm_certificate_matches_cold():
 PINNED_VQ_SOLVES = (
     (0.2 * 0.2, 0.2, UNLIMITED, 1e-9,
      23.992380127310753, (23.99238011240959, 23.992380127310753), 35,
-     {"r1": 0.0, "r2": 1.1139293141895905, "rc": 2.31483106513042,
-      "beta1": 1.0, "beta2": 0.8561289038771065,
-      "d1": 0.040000000050960924, "d2": 0.20000000026326425}),
+     {"r1": 0.0, "r2": 1.1139293141361577, "rc": 2.3148310650492476,
+      "beta1": 1.0, "beta2": 0.8561289051365009,
+      "d1": 0.0400000000554278, "d2": 0.2000000002772225}),
     (0.2 * 0.2, 0.2, 0.0, 1e-9,
      32.446769416332245, (32.44676938652992, 32.446769416332245), 36,
-     {"r1": 2.31483106513042, "r2": 1.1139293141895905, "rc": 0.0,
+     {"r1": 2.3148310650490203, "r2": 1.113929314136385, "rc": 0.0,
       "beta1": 0.0, "beta2": 0.0,
-      "d1": 0.040000000050960924, "d2": 0.20000000026326425}),
+      "d1": 0.040000000055440244, "d2": 0.2000000002771636}),
     (1.0 * 0.2, 0.2, UNLIMITED, 1e-9,
      5.423282735049725, (5.423282731324434, 5.423282735049725), 33,
-     {"r1": 0.0, "r2": 1.1245753685943782, "rc": 1.1245753685943782,
-      "beta1": 1.0, "beta2": 0.3418464592541568,
-      "d1": 0.20000000025500764, "d2": 0.20000000025500764}),
+     {"r1": 0.0, "r2": 1.1245753685115005, "rc": 1.1245753685115005,
+      "beta1": 1.0, "beta2": 0.3418464596784503,
+      "d1": 0.20000000027723103, "d2": 0.20000000027723103}),
     (1.0 * 0.2, 0.2, 0.0, 1e-9,
      6.480237826704979, (6.480237822979689, 6.480237826704979), 33,
-     {"r1": 1.1245753685943782, "r2": 1.1245753685943782, "rc": 0.0,
+     {"r1": 1.1245753685115005, "r2": 1.1245753685115005, "rc": 0.0,
       "beta1": 0.0, "beta2": 0.0,
-      "d1": 0.20000000025500764, "d2": 0.20000000025500764}),
+      "d1": 0.20000000027723103, "d2": 0.20000000027723103}),
     (0.1, 0.2, 1.0, 1e-6,
      10.312507629394531, (10.3125, 10.312507629394531), 24,
      {"r1": 0.5788574218750001, "r2": 1.1186839916087963, "rc": 1.064192830201275,

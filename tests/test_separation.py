@@ -5,7 +5,7 @@ import pytest
 
 from confmac.model import (UNLIMITED, ChannelSpec, DistortionPair, RatePoint, SourceSpec,
                            is_unlimited)
-from confmac import _opt, capacity, rdlib, separation
+from confmac import _opt, capacity, rdlib, search, separation
 from confmac.search import Scheme, min_power_symmetric
 from confmac.separation import sep1_feasible, sep2_feasible
 
@@ -239,8 +239,9 @@ def test_sep2_minimum_against_grid_oracle():
 
 @pytest.mark.parametrize("alpha", [0.2, 1.0])
 def test_sep2_warm_queries_match_cold(alpha, monkeypatch):
-    """Every query of a Fig. 3 sep2 solve returns the same point and proof
-    from the boxes of the last feasible query as from the whole box."""
+    """Every query of a Fig. 3 sep2 solve by feasibility queries returns the
+    same point and proof from the boxes of the last feasible query as from
+    the whole box."""
     certify, warm = _opt._certify, []
 
     def both(exact, bound, hi, lo=0.0, start=None):
@@ -251,9 +252,9 @@ def test_sep2_warm_queries_match_cold(alpha, monkeypatch):
         warm.append(start is not None)
         return answers[1]
     monkeypatch.setattr(_opt, "_certify", both)
-    min_power_symmetric(SourceSpec(1.0, 0.5), Scheme.SEP2, DistortionPair(alpha * 0.2, 0.2),
-                        tol=1e-9)
-    assert sum(warm) >= len(warm) // 2, warm
+    search._query_solve(SourceSpec(1.0, 0.5), Scheme.SEP2, DistortionPair(alpha * 0.2, 0.2),
+                        UNLIMITED, 1.0, 1e-9, 1e9)
+    assert warm and sum(warm) >= len(warm) // 2, warm
 
 
 @pytest.mark.parametrize("c12", [0.0, 0.5, UNLIMITED])
@@ -289,6 +290,26 @@ def test_sep2_pinned_minima(c12):
         p = min_power_symmetric(SourceSpec(1.0, rho), Scheme.SEP2,
                                 DistortionPair(alpha * 0.2, 0.2), c12=c12, tol=1e-9).objective
         assert p == pytest.approx(pinned, rel=1e-7), (rho, alpha, c12)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.8, 0.9])
+def test_sep2_flat_ridge_meets_the_sum_bound(rho):
+    """``Delta = (1 + iu (1 - rho^2))/d1``, so every point needs ``rsum >=
+    (1/2)log2(1/d1)`` and a power of at least ``n0 (1/d1 - 1)/2``.  The
+    first component alone (``iu = 0``, ``s = 1/d1 - 1``) meets that bound
+    with ``d2 = 1 - rho^2 (1 - d1)``; where the target allows that, the
+    optimal points form a flat ridge, on which feasibility queries end
+    without a proof, and the least-power search reaches the bound to within
+    ``tol``."""
+    tol = 1e-6
+    for d1, d2 in ((0.3, 0.9), (0.01, 0.5)):
+        p = min_power_symmetric(SourceSpec(1.0, rho), Scheme.SEP2, DistortionPair(d1, d2),
+                                tol=tol).objective
+        floor = (1.0 / d1 - 1.0) / 2.0
+        if d2 >= 1.0 - rho**2 * (1.0 - d1):
+            assert p == pytest.approx(floor, rel=tol), (rho, d1, d2)
+        else:  # rho 0.5, d = (0.01, 0.5)
+            assert p > floor * (1.0 + tol), (rho, d1, d2)
 
 
 def test_sep2_minimum_does_not_rise_with_the_link():

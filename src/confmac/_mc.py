@@ -3,18 +3,28 @@
 Sampling is built on the Philox counter-based bit generator, keyed by
 ``(seed, stream_index)``.  Each chunk of work owns one stream, so any mix of
 serial and parallel execution produces bit-identical 64-bit integer streams;
-results are always combined in chunk-index order.
+results are always combined in chunk-index order.  A sampler may draw a
+chunk's stream in consecutive blocks: a generator gives the same numbers in
+any split of its draws, so blocks bound a chunk's working set without
+changing a sample.
 
 A chunk returns its samples as a ``(k, n)`` array: one contiguous row of
 ``n`` samples per estimated quantity.  Each row is reduced on its own with
 numpy's pairwise summation, whose rounding error grows with ``log n`` rather
 than ``n``, and chunks are merged with the parallel Welford combine, which is
 exact in a fixed order.
+
+Chunks run on one persistent thread pool per worker count, started on first
+use and left idle between calls; ``GMAC_THREADS`` is read at every call.  A
+chunk function may itself call :func:`accumulate_chunks`: the nested call runs
+its chunks serially in the calling worker, because waiting on the pool from
+inside it could deadlock.  Idle workers exit with the interpreter.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -27,6 +37,18 @@ from .model import DomainError
 DEFAULT_CHUNK = 1 << 16
 
 _STREAM_SALT = 0x9E3779B97F4A7C15  # keeps stream keys away from raw seeds
+
+_POOLS: dict[int, ThreadPoolExecutor] = {}  # worker count -> its persistent pool
+_POOLS_LOCK = threading.Lock()
+
+
+class _ChunkFlag(threading.local):
+    active = False  # true while this thread runs a chunk function
+
+
+_IN_CHUNK = _ChunkFlag()
+if hasattr(os, "register_at_fork"):  # a forked child inherits no pool threads
+    os.register_at_fork(after_in_child=_POOLS.clear)
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
@@ -88,6 +110,16 @@ class MomentAccumulator:
         return np.sqrt(self.variance / self.count)
 
 
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The persistent pool of ``workers`` threads, started on first use."""
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix=f"confmac-mc{workers}")
+        return pool
+
+
 def accumulate_chunks(
     fn: Callable[[np.random.Generator, int], np.ndarray],
     seed: int,
@@ -98,9 +130,10 @@ def accumulate_chunks(
 
     Each chunk's ``k`` rows are reduced along their contiguous length by
     :meth:`MomentAccumulator.from_values`.  Chunks may be evaluated
-    concurrently (GMAC_THREADS workers), but the Welford combination always
-    proceeds in chunk-index order, so the result is independent of the
-    degree of parallelism.  ``total`` must be at least 1.
+    concurrently (GMAC_THREADS workers, on the persistent pool of that
+    size), but the Welford combination always proceeds in chunk-index order,
+    so the result is independent of the degree of parallelism.  A call made
+    from inside a chunk function runs serially.  ``total`` must be at least 1.
     """
     if total < 1:
         raise DomainError("total", f"must be >= 1, got {total}")
@@ -108,12 +141,15 @@ def accumulate_chunks(
 
     def run(idx_size):
         idx, size = idx_size
-        return MomentAccumulator.from_values(fn(stream_generator(seed, idx), size))
+        outer, _IN_CHUNK.active = _IN_CHUNK.active, True
+        try:
+            return MomentAccumulator.from_values(fn(stream_generator(seed, idx), size))
+        finally:
+            _IN_CHUNK.active = outer
 
-    workers = min(worker_count(), len(sizes))
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, enumerate(sizes)))
+    workers = worker_count()
+    if workers > 1 and len(sizes) > 1 and not _IN_CHUNK.active:
+        parts = list(_pool(workers).map(run, enumerate(sizes)))
     else:
         parts = [run(item) for item in enumerate(sizes)]
 

@@ -14,6 +14,7 @@ approach and the corresponding predictions for the distortion product.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,8 @@ class MaxCorrEstimate:
     sample_count: int
 
 
-def maxcorr_linear_maps(src: SourceSpec, beta: float, sample_count: int,
-                        seed: int) -> MaxCorrEstimate:
+def maxcorr_linear_maps(src: SourceSpec, beta: float | Sequence[float], sample_count: int,
+                        seed: int) -> MaxCorrEstimate | tuple[MaxCorrEstimate, ...]:
     """Monte-Carlo moments of the unit-variance linear maps attaining the bound.
 
     phi1 = S1/sigma and phi2 = sqrt(1-beta)/sigma S2 +
@@ -103,34 +104,55 @@ def maxcorr_linear_maps(src: SourceSpec, beta: float, sample_count: int,
     correlation converges to ``sqrt(rho^2(1-beta)+beta)`` and the residual
     variance of phi2 given S1 to ``(1-beta)(1-rho^2)``.  Deterministic given
     the seed; standard errors are the asymptotic normal ones.
+
+    ``beta`` may be one value, giving one :class:`MaxCorrEstimate`, or a
+    sequence, giving a tuple of them in order.  The betas of a sequence share
+    one stream: each chunk draws ``(S1, S2)`` once and returns the rows
+    ``phi1``, ``phi1^2`` and then ``phi2``, ``phi2^2``, ``phi1 phi2`` per
+    beta.  Rows are reduced one by one, so each estimate is bit for bit the
+    one a call with that beta alone returns.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError("beta", f"must lie in [0, 1], got {beta}")
+    single = np.ndim(beta) == 0
+    betas = [beta] if single else list(beta)
+    for b in betas:
+        if not 0.0 <= b <= 1.0:
+            raise DomainError("beta", f"must lie in [0, 1], got {b}")
     rho = src.rho
     sigma = math.sqrt(src.sigma2)
-    bb = 1.0 - beta
-    gain = math.sqrt(rho**2 * bb + beta) - math.sqrt(rho**2 * bb)
+    # per beta, the weights of S2 and S1 in phi2 (times sigma)
+    maps = [(math.sqrt(1.0 - b), math.sqrt(rho**2 * (1.0 - b) + b) - math.sqrt(rho**2 * (1.0 - b)))
+            for b in betas]
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal((n, 2))
         s1 = sigma * z[:, 0]
         s2 = sigma * (rho * z[:, 0] + math.sqrt(1.0 - rho**2) * z[:, 1])
-        phi1 = s1 / sigma
-        phi2 = (math.sqrt(bb) * s2 + gain * s1) / sigma
-        return np.stack([phi1, phi2, phi1**2, phi2**2, phi1 * phi2])
+        out = np.empty((2 + 3 * len(maps), n))
+        phi1 = np.divide(s1, sigma, out=out[0])
+        np.square(phi1, out=out[1])
+        for k, (root_bb, gain) in enumerate(maps):
+            phi2 = np.add(root_bb * s2, gain * s1, out=out[2 + 3 * k])
+            phi2 /= sigma
+            np.square(phi2, out=out[3 + 3 * k])
+            np.multiply(phi1, phi2, out=out[4 + 3 * k])
+        return out
 
     acc = accumulate_chunks(chunk, seed, sample_count)
-    m1, m2, m11, m22, m12 = (float(v) for v in acc.mean)
-    var1 = m11 - m1**2
-    var2 = m22 - m2**2
-    cov = m12 - m1 * m2
-    corr = cov / math.sqrt(var1 * var2)
-    cond_var = var2 * (1.0 - corr**2)
     n = sample_count
-    corr_se = (1.0 - corr**2) / math.sqrt(n)
-    cond_var_se = cond_var * math.sqrt(2.0 / n)
-    return MaxCorrEstimate(m1, m2, var1, var2, corr, cond_var,
-                           corr_se, cond_var_se, n)
+    estimates = []
+    for k in range(len(maps)):
+        rows = (0, 2 + 3 * k, 1, 3 + 3 * k, 4 + 3 * k)
+        m1, m2, m11, m22, m12 = (float(acc.mean[i]) for i in rows)
+        var1 = m11 - m1**2
+        var2 = m22 - m2**2
+        cov = m12 - m1 * m2
+        corr = cov / math.sqrt(var1 * var2)
+        cond_var = var2 * (1.0 - corr**2)
+        corr_se = (1.0 - corr**2) / math.sqrt(n)
+        cond_var_se = cond_var * math.sqrt(2.0 / n)
+        estimates.append(MaxCorrEstimate(m1, m2, var1, var2, corr, cond_var,
+                                         corr_se, cond_var_se, n))
+    return estimates[0] if single else tuple(estimates)
 
 
 @dataclass(frozen=True)

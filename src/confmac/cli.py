@@ -231,6 +231,20 @@ def _config_echo(cfg: dict) -> dict:
     return echo
 
 
+def _numbers_echo(cfg: dict, names, tol: float) -> dict:
+    """The config echo with each set flag of ``names`` as the float the command
+    read, from the command line or ``--config`` alike, and the ``tol`` it used.
+    A non-finite value (only an unused flag can hold one) stays as given, so
+    the echo remains valid JSON."""
+    echo = _config_echo(cfg)
+    for name in names:
+        value = None if cfg.get(name) is None else _floats(cfg, name)[0]
+        if value is not None and math.isfinite(value):
+            echo[name] = value
+    echo["tol"] = tol
+    return echo
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -338,7 +352,8 @@ def cmd_minpower(args) -> int:
     scheme = Scheme(cfg["scheme"])
     tol = _float_or(cfg, "tol", 1e-6)
     res = search.min_power_symmetric(src, scheme, target, c12=cfg["c12"], n0=n0, tol=tol)
-    return _emit_optimization(res, _config_echo(cfg), args.json)
+    echo = _numbers_echo(cfg, ("sigma2", "rho", "noise", "d1", "d2", "alpha"), tol)
+    return _emit_optimization(res, echo, args.json)
 
 
 def cmd_minconf(args) -> int:
@@ -350,7 +365,8 @@ def cmd_minconf(args) -> int:
     tol = _float_or(cfg, "tol", 1e-6)
     res = search.min_conf_capacity(src, ChannelSpec(p1, p2, n0), scheme,
                                    DistortionPair(d1, d2), tol=tol)
-    return _emit_optimization(res, _config_echo(cfg), args.json)
+    echo = _numbers_echo(cfg, ("sigma2", "rho", "p1", "p2", "noise", "d1", "d2"), tol)
+    return _emit_optimization(res, echo, args.json)
 
 
 def cmd_asymptote(args) -> int:

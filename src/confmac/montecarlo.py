@@ -15,11 +15,17 @@ with W1, Wc, W2 independent of everything else.  The induced 5x5 covariance
 over (S1, S2, U1, V, U2) reproduces the scheme's scaled correlations
 exactly; sampling uses this structural recipe (no matrix factorization), so
 zero-variance components are harmless.
+
+The samplers run through :func:`confmac._mc.accumulate_chunks`, one stream per
+chunk.  The angle sampler draws a chunk's stream in cache-sized blocks of
+whole draws, and the normal-equation oracle solves a stack of models at once;
+both give bit for bit what one block or one model at a time gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +33,9 @@ import numpy as np
 from .model import DomainError, SourceSpec
 from .vqscheme import VqConfig, _distortion_terms
 from ._mc import MomentAccumulator, accumulate_chunks
+
+
+_BLOCK_TUPLES = 1 << 15  # surrogate tuples drawn at once by the angle sampler: ~1.3 MB
 
 
 class SingularError(ArithmeticError):
@@ -97,24 +106,37 @@ def mmse_gamma_oracle(model: SurrogateModel) -> GammaCoeffs:
 
     Zero-variance descriptions (rate-0 stages) are removed before the solve;
     their coefficients are reported as 0.  Raises :class:`SingularError` if
-    the remaining Gram matrix is still singular.
+    the remaining Gram matrix is still singular.  The one-model case of
+    :func:`mmse_gamma_oracles`.
     """
-    cov = model.covariance
-    cols = [i for i, name in zip((2, 4, 3), ("u1", "u2", "v")) if cov[i, i] > 0.0]
-    if not cols:
-        return GammaCoeffs(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    gram = cov[np.ix_(cols, cols)]
-    if np.linalg.cond(gram) > 1e12:
-        raise SingularError("description Gram matrix is numerically singular")
-    sol1 = np.linalg.solve(gram, cov[0, cols])
-    sol2 = np.linalg.solve(gram, cov[1, cols])
-    order = {c: k for k, c in enumerate(cols)}
-    def pick(sol, idx):
-        return float(sol[order[idx]]) if idx in order else 0.0
-    return GammaCoeffs(
-        pick(sol1, 2), pick(sol1, 4), pick(sol1, 3),
-        pick(sol2, 2), pick(sol2, 4), pick(sol2, 3),
-    )
+    return mmse_gamma_oracles([model])[0]
+
+
+def mmse_gamma_oracles(models: Sequence[SurrogateModel]) -> list[GammaCoeffs]:
+    """:func:`mmse_gamma_oracle` of each model, from stacked solves.
+
+    Models are grouped by the descriptions they keep; each group's Gram
+    matrices go through one ``np.linalg.cond`` and one ``np.linalg.solve``
+    per estimated source, which run the same LAPACK routine on each matrix of
+    the stack, so every coefficient is bit for bit the one-model solve's.
+    Raises :class:`SingularError` if any kept Gram matrix is singular.
+    """
+    covs = np.array([m.covariance for m in models]).reshape(-1, 5, 5)
+    desc = np.array((2, 4, 3))  # u1, u2, v: the order of each source's gains
+    kept = covs[:, desc, desc] > 0.0
+    gains = np.zeros((len(covs), 2, 3))  # per model: source, description
+    for mask in np.unique(kept, axis=0):
+        if not mask.any():
+            continue
+        group = np.flatnonzero((kept == mask).all(axis=1))
+        cols = desc[mask]
+        gram = covs[np.ix_(group, cols, cols)]
+        if np.any(np.linalg.cond(gram) > 1e12):
+            raise SingularError("description Gram matrix is numerically singular")
+        for source in (0, 1):
+            rhs = covs[np.ix_(group, [source], cols)].transpose(0, 2, 1)  # (models, k, 1)
+            gains[np.ix_(group, [source], mask)] = np.linalg.solve(gram, rhs).transpose(0, 2, 1)
+    return [GammaCoeffs(*g.ravel().tolist()) for g in gains]
 
 
 def _sample_tuple(rng: np.random.Generator, n: int, model: SurrogateModel) -> tuple:
@@ -188,18 +210,30 @@ def surrogate_angle_moments(src: SourceSpec, cfg: VqConfig, dim: int,
     Each draw stacks ``dim`` independent copies of the surrogate tuple into
     vectors and records cos(angle) for (U1, U2), (V, U2) and (V, U1); their
     means converge to the scheme's scaled correlations.
+
+    A chunk of ``n`` draws takes its ``n dim`` tuples from its stream in
+    consecutive blocks of whole draws, about ``_BLOCK_TUPLES`` tuples each,
+    and writes each block's cosines in place.  A generator's draws do not
+    depend on how they are split and a cosine reads only its own draw, so the
+    estimate is bit for bit that of one block per chunk.
     """
     if dim < 1:
         raise DomainError("dim", f"must be >= 1, got {dim}")
     model = build_surrogate(src, cfg)
+    block = max(1, _BLOCK_TUPLES // dim)  # draws per block
+
+    def cos(a, b):
+        denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        denom = np.where(denom > 0.0, denom, 1.0)
+        return np.einsum("ij,ij->i", a, b) / denom
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
-        _, _, u1, v, u2 = (x.reshape(n, dim) for x in _sample_tuple(rng, n * dim, model))
-        def cos(a, b):
-            denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-            denom = np.where(denom > 0.0, denom, 1.0)
-            return np.einsum("ij,ij->i", a, b) / denom
-        return np.stack([cos(u1, u2), cos(v, u2), cos(v, u1)])
+        out = np.empty((3, n))
+        for lo in range(0, n, block):
+            m = min(block, n - lo)
+            _, _, u1, v, u2 = (x.reshape(m, dim) for x in _sample_tuple(rng, m * dim, model))
+            out[:, lo:lo + m] = cos(u1, u2), cos(v, u2), cos(v, u1)
+        return out
 
     acc = accumulate_chunks(chunk, seed, draws, chunk=1 << 12)
     se = acc.se_of_mean

@@ -90,11 +90,13 @@ def mmse_draws(rng: np.random.Generator) -> list:
 
 def mmse_oracle(draws) -> tuple[float, bool]:
     """Worst |diff| between the closed-form estimator gains and the
-    normal-equation solve, and whether every gain lies in its range."""
+    normal-equation solves, stacked into one, and whether every gain lies in
+    its range."""
     worst, range_ok = 0.0, True
-    for src, cfg in draws:
+    oracles = montecarlo.mmse_gamma_oracles([montecarlo.build_surrogate(src, cfg)
+                                             for src, cfg in draws])
+    for (src, cfg), go in zip(draws, oracles):
         g = montecarlo.mmse_gamma(src, cfg)
-        go = montecarlo.mmse_gamma_oracle(montecarlo.build_surrogate(src, cfg))
         for name in ("g11", "g12", "g13", "g21", "g22", "g23"):
             worst = max(worst, abs(getattr(g, name) - getattr(go, name)))
         range_ok &= (0 < g.g11 <= 1) and (0 < g.g13 <= 1) and (0 < g.g22 <= 1)
@@ -112,9 +114,9 @@ def maxcorr_errors(rhos, betas, samples: int, seed: int) -> list:
     """Per (rho, beta), the maximum-correlation construction's sampled moments
     against their closed forms: ``(|corr diff|, se, |cond_var diff|, se)``."""
     out = []
-    for rho in rhos:
-        for beta in betas:
-            est = bounds.maxcorr_linear_maps(SourceSpec(1.0, rho), beta, samples, seed)
+    for rho in rhos:  # one stream per rho, shared by its betas
+        for beta, est in zip(betas, bounds.maxcorr_linear_maps(SourceSpec(1.0, rho), betas,
+                                                               samples, seed)):
             out.append((abs(est.corr - math.sqrt(rho**2 * (1 - beta) + beta)), est.corr_se,
                         abs(est.cond_var - (1 - beta) * (1 - rho**2)), est.cond_var_se))
     return out

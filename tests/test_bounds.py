@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, SourceSpec
+from confmac.model import UNLIMITED, ChannelSpec, DistortionPair, DomainError, SourceSpec
 from confmac import bounds
 from confmac.bounds import (
     RegimeError,
@@ -122,6 +122,22 @@ def test_maxcorr_deterministic_across_threads(monkeypatch):
     monkeypatch.setenv("GMAC_THREADS", "3")
     b = maxcorr_linear_maps(src, 0.3, 150_000, seed=5)
     assert a == b
+
+
+def test_maxcorr_beta_sequence_matches_single_calls():
+    """A sequence of betas shares one stream; each estimate is bit for bit
+    the one-beta call's (three chunks, so the chunk combine is covered)."""
+    betas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for rho in (0.0, 0.3, 0.95):
+        src = SourceSpec(1.0, rho)
+        shared = maxcorr_linear_maps(src, betas, 150_000, seed=12)
+        assert isinstance(shared, tuple) and len(shared) == len(betas)
+        for beta, est in zip(betas, shared):
+            assert est == maxcorr_linear_maps(src, beta, 150_000, seed=12)  # every field
+    assert maxcorr_linear_maps(SourceSpec(1.0, 0.3), [0.5], 20_000, seed=1) == (
+        maxcorr_linear_maps(SourceSpec(1.0, 0.3), 0.5, 20_000, seed=1),)
+    with pytest.raises(DomainError, match="^beta: "):
+        maxcorr_linear_maps(SourceSpec(1.0, 0.3), (0.5, 1.5), 20_000, seed=1)
 
 
 def test_high_snr_quantities_unlimited():

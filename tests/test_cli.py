@@ -177,7 +177,42 @@ def test_minpower_alpha_shorthand():
     ])
     assert code == 0
     payload = json.loads(out)
-    assert payload["config"]["alpha"] == "0.5"
+    assert payload["config"]["alpha"] == 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["minpower", "--scheme", "sep1", "--rho", "0.5", "--d1", "0.1", "--d2", "0.2",
+     "--c12", "0", "--noise", "2"],
+    ["minpower", "--scheme", "fullcoop", "--rho", "0.5", "--alpha", "1", "--d2", "0.2",
+     "--tol", "1e-9", "--c12", "inf"],
+    ["minconf", "--scheme", "sep1", "--rho", "0.5", "--p1", "11.5", "--p2", "11.5",
+     "--d1", "0.1", "--d2", "0.2", "--tol", "1e-3"],
+], ids=["minpower-sep1", "minpower-alpha", "minconf-sep1"])
+def test_config_echo_is_numeric_from_flags_and_config(argv, tmp_path):
+    """A flag on the command line and the same value from ``--config`` echo
+    identically, as the numbers the command used; unlimited c12 is "inf"."""
+    _, from_flags = run_cli(argv + ["--json"])
+    echo = json.loads(from_flags)["config"]
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    assert all(isinstance(echo[k.lstrip("-")], float) for k in flags
+               if k not in ("--scheme", "--c12"))
+    assert echo["tol"] == float(flags.get("--tol", 1e-6))
+    assert echo.get("c12", 0.0) in (0.0, "inf")
+    as_config = {k.lstrip("-"): v if k == "--scheme" or v == "inf" else float(v)
+                 for k, v in flags.items()}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(as_config), encoding="utf-8")
+    _, from_config = run_cli([argv[0], "--config", str(cfg_file), "--json"])
+    assert from_config == from_flags
+    cfg_file.write_text(from_flags, encoding="utf-8")  # an emitted result fed back
+    _, fed_back = run_cli([argv[0], "--config", str(cfg_file), "--json"])
+    assert fed_back == from_flags
+
+
+def test_config_echo_of_an_unused_infinite_flag_stays_valid_json():
+    _, out = run_cli(["minpower", "--scheme", "fullcoop", "--rho", "0.5", "--d1", "0.1",
+                      "--alpha", "inf", "--d2", "0.2", "--json"])
+    assert json.loads(out, parse_constant=lambda name: pytest.fail(name))["config"]["alpha"] == "inf"
 
 
 def test_minconf_unbounded_exit_two():
@@ -299,6 +334,16 @@ def test_validate_identical_across_worker_counts(monkeypatch):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_validate_transcript_is_pinned():
+    """The whole ``validate --seed 42 --samples 1000000`` transcript, byte for
+    byte as the per-beta, one-block, one-model-per-solve sampling code printed
+    it.  At 1e6 samples every sampled check spans two or more chunks."""
+    code, out = run_cli(["validate", "--seed", "42", "--samples", "1000000"])
+    assert code == 0
+    pinned = Path(__file__).parent / "data" / "validate-seed42-samples1e6.txt"
+    assert out == pinned.read_text(encoding="utf-8")
 
 
 def test_uniform_rows_match_scalar_draws():

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from confmac.montecarlo import (
     genie_distortion_mc,
     mmse_gamma,
     mmse_gamma_oracle,
+    mmse_gamma_oracles,
     sphere_cap_fraction_mc,
     surrogate_angle_moments,
 )
@@ -101,6 +107,41 @@ def test_gamma_oracle_singular():
         mmse_gamma_oracle(model)
 
 
+def _one_solve(model):
+    """The normal-equation solve of one model, one right-hand side at a time."""
+    cov = model.covariance
+    cols = [i for i in (2, 4, 3) if cov[i, i] > 0.0]
+    gains = []
+    for source in (0, 1):
+        sol = np.linalg.solve(cov[np.ix_(cols, cols)], cov[source, cols]) if cols else []
+        gains += [float(sol[cols.index(i)]) if i in cols else 0.0 for i in (2, 4, 3)]
+    return tuple(gains)
+
+
+def test_batched_oracle_matches_per_model_solves():
+    """Stacked solves give each model's one-solve gains bit for bit, in order,
+    with zero-rate stages (rate triples below) dropped from their own group."""
+    rng = np.random.default_rng(8)
+    models = [build_surrogate(SourceSpec(float(sigma2), float(rho)),
+                              VqConfig(float(r1), float(r2), float(rc), 0.0, 0.0))
+              for sigma2, rho, r1, r2, rc in rng.uniform((0.5, 0.05, 0.05, 0.05, 0.05),
+                                                         (2.0, 0.98, 5.0, 5.0, 5.0), (200, 5))]
+    src = SourceSpec(1.0, 0.5)
+    models[100:100] = [build_surrogate(src, VqConfig(*rates, 0.0, 0.0)) for rates in
+                       ((1.0, 1.0, 0.0), (0.0, 1.0, 0.5), (0.0, 0.0, 0.0), (2.0, 0.0, 1.0))]
+    batched = mmse_gamma_oracles(models)
+    assert len(batched) == len(models)
+    for model, gains in zip(models, batched):
+        assert dataclasses.astuple(gains) == _one_solve(model)
+        assert mmse_gamma_oracle(model) == gains
+    rc0 = batched[100]  # rc = 0: V has no variance, so its gains are 0
+    assert rc0.g13 == rc0.g23 == 0.0 and rc0.g11 > 0.0
+    assert mmse_gamma_oracles([]) == []
+    singular = build_surrogate(SourceSpec(1.0, 1.0), VqConfig(30.0, 30.0, 30.0, 0, 0))
+    with pytest.raises(SingularError):
+        mmse_gamma_oracles(models[:3] + [singular] + models[3:6])
+
+
 def test_genie_mc_matches_closed_form():
     src = SourceSpec(1.0, 0.5)
     cfg = VqConfig(1.0, 1.0, 0.5, 0, 0)
@@ -172,6 +213,22 @@ PINNED_ESTIMATES = {
     "sphere": (lambda: sphere_cap_fraction_mc(8, 0.9, 150_000, seed=30),
                (0.03734666666666667, 0.0004895705135153707)),
 }
+
+
+@pytest.mark.parametrize("dim", [1, 16, 64])
+def test_angle_blocks_match_one_block_draw(dim, monkeypatch):
+    """Blocked draws give the one-block estimate bit for bit.  5000 draws make
+    chunks of 4096 and 904, which blocks of 7 draws divide neither of, nor
+    the default blocks at dim 64 (512 draws) the whole count."""
+    def estimate():
+        return surrogate_angle_moments(SourceSpec(1.0, 0.5), _CFG, dim=dim, draws=5000, seed=31)
+
+    blocked = estimate()
+    monkeypatch.setattr(montecarlo, "_BLOCK_TUPLES", 1 << 40)
+    whole = estimate()
+    monkeypatch.setattr(montecarlo, "_BLOCK_TUPLES", 7 * dim + dim - 1)  # 7 draws per block
+    assert estimate() == whole
+    assert blocked == whole
 
 
 @pytest.mark.parametrize("name", PINNED_ESTIMATES)
@@ -284,3 +341,109 @@ def test_gamma_ratio_series():
         gamma_ratio_series(1.0, terms=6)
     with pytest.raises(DomainError):
         gamma_ratio_series(-1.0)
+
+
+def test_gmac_threads_is_read_at_each_call(monkeypatch):
+    """Each call runs on as many workers as GMAC_THREADS says at that call:
+    with ``w`` workers, ``w`` chunks that wait for each other all finish."""
+    main = threading.get_ident()
+
+    def threads_used(workers: int) -> set:
+        monkeypatch.setenv("GMAC_THREADS", str(workers))
+        barrier = threading.Barrier(workers, timeout=20)
+        used = set()
+
+        def chunk(rng, n):
+            used.add(threading.get_ident())
+            if workers > 1:
+                barrier.wait()
+            return rng.standard_normal((1, n))
+        accumulate_chunks(chunk, 1, 10 * workers, chunk=10)
+        return used
+
+    assert threads_used(1) == {main}
+    three = threads_used(3)
+    assert len(three) == 3 and main not in three
+    assert len(threads_used(2)) == 2
+    assert threads_used(1) == {main}
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    """Six threads call ``accumulate_chunks`` at once at four workers, more
+    than there are cores, with a short switch interval: each gets the serial
+    result, and the four-worker pool is started once."""
+    def chunk(rng, n):
+        return rng.standard_normal((3, n))
+
+    monkeypatch.setenv("GMAC_THREADS", "1")
+    serial = [accumulate_chunks(chunk, seed, 5000, chunk=500) for seed in range(6)]
+    monkeypatch.setenv("GMAC_THREADS", "4")
+    results = [None] * 6
+
+    def call(i):
+        results[i] = accumulate_chunks(chunk, i, 5000, chunk=500)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for got, want in zip(results, serial):
+        assert got is not None and got.count == want.count
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.m2, want.m2)
+    workers = [t for t in threading.enumerate() if t.name.startswith("confmac-mc4_")]
+    assert 1 <= len(workers) <= 4
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python args`` on this checkout's package at two workers; a hang
+    fails at the timeout."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "GMAC_THREADS": "2"},
+                          timeout=120)
+
+
+_NESTED = """
+import os, sys
+import numpy as np
+from confmac._mc import accumulate_chunks
+
+def inner(rng, n):
+    return rng.standard_normal((2, n))
+
+def outer(rng, n):  # each outer chunk runs a whole Monte-Carlo run of its own
+    acc = accumulate_chunks(inner, int(rng.integers(1 << 30)), 250, chunk=100)
+    return np.repeat(np.concatenate([acc.mean, acc.m2])[:, None], n, axis=1)
+
+os.environ["GMAC_THREADS"] = sys.argv[1]
+acc = accumulate_chunks(outer, 5, 40, chunk=10)
+print(repr((acc.mean.tolist(), acc.m2.tolist())))
+"""
+
+
+def test_nested_accumulate_chunks_returns_the_serial_result():
+    """A chunk function that calls ``accumulate_chunks`` on the shared pool
+    returns (its call runs serially) and gives the serial result.  Run in a
+    child process, so a deadlock fails the test at its timeout."""
+    out = {}
+    for workers in ("1", "2", "3"):
+        proc = _python("-c", _NESTED, workers)
+        assert proc.returncode == 0, proc.stderr
+        out[workers] = proc.stdout
+    assert out["1"] == out["2"] == out["3"]
+    assert out["1"].startswith("([")
+
+
+def test_validate_process_exits_with_its_pool_idle():
+    """The persistent worker pool does not hold the interpreter open."""
+    proc = _python("-m", "confmac.cli", "validate", "--samples", "20000")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "10/10 checks passed" in proc.stdout

@@ -1,26 +1,19 @@
 """Deterministic searches on boxes.
 
-Two branch-and-bounds share one box schedule: each round evaluates every
-box centre, drops the boxes a bound rules out and halves the rest along
-every axis, up to :data:`_MAX_ROUNDS` rounds of at most :data:`_MAX_BOXES`
-boxes.  :func:`_certify`, given a point slack and a bound of the slack over
-each sub-box, returns a point that reaches :data:`SLACK_TOL` or, unless it
-gives up, proves that none exists; it answers the feasibility queries of the
-quantizer scheme's slices (``search``) and of separation scheme 2
-(``separation``), and :func:`_certify_below` starts a query from the boxes
-of an earlier, higher query of the same solve.  Its minimizing twin
-:func:`_least`, given a point value and a lower bound of it over each
-sub-box, returns the least value it saw and, unless it gives up, proves
-that no point lies below it by more than a relative gap; it finds the least
-power of those slices and of scheme 2 in one run, from the closed forms of
-:func:`_least_power`.
+Two branch-and-bounds share one box schedule: each round evaluates every box
+centre, drops the boxes a bound rules out and halves the rest along every
+axis, up to :data:`_MAX_ROUNDS` rounds of at most :data:`_MAX_BOXES` boxes,
+from the whole box (neither is warm-started).  :func:`_least` returns the
+least value it saw (a least scale of the powers from :func:`_least_power`'s
+forms, or the least ``d1``) and, unless it gives up, a proof that no point
+lies lower by more than a relative gap.  :func:`_certify` returns a point
+whose slack reaches :data:`SLACK_TOL` or, unless it gives up, a proof of none.
 
 The lockstep multistart compass search serves the quantizer scheme at a
-finite conference capacity: every start polls +/- step along each
-coordinate, moves to its best improving poll or halves its step.  All starts
-share one vectorized objective call per round, ties resolve to the lowest
-poll index, and the whole schedule is deterministic, so repeated runs (and
-any caller-side parallelism) give identical results.
+finite conference capacity where neither slice decides: every start polls
++/- step along each coordinate, moves to its best improving poll or halves
+its step.  All starts share one vectorized objective call per round and ties
+resolve to the lowest poll index, so repeated runs give identical results.
 """
 
 from __future__ import annotations
@@ -39,6 +32,7 @@ _BOUND_MARGIN = 32 * math.ulp(8.0)  # twice a box bound's worst rounding seen (r
 # closed forms re-validate a witness at any power at or above its least power
 _LEAST_EPS = -0.9999 * SLACK_TOL
 _LEAST_MARGIN = 2.0**-46  # relative: twice a least-power bound's worst rounding seen (sep2)
+_LEAST_GAP = 1e-12  # relative gap of a least-scale search that decides feasibility queries
 
 _STEP0 = 0.25          # compass: first poll step
 _STEP_MIN = 1e-5       # a start stops once its step is below this
@@ -49,54 +43,38 @@ _REFINE_SHRINK = 0.65  # grid width factor per round
 _REFINE_ROUNDS = 24    # refine: grid cap
 
 
-def _certify(exact, bound, hi, lo=0.0,
-             start=None) -> tuple[np.ndarray | None, bool, tuple | None]:
-    """``(point, proof, frontier)``: a point of the box ``[lo, hi]`` whose
-    ``exact`` slack (at ``(m, d)`` points) reaches :data:`SLACK_TOL`, or
-    None; ``proof`` tells whether a None shows that no point of the box does.
+def _certify(exact, bound, hi) -> tuple[np.ndarray | None, bool]:
+    """``(point, proof)``: a point of the box ``[0, hi]`` whose ``exact``
+    slack (at ``(m, d)`` points) reaches :data:`SLACK_TOL`, or None, and
+    whether a None shows that no point of the box does.
 
-    Each round returns the first box centre that reaches the tolerance,
-    else drops the boxes whose ``bound(lo, up)`` is below it by more than
+    Each round returns the first box centre that reaches the tolerance, else
+    drops the boxes whose ``bound(lo, up)`` is below it by more than
     :data:`_BOUND_MARGIN` (NaN keeps a box) and halves the rest along every
     axis.  A None is a proof once no box is left, unless a round kept more
-    boxes than the next may evaluate (:data:`_MAX_BOXES`): then only those
-    with the best centres were split.  A None at the round cap is no proof
-    either.  Both happen on flat ridges of the slack, near rho = 1, and
-    whenever the best slack lies within rounding of the tolerance.
-
-    ``frontier`` is the round that found the point, ``(lo, up, round)``,
-    unless an earlier round was cut to :data:`_MAX_BOXES` (then None).
-    ``start`` begins the search from such a frontier instead of the whole
-    box.  That is sound for a query whose ``exact`` and ``bound`` lie at or
-    below those of the query that found the frontier everywhere: a box that
-    query dropped is dropped here too, and the rounds before its frontier
-    saw no hit there, so none is seen here.  Its frontier is then an
-    order-preserving superset of this query's own at every round.  The
-    extra boxes lie in boxes this query's bound drops, so they hold no hit
-    and, their bounds being no higher, are dropped: the first hit and the
-    proof are those of a search from the whole box.  Only a round cut to
-    :data:`_MAX_BOXES`, where the extra boxes take room, can differ; its
-    None is no proof either way.
+    boxes than the next may evaluate (:data:`_MAX_BOXES`; then only those
+    with the best centres were split) or the round cap ended it: on flat
+    ridges of the slack, near rho = 1, or within rounding of the tolerance.
     """
     hi = np.asarray(hi, dtype=float)
     d = hi.size
     upper_half = _upper_halves(d)
-    lo, up, first = start or (np.full((1, d), lo, dtype=float), hi[None, :], 0)
+    lo, up = np.zeros((1, d)), hi[None, :]
     proof = True
-    for rnd in range(first, _MAX_ROUNDS):
+    for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo + up)
         vals = exact(mid)
         hits = np.flatnonzero(vals >= SLACK_TOL)
         if hits.size:
-            return mid[hits[0]], True, (lo, up, rnd) if proof else None
+            return mid[hits[0]], True
         keep = np.flatnonzero(~(bound(lo, up) < SLACK_TOL - _BOUND_MARGIN))
         if not keep.size:
-            return None, proof, None
+            return None, proof
         if keep.size << d > _MAX_BOXES:
             proof = False
             keep = np.sort(keep[np.argsort(-vals[keep], kind="stable")[:_MAX_BOXES >> d]])
         lo, up = _split(lo, mid, up, keep, upper_half)
-    return None, False, None
+    return None, False
 
 
 def _upper_halves(d: int) -> np.ndarray:
@@ -167,21 +145,6 @@ def _least_power(n0: float, terms, d1a, d2a, d1: float, d2: float) -> np.ndarray
         power = n0 * np.maximum.reduce([np.where(num > 0.0, num / den, 0.0) for num, den in terms])
     met = (d1a <= d1 * 4.0**_LEAST_EPS) & (d2a <= d2 * 4.0**_LEAST_EPS)
     return np.where(met, power, np.inf)
-
-
-def _certify_below(frontiers: dict, box, at: tuple, slice_fns, hi, lo=0.0):
-    """``(point, proof)`` of :func:`_certify` on ``slice_fns = (exact,
-    bound)`` over the box ``[lo, hi]``, started from ``frontiers[box]`` when
-    each value in ``at`` (parameters the slack and bound rise with) lies at
-    or below that of the stored query.  A feasible query that could start
-    there replaces it, so ``frontiers`` keeps the lowest feasible query."""
-    top, start = frontiers.get(box, ((math.inf,) * len(at), None))
-    below = all(a <= t for a, t in zip(at, top))
-    pt, proof, frontier = _certify(*slice_fns, hi, lo, start if below else None)
-    if frontier is not None and below:
-        frontiers[box] = at, frontier
-    return pt, proof
-
 
 
 def compass_search_max(

@@ -219,29 +219,21 @@ def _integers(cfg: dict, **least) -> list[int]:
     return out
 
 
-def _config_echo(cfg: dict) -> dict:
-    echo = {}
-    for key, value in cfg.items():
-        if is_unlimited(value):
-            echo[key] = "inf"
-        elif isinstance(value, (int, float, str)) or value is None:
-            echo[key] = value
-        else:
-            echo[key] = str(value)
-    return echo
-
-
-def _numbers_echo(cfg: dict, names, tol: float) -> dict:
-    """The config echo with each set flag of ``names`` as the float the command
-    read, from the command line or ``--config`` alike, and the ``tol`` it used.
-    A non-finite value (only an unused flag can hold one) stays as given, so
-    the echo remains valid JSON."""
-    echo = _config_echo(cfg)
+def _numbers_echo(cfg: dict, names, tol: float | None = None) -> dict:
+    """The config echo: each set flag of ``names`` as the float the command
+    read, from the command line or ``--config`` alike, and the ``tol`` it used
+    (when it takes one).  A value that is not a finite number (only an unused
+    flag can hold one) stays as given, so the echo remains valid JSON."""
+    echo = {key: "inf" if is_unlimited(value) else value for key, value in cfg.items()}
     for name in names:
-        value = None if cfg.get(name) is None else _floats(cfg, name)[0]
-        if value is not None and math.isfinite(value):
+        try:
+            value = float(cfg.get(name))
+        except (TypeError, ValueError):
+            continue
+        if math.isfinite(value):
             echo[name] = value
-    echo["tol"] = tol
+    if tol is not None:
+        echo["tol"] = tol
     return echo
 
 
@@ -252,7 +244,8 @@ def _numbers_echo(cfg: dict, names, tol: float) -> dict:
 def cmd_region(args) -> int:
     cfg = resolve(args)
     which = cfg["which"]
-    echo = _config_echo(cfg)
+    echo = _numbers_echo(cfg, ("sigma2", "rho", "p1", "p2", "noise", "d1", "d2", "r1", "r2",
+                               "rc", "beta", "beta1", "beta2", "sw2", "su2", "sv2"))
 
     def src() -> SourceSpec:
         sigma2, rho = _floats(cfg, "sigma2", "rho")
@@ -379,7 +372,7 @@ def cmd_asymptote(args) -> int:
     payload = {name: getattr(q, name) for name in (
         "varrho_inf", "varrho_sep1", "varrho_sep1_fixed", "varrho_vq_lower",
         "check_rho", "d1d2_limit", "d1d2_limit_sep1_fixed", "d1d2_limit_vq_fixed")}
-    payload["config"] = _config_echo(cfg)
+    payload["config"] = _numbers_echo(cfg, ("sigma2", "rho", "p1", "p2", "noise", "d1", "d2"))
     if args.json:
         emit_json(payload)
     else:
@@ -404,7 +397,9 @@ def cmd_trace(args) -> int:
     if cfg[grid_flag] is None:
         raise DomainError(grid_flag, "required flag missing")
     rows = search.trace_curve(kind, params, parse_grid(str(cfg[grid_flag]), grid_flag))
-    meta = {k: v for k, v in _config_echo(cfg).items() if v is not None}
+    tol = None if kind is CurveKind.D1D2_VS_SNR else params["tol"]  # d1d2-vs-snr reads none
+    meta = {k: v for k, v in _numbers_echo(cfg, ("sigma2", "rho", "noise", "d2", "p"), tol).items()
+            if v is not None}
     write_csv(str(cfg["out"]), rows, meta)
     bad = [row for row in rows if row.get("errors")]
     return EXIT_INFEASIBLE if bad else EXIT_OK

@@ -1,49 +1,36 @@
 """Optimizers behind the figure-level questions.
 
 Minimal symmetric power and minimal conference capacity are found by outer
-bisection over a predicate monotone in the objective; all schedules are
+bisection over a predicate monotone in the objective.  All schedules are
 fixed, so identical inputs give identical results, iteration counts
-included.
+included; no branch-and-bound is warm-started (only the compass below is).
 
-One least-power branch-and-bound per solve.  On the quantizer scheme's
-slices ``c12 = 0`` and ``c12 = inf`` and for separation scheme 2 at any
-``c12``, every rate bound is linear in the power ``p1 = p2 = p`` and no
-distortion reads it, so each point of the search box (rates in [0, 8] bits,
-splits in [0, 1]; scheme 2's square, see :mod:`separation`) has a
-closed-form least power.  :func:`_opt._least` finds ``m``, the least power
-over the box, and the point that needs it; the bisection then runs its
-usual schedule on ``p >= m``, and that point is the witness at the ``hi`` it
-returns.  When the search ends without a proof (near ``rho = 1``, or on a
-flat ridge of optimal points) the solve also runs the bisection by queries
-below and returns the lower answer.
+On the quantizer scheme's slices ``c12 = 0`` and ``c12 = inf`` and for
+separation scheme 2, every rate bound is linear in a common scale ``s`` of
+the powers ``(s p1, s p2)`` and no distortion reads it, so each box point has
+a closed-form least scale; one :func:`_opt._least` run finds the least over
+the box and the point that needs it.  A least-power solve reads it at unit
+powers and bisects on ``p >= m``; that point is the witness at ``hi``.  When
+a quantizer slice's search ends without a proof (near ``rho = 1``, or on a
+flat ridge of optimal points), the bisection by certified queries
+(:func:`_opt._certify`) runs too and the lower answer is returned.
 
-One feasibility query per bisection step elsewhere: a finite ``c12``
-(``minpower``), ``min_conf_capacity``, :func:`min_d1_unlimited`
-(``d1d2-vs-snr``), separation scheme 1 and the necessary condition.  A
-finite-``c12`` query asks the certified unlimited slice
-(:func:`_opt._certify`) first, on a box whose shared rate also covers ``r1 +
-rc`` of the finite scheme: its proven "infeasible" refutes the query, and
-its witness answers when the shared rate fits the budget.  Otherwise the
-certified no-conference slice answers, and only when it finds no witness
-does a multistart compass search decide, whose "infeasible" is not proven:
-a solve whose witness re-validates at the bracket's ``lo`` reports
-``converged = False``.  Within one solve, a certified query starts from the
-boxes of the round in which the lowest feasible query so far on the same
-box found its witness (same ``n0``, each power at or below it; or, for
-:func:`min_d1_unlimited`, ``d1`` at or below it).  The slack and the box
-bounds rise with power and ``d1``, so every box that query dropped holds no
-witness of the lower one: the warm start skips the rounds from the whole
-box and, while no round is cut to the box cap, returns the same witness or
-proof (see :func:`_opt._certify`).  The boxes are kept per solve, never
-across solves.  A bisection's last feasible query is at the ``hi`` it
-returns, so each solve takes its witness from that query; a quantizer
-witness is re-validated there by the closed forms.
+A finite-``c12`` query is decided between the two slices' least scales along
+its powers, each run once per solve and box.  Below the unlimited slice's,
+over a box that also covers the finite scheme's ``r1 + rc``, it is
+infeasible when that run is a proof; that run's point answers where its
+shared rate fits the budget, the no-conference slice's at or above its own
+least scale, and a multistart compass search otherwise, whose "infeasible"
+is not proven: a solve whose witness re-validates at the bracket's ``lo``
+reports ``converged = False``.  :func:`min_d1_unlimited` (``d1d2-vs-snr``)
+minimizes ``d1`` by one branch-and-bound whose proof is its ``converged``
+flag.  Separation scheme 1 and the necessary condition take one feasibility
+query per bisection step, whose last feasible one gives the witness at ``hi``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -61,8 +48,9 @@ from .model import (
 from .rdlib import rd_joint
 from ._mc import halton_points
 from ._opt import (
+    _LEAST_GAP,
     SLACK_TOL,
-    _certify_below,
+    _certify,
     _excess,
     _least,
     _least_power,
@@ -168,23 +156,26 @@ def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     return exact, bound
 
 
-def _noconf_least(src: SourceSpec, n0: float, target: DistortionPair):
-    """``(value, bound)`` for :func:`_opt._least` on the no-conference slice
-    at ``p1 = p2``, points ``(r1, r2)`` in bits: each point's least power.
+def _noconf_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
+    """``(value, bound)`` for :func:`_opt._least` on the no-conference slice,
+    points ``(r1, r2)`` in bits: each point's least scale ``s`` of ``ch``'s
+    powers, at which ``(s p1, s p2)`` meets the target.
 
     With ``t = rho^2 f1 f2`` the rate bounds of :func:`_noconf_slice` meet
-    ``r1``, ``r2`` and ``r1 + r2`` less ``_LEAST_EPS`` at ``n0 (4^r1 - 1/(1 -
-    t))``, its ``r2`` twin and ``n0 (4^(r1+r2) (1 - t) - 1)/(2 (1 +
-    sqrt t))``.  Each numerator falls with ``t``, which rises with both
-    rates, and both distortions fall with them: a box's bound takes the
-    rates at ``lo`` and ``t`` and the distortions at ``up``.
+    ``r1``, ``r2`` and ``r1 + r2`` less ``_LEAST_EPS`` at ``s = n0 (4^r1 -
+    1/(1 - t))/p1``, its ``r2`` twin and ``n0 (4^(r1+r2) (1 - t) - 1)/(p1 +
+    p2 + 2 sqrt(t p1 p2))``.  Each numerator falls with ``t``, which rises
+    with both rates, and both distortions fall with them: a box's bound
+    takes the rates at ``lo`` and ``t`` and the distortions at ``up``.
     """
-    rho = src.rho
+    rho, p1, p2, n0 = src.rho, ch.p1, ch.p2, ch.n0
+    coherent = 2.0 * math.sqrt(p1 * p2)
 
     def least(r1, r2, t, d1a, d2a):
         odds = t / (1.0 - t)
-        return _least_power(n0, ((_excess(r1) - odds, 1.0), (_excess(r2) - odds, 1.0),
-                                 (_excess(r1 + r2) * (1.0 - t) - t, 2.0 + 2.0 * np.sqrt(t))),
+        return _least_power(n0, ((_excess(r1) - odds, p1), (_excess(r2) - odds, p2),
+                                 (_excess(r1 + r2) * (1.0 - t) - t,
+                                  p1 + p2 + coherent * np.sqrt(t))),
                             d1a, d2a, target.d1, target.d2)
 
     def t_at(pts):
@@ -200,47 +191,53 @@ def _noconf_least(src: SourceSpec, n0: float, target: DistortionPair):
     return value, bound
 
 
-def _unlimited_least(src: SourceSpec, n0: float, target: DistortionPair):
+def _unlimited_terms(rho2: float, rates):
+    """``h`` and both distortions of the unlimited slice at ``(r2, rc)`` rows."""
+    f2, fc = (-np.expm1(-2.0 * math.log(2.0) * rates)).T
+    omh = 1.0 - rho2 * f2 * fc
+    return (1.0 - omh, 2.0 ** (-2.0 * rates[:, 1]) * (1.0 - rho2 * f2) / omh,
+            2.0 ** (-2.0 * rates[:, 0]) * (1.0 - rho2 * fc) / omh)
+
+
+def _unlimited_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     """``(value, bound)`` for :func:`_opt._least` on the unlimited-conference
-    slice at ``p1 = p2``, points ``(r2, rc, beta)``: each point's least power.
+    slice, points ``(r2, rc, beta)``: each point's least scale ``s`` of
+    ``ch``'s powers.
 
-    With ``h = rho^2 f2 fc``, ``g = (1 - beta) h`` and ``delta = 1 + sqrt(g
-    + beta) - sqrt(g)``, the bounds of :func:`_unlimited_slice` meet ``r2``,
-    ``rc`` and ``r2 + rc`` less ``_LEAST_EPS`` at ``n0 (4^r2 - 1/(1 -
-    h))/(1 - beta)``, ``n0 (4^rc - 1/(1 - h))/delta^2`` and ``n0 (4^(r2+rc)
-    (1 - h) - 1)/(2 + 2 sqrt(g + beta))``.  A box's bound takes the
-    numerators at (rates ``lo``, ``h`` ``up``); ``1 - beta`` at ``beta``
-    ``lo``; ``delta``, which rises with ``beta`` and falls with ``h``, at
-    (``h`` ``lo``, ``beta`` ``up``); ``g + beta``, rising in both, at ``up``;
-    and the distortions, falling with both rates, at ``up``.
+    With ``h = rho^2 f2 fc``, ``g = (1 - beta) h`` and ``delta = sqrt p1 +
+    sqrt p2 (sqrt(g + beta) - sqrt g)``, the bounds of
+    :func:`_unlimited_slice` meet ``r2``, ``rc`` and ``r2 + rc`` less
+    ``_LEAST_EPS`` at ``s = n0 (4^r2 - 1/(1 - h))/((1 - beta) p2)``, ``n0
+    (4^rc - 1/(1 - h))/delta^2`` and ``n0 (4^(r2+rc) (1 - h) - 1)/(p1 + p2 +
+    2 sqrt((g + beta) p1 p2))``.  A box's bound takes the numerators at
+    (rates ``lo``, ``h`` ``up``); ``1 - beta`` at ``beta`` ``lo``; ``delta``,
+    which rises with ``beta`` and falls with ``h``, at (``h`` ``lo``,
+    ``beta`` ``up``); ``g + beta``, rising in both, at ``up``; and the
+    distortions, falling with both rates, at ``up``.
     """
-    rho2 = src.rho**2
-
-    def at(rates):  # h and both distortions at (r2, rc) rows
-        f2, fc = (-np.expm1(-2.0 * math.log(2.0) * rates)).T
-        omh = 1.0 - rho2 * f2 * fc
-        return (1.0 - omh, 2.0 ** (-2.0 * rates[:, 1]) * (1.0 - rho2 * f2) / omh,
-                2.0 ** (-2.0 * rates[:, 0]) * (1.0 - rho2 * fc) / omh)
+    rho2, p1, p2, n0 = src.rho**2, ch.p1, ch.p2, ch.n0
+    root1, root2, coherent = math.sqrt(p1), math.sqrt(p2), 2.0 * math.sqrt(p1 * p2)
 
     def least(r2, rc, h, one_minus_beta, delta, gain, d1a, d2a):
         odds = h / (1.0 - h)
-        return _least_power(n0, ((_excess(r2) - odds, one_minus_beta),
+        return _least_power(n0, ((_excess(r2) - odds, one_minus_beta * p2),
                                  (_excess(rc) - odds, delta**2),
-                                 (_excess(r2 + rc) * (1.0 - h) - h, 2.0 + 2.0 * np.sqrt(gain))),
+                                 (_excess(r2 + rc) * (1.0 - h) - h,
+                                  p1 + p2 + coherent * np.sqrt(gain))),
                             d1a, d2a, target.d1, target.d2)
 
     def delta_gain(h, beta):  # delta and g + beta
         g = (1.0 - beta) * h
-        return 1.0 + np.sqrt(g + beta) - np.sqrt(g), g + beta
+        return root1 + root2 * np.sqrt(g + beta) - root2 * np.sqrt(g), g + beta
 
     def value(pts):
-        h, d1a, d2a = at(pts[:, :2])
+        h, d1a, d2a = _unlimited_terms(rho2, pts[:, :2])
         return least(pts[:, 0], pts[:, 1], h, 1.0 - pts[:, 2], *delta_gain(h, pts[:, 2]),
                      d1a, d2a)
 
     def bound(lo, up):
-        h_up, d1a, d2a = at(up[:, :2])
-        delta, _ = delta_gain(at(lo[:, :2])[0], up[:, 2])
+        h_up, d1a, d2a = _unlimited_terms(rho2, up[:, :2])
+        delta, _ = delta_gain(_unlimited_terms(rho2, lo[:, :2])[0], up[:, 2])
         _, gain = delta_gain(h_up, up[:, 2])
         return least(lo[:, 0], lo[:, 1], h_up, 1.0 - lo[:, 2], delta, gain, d1a, d2a)
     return value, bound
@@ -257,17 +254,15 @@ def _unlimited_config(pt) -> vqscheme.VqConfig:
 
 
 class _VqFeasibility:
-    """Scheme feasibility.  At a finite ``c12`` the certified unlimited slice
-    answers first, then the certified no-conference slice, then a compass
-    search warm-started across repeated queries (:meth:`_finite`)."""
+    """Scheme feasibility: a certified slice query at ``c12`` 0 or inf, and
+    :meth:`_finite` at a finite ``c12``."""
 
     def __init__(self, src: SourceSpec, target: DistortionPair):
         self.src = src
         self.target = target
         self.warm5: np.ndarray | None = None
         self.witness: vqscheme.VqConfig | None = None
-        self.certified: dict = {}
-        self.frontiers: dict = {}
+        self.least_runs: dict = {}
 
     def _run(self, f, dim, warm):
         """Multistart compass search of ``f``, then a grid refine when the
@@ -292,23 +287,19 @@ class _VqFeasibility:
                 val, pt = rval, rpt
         return val, pt
 
-    def _certified(self, slice_fn, ch: ChannelSpec, hi, lo):
-        """:func:`_opt._certify` on ``slice_fn``'s slice at ``ch``'s powers over
-        the box ``[lo, hi]``.  No slice reads ``c12``, so a conference search
-        certifies each box once.  Both slices' slack and bound rise with each
-        power, so a query at or below the powers (same ``n0``) of the lowest
-        feasible one on its box starts from that one's frontier."""
-        key = (slice_fn, ch.p1, ch.p2, ch.n0, tuple(lo), tuple(hi))
-        if key not in self.certified:
-            self.certified[key] = _certify_below(
-                self.frontiers, (slice_fn, ch.n0, tuple(lo), tuple(hi)), (ch.p1, ch.p2),
-                slice_fn(self.src, ch, self.target), hi, lo)
-        return self.certified[key]
-
-    def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
-        """The certified no-conference slice's witness, or None."""
-        pt, _ = self._certified(_noconf_slice, ch, [RATE_BOX_BITS] * 2, (0.0, 0.0))
-        return None if pt is None else _noconf_config(pt)
+    def _scaled_least(self, least_fn, ch: ChannelSpec, hi: tuple):
+        """``(point, reached, proof)``: the :func:`_opt._least` run of
+        ``least_fn``'s form at ``ch``'s powers over their maximum ``top``, on
+        a box covering ``[0, hi]``, whether ``top`` reaches its least scale,
+        and the run's proof.  A run serves every later query its box covers."""
+        top = max(ch.p1, ch.p2)
+        base = ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0)
+        box, run = self.least_runs.get((least_fn, base), (hi, None))
+        if run is None or any(b < h for b, h in zip(box, hi)):
+            box, run = hi, _least(*least_fn(self.src, base, self.target), hi, _LEAST_GAP)
+            self.least_runs[least_fn, base] = box, run
+        pt, least, proof = run
+        return pt, top >= least, proof
 
     def _compass(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The compass search's witness at the finite ``ch.c12``, or None.
@@ -342,46 +333,34 @@ class _VqFeasibility:
         rc = float(pt[2] * _rc_budget(src.rho, np.asarray(pt[0] * cap), ch.c12))
         return vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, rc, pt[3], pt[4])
 
-    def _unlimited(self, ch: ChannelSpec, rc_lo: float, rc_hi: float):
-        """The certified unlimited slice's witness or None for shared rates in
-        ``[rc_lo, rc_hi]``, and whether a None is a proof."""
-        pt, proof = self._certified(_unlimited_slice, ch, (RATE_BOX_BITS, rc_hi, 1.0),
-                                    (0.0, rc_lo, 0.0))
-        return (None if pt is None else _unlimited_config(pt)), proof
-
     def _finite(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
-        """A witness at the finite ``ch.c12``, or None.
-
-        The unlimited scheme contains the finite one, its shared rate standing
-        for ``r1 + rc <= RATE_BOX_BITS + budget`` (the compass's reach): a None
-        proven over the usual box and the slab above it refutes the query.  An
-        unproven None or a witness over budget leaves it to the no-conference
-        slice and the compass.
-        """
+        """A witness at the finite ``ch.c12``, or None.  The unlimited scheme
+        contains the finite one, its shared rate standing for ``r1 + rc <=
+        RATE_BOX_BITS + budget`` (the compass's reach)."""
         budget = float(_rc_budget(self.src.rho, 0.0, ch.c12))
-        cfg, proof = self._unlimited(ch, 0.0, RATE_BOX_BITS)
-        if cfg is None:
-            cfg, slab_proof = self._unlimited(ch, RATE_BOX_BITS, RATE_BOX_BITS + budget)
-            proof = proof and slab_proof
-        if cfg is not None and cfg.rc <= budget:
-            return cfg
-        if cfg is None and proof:
+        pt, reached, proof = self._scaled_least(
+            _unlimited_least, ch, (RATE_BOX_BITS, RATE_BOX_BITS + budget, 1.0))
+        if not reached and proof:
             return None
-        return self._noconf(ch) or self._compass(ch)
+        if reached and pt[1] <= budget:
+            return _unlimited_config(pt)
+        pt, reached, _ = self._scaled_least(_noconf_least, ch, (RATE_BOX_BITS,) * 2)
+        return _noconf_config(pt) if reached else self._compass(ch)
 
     def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
         ch = ChannelSpec(p1, p2, n0, c12)
         if c12 == 0.0:
-            best_cfg = self._noconf(ch)
+            pt, _ = _certify(*_noconf_slice(self.src, ch, self.target), [RATE_BOX_BITS] * 2)
+            best_cfg = None if pt is None else _noconf_config(pt)
         elif is_unlimited(c12):
-            best_cfg, _ = self._unlimited(ch, 0.0, RATE_BOX_BITS)
+            pt, _ = _certify(*_unlimited_slice(self.src, ch, self.target),
+                             [RATE_BOX_BITS, RATE_BOX_BITS, 1.0])
+            best_cfg = None if pt is None else _unlimited_config(pt)
         else:
             best_cfg = self._finite(ch)
-
-        if best_cfg is None:
-            return False
-        self.witness = best_cfg
-        return True
+        if best_cfg is not None:
+            self.witness = best_cfg
+        return best_cfg is not None
 
 
 def _vq_witness_ok(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig,
@@ -492,26 +471,27 @@ def _least_power_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, 
     """:func:`min_power_symmetric` on a slice whose rate bounds are linear in
     the power and whose distortions do not read it.
 
-    One :func:`_opt._least` run finds ``m``, the least power any box point
-    needs, to a relative gap of ``min(tol, 1e-12)``, and the point that needs
-    it, which is the witness; the bisection then runs its usual schedule on
-    the predicate ``p >= m``.  When the run ends without a proof, the solve
-    by one query per step (:func:`_query_solve`) runs too, and the lower
-    answer is returned.
+    One :func:`_opt._least` run finds ``m``, the least scale of unit powers,
+    to a relative gap of ``min(tol, _LEAST_GAP)``, and the point that needs
+    it, the witness; the bisection then runs on the predicate ``p >= m``.
+    Without a proof, a quantizer solve by queries (:func:`_query_solve`)
+    runs too and the lower answer is returned (scheme 2's queries would
+    rerun this search).
     """
+    unit = ChannelSpec(1.0, 1.0, n0, c12)
     if scheme is Scheme.SEP2:
-        (value, bound), box = separation._sep2_least(src, n0, c12, target), [1.0, 1.0]
+        (value, bound), box = separation._sep2_least(src, unit, target), [1.0, 1.0]
     elif c12 == 0.0:
-        (value, bound), box = _noconf_least(src, n0, target), [RATE_BOX_BITS] * 2
+        (value, bound), box = _noconf_least(src, unit, target), [RATE_BOX_BITS] * 2
     else:
-        (value, bound), box = _unlimited_least(src, n0, target), [RATE_BOX_BITS] * 2 + [1.0]
+        (value, bound), box = _unlimited_least(src, unit, target), [RATE_BOX_BITS] * 2 + [1.0]
 
-    pt, least, proof = _least(value, bound, box, gap=min(tol, 1e-12))
+    pt, least, proof = _least(value, bound, box, gap=min(tol, _LEAST_GAP))
     try:
         lo, hi, iterations, converged = _expand_and_bisect(lambda p: p >= least, n0,
                                                            p_ceiling, tol)
     except UnboundedError:
-        if proof:
+        if proof or scheme is Scheme.SEP2:
             raise
         return _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
     ch = ChannelSpec(hi, hi, n0, c12)
@@ -524,7 +504,7 @@ def _least_power_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, 
         config = _noconf_config if c12 == 0.0 else _unlimited_config
         witness = _vq_witness(src, ch, config(pt), target)
     result = OptimizationResult(hi, witness, iterations, converged, (lo, hi))
-    if not proof:
+    if not proof and scheme is Scheme.VQ:
         try:
             queried = _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
         except UnboundedError:
@@ -544,12 +524,10 @@ def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n
             return inner(p, p, n0, c12)
     else:
         found = {}
-        # read from the modules at each solve: a wrapper installed there sees every call;
-        # sep2's certified queries start from the boxes of this solve's earlier ones
+        # read from the modules at each solve: a wrapper installed there sees every call
         report_fn = {Scheme.NECESSARY: bounds.necessary_condition,
                      Scheme.SEP1: separation.sep1_feasible,
-                     Scheme.SEP2: functools.partial(separation.sep2_feasible,
-                                                    frontiers={})}.get(scheme)
+                     Scheme.SEP2: separation.sep2_feasible}.get(scheme)
         if report_fn is None:
             raise DomainError("scheme", f"unsupported scheme {scheme}")
         predicate = _keeping_witness(
@@ -616,33 +594,42 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
                      d2_target: float) -> OptimizationResult:
     """Smallest ``d1`` the unlimited-conference scheme reaches at ``d2 <= d2_target``.
 
-    Bisection on ``log2 d1`` to a bracket 1e-7 wide, with the certified
-    unlimited-slice predicate; the rate box grows with the coherent sum
-    capacity so high-SNR operating points stay reachable.  The slice's
-    slack and bound rise with ``d1``, so a query at or below the lowest
-    feasible ``d1`` so far starts from that query's frontier.
+    One :func:`_opt._least` run over the unlimited slice, its rate box grown
+    with the coherent sum capacity.  A point's value is its ``d1`` where
+    :func:`_unlimited_least`'s scale at the target ``(1, d2_target)`` is at
+    most 1, else +inf; a box's bound is the ``d1`` at its ``up`` corner, or
+    +inf where the scale's bound exceeds 1.  ``converged`` is the run's
+    proof.  Without one (the optimal points lie on the power constraint:
+    rho 0.97 at d2 0.05, rho 1) a bisection on ``log2 d1`` by certified
+    queries runs too, and the lower answer is returned.
     """
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
     rate_cap = 0.5 * math.log2(1.0 + (p1 + p2 + 2.0 * math.sqrt(p1 * p2)) / n0) + 1.0
-    ch = ChannelSpec(p1, p2, n0, UNLIMITED)
-    witness = {}
-    frontiers = {}
+    ch, box, rho2 = ChannelSpec(p1, p2, n0), [rate_cap, rate_cap, 1.0], src.rho**2
+    scale, scale_bound = _unlimited_least(src, ch, DistortionPair(1.0, d2_target))
 
-    def feasible(d1: float) -> bool:
-        pt, _ = _certify_below(frontiers, "d1", (d1,),
-                               _unlimited_slice(src, ch, DistortionPair(d1, d2_target)),
-                               [rate_cap, rate_cap, 1.0])
-        if pt is None:
-            return False
-        witness.update(r2=pt[0], rc=pt[1], beta=pt[2])
-        return True
+    def value(pts):
+        return np.where(scale(pts) <= 1.0, _unlimited_terms(rho2, pts[:, :2])[1], np.inf)
 
-    if not feasible(1.0):
+    def bound(lo, up):
+        return np.where(scale_bound(lo, up) <= 1.0, _unlimited_terms(rho2, up[:, :2])[1], np.inf)
+    pt, d1, proof = _least(value, bound, box, _LEAST_GAP)
+    bracket, iterations = (d1 * (1.0 - _LEAST_GAP) if proof else 0.0, d1), 0
+    if not proof:
+        found = {}
+
+        def feasible(x: float) -> bool:
+            found[x], _ = _certify(*_unlimited_slice(src, ch, DistortionPair(2.0**x, d2_target)),
+                                   box)
+            return found[x] is not None
+        if feasible(0.0):
+            lo, hi, steps, _ = _bisect(feasible, -2.0 * (rate_cap + 2.0), 0.0, 0.0, 1e-7)
+            if 2.0**hi < d1:
+                pt, d1, bracket, iterations = found[hi], 2.0**hi, (2.0**lo, 2.0**hi), steps
+    if pt is None:
         raise UnboundedError("even d1 = 1 infeasible at these powers")
-    lo_log, hi_log, iterations, converged = _bisect(
-        lambda x: feasible(2.0**x), -2.0 * (rate_cap + 2.0), 0.0, 0.0, 1e-7)
-    d1 = 2.0**hi_log
-    return OptimizationResult(d1, witness, iterations, converged, (2.0**lo_log, d1))
+    witness = {"r2": float(pt[0]), "rc": float(pt[1]), "beta": float(pt[2])}
+    return OptimizationResult(d1, witness, iterations, proof, bracket)
 
 
 class CurveKind(enum.Enum):

@@ -26,14 +26,16 @@ conference rate.  Some best point therefore has ``iw = min(s, wmax)``,
 conference bound holds by construction.  There every term is monotone
 (``1 - rho^2 <= 1``): both distortions fall and ``rsum`` rises with ``s``
 and ``iu``, ``r1`` rises with ``s`` and falls with ``iu``, and ``r2`` falls
-with ``s`` and rises with ``iu``.  The certified branch-and-bound
-``_opt._certify`` searches box points ``z`` in ``[0, 1]^2``, mapped to
-``(s, iu)`` by ``10^(8 - 16 z)`` for ``z < 1`` and to 0 at ``z = 1``, so an
-absent auxiliary is reached exactly.  That caps ``s`` at 1e8 (three
-separate ratios would reach ``iw + iv = 2e8``).
+with ``s`` and rises with ``iu``.  The branch-and-bound ``_opt._least``
+searches box points ``z`` in ``[0, 1]^2``, mapped to ``(s, iu)`` by ``10^(8
+- 16 z)`` for ``z < 1`` and to 0 at ``z = 1``, so an absent auxiliary is
+reached exactly.  That caps ``s`` at 1e8 (three separate ratios would reach
+``iw + iv = 2e8``).
 
-Feasibility is declared when the worst slack is >= -1e-9, so exact boundary
-points count as feasible.
+Each point has a closed-form least common scale of the powers.  A
+least-power solve reads the least over the square at unit powers, and a
+query (``region sep2``) at its own powers: feasible when it is at most 1
+and the reported point's worst slack is >= -1e-9.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .model import (
     is_unlimited,
     log2_pos,
 )
-from ._opt import SLACK_TOL, _certify_below, _excess, _least_power
+from ._opt import _LEAST_GAP, SLACK_TOL, _excess, _least, _least_power
 # unused here: bench/tracer.py's BY_NAME requires these names in this module
 from ._opt import compass_search_max, refine_grid_max  # noqa: F401
 
@@ -168,70 +170,43 @@ def _sep2_corner_terms(rho: float, c12, lo: np.ndarray, up: np.ndarray):
     return tuple(t[k] for k, t in zip((1, 2, 3, 0, 0), _sep2_terms(rho, c12, z)))
 
 
-def _sep2_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(exact, bound)`` for ``_opt._certify`` on scheme 2's box ``[0, 1]^2``.
-
-    ``exact`` is the worst of six slacks: ``r1``, ``r2``, ``rsum`` and ``r1
-    + r2`` against the plain MAC's bounds, and both distortions.  A box's
-    bound takes each slack at its own corner (:func:`_sep2_corner_terms`),
-    and ``r1 + r2`` as the sum of the ``r1`` and ``r2`` corner values.
-    """
-    c1 = 0.5 * math.log2(1.0 + ch.p1 / ch.n0)
-    c2 = 0.5 * math.log2(1.0 + ch.p2 / ch.n0)
-    csum = 0.5 * math.log2(1.0 + (ch.p1 + ch.p2) / ch.n0)
-
-    def slack(r1b, r2b, rsb, d1, d2):
-        return np.minimum.reduce([c1 - r1b, c2 - r2b, csum - rsb, csum - (r1b + r2b),
-                                  0.5 * np.log2(target.d1 / d1), 0.5 * np.log2(target.d2 / d2)])
-
-    def exact(z):
-        return slack(*_sep2_terms(src.rho, ch.c12, z))
-
-    def bound(lo, up):
-        return slack(*_sep2_corner_terms(src.rho, ch.c12, lo, up))
-    return exact, bound
-
-
-def _sep2_least(src: SourceSpec, n0: float, c12, target: DistortionPair):
+def _sep2_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     """``(value, bound)`` for ``_opt._least`` on scheme 2's box ``[0, 1]^2``
-    at ``p1 = p2``: each point's least power.
+    at ``ch``'s link: each point's least scale ``k`` of ``ch``'s powers.
 
     The plain MAC's bounds meet ``r1b``, ``r2b`` and ``max(rsb, r1b + r2b)``
-    less ``_LEAST_EPS`` at ``n0 (4^r1b - 1)``, ``n0 (4^r2b - 1)`` and ``n0
-    (4^max(rsb, r1b + r2b) - 1)/2``.  A box's bound takes the terms of
-    :func:`_sep2_corner_terms`.
+    less ``_LEAST_EPS`` at ``k = n0 (4^r1b - 1)/p1``, ``n0 (4^r2b - 1)/p2``
+    and ``n0 (4^max(rsb, r1b + r2b) - 1)/(p1 + p2)``.  A box's bound takes
+    the terms of :func:`_sep2_corner_terms`.
     """
+    p1, p2, n0 = ch.p1, ch.p2, ch.n0
+
     def least(r1b, r2b, rsb, d1, d2):
-        return _least_power(n0, ((_excess(r1b), 1.0), (_excess(r2b), 1.0),
-                                 (_excess(np.maximum(rsb, r1b + r2b)), 2.0)),
+        return _least_power(n0, ((_excess(r1b), p1), (_excess(r2b), p2),
+                                 (_excess(np.maximum(rsb, r1b + r2b)), p1 + p2)),
                             d1, d2, target.d1, target.d2)
 
     def value(z):
-        return least(*_sep2_terms(src.rho, c12, z))
+        return least(*_sep2_terms(src.rho, ch.c12, z))
 
     def bound(lo, up):
-        return least(*_sep2_corner_terms(src.rho, c12, lo, up))
+        return least(*_sep2_corner_terms(src.rho, ch.c12, lo, up))
     return value, bound
 
 
-def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                  frontiers: dict | None = None) -> FeasibilityReport:
+def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> FeasibilityReport:
     """Conferencing source coding followed by plain-MAC channel coding.
 
     A point is feasible when the achieved distortions meet the target, the
     conference bound fits ``c12``, and the rate lower bounds fit inside the
     plain MAC region (individually, summed, and via the region's own sum
-    bound).  ``_opt._certify`` searches the square of ``(s, iu)`` set out in
-    the module docstring, so a witness's conference bound fits by
-    construction.  Its slack and bound rise with each power, so a query
-    at or below the powers (same ``n0`` and ``c12``) of the lowest feasible
-    one in ``frontiers``, which one solve owns, starts from that one's
-    boxes.  The report is :func:`_sep2_report`'s at the search's point.  A
-    None that the search could not prove is reported infeasible too.
+    bound).  One ``_opt._least`` run over the square of ``(s, iu)`` finds
+    the least common scale of ``ch``'s powers; the report is
+    :func:`_sep2_report`'s at its point when that scale is at most 1, else
+    at none.
     """
-    pt, _ = _certify_below({} if frontiers is None else frontiers, (ch.n0, ch.c12),
-                           (ch.p1, ch.p2), _sep2_slice(src, ch, target), [1.0, 1.0])
-    return _sep2_report(src, ch, target, pt)
+    pt, least, _ = _least(*_sep2_least(src, ch, target), [1.0, 1.0], _LEAST_GAP)
+    return _sep2_report(src, ch, target, pt if least <= 1.0 else None)
 
 
 def _sep2_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
@@ -247,10 +222,10 @@ def _sep2_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
     sw2, su2, sv2 = (UNLIMITED if math.isinf(v) else float(v) for v in variances)
     kp = rdlib.kaspi_region_point(src, rdlib.KaspiParams(sw2, su2, sv2))
 
-    # witness rate point: distribute the binding sum across the two bounds
+    # witness rate point: the binding sum split across both bounds, r2 <= max(c2, its bound)
     s_needed = max(kp.rsum_bound, kp.r1_bound + kp.r2_bound)
     c2 = 0.5 * math.log2(1.0 + ch.p2 / ch.n0)
-    r1_w = max(kp.r1_bound, s_needed - c2)
+    r1_w = max(kp.r1_bound, s_needed - max(c2, kp.r2_bound))
     rp = RatePoint(r1_w, max(s_needed - r1_w, 0.0))
     mac = capacity.mac_plain_contains(ch, rp)
 

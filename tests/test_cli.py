@@ -292,7 +292,7 @@ def test_json_config_round_trip(tmp_path):
     assert second == first
     # flags override the config file
     _, third = run_cli(["region", "vq", "--config", str(cfg_file), "--rho", "0.4", "--json"])
-    assert json.loads(third)["config"]["rho"] == "0.4"
+    assert json.loads(third)["config"]["rho"] == 0.4
 
 
 def test_validate_quick_run_and_determinism():

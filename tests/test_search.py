@@ -261,10 +261,11 @@ def test_trace_d1d2_vs_snr_row():
 # (p1, p2, n0) of the slice-bound checks
 SLICE_CHANNELS = ((1.0, 1.0, 1.0), (12.0, 3.0, 0.5), (0.01, 100.0, 2.0), (5.0, 5.0, 1.0 / 16.0),
                   (1e4, 1e4, 1.0))
-# the unlimited slice's box at a finite link has a taller shared-rate side
+# min_d1_unlimited's fallback searches the unlimited slice over taller rate
+# sides: 15.3 bits at P/N = 1e8
 SLICES = ((search._noconf_slice, 0.0, (8.0, 8.0)),
           (search._unlimited_slice, UNLIMITED, (8.0, 8.0, 1.0)),
-          (search._unlimited_slice, UNLIMITED, (8.0, 40.0, 1.0)))
+          (search._unlimited_slice, UNLIMITED, (16.0, 16.0, 1.0)))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
@@ -290,24 +291,28 @@ def test_slice_bounds_hold_over_their_boxes(rho):
                 assert np.all(exact(pts) <= ceiling), (rho, p1, p2, n0, target, d)
 
 
-def _least_forms(src, n0, target):
-    """``((value, bound), box)`` of each least-power form: both quantizer
-    slices, and separation scheme 2 at three links."""
-    yield search._noconf_least(src, n0, target), (8.0, 8.0)
-    yield search._unlimited_least(src, n0, target), (8.0, 8.0, 1.0)
+def _least_forms(src, p1, p2, n0, target):
+    """``((value, bound), box)`` of each least-scale form at the powers
+    ``(p1, p2)``: both quantizer slices, the unlimited one also over taller
+    sides (a finite link's shared rate, ``min_d1_unlimited``'s box), and
+    separation scheme 2 at three links."""
+    ch = ChannelSpec(p1, p2, n0)
+    yield search._noconf_least(src, ch, target), (8.0, 8.0)
+    for hi in ((8.0, 8.0, 1.0), (16.0, 40.0, 1.0)):
+        yield search._unlimited_least(src, ch, target), hi
     for c12 in (0.0, 0.5, UNLIMITED):
-        yield separation._sep2_least(src, n0, c12, target), (1.0, 1.0)
+        yield separation._sep2_least(src, ChannelSpec(p1, p2, n0, c12), target), (1.0, 1.0)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
 def test_least_power_bounds_hold_over_their_boxes(rho):
-    """No point of a random box, corners included, needs less power than the
-    box's lower bound less the relative rounding margin."""
+    """No point of a random box, corners included, needs a lower scale of
+    the powers than the box's lower bound less the relative rounding margin."""
     rng = np.random.default_rng(int(100 * rho) + 1)
     src = SourceSpec(1.0, rho)
-    for n0 in (1.0, 0.5, 1.0 / 16.0):
+    for p1, p2, n0 in SLICE_CHANNELS:
         target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
-        for (value, bound), hi in _least_forms(src, n0, target):
+        for (value, bound), hi in _least_forms(src, p1, p2, n0, target):
             hi = np.array(hi)
             m, d = 2000, hi.size
             lo = rng.uniform(0.0, 1.0, (m, d)) * hi
@@ -318,11 +323,11 @@ def test_least_power_bounds_hold_over_their_boxes(rho):
                 u = rng.uniform(0.0, 1.0, (m, d))
                 if k < 2:
                     u = np.round(u)
-                assert np.all(value(lo + u * (up - lo)) >= floor), (rho, n0, target, d)
+                assert np.all(value(lo + u * (up - lo)) >= floor), (rho, p1, p2, n0, target, d)
 
 
 def _least_by_bisection(slack, n0):
-    """Least power at which ``slack(p)``, rising in ``p``, reaches the
+    """Least scale at which ``slack(s)``, rising in ``s``, reaches the
     tolerance: doubling from ``n0``, then 100 bisection steps."""
     lo, hi = 0.0, n0
     while slack(hi) < _opt.SLACK_TOL:
@@ -333,46 +338,56 @@ def _least_by_bisection(slack, n0):
     return hi
 
 
+def _sep2_report_slack(src, ch, target, pt):
+    """Scheme 2's worst slack at the box point ``pt`` from the readable
+    path: :func:`separation._sep2_report` builds the point's Kaspi bounds
+    with ``rdlib`` and checks its rate point with ``capacity``."""
+    return min(separation._sep2_report(src, ch, target, pt).slacks.values())
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
 def test_least_power_forms_match_the_slack_kernels(rho):
-    """At random points each least-power form equals the power at which its
-    slack kernel reaches the tolerance, found by scalar bisection; a point
-    whose form is +inf misses the target at any power."""
+    """At random points each least-scale form equals the common scale of the
+    powers at which its slack kernel reaches the tolerance, found by scalar
+    bisection; a point whose form is +inf misses the target at any scale."""
     rng = np.random.default_rng(int(100 * rho) + 2)
     src = SourceSpec(1.0, rho)
-    for n0 in (1.0, 1.0 / 16.0):
+    for p1, p2, n0 in SLICE_CHANNELS:
         target = DistortionPair(*(float(v) for v in rng.uniform(0.05, 1.0, 2)))
         d1, d2 = target.d1, target.d2
         rates = rng.uniform(0.05, 3.0, (12, 2))
 
-        def noconf(p, pt):
-            return vqscheme._min_slack(1.0, rho, p, p, n0, d1, d2, pt[:1], pt[1:], 0.0, 0.0, 0.0)
+        def noconf(s, pt):
+            return vqscheme._min_slack(1.0, rho, s * p1, s * p2, n0, d1, d2, pt[:1], pt[1:],
+                                       0.0, 0.0, 0.0)[0]
 
-        def unlimited(p, pt):
-            return vqscheme._unlimited_min_slack(rho, p, p, n0, d1, d2, pt[:1], pt[1:2], pt[2:])
+        def unlimited(s, pt):
+            return vqscheme._unlimited_min_slack(rho, s * p1, s * p2, n0, d1, d2, pt[:1],
+                                                 pt[1:2], pt[2:])[0]
 
-        cases = [(search._noconf_least(src, n0, target)[0], rates, noconf),
-                 (search._unlimited_least(src, n0, target)[0],
+        ch = ChannelSpec(p1, p2, n0)
+        cases = [(search._noconf_least(src, ch, target)[0], rates, noconf),
+                 (search._unlimited_least(src, ch, target)[0],
                   np.column_stack([rates, rng.uniform(0.0, 1.0, 12)]), unlimited)]
         for c12 in (0.0, 0.5, UNLIMITED):
-            def sep2(p, pt, c12=c12):
-                return separation._sep2_slice(src, ChannelSpec(p, p, n0, c12), target)[0](pt[None])
-            cases.append((separation._sep2_least(src, n0, c12, target)[0],
+            def sep2(s, pt, c12=c12):
+                return _sep2_report_slack(src, ChannelSpec(s * p1, s * p2, n0, c12), target, pt)
+            cases.append((separation._sep2_least(src, ChannelSpec(p1, p2, n0, c12), target)[0],
                           rng.uniform(0.0, 1.0, (12, 2)), sep2))
         finite = 0
         for value, pts, kernel in cases:
             for pt, form in zip(pts, value(pts)):
-                def slack(p):
-                    return float(kernel(p, pt)[0])
+                def slack(s):
+                    return float(kernel(s, pt))
                 if math.isinf(form):
-                    assert slack(1e12 * n0) < _opt.SLACK_TOL, (rho, n0, pt)
+                    assert slack(1e12 * n0) < _opt.SLACK_TOL, (rho, p1, p2, n0, pt)
                 elif form == 0.0:
-                    assert slack(1e-12 * n0) >= _opt.SLACK_TOL, (rho, n0, pt)
+                    assert slack(1e-12 * n0) >= _opt.SLACK_TOL, (rho, p1, p2, n0, pt)
                 else:
                     finite += 1
                     assert form == pytest.approx(_least_by_bisection(slack, n0), rel=1e-9), \
-                        (rho, n0, pt)
-        assert finite >= 12, (rho, n0)
+                        (rho, p1, p2, n0, pt)
+        assert finite >= 12, (rho, p1, p2, n0)
 
 
 def _noconf_reference(src, ch, target):
@@ -476,14 +491,15 @@ def test_finite_link_reaches_past_the_unlimited_slice_box():
 
 
 def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
-    """An unlimited-slice None refutes a finite-``c12`` query only when it
-    is a proof; otherwise the compass decides, here between the finite
-    answer 10.31 and the no-conference one 12.96."""
-    certify = _opt._certify
+    """A query below the unlimited slice's least scale over the finite
+    reach is infeasible only when that run is a proof; otherwise the compass
+    decides, here between the finite answer 10.31 and the no-conference one
+    12.96."""
+    least = search._least
     for proof, feasible in ((True, False), (False, True)):
-        def stub(exact, bound, hi, lo=0.0, start=None):
-            return (None, proof, None) if len(hi) == 3 else certify(exact, bound, hi, lo, start)
-        monkeypatch.setattr(_opt, "_certify", stub)
+        def stub(value, bound, hi, gap):
+            return (None, math.inf, proof) if len(hi) == 3 else least(value, bound, hi, gap)
+        monkeypatch.setattr(search, "_least", stub)
         query = search._VqFeasibility(SRC, DistortionPair(0.1, 0.2))
         assert query(11.5, 11.5, 1.0, 1.0) is feasible
         if feasible:  # neither slice's witness: both r1 and rc are positive
@@ -514,11 +530,12 @@ def test_least_power_solves_match_the_query_solves(monkeypatch):
 
 
 def test_unproven_least_power_also_runs_the_query_solve(monkeypatch):
-    """A least-power search that ends without a proof leaves the answer to
-    the lower of its own bisection and the solve by queries."""
+    """A quantizer slice's least-power search that ends without a proof
+    leaves the answer to the lower of its own bisection and the solve by
+    queries."""
     least = search._least
     target = DistortionPair(0.1, 0.2)
-    for scheme, c12 in ((Scheme.VQ, UNLIMITED), (Scheme.VQ, 0.0), (Scheme.SEP2, UNLIMITED)):
+    for scheme, c12 in ((Scheme.VQ, UNLIMITED), (Scheme.VQ, 0.0)):
         proven = min_power_symmetric(SRC, scheme, target, c12=c12, tol=1e-6)
         queried = search._query_solve(SRC, scheme, target, c12, 1.0, 1e-6, 1e9)
         for outcome, expected in ((lambda pt, m: (pt, m * 1.001, False), queried),
@@ -587,65 +604,8 @@ def test_certify_stops_when_the_best_slack_is_within_rounding():
         def counted(pts):
             batches.append(len(pts))
             return exact(pts)
-        assert _opt._certify(counted, bound, [8.0, 8.0, 1.0]) == (None, False, None)
+        assert _opt._certify(counted, bound, [8.0, 8.0, 1.0]) == (None, False)
         assert len(batches) <= _opt._MAX_ROUNDS and max(batches) <= _opt._MAX_BOXES
-
-
-def test_warm_certificate_matches_cold():
-    """A query started from the frontier of a feasible query above it, in
-    power on each slice or in ``d1`` on ``min_d1_unlimited``'s box, returns
-    the point and proof of a search from the whole box, on both sides of the
-    threshold.  A warm query that reaches the box cap still proves nothing."""
-    target = DistortionPair(0.1, 0.2)
-    for rho in (0.5, 0.97):
-        src = SourceSpec(1.0, rho)
-        cases = []  # (slice functions at x, threshold in x, box)
-        for make, c12, hi in SLICES[:2]:
-            pmin = min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=1e-6).objective
-            cases.append((lambda p, make=make, c12=c12: make(src, ChannelSpec(p, p, 1.0, c12),
-                                                             target), pmin, hi))
-        ch = ChannelSpec(100.0, 100.0, 1.0, UNLIMITED)
-        rate_cap = 0.5 * math.log2(1.0 + 400.0) + 1.0  # min_d1_unlimited's box at P/N = 100
-        d1min = min_d1_unlimited(src, ch, 0.2).objective
-        cases.append((lambda d1: search._unlimited_slice(src, ch, DistortionPair(d1, 0.2)),
-                      d1min, (rate_cap, rate_cap, 1.0)))
-        for at, threshold, hi in cases:
-            _, _, frontier = _opt._certify(*at(threshold * 1.01), hi)
-            assert frontier is not None, (rho, hi)
-            outcomes = set()
-            for factor in (1.005, 1.0 + 1e-6, 1.0 - 1e-6, 0.99, 0.5):
-                answers = []
-                for start in (None, frontier):
-                    pt, proof, _ = _opt._certify(*at(threshold * factor), hi, start=start)
-                    answers.append((None if pt is None else pt.tolist(), proof))
-                assert answers[0] == answers[1], (rho, hi, factor)
-                outcomes.add(answers[0][0] is None)
-            assert outcomes == {False, True}, (rho, hi)
-
-    edge = np.nextafter(_opt.SLACK_TOL, -math.inf)
-    centre = np.array([2.0 / 3.0, math.pi, 0.1])
-
-    def exact(pts, lift=0.0):
-        return edge + lift - np.abs(pts - centre).sum(axis=1)
-
-    def bound(lo, up, lift=0.0):
-        return exact(np.clip(centre, lo, up), lift)
-    _, _, frontier = _opt._certify(lambda pts: exact(pts, 1e-6),
-                                   lambda lo, up: bound(lo, up, 1e-6), [8.0, 8.0, 1.0])
-    batches = []
-
-    def counted(pts):
-        batches.append(len(pts))
-        return exact(pts)
-    assert frontier is not None
-    assert _opt._certify(counted, bound, [8.0, 8.0, 1.0], start=frontier) == (None, False, None)
-    assert max(batches) == _opt._MAX_BOXES
-
-    def ridge(pts):  # flat along two axes: the rounds reach the box cap before the witness
-        return _opt.SLACK_TOL + 1e-6 - np.abs(pts[:, 0] - centre[0])
-    pt, _, frontier = _opt._certify(ridge, lambda lo, up: ridge(np.clip(centre, lo, up)),
-                                    [8.0, 8.0, 1.0])
-    assert pt is not None and frontier is None
 
 
 # (d1, d2, c12, tol, objective, bracket, iterations, witness) of VQ solves at
@@ -695,16 +655,52 @@ def test_vq_solves_match_pinned_results():
 
 
 # (P/N, objective, bracket) of min_d1_unlimited at rho = 0.5, d2 = 0.2, n0 = 1:
-# the d1d2-vs-snr trace's solves.  Exact optimisations must keep them bit for bit.
+# the d1d2-vs-snr trace's solves, each a proven least-d1 branch-and-bound.
+# Exact optimisations must keep them bit for bit.
 PINNED_D1_SOLVES = (
-    (1e2, 0.009424814857280313, (0.009424814500812206, 0.009424814857280313)),
-    (1e4, 9.37548873189858e-05, (9.375488216540352e-05, 9.37548873189858e-05)),
-    (1e6, 9.375005148607797e-07, (9.375004810525492e-07, 9.375005148607797e-07)),
-    (1e8, 9.375000260027057e-09, (9.374999841528098e-09, 9.375000260027057e-09)),
+    (1e2, 0.009424814825408637, (0.009424814825399213, 0.009424814825408637)),
+    (1e4, 9.375488351839311e-05, (9.375488351829936e-05, 9.375488351839311e-05)),
+    (1e6, 9.375004856836273e-07, (9.375004856826898e-07, 9.375004856836273e-07)),
+    (1e8, 9.375000022838994e-09, (9.375000022829619e-09, 9.375000022838994e-09)),
 )
 
 
 def test_min_d1_solves_match_pinned_results():
     for snr, objective, bracket in PINNED_D1_SOLVES:
         res = min_d1_unlimited(SRC, ChannelSpec(snr, snr, 1.0), 0.2)
-        assert (res.objective, res.bracket) == (objective, bracket), snr
+        assert (res.objective, res.bracket, res.converged) == (objective, bracket, True), snr
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.97])
+@pytest.mark.parametrize("snr", [1e2, 1e4])
+def test_min_d1_unlimited_against_grid_oracle(rho, snr):
+    """A dense grid zoom over the readable unlimited region finds no point
+    at ``d2 = 0.2`` whose ``d1`` is 1e-6 below the least ``d1``, and finds
+    one 1e-4 above it.  At rho 0.97 the optimum sits at ``r2 = 0``, which
+    the coarser grid of the power oracle steps past."""
+    src, ch = SourceSpec(1.0, rho), ChannelSpec(snr, snr, 1.0, UNLIMITED)
+    res = min_d1_unlimited(src, ch, 0.2)
+    assert res.converged
+    rate_cap = 0.5 * math.log2(1.0 + 4.0 * snr) + 1.0  # min_d1_unlimited's box
+    for d1, feasible in ((res.objective * (1.0 - 1e-6), False),
+                         (res.objective * (1.0 + 1e-4), True)):
+        slack = _unlimited_reference(src, ch, DistortionPair(d1, 0.2))
+        best = _grid_zoom_max(slack, (rate_cap, rate_cap), rounds=32, n=65)
+        assert (best >= _opt.SLACK_TOL) == feasible, (d1, best)
+
+
+def test_unproven_min_d1_also_runs_the_query_bisection():
+    """Where the least-``d1`` search ends without a proof, the bisection by
+    certified queries runs too and the lower answer is returned, unconverged:
+    at rho 0.97, d2 = 0.05 the search stops at 2.95862e-5 and the bisection
+    reaches 2.95613e-5."""
+    src, ch = SourceSpec(1.0, 0.97), ChannelSpec(1e4, 1e4, 1.0)
+    res = min_d1_unlimited(src, ch, 0.05)
+    assert not res.converged and res.iterations > 0
+    assert res.objective == pytest.approx(2.95613e-5, rel=1e-5)
+    lo, hi = res.bracket
+    assert lo < hi == res.objective <= lo * (1.0 + 1e-6)
+    r2, rc, beta = (res.witness[k] for k in ("r2", "rc", "beta"))
+    report, achieved = vqscheme.vq_unlimited_region(src, ch, r2, rc, beta)
+    assert min(report.slacks.values()) >= _opt.SLACK_TOL
+    assert achieved.d1 <= res.objective * (1.0 + 1e-8) and achieved.d2 <= 0.05 * (1.0 + 1e-8)

@@ -7,7 +7,10 @@ from the whole box (neither is warm-started).  :func:`_least` returns the
 least value it saw (a least scale of the powers from :func:`_least_power`'s
 forms, or the least ``d1``) and, unless it gives up, a proof that no point
 lies lower by more than a relative gap.  :func:`_certify` returns a point
-whose slack reaches :data:`SLACK_TOL` or, unless it gives up, a proof of none.
+whose slack reaches :data:`SLACK_TOL` or, unless it gives up, a proof of none;
+it is the second opinion below an unproven least-scale run at unlimited
+conference, ``minconf``'s unlimited end check and the rescue of an unproven
+least-``d1`` run.
 
 The lockstep multistart compass search serves the quantizer scheme at a
 finite conference capacity where neither slice decides: every start polls

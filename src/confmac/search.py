@@ -9,23 +9,27 @@ On the quantizer scheme's slices ``c12 = 0`` and ``c12 = inf`` and for
 separation scheme 2, every rate bound is linear in a common scale ``s`` of
 the powers ``(s p1, s p2)`` and no distortion reads it, so each box point has
 a closed-form least scale; one :func:`_opt._least` run finds the least over
-the box and the point that needs it.  A least-power solve reads it at unit
-powers and bisects on ``p >= m``; that point is the witness at ``hi``.  When
-a quantizer slice's search ends without a proof (near ``rho = 1``, or on a
-flat ridge of optimal points), the bisection by certified queries
-(:func:`_opt._certify`) runs too and the lower answer is returned.
+the box and the point that needs it.  A scheme-2 solve reads it at unit
+powers and bisects on ``p >= m``; that point is the witness at ``hi``.
 
-A finite-``c12`` query is decided between the two slices' least scales along
-its powers, each run once per solve and box.  Below the unlimited slice's,
-over a box that also covers the finite scheme's ``r1 + rc``, it is
-infeasible when that run is a proof; that run's point answers where its
-shared rate fits the budget, the no-conference slice's at or above its own
-least scale, and a multistart compass search otherwise, whose "infeasible"
-is not proven: a solve whose witness re-validates at the bracket's ``lo``
-reports ``converged = False``.  :func:`min_d1_unlimited` (``d1d2-vs-snr``)
-minimizes ``d1`` by one branch-and-bound whose proof is its ``converged``
-flag.  Separation scheme 1 and the necessary condition take one feasibility
-query per bisection step, whose last feasible one gives the witness at ``hi``.
+Every quantizer solve takes one feasibility query per bisection step, and
+each slice's run is made once per solve and box along the query's powers.
+At ``c12 = 0`` a query is feasible when it reaches the no-conference least
+scale, else not, proof or none.  At ``c12 = inf`` it is feasible when it
+reaches the unlimited least scale and infeasible below it when that run is
+a proof; below an unproven run (near ``rho = 1``, or on a flat ridge of
+optimal points) the certified slack search (:func:`_opt._certify`) decides.
+A finite-``c12`` query is decided between the two slices' least scales.
+Below the unlimited slice's, over a box that also covers the finite scheme's
+``r1 + rc``, it is infeasible when that run is a proof; that run's point
+answers where its shared rate fits the budget, the no-conference slice's at
+or above its own least scale, and a multistart compass search otherwise,
+whose "infeasible" is not proven: a solve whose witness re-validates at the
+bracket's ``lo`` reports ``converged = False``.  :func:`min_d1_unlimited`
+(``d1d2-vs-snr``) minimizes ``d1`` by one branch-and-bound whose proof is its
+``converged`` flag.  Separation scheme 1 and the necessary condition take one
+feasibility query per bisection step, whose last feasible one gives the
+witness at ``hi``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from ._opt import (
 )
 
 RATE_BOX_BITS = 8.0
+_MAX_SIDE = 26.0  # the slice boxes' rate cap: past about 26.5 bits 1 - 4^-r rounds to 1
 _STOP_AT = 1e-7  # early-exit slack for pure feasibility queries
 
 
@@ -98,61 +103,47 @@ def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     return np.where(k < 1.0, rc, c12 - 0.5 * math.log2(1e-300))
 
 
-def _noconf_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(exact, bound)`` for :func:`_opt._certify` on the no-conference slice,
-    points ``(r1, r2)`` in bits: the full scheme at ``rc = beta1 = beta2 = 0``.
-
-    There ``brho = eta = 0``, the ``rc`` bound is 0, and every other bound
-    is ``0.5 log2`` of a term rising with ``trho^2``: ``p1/n0 + 1/(1 -
-    trho^2)`` (``r1``, ``r1+rc``), its ``p2`` twin, or ``(p1 + 2 trho
-    sqrt(p1 p2) + p2 + n0)/(n0 (1 - trho^2))`` (``r1+r2``, ``r1+r2+rc``).
-    ``trho = rho sqrt(f1 f2)`` rises and both distortions fall with ``r1``
-    and ``r2``, and no rate sum falls by more than the box widths from
-    ``up`` to ``lo``: the slack is at most ``exact(up)`` plus their sum.
-    """
-    def exact(pts):
-        return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, target.d1,
-                                   target.d2, pts[:, 0], pts[:, 1], 0.0, 0.0, 0.0)
-
-    def bound(lo, up):
-        return exact(up) + (up - lo).sum(axis=1)
-    return exact, bound
-
-
 def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     """``(exact, bound)`` for :func:`_opt._certify` on the unlimited-conference
-    slice, points ``(r2, rc, beta)`` with rates in bits.
+    slice, points ``(r2, rc, beta)`` with rates in bits: the worst slack of
+    :func:`vqscheme._unlimited_raw`'s three rate bounds and the two
+    distortion targets.
 
     ``h = rho^2 f2 fc`` rises with ``r2`` and ``rc``, and so does each
-    distortion slack; rates are taken at ``lo``.  The bounds of
-    :func:`vqscheme._unlimited_raw` are ``0.5 log2`` of: for ``r2``,
-    ``(1 - beta) p2/n0 + 1/(1 - h)``, at most at (rates ``up``, ``beta``
-    ``lo``); for ``r2+rc``, ``(p1 + p2 + 2 sqrt((h + beta (1 - h)) p1 p2)
-    + n0)/(n0 (1 - h))``, at most at ``up``; for ``rc``, ``delta1^2/n0 +
-    1/(1 - h)``, ``delta1 = sqrt(p1) + sqrt(p2) (sqrt(g + beta) - sqrt(g))``,
-    ``g = (1 - beta) h``.  ``delta1`` falls with ``g``, hence with ``h``, and
-    rises with ``beta``, so the ``rc`` term is at most ``delta1(h_lo,
-    beta_up)^2/n0 + 1/(1 - h_up)``: at most ``(1 - h_lo)/(1 - h_up)`` times
-    its value at (rates ``lo``, ``beta`` ``up``).
+    distortion slack; rates are taken at ``lo``.  The rate bounds are
+    ``0.5 log2`` of: for ``r2``, ``(1 - beta) p2/n0 + 1/(1 - h)``, at most
+    at (rates ``up``, ``beta`` ``lo``); for ``r2+rc``, ``(p1 + p2 + 2
+    sqrt((h + beta (1 - h)) p1 p2) + n0)/(n0 (1 - h))``, at most at ``up``;
+    for ``rc``, ``delta1^2/n0 + 1/(1 - h)``, ``delta1 = sqrt(p1) + sqrt(p2)
+    (sqrt(g + beta) - sqrt(g))``, ``g = (1 - beta) h``.  ``delta1`` falls
+    with ``g``, hence with ``h``, and rises with ``beta``, so the ``rc``
+    term is at most ``delta1(h_lo, beta_up)^2/n0 + 1/(1 - h_up)``: at most
+    ``(1 - h_lo)/(1 - h_up)`` times its value at (rates ``lo``, ``beta``
+    ``up``).
     """
+    def raw(rates, beta):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 1 - h reaches 0 at rho = 1
+            return vqscheme._unlimited_raw(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0,
+                                           rates[:, 0], rates[:, 1], beta)
+
+    def fold(r2_bound, rc_bound, sum_bound, rates, d1a, d2a):
+        r2, rc = rates[:, 0], rates[:, 1]
+        slack = np.minimum(np.minimum(r2_bound - r2, rc_bound - rc), sum_bound - (r2 + rc))
+        with np.errstate(divide="ignore"):  # a distortion reaches 0 at rho = 1, or underflows
+            return vqscheme._fold_distortions(slack, d1a, d2a, target.d1, target.d2)
+
     def exact(pts):
-        return vqscheme._unlimited_min_slack(src.rho, ch.p1, ch.p2, ch.n0, target.d1, target.d2,
-                                             pts[:, 0], pts[:, 1], pts[:, 2])
+        bnd, d1a, d2a = raw(pts, pts[:, 2])
+        return fold(bnd["r2"], bnd["rc"], bnd["r2+rc"], pts, d1a, d2a)
 
     def bound(lo, up):
         m = len(lo)
         # one call at the three corners: (rates up, beta lo), (up, up), (rates lo, beta up)
         rates = np.concatenate([up[:, :2], up[:, :2], lo[:, :2]])
-        beta = np.concatenate([lo[:, 2], up[:, 2], up[:, 2]])
-        bnd, d1a, d2a = vqscheme._unlimited_raw(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0,
-                                                rates[:, 0], rates[:, 1], beta)
+        bnd, d1a, d2a = raw(rates, np.concatenate([lo[:, 2], up[:, 2], up[:, 2]]))
         one_minus_h = 1.0 - src.rho**2 * np.prod(-np.expm1(-2.0 * math.log(2.0) * rates), axis=1)
-        r2, rc = lo[:, 0], lo[:, 1]
         rc_bound = bnd["rc"][2 * m:] + 0.5 * np.log2(one_minus_h[2 * m:] / one_minus_h[:m])
-        slack = np.minimum(np.minimum(bnd["r2"][:m] - r2, rc_bound - rc),
-                           bnd["r2+rc"][m:2 * m] - (r2 + rc))
-        with np.errstate(divide="ignore"):  # a distortion reaches 0 at rho = 1, or underflows
-            return vqscheme._fold_distortions(slack, d1a[:m], d2a[:m], target.d1, target.d2)
+        return fold(bnd["r2"][:m], rc_bound, bnd["r2+rc"][m:2 * m], lo, d1a[:m], d2a[:m])
     return exact, bound
 
 
@@ -161,8 +152,11 @@ def _noconf_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     points ``(r1, r2)`` in bits: each point's least scale ``s`` of ``ch``'s
     powers, at which ``(s p1, s p2)`` meets the target.
 
-    With ``t = rho^2 f1 f2`` the rate bounds of :func:`_noconf_slice` meet
-    ``r1``, ``r2`` and ``r1 + r2`` less ``_LEAST_EPS`` at ``s = n0 (4^r1 -
+    There ``brho = eta = 0`` and the ``rc`` bound is 0.  With ``t = rho^2 f1
+    f2`` the other rate bounds are ``0.5 log2`` of ``s p1/n0 + 1/(1 - t)``
+    (``r1``, ``r1+rc``), its ``p2`` twin and ``(s (p1 + 2 sqrt(t p1 p2) +
+    p2) + n0)/(n0 (1 - t))`` (``r1+r2``, ``r1+r2+rc``); they meet ``r1``,
+    ``r2`` and ``r1 + r2`` less ``_LEAST_EPS`` at ``s = n0 (4^r1 -
     1/(1 - t))/p1``, its ``r2`` twin and ``n0 (4^(r1+r2) (1 - t) - 1)/(p1 +
     p2 + 2 sqrt(t p1 p2))``.  Each numerator falls with ``t``, which rises
     with both rates, and both distortions fall with them: a box's bound
@@ -254,12 +248,16 @@ def _unlimited_config(pt) -> vqscheme.VqConfig:
 
 
 class _VqFeasibility:
-    """Scheme feasibility: a certified slice query at ``c12`` 0 or inf, and
-    :meth:`_finite` at a finite ``c12``."""
+    """Scheme feasibility at one target by the module's three-way rule.  The
+    slice boxes' rate sides are ``side`` bits: 8, or one bit past the ``0.5
+    log2(1/d)`` that meets the smaller target ``d`` alone, up to
+    ``_MAX_SIDE``."""
 
     def __init__(self, src: SourceSpec, target: DistortionPair):
         self.src = src
         self.target = target
+        self.side = min(max(RATE_BOX_BITS, 1.0 - 0.5 * math.log2(min(target.d1, target.d2))),
+                        _MAX_SIDE)
         self.warm5: np.ndarray | None = None
         self.witness: vqscheme.VqConfig | None = None
         self.least_runs: dict = {}
@@ -335,32 +333,47 @@ class _VqFeasibility:
 
     def _finite(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """A witness at the finite ``ch.c12``, or None.  The unlimited scheme
-        contains the finite one, its shared rate standing for ``r1 + rc <=
-        RATE_BOX_BITS + budget`` (the compass's reach)."""
+        contains the finite one, its shared rate standing for ``r1 + rc``,
+        which the compass reaches up to ``RATE_BOX_BITS + budget``."""
         budget = float(_rc_budget(self.src.rho, 0.0, ch.c12))
         pt, reached, proof = self._scaled_least(
-            _unlimited_least, ch, (RATE_BOX_BITS, RATE_BOX_BITS + budget, 1.0))
+            _unlimited_least, ch, (self.side, self.side + budget, 1.0))
         if not reached and proof:
             return None
         if reached and pt[1] <= budget:
             return _unlimited_config(pt)
-        pt, reached, _ = self._scaled_least(_noconf_least, ch, (RATE_BOX_BITS,) * 2)
-        return _noconf_config(pt) if reached else self._compass(ch)
+        return self._noconf(ch) or self._compass(ch)
+
+    def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
+        """The no-conference slice's least point when ``ch``'s powers reach
+        its least scale, else None, proof or none: the slack search never
+        answered lower below an unproven run."""
+        pt, reached, _ = self._scaled_least(_noconf_least, ch, (self.side,) * 2)
+        return _noconf_config(pt) if reached else None
+
+    def certified(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
+        """The slack search's first witness on the unlimited slice at ``ch``'s
+        powers, or None."""
+        pt, _ = _certify(*_unlimited_slice(self.src, ch, self.target),
+                         (self.side, self.side, 1.0))
+        return None if pt is None else _unlimited_config(pt)
 
     def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
         ch = ChannelSpec(p1, p2, n0, c12)
         if c12 == 0.0:
-            pt, _ = _certify(*_noconf_slice(self.src, ch, self.target), [RATE_BOX_BITS] * 2)
-            best_cfg = None if pt is None else _noconf_config(pt)
+            cfg = self._noconf(ch)
         elif is_unlimited(c12):
-            pt, _ = _certify(*_unlimited_slice(self.src, ch, self.target),
-                             [RATE_BOX_BITS, RATE_BOX_BITS, 1.0])
-            best_cfg = None if pt is None else _unlimited_config(pt)
+            pt, reached, proof = self._scaled_least(_unlimited_least, ch,
+                                                    (self.side, self.side, 1.0))
+            if reached:
+                cfg = _unlimited_config(pt)
+            else:
+                cfg = None if proof else self.certified(ch)
         else:
-            best_cfg = self._finite(ch)
-        if best_cfg is not None:
-            self.witness = best_cfg
-        return best_cfg is not None
+            cfg = self._finite(ch)
+        if cfg is not None:
+            self.witness = cfg
+        return cfg is not None
 
 
 def _vq_witness_ok(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig,
@@ -429,9 +442,8 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
     """Least symmetric power ``p1 = p2 = p`` at which the scheme meets the target.
 
     Outer bisection over a feasibility predicate that is monotone in power
-    (raising the power only enlarges every bound).  On the quantizer
-    scheme's two slices (``c12`` 0 or inf) and for separation scheme 2 the
-    predicate is ``p >= m``, ``m`` the least power one branch-and-bound
+    (raising the power only enlarges every bound).  For separation scheme 2
+    the predicate is ``p >= m``, ``m`` the least power one branch-and-bound
     (:func:`_least_power_solve`) finds; elsewhere it is a feasibility query
     per step.  ``tol`` (finite, >= 0) is the relative bracket width;
     ``p_ceiling`` bounds the search and triggers :class:`UnboundedError`
@@ -450,8 +462,8 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
         return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
     if p_ceiling is None:
         p_ceiling = 1e6 * max(n0, p_full)
-    if scheme is Scheme.SEP2 or (scheme is Scheme.VQ and (c12 == 0.0 or is_unlimited(c12))):
-        return _least_power_solve(src, scheme, target, c12, n0, tol, p_ceiling)
+    if scheme is Scheme.SEP2:
+        return _least_power_solve(src, target, c12, n0, tol, p_ceiling)
     return _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
 
 
@@ -466,52 +478,24 @@ def _vq_witness(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig | None,
             "d1": ach.d1, "d2": ach.d2}
 
 
-def _least_power_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12,
-                       n0: float, tol: float, p_ceiling: float) -> OptimizationResult:
-    """:func:`min_power_symmetric` on a slice whose rate bounds are linear in
-    the power and whose distortions do not read it.
+def _least_power_solve(src: SourceSpec, target: DistortionPair, c12, n0: float, tol: float,
+                       p_ceiling: float) -> OptimizationResult:
+    """:func:`min_power_symmetric` for separation scheme 2, whose rate bounds
+    are linear in the power and whose distortions do not read it.
 
     One :func:`_opt._least` run finds ``m``, the least scale of unit powers,
     to a relative gap of ``min(tol, _LEAST_GAP)``, and the point that needs
     it, the witness; the bisection then runs on the predicate ``p >= m``.
-    Without a proof, a quantizer solve by queries (:func:`_query_solve`)
-    runs too and the lower answer is returned (scheme 2's queries would
-    rerun this search).
+    An unproven run's answer stands: the scheme's queries would rerun it.
     """
     unit = ChannelSpec(1.0, 1.0, n0, c12)
-    if scheme is Scheme.SEP2:
-        (value, bound), box = separation._sep2_least(src, unit, target), [1.0, 1.0]
-    elif c12 == 0.0:
-        (value, bound), box = _noconf_least(src, unit, target), [RATE_BOX_BITS] * 2
-    else:
-        (value, bound), box = _unlimited_least(src, unit, target), [RATE_BOX_BITS] * 2 + [1.0]
-
-    pt, least, proof = _least(value, bound, box, gap=min(tol, _LEAST_GAP))
-    try:
-        lo, hi, iterations, converged = _expand_and_bisect(lambda p: p >= least, n0,
-                                                           p_ceiling, tol)
-    except UnboundedError:
-        if proof or scheme is Scheme.SEP2:
-            raise
-        return _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
-    ch = ChannelSpec(hi, hi, n0, c12)
-    if scheme is Scheme.SEP2:
-        report = separation._sep2_report(src, ch, target, pt)
-        if not report.feasible:
-            raise AssertionError("bisection invariant violated: witness fails at hi")
-        witness = dict(report.witness)
-    else:
-        config = _noconf_config if c12 == 0.0 else _unlimited_config
-        witness = _vq_witness(src, ch, config(pt), target)
-    result = OptimizationResult(hi, witness, iterations, converged, (lo, hi))
-    if not proof and scheme is Scheme.VQ:
-        try:
-            queried = _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
-        except UnboundedError:
-            return result
-        if queried.objective < result.objective:
-            return queried
-    return result
+    pt, least, _ = _least(*separation._sep2_least(src, unit, target), [1.0, 1.0],
+                          gap=min(tol, _LEAST_GAP))
+    lo, hi, iterations, converged = _expand_and_bisect(lambda p: p >= least, n0, p_ceiling, tol)
+    report = separation._sep2_report(src, ChannelSpec(hi, hi, n0, c12), target, pt)
+    if not report.feasible:
+        raise AssertionError("bisection invariant violated: witness fails at hi")
+    return OptimizationResult(hi, dict(report.witness), iterations, converged, (lo, hi))
 
 
 def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n0: float,
@@ -551,7 +535,8 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
 
     Powers and noise come from ``ch_powers`` (its own ``c12`` is ignored).
     ``tol`` (finite, >= 0) is the absolute bracket width in bits.  Raises
-    :class:`UnboundedError` when even unlimited capacity fails.
+    :class:`UnboundedError` when even unlimited capacity fails.  An answer
+    of 0 carries the witness of its ``c12 = 0`` query.
     """
     _check_tol(tol)
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
@@ -561,32 +546,35 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
 
         def predicate_at(c) -> bool:
             return inner(p1, p2, n0, c)
+        # one first-hit slack search: a least-scale run would cost more here
+        unlimited = inner.certified(ChannelSpec(p1, p2, n0)) is not None
     elif scheme is Scheme.SEP1:
         found = {}
         predicate_at = _keeping_witness(
             lambda c: separation.sep1_feasible(src, ChannelSpec(p1, p2, n0, c), target), found)
+        unlimited = predicate_at(UNLIMITED)
     else:
         raise DomainError("scheme", f"conference search supports VQ and SEP1, got {scheme}")
 
-    if not predicate_at(UNLIMITED):
+    if not unlimited:
         raise UnboundedError("target infeasible even with unlimited conference capacity")
     if predicate_at(0.0):
-        return OptimizationResult(0.0, {}, 0, True, (0.0, 0.0))
-
-    lo, hi, iterations, converged = _expand_and_bisect(
-        predicate_at, 1.0, 300.0, 0.0, tol_abs=tol)
-
-    if scheme is Scheme.VQ:
-        cfg = inner.witness
-        if cfg is None or _vq_witness_ok(src, ChannelSpec(p1, p2, n0, hi), cfg, target) is None:
-            raise AssertionError("bisection invariant violated: witness fails at hi")
-        req, _ = vqscheme.vq_conf_requirement(src, cfg)
-        witness = {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
-                   "beta1": cfg.beta1, "beta2": cfg.beta2, "required_c12": req}
-        if req <= lo:  # the witness refutes the compass's unproven "infeasible" at lo
-            converged = False
+        lo = hi = 0.0
+        iterations, converged = 0, True
     else:
-        witness = dict(found["witness"])
+        lo, hi, iterations, converged = _expand_and_bisect(
+            predicate_at, 1.0, 300.0, 0.0, tol_abs=tol)
+    if scheme is not Scheme.VQ:
+        return OptimizationResult(hi, dict(found["witness"]), iterations, converged, (lo, hi))
+
+    cfg = inner.witness
+    if cfg is None or _vq_witness_ok(src, ChannelSpec(p1, p2, n0, hi), cfg, target) is None:
+        raise AssertionError("bisection invariant violated: witness fails at hi")
+    req, _ = vqscheme.vq_conf_requirement(src, cfg)
+    witness = {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
+               "beta1": cfg.beta1, "beta2": cfg.beta2, "required_c12": req}
+    if req <= lo < hi:  # the witness refutes the compass's unproven "infeasible" at lo
+        converged = False
     return OptimizationResult(hi, witness, iterations, converged, (lo, hi))
 
 

@@ -10,15 +10,13 @@ between its private description and the shared one.
 Everything here is closed-form and broadcasts over numpy arrays.
 ``_raw_quantities`` and ``_unlimited_raw`` build every gain, constant and rate
 bound in readable form; the public functions are thin scalar wrappers around
-them.  Three fused kernels evaluate many configurations at once:
+them.  Two fused kernels evaluate many configurations at once:
 ``_rate_min_slack`` (the seven rate bounds of the full scheme; ``validate``
-screens its random configurations with it), ``_min_slack`` (those bounds
-plus the distortion targets; the searches' full scheme, whose conference
-bound is absent or met by construction, and at ``rc = beta1 = beta2 = 0``
-the no-conference slice) and ``_unlimited_min_slack`` (the
-unlimited-conference slice).  They compute only the bounds, share
-subexpressions and fold each bound into a running minimum, and return the
-worst slack equal bit for bit to the minimum over the readable form.
+screens its random configurations with it) and ``_min_slack`` (those
+bounds plus the distortion targets; the compass search's full scheme, whose
+conference bound is met by construction).  They compute only the bounds,
+share subexpressions and fold each bound into a running minimum, and return
+the worst slack equal bit for bit to the minimum over the readable form.
 
 Degenerate-factor convention: a gain whose formula turns 0/0 because its
 power share is zero or its codebook is empty (rate 0, variance factor 0) is
@@ -344,43 +342,12 @@ def _min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
     """Worst slack (bits) of the full scheme over its seven rate bounds
     (:func:`_rate_min_slack`) and the two distortion targets ``d1``, ``d2``,
     at parameter arrays ``r1 .. b2``; equal bit for bit to the same minimum
-    composed from :func:`_raw_quantities`.  No conference bound: the searches
-    call it with a shared rate within the budget, or at ``rc = 0``.
+    composed from :func:`_raw_quantities`.  No conference bound: the compass
+    search calls it with a shared rate within the budget.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         d1a, d2a = _distortion_arrays(rho, r1, r2, rc)
         slack = _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
-        return _fold_distortions(slack, d1a, d2a, d1, d2)
-
-
-def _unlimited_min_slack(rho, p1, p2, n0, d1, d2, r2, rc, beta):
-    """Worst slack (bits) of the unlimited-conference slice at ``(r2, rc, beta)``
-    arrays: its three rate bounds and the two distortion targets.
-
-    Equal bit for bit to the minimum over :func:`_unlimited_raw`'s bounds and
-    distortions.
-    """
-    r2 = np.asarray(r2, dtype=float)
-    rc = np.asarray(rc, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f2 = -np.expm1(-2.0 * r2 * math.log(2.0))
-        fc = -np.expm1(-2.0 * rc * math.log(2.0))
-        hrho2 = rho**2 * f2 * fc
-        omh = 1.0 - hrho2
-        n0h = n0 * omh
-        bb = 1.0 - beta
-        bbh = bb * hrho2
-        gain2 = bbh + beta
-        delta1 = np.sqrt(p1) + np.sqrt(p2) * (np.sqrt(gain2) - np.sqrt(bbh))
-        delta2 = p1 + p2 + 2.0 * np.sqrt(gain2 * p1 * p2)
-
-        slack = np.full(np.broadcast(r2, rc, beta).shape, np.inf)
-        _fold_bound(slack, bb * p2 * omh + n0, n0h, r2)
-        _fold_bound(slack, delta1**2 * omh + n0, n0h, rc)
-        _fold_bound(slack, delta2 + n0, n0h, r2 + rc)
-        d1a = 2.0 ** (-2.0 * rc) * (1.0 - rho**2 * f2) / omh
-        d2a = 2.0 ** (-2.0 * r2) * (1.0 - rho**2 * fc) / omh
         return _fold_distortions(slack, d1a, d2a, d1, d2)
 
 

@@ -223,6 +223,17 @@ def test_minconf_unbounded_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("scheme, key", [("vq", "required_c12"), ("sep1", "r1")])
+def test_minconf_zero_answer_prints_its_witness(scheme, key):
+    args = ["minconf", "--scheme", scheme, "--rho", "0.5", "--p1", "20", "--p2", "20",
+            "--d1", "0.1", "--d2", "0.2"]
+    code, out = run_cli(args)
+    assert code == 0 and any(line.startswith(f"  witness[{key}] = ") for line in out.splitlines())
+    code, out = run_cli(args + ["--json"])
+    result = json.loads(out)
+    assert code == 0 and result["objective"] == 0.0 and key in result["witness"]
+
+
 def test_asymptote_json():
     code, out = run_cli([
         "asymptote", "--rho", "0.5", "--p1", "1000", "--p2", "1000", "--noise", "1",

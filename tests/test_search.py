@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ def test_min_conf_zero_when_power_is_ample():
     assert min_conf_capacity(SRC, ch, Scheme.SEP1, TARGET, tol=1e-4).objective == 0.0
 
 
+def test_min_conf_zero_answer_carries_its_witness():
+    """An answer of 0 carries its ``c12 = 0`` query's witness: for vq a
+    configuration that needs no conference bits and re-validates at
+    ``c12 = 0``, for sep1 that query's report's witness."""
+    target = DistortionPair(0.1, 0.2)
+    ch, none = ChannelSpec(20.0, 20.0, 1.0), ChannelSpec(20.0, 20.0, 1.0, 0.0)
+    res = min_conf_capacity(SRC, ch, Scheme.VQ, target)
+    w = res.witness
+    assert (res.objective, res.bracket, res.converged, w["required_c12"]) == (0.0, (0.0, 0.0),
+                                                                            True, 0.0)
+    cfg = vqscheme.VqConfig(*(w[k] for k in ("r1", "r2", "rc", "beta1", "beta2")))
+    assert search._vq_witness_ok(SRC, none, cfg, target) is not None
+    res = min_conf_capacity(SRC, ch, Scheme.SEP1, target)
+    assert res.objective == 0.0
+    assert res.witness == separation.sep1_feasible(SRC, none, target).witness != {}
+
+
 def test_min_conf_nonincreasing_in_power():
     p_inf = min_power_symmetric(SRC, Scheme.VQ, TARGET, c12=UNLIMITED, tol=1e-9).objective
     values = []
@@ -261,11 +279,9 @@ def test_trace_d1d2_vs_snr_row():
 # (p1, p2, n0) of the slice-bound checks
 SLICE_CHANNELS = ((1.0, 1.0, 1.0), (12.0, 3.0, 0.5), (0.01, 100.0, 2.0), (5.0, 5.0, 1.0 / 16.0),
                   (1e4, 1e4, 1.0))
-# min_d1_unlimited's fallback searches the unlimited slice over taller rate
-# sides: 15.3 bits at P/N = 1e8
-SLICES = ((search._noconf_slice, 0.0, (8.0, 8.0)),
-          (search._unlimited_slice, UNLIMITED, (8.0, 8.0, 1.0)),
-          (search._unlimited_slice, UNLIMITED, (16.0, 16.0, 1.0)))
+# boxes of the unlimited slice's slack search: min_d1_unlimited's fallback
+# searches taller rate sides, 15.3 bits at P/N = 1e8
+SLICE_BOXES = ((8.0, 8.0, 1.0), (16.0, 16.0, 1.0))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
@@ -275,9 +291,9 @@ def test_slice_bounds_hold_over_their_boxes(rho):
     rng = np.random.default_rng(int(100 * rho))
     src = SourceSpec(1.0, rho)
     for p1, p2, n0 in SLICE_CHANNELS:
-        for make, c12, hi in SLICES:
+        for hi in SLICE_BOXES:
             target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
-            exact, bound = make(src, ChannelSpec(p1, p2, n0, c12), target)
+            exact, bound = search._unlimited_slice(src, ChannelSpec(p1, p2, n0), target)
             hi = np.array(hi)
             m, d = 2000, hi.size
             lo = rng.uniform(0.0, 1.0, (m, d)) * hi
@@ -362,8 +378,8 @@ def test_least_power_forms_match_the_slack_kernels(rho):
                                        0.0, 0.0, 0.0)[0]
 
         def unlimited(s, pt):
-            return vqscheme._unlimited_min_slack(rho, s * p1, s * p2, n0, d1, d2, pt[:1],
-                                                 pt[1:2], pt[2:])[0]
+            exact, _ = search._unlimited_slice(src, ChannelSpec(s * p1, s * p2, n0), target)
+            return exact(pt[None, :])[0]
 
         ch = ChannelSpec(p1, p2, n0)
         cases = [(search._noconf_least(src, ch, target)[0], rates, noconf),
@@ -490,6 +506,33 @@ def test_finite_link_reaches_past_the_unlimited_slice_box():
     assert w["r1"] + w["rc"] > search.RATE_BOX_BITS and w["d1"] <= 1e-5, w
 
 
+def test_slice_boxes_grow_with_the_target():
+    """A target below ``2^-14`` widens the slices' rate boxes, so neither
+    slice is unbounded where a finite link answers: at rho 0.5 the three
+    links order as their schemes nest, each at or above the necessary
+    power (d = (1e-5, 0.2) needs about 8.3 bits of ``r1 + rc``)."""
+    for target in (DistortionPair(1e-5, 0.2), DistortionPair(0.2, 1e-5),
+                   DistortionPair(1e-6, 1e-6)):
+        unlimited, finite, none = (min_power_symmetric(SRC, Scheme.VQ, target, c12=c12).objective
+                                   for c12 in (UNLIMITED, 1.0, 0.0))
+        necessary = min_power_symmetric(SRC, Scheme.NECESSARY, target).objective
+        assert necessary <= unlimited <= finite <= none, (target, unlimited, finite, none)
+
+
+def test_slice_boxes_stop_before_one_minus_h_rounds_to_zero():
+    """The boxes stop growing at ``_MAX_SIDE`` bits: past about 26.5 bits
+    ``1 - 4^-r`` rounds to 1, and at rho = 1 the least-scale forms would
+    divide 0 by 0 (d1 = 1e-20 asks for 34 bits)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for c12 in (UNLIMITED, 0.0):
+            try:
+                min_power_symmetric(SourceSpec(1.0, 1.0), Scheme.VQ, DistortionPair(1e-20, 0.5),
+                                    c12=c12)
+            except UnboundedError:
+                pass
+
+
 def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
     """A query below the unlimited slice's least scale over the finite
     reach is infeasible only when that run is a proof; otherwise the compass
@@ -507,44 +550,75 @@ def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
 
 
 def test_least_power_solves_match_the_query_solves(monkeypatch):
-    """On proven searches the least-power solve makes every decision of the
-    solve by one feasibility query per step: same objective, bracket and
-    iteration count."""
-    least, proofs = search._least, []
+    """On proven searches the scheme-2 least-power solve makes every decision
+    of the solve by one feasibility query per step: same objective, bracket
+    and iteration count.  A proven quantizer solve at ``c12`` 0 or inf makes
+    one least-scale run and asks no slack search."""
+    least, certify, calls = search._least, search._certify, []
 
     def recorded(*args, **kwargs):
         out = least(*args, **kwargs)
-        proofs.append(out[2])
+        calls.append(("least", out[2]))
         return out
+
+    def counted(*args):
+        calls.append(("certify",))
+        return certify(*args)
     monkeypatch.setattr(search, "_least", recorded)
+    monkeypatch.setattr(search, "_certify", counted)
     for rho, target, tol in ((0.3, DistortionPair(0.1, 0.2), 1e-6),
                              (0.8, DistortionPair(0.2, 0.1), 1e-9)):
         src = SourceSpec(1.0, rho)
-        for scheme, c12 in ((Scheme.VQ, UNLIMITED), (Scheme.VQ, 0.0),
-                            (Scheme.SEP2, UNLIMITED), (Scheme.SEP2, 0.5)):
-            res = min_power_symmetric(src, scheme, target, c12=c12, tol=tol)
-            ref = search._query_solve(src, scheme, target, c12, 1.0, tol, 1e9)
+        for c12 in (UNLIMITED, 0.5):
+            calls.clear()
+            res = min_power_symmetric(src, Scheme.SEP2, target, c12=c12, tol=tol)
+            ref = search._query_solve(src, Scheme.SEP2, target, c12, 1.0, tol, 1e9)
             assert (res.objective, res.bracket, res.iterations, res.converged) == (
-                ref.objective, ref.bracket, ref.iterations, ref.converged), (rho, scheme, c12)
-    assert len(proofs) == 8 and all(proofs), proofs
+                ref.objective, ref.bracket, ref.iterations, ref.converged), (rho, c12)
+            assert calls == [("least", True)], (rho, c12, calls)
+        for c12 in (UNLIMITED, 0.0):
+            calls.clear()
+            min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=tol)
+            assert calls == [("least", True)], (rho, c12, calls)
 
 
-def test_unproven_least_power_also_runs_the_query_solve(monkeypatch):
-    """A quantizer slice's least-power search that ends without a proof
-    leaves the answer to the lower of its own bisection and the solve by
-    queries."""
-    least = search._least
-    target = DistortionPair(0.1, 0.2)
-    for scheme, c12 in ((Scheme.VQ, UNLIMITED), (Scheme.VQ, 0.0)):
-        proven = min_power_symmetric(SRC, scheme, target, c12=c12, tol=1e-6)
-        queried = search._query_solve(SRC, scheme, target, c12, 1.0, 1e-6, 1e9)
-        for outcome, expected in ((lambda pt, m: (pt, m * 1.001, False), queried),
-                                  (lambda pt, m: (None, math.inf, False), queried),
-                                  (lambda pt, m: (pt, m, False), proven)):
-            monkeypatch.setattr(search, "_least", lambda *a, outcome=outcome, **k:
-                                outcome(*least(*a, **k)[:2]))
-            assert min_power_symmetric(SRC, scheme, target, c12=c12, tol=1e-6) == expected, \
-                (scheme, c12)
+def test_unproven_least_scale_asks_the_slack_search_below_it(monkeypatch):
+    """Below an unproven unlimited run's least scale the slack search decides
+    each query; an unproven no-conference run's "no" stands.  With the least
+    scales raised 0.1%, the unlimited solve asks the slack search only below
+    the raised scale and finds the proven answer again, and the
+    no-conference solve answers at the raised scale; with no finite scale
+    the unlimited solve runs on the slack search alone and the
+    no-conference one finds no power."""
+    least, certified = search._least, search._VqFeasibility.certified
+    target, tol = DistortionPair(0.1, 0.2), 1e-6
+    scales, asked = [], []
+
+    def recorded(self, ch):
+        asked.append(ch.p1)
+        return certified(self, ch)
+    monkeypatch.setattr(search._VqFeasibility, "certified", recorded)
+    proven = min_power_symmetric(SRC, Scheme.VQ, target, c12=UNLIMITED, tol=tol).objective
+    for c12, factor in ((UNLIMITED, 1.001), (UNLIMITED, math.inf), (0.0, 1.001), (0.0, math.inf)):
+        def unproven(*args, factor=factor, **kwargs):
+            pt, scale, _ = least(*args, **kwargs)
+            scales.append(scale * factor)
+            return pt, scale * factor, False
+        monkeypatch.setattr(search, "_least", unproven)
+        scales.clear()
+        asked.clear()
+        if c12 == 0.0 and factor == math.inf:
+            with pytest.raises(UnboundedError):
+                min_power_symmetric(SRC, Scheme.VQ, target, c12=c12, tol=tol)
+            assert not asked
+            continue
+        res = min_power_symmetric(SRC, Scheme.VQ, target, c12=c12, tol=tol)
+        [raised] = scales
+        if c12 == 0.0:
+            assert not asked and raised <= res.objective <= raised * (1.0 + tol)
+        else:
+            assert asked and max(asked) < raised, (factor, asked)
+            assert res.objective == pytest.approx(proven, rel=2.0 * tol)
 
 
 def test_refuted_finite_link_bracket_is_not_converged():
@@ -574,6 +648,9 @@ def test_min_conf_refuted_bracket_is_not_converged(monkeypatch):
         class Stub:  # finds the witness only ``missed`` bits above its requirement
             def __init__(self, src, target):
                 self.witness = None
+
+            def certified(self, ch):
+                return cfg
 
             def __call__(self, p1, p2, n0, c12):
                 if search.is_unlimited(c12) or c12 >= need + missed:
@@ -652,6 +729,23 @@ def test_vq_solves_match_pinned_results():
         res = min_power_symmetric(SRC, Scheme.VQ, DistortionPair(d1, d2), c12=c12, tol=tol)
         assert (res.objective, res.bracket, res.iterations, res.witness) == (
             objective, bracket, iterations, witness), (d1, c12)
+
+
+# (rho, d1, d2, objective, alone) of vq solves at c12 = inf and tol 1e-9
+# whose least-scale run ends without a proof: the slack search answers some
+# queries below that run's scale, and the solve ends below ``alone``, the
+# answer of the run by itself.
+PINNED_SECOND_OPINIONS = (
+    (1.0, 0.9, 0.05, 4.749999988824129, 4.750136181712151),
+    (0.97, 0.2, 0.2, 1.349427368491888, 1.3494273778051138),
+)
+
+
+def test_second_opinion_solves_match_pinned_results():
+    for rho, d1, d2, objective, alone in PINNED_SECOND_OPINIONS:
+        res = min_power_symmetric(SourceSpec(1.0, rho), Scheme.VQ, DistortionPair(d1, d2),
+                                  c12=UNLIMITED, tol=1e-9)
+        assert res.objective == objective < alone, (rho, d1, d2, res.objective)
 
 
 # (P/N, objective, bracket) of min_d1_unlimited at rho = 0.5, d2 = 0.2, n0 = 1:

@@ -6,11 +6,11 @@ axis, up to :data:`_MAX_ROUNDS` rounds of at most :data:`_MAX_BOXES` boxes,
 from the whole box (neither is warm-started).  :func:`_least` returns the
 least value it saw (a least scale of the powers from :func:`_least_power`'s
 forms, or the least ``d1``) and, unless it gives up, a proof that no point
-lies lower by more than a relative gap.  :func:`_certify` returns a point
+lies lower by more than the relative gap :data:`_LEAST_GAP`.  A solve makes
+one box and one run per least-scale form.  :func:`_certify` returns a point
 whose slack reaches :data:`SLACK_TOL` or, unless it gives up, a proof of none;
 it is the second opinion below an unproven least-scale run at unlimited
-conference, ``minconf``'s unlimited end check and the rescue of an unproven
-least-``d1`` run.
+conference and the rescue of an unproven least-``d1`` run.
 
 The lockstep multistart compass search serves the quantizer scheme at a
 finite conference capacity where neither slice decides: every start polls
@@ -35,7 +35,7 @@ _BOUND_MARGIN = 32 * math.ulp(8.0)  # twice a box bound's worst rounding seen (r
 # closed forms re-validate a witness at any power at or above its least power
 _LEAST_EPS = -0.9999 * SLACK_TOL
 _LEAST_MARGIN = 2.0**-46  # relative: twice a least-power bound's worst rounding seen (sep2)
-_LEAST_GAP = 1e-12  # relative gap of a least-scale search that decides feasibility queries
+_LEAST_GAP = 1e-12  # relative gap of every least-value search
 
 _STEP0 = 0.25          # compass: first poll step
 _STEP_MIN = 1e-5       # a start stops once its step is below this
@@ -93,17 +93,17 @@ def _split(lo, mid, up, keep, upper_half):
             np.where(upper_half, up, mid).reshape(-1, d))
 
 
-def _least(value, bound, hi, gap) -> tuple[np.ndarray | None, float, bool]:
+def _least(value, bound, hi) -> tuple[np.ndarray | None, float, bool]:
     """``(point, least, proof)``: the box centre of ``[0, hi]`` with the
     least ``value`` (at ``(m, d)`` points) seen, that value (+inf when none
     is finite), and whether no point of the box lies below ``least * (1 -
-    gap)``.
+    _LEAST_GAP)``.
 
     The minimizing twin of :func:`_certify`, on its box schedule and caps:
     each round evaluates every box centre, then drops the boxes whose
     ``bound(lo, up)``, a lower bound of ``value`` over the box, less the
     relative margin :data:`_LEAST_MARGIN`, is at or above ``least * (1 -
-    gap)`` (NaN keeps a box), and halves the rest along every axis.  The
+    _LEAST_GAP)`` (NaN keeps a box), and halves the rest along every axis.  The
     result is a proof once no box is left.  A round that keeps more boxes
     than the next may evaluate splits only those with the lowest bounds, and
     its result is no proof; nor is one at the round cap.
@@ -120,7 +120,7 @@ def _least(value, bound, hi, gap) -> tuple[np.ndarray | None, float, bool]:
         if vals[i] < best:
             best, point = float(vals[i]), mid[i]
         lower = bound(lo, up)
-        keep = np.flatnonzero(~(lower * (1.0 - _LEAST_MARGIN) >= best * (1.0 - gap)))
+        keep = np.flatnonzero(~(lower * (1.0 - _LEAST_MARGIN) >= best * (1.0 - _LEAST_GAP)))
         if not keep.size:
             return point, best, proof
         if keep.size << d > _MAX_BOXES:

@@ -9,27 +9,28 @@ On the quantizer scheme's slices ``c12 = 0`` and ``c12 = inf`` and for
 separation scheme 2, every rate bound is linear in a common scale ``s`` of
 the powers ``(s p1, s p2)`` and no distortion reads it, so each box point has
 a closed-form least scale; one :func:`_opt._least` run finds the least over
-the box and the point that needs it.  A scheme-2 solve reads it at unit
-powers and bisects on ``p >= m``; that point is the witness at ``hi``.
+the box and the point that needs it.  A solve makes one box and one run per
+form, along its powers' direction, and every bisection step reads it: a
+scheme-2 step is ``p >= m`` at unit powers, and that point is the witness at
+``hi``.
 
-Every quantizer solve takes one feasibility query per bisection step, and
-each slice's run is made once per solve and box along the query's powers.
-At ``c12 = 0`` a query is feasible when it reaches the no-conference least
-scale, else not, proof or none.  At ``c12 = inf`` it is feasible when it
-reaches the unlimited least scale and infeasible below it when that run is
-a proof; below an unproven run (near ``rho = 1``, or on a flat ridge of
-optimal points) the certified slack search (:func:`_opt._certify`) decides.
-A finite-``c12`` query is decided between the two slices' least scales.
-Below the unlimited slice's, over a box that also covers the finite scheme's
-``r1 + rc``, it is infeasible when that run is a proof; that run's point
-answers where its shared rate fits the budget, the no-conference slice's at
-or above its own least scale, and a multistart compass search otherwise,
-whose "infeasible" is not proven: a solve whose witness re-validates at the
-bracket's ``lo`` reports ``converged = False``.  :func:`min_d1_unlimited`
-(``d1d2-vs-snr``) minimizes ``d1`` by one branch-and-bound whose proof is its
-``converged`` flag.  Separation scheme 1 and the necessary condition take one
-feasibility query per bisection step, whose last feasible one gives the
-witness at ``hi``.
+A quantizer query at ``c12 = 0`` is feasible when it reaches the
+no-conference least scale, else not, proof or none.  At any other link it
+reads the unlimited slice's run, whose scheme contains the finite one (its
+shared rate standing for ``r1 + rc``): the query is feasible at the run's
+point when it reaches the least scale and that point's shared rate fits the
+link (any rate at ``c12 = inf``), and infeasible below the least scale when
+the run is a proof.  Below an unproven run (near ``rho = 1``, or on a flat
+ridge of optimal points) the certified slack search (:func:`_opt._certify`)
+decides at ``c12 = inf``.  Any other finite-``c12`` query takes the
+no-conference slice's point at or above its least scale, and a multistart
+compass search otherwise; the compass keeps ``r1 + rc`` inside the unlimited
+run's box, so that run's proof covers it, but its own "infeasible" is not
+proven: a solve whose witness re-validates at the bracket's ``lo`` reports
+``converged = False``.  :func:`min_d1_unlimited` (``d1d2-vs-snr``) minimizes
+``d1`` by one branch-and-bound whose proof is its ``converged`` flag.
+Separation scheme 1 and the necessary condition take one feasibility query
+per bisection step, whose last feasible one gives the witness at ``hi``.
 """
 
 from __future__ import annotations
@@ -248,10 +249,10 @@ def _unlimited_config(pt) -> vqscheme.VqConfig:
 
 
 class _VqFeasibility:
-    """Scheme feasibility at one target by the module's three-way rule.  The
-    slice boxes' rate sides are ``side`` bits: 8, or one bit past the ``0.5
-    log2(1/d)`` that meets the smaller target ``d`` alone, up to
-    ``_MAX_SIDE``."""
+    """Scheme feasibility at one target by the module's rule, with one box
+    and one run per form per solve.  The slice boxes' rate sides are
+    ``side`` bits: 8, or one bit past the ``0.5 log2(1/d)`` that meets the
+    smaller target ``d`` alone, up to ``_MAX_SIDE``."""
 
     def __init__(self, src: SourceSpec, target: DistortionPair):
         self.src = src
@@ -285,36 +286,40 @@ class _VqFeasibility:
                 val, pt = rval, rpt
         return val, pt
 
-    def _scaled_least(self, least_fn, ch: ChannelSpec, hi: tuple):
+    def _scaled_least(self, least_fn, ch: ChannelSpec, box: tuple):
         """``(point, reached, proof)``: the :func:`_opt._least` run of
-        ``least_fn``'s form at ``ch``'s powers over their maximum ``top``, on
-        a box covering ``[0, hi]``, whether ``top`` reaches its least scale,
-        and the run's proof.  A run serves every later query its box covers."""
+        ``least_fn``'s form on its ``box`` at ``ch``'s powers over their
+        maximum ``top``, whether ``top`` reaches its least scale, and the
+        run's proof.  One box and one run per form per solve: the run is
+        made at the first query along these powers and serves every later
+        one."""
         top = max(ch.p1, ch.p2)
         base = ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0)
-        box, run = self.least_runs.get((least_fn, base), (hi, None))
-        if run is None or any(b < h for b, h in zip(box, hi)):
-            box, run = hi, _least(*least_fn(self.src, base, self.target), hi, _LEAST_GAP)
-            self.least_runs[least_fn, base] = box, run
-        pt, least, proof = run
+        if (least_fn, base) not in self.least_runs:
+            self.least_runs[least_fn, base] = _least(*least_fn(self.src, base, self.target), box)
+        pt, least, proof = self.least_runs[least_fn, base]
         return pt, top >= least, proof
 
     def _compass(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The compass search's witness at the finite ``ch.c12``, or None.
 
         Its points are (r1, r2, t, b1, b2), rates scaled by ``RATE_BOX_BITS``.
-        The shared rate is ``t`` times the budget-saturating rate: the
-        conference constraint then holds by construction (and is dropped
-        from the objective, else it would pin the max-min at 0 on the
-        saturated surface) and the search moves freely along it.
+        The shared rate is ``t`` times the budget-saturating rate, capped at
+        ``side - r1``: the conference constraint then holds by construction
+        (and is dropped from the objective, else it would pin the max-min at
+        0 on the saturated surface), the search moves freely along it, and
+        ``r1 + rc`` stays in the unlimited run's box (one box per solve), so
+        that run's proof covers every point the compass reaches.
         """
         src, target, cap = self.src, self.target, RATE_BOX_BITS
+
+        def shared(r1):
+            return np.minimum(_rc_budget(src.rho, r1, ch.c12), self.side - r1)
 
         def f5(pts):
             r1 = pts[:, 0] * cap
             return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, target.d1,
-                                       target.d2, r1, pts[:, 1] * cap,
-                                       pts[:, 2] * _rc_budget(src.rho, r1, ch.c12),
+                                       target.d2, r1, pts[:, 1] * cap, pts[:, 2] * shared(r1),
                                        pts[:, 3], pts[:, 4])
         warm4 = (np.delete(self.warm5, 2) if self.warm5 is not None else None)
         val, pt = self._run(f5, 5, self.warm5)
@@ -328,21 +333,8 @@ class _VqFeasibility:
                 val, pt = val4, np.insert(pt4, 2, 1.0)
         if val < SLACK_TOL:
             return None
-        rc = float(pt[2] * _rc_budget(src.rho, np.asarray(pt[0] * cap), ch.c12))
+        rc = float(pt[2] * shared(pt[0] * cap))
         return vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, rc, pt[3], pt[4])
-
-    def _finite(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
-        """A witness at the finite ``ch.c12``, or None.  The unlimited scheme
-        contains the finite one, its shared rate standing for ``r1 + rc``,
-        which the compass reaches up to ``RATE_BOX_BITS + budget``."""
-        budget = float(_rc_budget(self.src.rho, 0.0, ch.c12))
-        pt, reached, proof = self._scaled_least(
-            _unlimited_least, ch, (self.side, self.side + budget, 1.0))
-        if not reached and proof:
-            return None
-        if reached and pt[1] <= budget:
-            return _unlimited_config(pt)
-        return self._noconf(ch) or self._compass(ch)
 
     def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The no-conference slice's least point when ``ch``'s powers reach
@@ -353,7 +345,7 @@ class _VqFeasibility:
 
     def certified(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The slack search's first witness on the unlimited slice at ``ch``'s
-        powers, or None."""
+        powers, or None: the second opinion below an unproven unlimited run."""
         pt, _ = _certify(*_unlimited_slice(self.src, ch, self.target),
                          (self.side, self.side, 1.0))
         return None if pt is None else _unlimited_config(pt)
@@ -362,15 +354,18 @@ class _VqFeasibility:
         ch = ChannelSpec(p1, p2, n0, c12)
         if c12 == 0.0:
             cfg = self._noconf(ch)
-        elif is_unlimited(c12):
+        else:
             pt, reached, proof = self._scaled_least(_unlimited_least, ch,
                                                     (self.side, self.side, 1.0))
-            if reached:
+            unlimited = is_unlimited(c12)
+            if reached and (unlimited or pt[1] <= _rc_budget(self.src.rho, 0.0, c12)):
                 cfg = _unlimited_config(pt)
+            elif not reached and proof:
+                cfg = None
+            elif unlimited:
+                cfg = self.certified(ch)
             else:
-                cfg = None if proof else self.certified(ch)
-        else:
-            cfg = self._finite(ch)
+                cfg = self._noconf(ch) or self._compass(ch)
         if cfg is not None:
             self.witness = cfg
         return cfg is not None
@@ -442,11 +437,9 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
     """Least symmetric power ``p1 = p2 = p`` at which the scheme meets the target.
 
     Outer bisection over a feasibility predicate that is monotone in power
-    (raising the power only enlarges every bound).  For separation scheme 2
-    the predicate is ``p >= m``, ``m`` the least power one branch-and-bound
-    (:func:`_least_power_solve`) finds; elsewhere it is a feasibility query
-    per step.  ``tol`` (finite, >= 0) is the relative bracket width;
-    ``p_ceiling`` bounds the search and triggers :class:`UnboundedError`
+    (raising the power only enlarges every bound), one query per step
+    (:func:`_query_solve`).  ``tol`` (finite, >= 0) is the relative bracket
+    width; ``p_ceiling`` bounds the search and triggers :class:`UnboundedError`
     when exceeded.  Its default is ``1e6`` times the larger of ``n0`` and
     the full-cooperation power, below which no scheme meets the target.
     """
@@ -462,8 +455,6 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
         return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
     if p_ceiling is None:
         p_ceiling = 1e6 * max(n0, p_full)
-    if scheme is Scheme.SEP2:
-        return _least_power_solve(src, target, c12, n0, tol, p_ceiling)
     return _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
 
 
@@ -478,40 +469,30 @@ def _vq_witness(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig | None,
             "d1": ach.d1, "d2": ach.d2}
 
 
-def _least_power_solve(src: SourceSpec, target: DistortionPair, c12, n0: float, tol: float,
-                       p_ceiling: float) -> OptimizationResult:
-    """:func:`min_power_symmetric` for separation scheme 2, whose rate bounds
-    are linear in the power and whose distortions do not read it.
-
-    One :func:`_opt._least` run finds ``m``, the least scale of unit powers,
-    to a relative gap of ``min(tol, _LEAST_GAP)``, and the point that needs
-    it, the witness; the bisection then runs on the predicate ``p >= m``.
-    An unproven run's answer stands: the scheme's queries would rerun it.
-    """
-    unit = ChannelSpec(1.0, 1.0, n0, c12)
-    pt, least, _ = _least(*separation._sep2_least(src, unit, target), [1.0, 1.0],
-                          gap=min(tol, _LEAST_GAP))
-    lo, hi, iterations, converged = _expand_and_bisect(lambda p: p >= least, n0, p_ceiling, tol)
-    report = separation._sep2_report(src, ChannelSpec(hi, hi, n0, c12), target, pt)
-    if not report.feasible:
-        raise AssertionError("bisection invariant violated: witness fails at hi")
-    return OptimizationResult(hi, dict(report.witness), iterations, converged, (lo, hi))
-
-
 def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n0: float,
                  tol: float, p_ceiling: float) -> OptimizationResult:
-    """:func:`min_power_symmetric` by one feasibility query per bisection step."""
+    """:func:`min_power_symmetric` by one feasibility query per bisection step.
+
+    A scheme-2 query is ``p >= m``, ``m`` the least scale of unit powers from
+    one :func:`_opt._least` run, whose point is the witness at ``hi``; an
+    unproven run's answer stands.
+    """
+    found = {}
     if scheme is Scheme.VQ:
         inner = _VqFeasibility(src, target)
 
         def predicate(p: float) -> bool:
             return inner(p, p, n0, c12)
+    elif scheme is Scheme.SEP2:
+        unit = ChannelSpec(1.0, 1.0, n0, c12)
+        pt, least, _ = _least(*separation._sep2_least(src, unit, target), [1.0, 1.0])
+
+        def predicate(p: float) -> bool:
+            return p >= least
     else:
-        found = {}
         # read from the modules at each solve: a wrapper installed there sees every call
         report_fn = {Scheme.NECESSARY: bounds.necessary_condition,
-                     Scheme.SEP1: separation.sep1_feasible,
-                     Scheme.SEP2: separation.sep2_feasible}.get(scheme)
+                     Scheme.SEP1: separation.sep1_feasible}.get(scheme)
         if report_fn is None:
             raise DomainError("scheme", f"unsupported scheme {scheme}")
         predicate = _keeping_witness(
@@ -519,6 +500,11 @@ def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n
 
     lo, hi, iterations, converged = _expand_and_bisect(predicate, n0, p_ceiling, tol)
 
+    if scheme is Scheme.SEP2:
+        report = separation._sep2_report(src, ChannelSpec(hi, hi, n0, c12), target, pt)
+        if not report.feasible:
+            raise AssertionError("bisection invariant violated: witness fails at hi")
+        found["witness"] = report.witness
     if scheme is not Scheme.VQ:
         return OptimizationResult(hi, dict(found["witness"]), iterations, converged, (lo, hi))
     # the witness from the last feasible query certifies hi exactly; an
@@ -534,9 +520,10 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
     """Least conference capacity at which the scheme meets the target.
 
     Powers and noise come from ``ch_powers`` (its own ``c12`` is ignored).
-    ``tol`` (finite, >= 0) is the absolute bracket width in bits.  Raises
-    :class:`UnboundedError` when even unlimited capacity fails.  An answer
-    of 0 carries the witness of its ``c12 = 0`` query.
+    ``tol`` (finite, >= 0) is the absolute bracket width in bits.  The ends
+    are ordinary queries: unlimited capacity first, which raises
+    :class:`UnboundedError` when it fails, then ``c12 = 0``, an answer of 0
+    carrying that query's witness.
     """
     _check_tol(tol)
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
@@ -546,17 +533,14 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
 
         def predicate_at(c) -> bool:
             return inner(p1, p2, n0, c)
-        # one first-hit slack search: a least-scale run would cost more here
-        unlimited = inner.certified(ChannelSpec(p1, p2, n0)) is not None
     elif scheme is Scheme.SEP1:
         found = {}
         predicate_at = _keeping_witness(
             lambda c: separation.sep1_feasible(src, ChannelSpec(p1, p2, n0, c), target), found)
-        unlimited = predicate_at(UNLIMITED)
     else:
         raise DomainError("scheme", f"conference search supports VQ and SEP1, got {scheme}")
 
-    if not unlimited:
+    if not predicate_at(UNLIMITED):
         raise UnboundedError("target infeasible even with unlimited conference capacity")
     if predicate_at(0.0):
         lo = hi = 0.0
@@ -601,7 +585,7 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
 
     def bound(lo, up):
         return np.where(scale_bound(lo, up) <= 1.0, _unlimited_terms(rho2, up[:, :2])[1], np.inf)
-    pt, d1, proof = _least(value, bound, box, _LEAST_GAP)
+    pt, d1, proof = _least(value, bound, box)
     bracket, iterations = (d1 * (1.0 - _LEAST_GAP) if proof else 0.0, d1), 0
     if not proof:
         found = {}

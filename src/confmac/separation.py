@@ -55,7 +55,7 @@ from .model import (
     is_unlimited,
     log2_pos,
 )
-from ._opt import _LEAST_GAP, SLACK_TOL, _excess, _least, _least_power
+from ._opt import SLACK_TOL, _excess, _least, _least_power
 # unused here: bench/tracer.py's BY_NAME requires these names in this module
 from ._opt import compass_search_max, refine_grid_max  # noqa: F401
 
@@ -205,7 +205,7 @@ def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> F
     :func:`_sep2_report`'s at its point when that scale is at most 1, else
     at none.
     """
-    pt, least, _ = _least(*_sep2_least(src, ch, target), [1.0, 1.0], _LEAST_GAP)
+    pt, least, _ = _least(*_sep2_least(src, ch, target), [1.0, 1.0])
     return _sep2_report(src, ch, target, pt if least <= 1.0 else None)
 
 

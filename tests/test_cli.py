@@ -136,6 +136,10 @@ ADVERSARIAL_INPUTS = {
                                           "--d1", "1e-310", "--d2", "0.5"], None, 2),
     "minconf-unbounded": (["minconf", "--scheme", "sep1", "--rho", "0.5", "--p1", "0.1",
                            "--p2", "0.1", "--d1", "0.2", "--d2", "0.2"], None, 2),
+    # unbounded at c12 inf and 0 too: every box stops at _MAX_SIDE bits
+    "minpower-vq-rho-one-finite-link-unbounded": (
+        ["minpower", "--scheme", "vq", "--rho", "1", "--d1", "1e-20", "--d2", "0.5",
+         "--c12", "1"], None, 2),
 }
 
 

@@ -480,30 +480,33 @@ def test_certified_slice_minimum_against_grid_oracle(rho, alpha, c12):
 def test_finite_link_lies_between_the_certified_slices():
     """Every finite-``c12`` answer lies between the two certified slices, and
     at the ``fits`` links, which the unlimited witness's shared rate fits,
-    it is the unlimited answer to within ``tol``."""
+    it is the unlimited solve, witness included: every link reads the same
+    unlimited run on the same box."""
     tol = 1e-6
     for rho, target, n0, links, fits in (
             (0.5, DistortionPair(0.1, 0.2), 1.0, (1.0, 1.5), (1.5,)),
             (0.5, DistortionPair(0.1, 0.2), 1.0 / 16.0, (1.0, 1.5), ()),
-            (0.8, DistortionPair(0.2, 0.1), 1.0, (0.25, 0.5, 1.0), ())):
+            (0.8, DistortionPair(0.2, 0.1), 1.0, (0.25, 0.5, 1.0), (1.0,))):
         def pmin(c12):
             return min_power_symmetric(SourceSpec(1.0, rho), Scheme.VQ, target, c12=c12,
-                                       n0=n0, tol=tol).objective
-        unlimited, none = pmin(UNLIMITED), pmin(0.0)
+                                       n0=n0, tol=tol)
+        unlimited, none = pmin(UNLIMITED), pmin(0.0).objective
         for c12 in links:
-            answer = pmin(c12)
-            assert unlimited <= answer <= none, (rho, n0, c12, unlimited, answer, none)
+            res = pmin(c12)
+            assert unlimited.objective <= res.objective <= none, (rho, n0, c12, res, none)
             if c12 in fits:
-                assert answer <= unlimited * (1.0 + tol), (rho, n0, c12, unlimited, answer)
+                assert res == unlimited, (rho, n0, c12, unlimited, res)
 
 
-def test_finite_link_reaches_past_the_unlimited_slice_box():
-    """A finite link's ``r1 + rc`` may exceed the unlimited slice's rate box:
-    at rho = 0.5, d1 = 1e-5 needs about 8.3 bits of it.  That box finding no
-    witness does not refute such a query."""
-    res = min_power_symmetric(SRC, Scheme.VQ, DistortionPair(1e-5, 0.2), c12=1.0, tol=1e-3)
-    w = res.witness
-    assert w["r1"] + w["rc"] > search.RATE_BOX_BITS and w["d1"] <= 1e-5, w
+def test_finite_link_shared_rate_stays_in_the_unlimited_box():
+    """A finite link's ``r1 + rc`` may exceed the compass's 8-bit rate
+    scaling: at rho = 0.5, d1 = 1e-5 needs about 8.3 bits of it.  The compass
+    keeps it within the unlimited run's target-sized box, so that run's
+    proof covers every point the compass reaches."""
+    target = DistortionPair(1e-5, 0.2)
+    w = min_power_symmetric(SRC, Scheme.VQ, target, c12=1.0, tol=1e-3).witness
+    assert search.RATE_BOX_BITS < w["r1"] + w["rc"] <= search._VqFeasibility(SRC, target).side, w
+    assert w["d1"] <= 1e-5, w
 
 
 def test_slice_boxes_grow_with_the_target():
@@ -534,14 +537,13 @@ def test_slice_boxes_stop_before_one_minus_h_rounds_to_zero():
 
 
 def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
-    """A query below the unlimited slice's least scale over the finite
-    reach is infeasible only when that run is a proof; otherwise the compass
-    decides, here between the finite answer 10.31 and the no-conference one
-    12.96."""
+    """A finite-link query below the unlimited run's least scale is
+    infeasible only when that run is a proof; otherwise the compass decides,
+    here between the finite answer 10.31 and the no-conference one 12.96."""
     least = search._least
     for proof, feasible in ((True, False), (False, True)):
-        def stub(value, bound, hi, gap):
-            return (None, math.inf, proof) if len(hi) == 3 else least(value, bound, hi, gap)
+        def stub(value, bound, hi):
+            return (None, math.inf, proof) if len(hi) == 3 else least(value, bound, hi)
         monkeypatch.setattr(search, "_least", stub)
         query = search._VqFeasibility(SRC, DistortionPair(0.1, 0.2))
         assert query(11.5, 11.5, 1.0, 1.0) is feasible
@@ -549,16 +551,36 @@ def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
             assert query.witness.r1 > 0.0 and query.witness.rc > 0.0, query.witness
 
 
+def _sep2_query_bisection(src, target, c12, tol):
+    """``(objective, bracket, iterations)`` of scheme 2's least power by one
+    :func:`separation.sep2_feasible` query per step, on
+    ``min_power_symmetric``'s schedule at ``n0 = 1``: double from 1, then
+    halve the bracket until its width is at most ``tol`` times its top."""
+    def feasible(p):
+        return separation.sep2_feasible(src, ChannelSpec(p, p, 1.0, c12), target).feasible
+    lo, hi, iterations = 0.0, 1.0, 0
+    while not feasible(hi):
+        lo, hi, iterations = hi, 2.0 * hi, iterations + 1
+    while hi - lo > tol * hi and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+        iterations += 1
+    return hi, (lo, hi), iterations
+
+
 def test_least_power_solves_match_the_query_solves(monkeypatch):
-    """On proven searches the scheme-2 least-power solve makes every decision
-    of the solve by one feasibility query per step: same objective, bracket
-    and iteration count.  A proven quantizer solve at ``c12`` 0 or inf makes
-    one least-scale run and asks no slack search."""
+    """Each solve makes at most one least-scale run per form and, where the
+    runs are proven, asks no slack search.  On proven searches scheme 2's
+    run at unit powers makes the decisions of a bisection by one
+    ``sep2_feasible`` query per step: same objective, bracket and iteration
+    count.  A quantizer solve at ``c12`` 0 or inf makes one run; a finite
+    link's ``minpower`` and ``minconf``, the latter's unlimited end included,
+    read one run per form."""
     least, certify, calls = search._least, search._certify, []
 
-    def recorded(*args, **kwargs):
-        out = least(*args, **kwargs)
-        calls.append(("least", out[2]))
+    def recorded(value, bound, hi):
+        out = least(value, bound, hi)
+        calls.append(("least", len(hi), out[2]))
         return out
 
     def counted(*args):
@@ -572,14 +594,21 @@ def test_least_power_solves_match_the_query_solves(monkeypatch):
         for c12 in (UNLIMITED, 0.5):
             calls.clear()
             res = min_power_symmetric(src, Scheme.SEP2, target, c12=c12, tol=tol)
-            ref = search._query_solve(src, Scheme.SEP2, target, c12, 1.0, tol, 1e9)
-            assert (res.objective, res.bracket, res.iterations, res.converged) == (
-                ref.objective, ref.bracket, ref.iterations, ref.converged), (rho, c12)
-            assert calls == [("least", True)], (rho, c12, calls)
-        for c12 in (UNLIMITED, 0.0):
+            assert calls == [("least", 2, True)], (rho, c12, calls)
+            assert (res.objective, res.bracket, res.iterations) == _sep2_query_bisection(
+                src, target, c12, tol), (rho, c12)
+        for c12, dims in ((UNLIMITED, 3), (0.0, 2)):
             calls.clear()
             min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=tol)
-            assert calls == [("least", True)], (rho, c12, calls)
+            assert calls == [("least", dims, True)], (rho, c12, calls)
+    target = DistortionPair(0.1, 0.2)
+    for solve in (lambda: min_power_symmetric(SRC, Scheme.VQ, target, c12=1.0, tol=1e-6),
+                  lambda: min_conf_capacity(SRC, ChannelSpec(11.5, 11.5, 1.0), Scheme.VQ,
+                                            target, tol=1e-3)):
+        calls.clear()
+        solve()
+        dims = [call[1] for call in calls if call[0] == "least"]
+        assert ("certify",) not in calls and sorted(dims) == sorted(set(dims)), calls
 
 
 def test_unproven_least_scale_asks_the_slack_search_below_it(monkeypatch):
@@ -648,9 +677,6 @@ def test_min_conf_refuted_bracket_is_not_converged(monkeypatch):
         class Stub:  # finds the witness only ``missed`` bits above its requirement
             def __init__(self, src, target):
                 self.witness = None
-
-            def certified(self, ch):
-                return cfg
 
             def __call__(self, p1, p2, n0, c12):
                 if search.is_unlimited(c12) or c12 >= need + missed:

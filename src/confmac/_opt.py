@@ -13,10 +13,12 @@ it is the second opinion below an unproven least-scale run at unlimited
 conference and the rescue of an unproven least-``d1`` run.
 
 The lockstep multistart compass search serves the quantizer scheme at a
-finite conference capacity where neither slice decides: every start polls
-+/- step along each coordinate, moves to its best improving poll or halves
-its step.  All starts share one vectorized objective call per round and ties
-resolve to the lowest poll index, so repeated runs give identical results.
+finite conference capacity where neither slice decides, maximizing the
+negated closed-form least scale: every start polls +/- step along each
+coordinate, moves to its best improving poll or halves its step.  All starts
+share one vectorized objective call per round and ties resolve to the lowest
+poll index, so repeated runs give identical results, and a ``stop_at`` ends
+a run early without changing the path it took.
 """
 
 from __future__ import annotations

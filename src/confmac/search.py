@@ -3,7 +3,7 @@
 Minimal symmetric power and minimal conference capacity are found by outer
 bisection over a predicate monotone in the objective.  All schedules are
 fixed, so identical inputs give identical results, iteration counts
-included; no branch-and-bound is warm-started (only the compass below is).
+included; no search is warm-started from another query's point.
 
 On the quantizer scheme's slices ``c12 = 0`` and ``c12 = inf`` and for
 separation scheme 2, every rate bound is linear in a common scale ``s`` of
@@ -23,14 +23,21 @@ link (any rate at ``c12 = inf``), and infeasible below the least scale when
 the run is a proof.  Below an unproven run (near ``rho = 1``, or on a flat
 ridge of optimal points) the certified slack search (:func:`_opt._certify`)
 decides at ``c12 = inf``.  Any other finite-``c12`` query takes the
-no-conference slice's point at or above its least scale, and a multistart
-compass search otherwise; the compass keeps ``r1 + rc`` inside the unlimited
-run's box, so that run's proof covers it, but its own "infeasible" is not
-proven: a solve whose witness re-validates at the bracket's ``lo`` reports
-``converged = False``.  :func:`min_d1_unlimited` (``d1d2-vs-snr``) minimizes
-``d1`` by one branch-and-bound whose proof is its ``converged`` flag.
-Separation scheme 1 and the necessary condition take one feasibility query
-per bisection step, whose last feasible one gives the witness at ``hi``.
+no-conference slice's point at or above its least scale, and otherwise
+reads one least-scale compass run per direction and link: a multistart
+compass search plus a grid refine that minimizes the full scheme's
+closed-form least scale (:func:`vqscheme._least_scale`) over the budget
+surface.  The query is feasible when its power reaches the run's least, at
+the run's point.  A run stops once it reaches the asking power and runs
+again, further, only for a later query below that, so every decision is the
+one a complete run makes, whatever the order of the queries.  The compass
+keeps ``r1 + rc`` inside the unlimited run's box, so that run's proof covers
+it, but its own "infeasible" is not proven: a solve whose witness
+re-validates at the bracket's ``lo`` reports ``converged = False``.
+:func:`min_d1_unlimited` (``d1d2-vs-snr``) minimizes ``d1`` by one
+branch-and-bound whose proof is its ``converged`` flag.  Separation scheme 1
+and the necessary condition take one feasibility query per bisection step,
+whose last feasible one gives the witness at ``hi``.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ from ._opt import (
 
 RATE_BOX_BITS = 8.0
 _MAX_SIDE = 26.0  # the slice boxes' rate cap: past about 26.5 bits 1 - 4^-r rounds to 1
-_STOP_AT = 1e-7  # early-exit slack for pure feasibility queries
 
 
 class UnboundedError(RuntimeError):
@@ -259,32 +265,9 @@ class _VqFeasibility:
         self.target = target
         self.side = min(max(RATE_BOX_BITS, 1.0 - 0.5 * math.log2(min(target.d1, target.d2))),
                         _MAX_SIDE)
-        self.warm5: np.ndarray | None = None
         self.witness: vqscheme.VqConfig | None = None
         self.least_runs: dict = {}
-
-    def _run(self, f, dim, warm):
-        """Multistart compass search of ``f``, then a grid refine when the
-        compass value lies in ``[-0.3, _STOP_AT)``."""
-        base = halton_points(16, dim)
-        starts = [base]
-        if dim == 5:
-            boundary = base.copy()
-            boundary[:, 2] = 1.0  # optima sit on the active budget surface
-            starts.append(boundary)
-            # no-conference and unlimited-slice corners help the full search
-            starts.append(np.array([[0.3, 0.3, 0.0, 0.0, 0.0],
-                                    [0.0, 0.3, 0.3, 1.0, 0.5]]))
-        if warm is not None:
-            starts.append(warm[None, :])
-        val, pt, _ = compass_search_max(f, np.vstack(starts), stop_at=_STOP_AT)
-        if -0.3 <= val < _STOP_AT:
-            # grid refinement climbs the max-min ridges that axis polls miss;
-            # skipped when the compass value is hopeless
-            rval, rpt = refine_grid_max(f, pt, stop_at=_STOP_AT)
-            if rval > val:
-                val, pt = rval, rpt
-        return val, pt
+        self.link_runs: dict = {}
 
     def _scaled_least(self, least_fn, ch: ChannelSpec, box: tuple):
         """``(point, reached, proof)``: the :func:`_opt._least` run of
@@ -300,41 +283,64 @@ class _VqFeasibility:
         pt, least, proof = self.least_runs[least_fn, base]
         return pt, top >= least, proof
 
-    def _compass(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
-        """The compass search's witness at the finite ``ch.c12``, or None.
+    def _link_run(self, base: ChannelSpec, stop: float):
+        """``(marks, complete)``: the least-scale compass run at ``base``'s
+        powers and finite link, stopped once its least reaches ``stop``.
 
-        Its points are (r1, r2, t, b1, b2), rates scaled by ``RATE_BOX_BITS``.
-        The shared rate is ``t`` times the budget-saturating rate, capped at
-        ``side - r1``: the conference constraint then holds by construction
-        (and is dropped from the objective, else it would pin the max-min at
-        0 on the saturated surface), the search moves freely along it, and
-        ``r1 + rc`` stays in the unlimited run's box (one box per solve), so
-        that run's proof covers every point the compass reaches.
+        Its points are ``(r1, r2, b1, b2)``, rates scaled by
+        ``RATE_BOX_BITS``, and the shared rate is ``min(_rc_budget(rho, r1,
+        c12), side - r1)``: the optima lie on the budget surface, the
+        conference constraint holds there by construction, and ``r1 + rc``
+        stays in the unlimited run's box, so that run's proof covers every
+        point reached.  The objective is :func:`vqscheme._least_scale`;
+        the compass starts from 32 Halton points and both slices' least
+        points, and a grid refine follows it.  ``marks`` lists ``(least,
+        config)`` at each objective call that lowered the least, in call
+        order.  ``stop`` cuts the run short without changing its path, so
+        a stopped run's marks begin every longer run's; ``complete`` says
+        that the run was not cut.
         """
         src, target, cap = self.src, self.target, RATE_BOX_BITS
+        marks = []
 
-        def shared(r1):
-            return np.minimum(_rc_budget(src.rho, r1, ch.c12), self.side - r1)
+        def objective(pts):
+            r1, r2 = pts[:, 0] * cap, pts[:, 1] * cap
+            rc = np.minimum(_rc_budget(src.rho, r1, base.c12), self.side - r1)
+            least = vqscheme._least_scale(src.sigma2, src.rho, base.p1, base.p2, base.n0,
+                                          target.d1, target.d2, r1, r2, rc,
+                                          pts[:, 2], pts[:, 3])
+            i = int(np.argmin(least))
+            if least[i] < (marks[-1][0] if marks else math.inf):
+                marks.append((float(least[i]), vqscheme.VqConfig(
+                    r1[i], r2[i], rc[i], pts[i, 2], pts[i, 3])))
+            return -least
 
-        def f5(pts):
-            r1 = pts[:, 0] * cap
-            return vqscheme._min_slack(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0, target.d1,
-                                       target.d2, r1, pts[:, 1] * cap, pts[:, 2] * shared(r1),
-                                       pts[:, 3], pts[:, 4])
-        warm4 = (np.delete(self.warm5, 2) if self.warm5 is not None else None)
-        val, pt = self._run(f5, 5, self.warm5)
-        self.warm5 = pt
-        if val < _STOP_AT:
-            # optima with an active budget sit on the t = 1 slice
-            def f4(pts):
-                return f5(np.insert(pts, 2, 1.0, axis=1))
-            val4, pt4 = self._run(f4, 4, warm4)
-            if val4 > val:
-                val, pt = val4, np.insert(pt4, 2, 1.0)
-        if val < SLACK_TOL:
-            return None
-        rc = float(pt[2] * shared(pt[0] * cap))
-        return vqscheme.VqConfig(pt[0] * cap, pt[1] * cap, rc, pt[3], pt[4])
+        starts = [halton_points(32, 4)]
+        for form, box, config in ((_noconf_least, (self.side,) * 2, _noconf_config),
+                                  (_unlimited_least, (self.side, self.side, 1.0),
+                                   _unlimited_config)):
+            pt, _, _ = self._scaled_least(form, base, box)
+            if pt is not None:
+                cfg = config(pt)
+                starts.append([[cfg.r1 / cap, cfg.r2 / cap, cfg.beta1, cfg.beta2]])
+        val, pt, _ = compass_search_max(objective, np.vstack(starts), stop_at=-stop)
+        if val < -stop:
+            refine_grid_max(objective, pt, stop_at=-stop)
+        return marks, not marks or marks[-1][0] > stop
+
+    def _link(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
+        """The witness of the least-scale compass at the finite ``ch.c12``,
+        or None: the first mark of its run along ``ch``'s powers whose least
+        the powers' maximum ``top`` reaches.  One run per direction and link,
+        cut at the first ``top`` it reaches and run again, further, only for a
+        query below its last mark: every answer is the one a complete run
+        gives, whatever the order of the queries."""
+        top = max(ch.p1, ch.p2)
+        base = ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0, ch.c12)
+        marks, complete = self.link_runs.get(base, ([], False))
+        if not complete and (not marks or marks[-1][0] > top):
+            marks, complete = self.link_runs[base] = self._link_run(base, top)
+        return next((cfg for least, cfg in marks if least <= top), None)
 
     def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The no-conference slice's least point when ``ch``'s powers reach
@@ -365,7 +371,7 @@ class _VqFeasibility:
             elif unlimited:
                 cfg = self.certified(ch)
             else:
-                cfg = self._noconf(ch) or self._compass(ch)
+                cfg = self._noconf(ch) or self._link(ch)
         if cfg is not None:
             self.witness = cfg
         return cfg is not None
@@ -508,7 +514,7 @@ def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n
     if scheme is not Scheme.VQ:
         return OptimizationResult(hi, dict(found["witness"]), iterations, converged, (lo, hi))
     # the witness from the last feasible query certifies hi exactly; an
-    # unproven "infeasible" (the compass's) at lo is refuted when it holds there too
+    # unproven "infeasible" (the least-scale compass's) at lo is refuted when it holds there too
     witness = _vq_witness(src, ChannelSpec(hi, hi, n0, c12), inner.witness, target)
     if _vq_witness_ok(src, ChannelSpec(lo, lo, n0, c12), inner.witness, target) is not None:
         converged = False

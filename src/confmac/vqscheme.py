@@ -10,13 +10,14 @@ between its private description and the shared one.
 Everything here is closed-form and broadcasts over numpy arrays.
 ``_raw_quantities`` and ``_unlimited_raw`` build every gain, constant and rate
 bound in readable form; the public functions are thin scalar wrappers around
-them.  Two fused kernels evaluate many configurations at once:
-``_rate_min_slack`` (the seven rate bounds of the full scheme; ``validate``
-screens its random configurations with it) and ``_min_slack`` (those
-bounds plus the distortion targets; the compass search's full scheme, whose
-conference bound is met by construction).  They compute only the bounds,
-share subexpressions and fold each bound into a running minimum, and return
-the worst slack equal bit for bit to the minimum over the readable form.
+them.  Two fused kernels evaluate many configurations at once.
+``_rate_min_slack`` returns the worst slack of the full scheme's seven rate
+bounds, equal bit for bit to the minimum over the readable form; ``validate``
+screens its random configurations with it.  ``_least_scale`` returns the
+least common scale of the powers at which those bounds and the distortion
+targets hold, in closed form: the least-scale compass's objective for the
+full scheme, whose conference bound it meets by construction.  Both compute
+only what the bounds read and share subexpressions.
 
 Degenerate-factor convention: a gain whose formula turns 0/0 because its
 power share is zero or its codebook is empty (rate 0, variance factor 0) is
@@ -40,6 +41,7 @@ from .model import (
     SourceSpec,
     is_unlimited,
 )
+from ._opt import _LEAST_EPS
 from .rdlib import DegenerateError
 
 RATE_BOUND_NAMES = ("r1", "r2", "rc", "r1+r2", "r1+rc", "r2+rc", "r1+r2+rc")
@@ -263,8 +265,7 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
 
     Edge rows (``rho = 1``, empty codebooks, zero power shares) divide by
     zero on the way to the reference's values, so call it under
-    ``np.errstate(divide="ignore", invalid="ignore")``, as
-    :func:`_min_slack` does.
+    ``np.errstate(divide="ignore", invalid="ignore")``.
     """
     s = float(sigma2)
     r1 = np.asarray(r1, dtype=float)
@@ -338,17 +339,131 @@ def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
     return slack
 
 
-def _min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
-    """Worst slack (bits) of the full scheme over its seven rate bounds
-    (:func:`_rate_min_slack`) and the two distortion targets ``d1``, ``d2``,
-    at parameter arrays ``r1 .. b2``; equal bit for bit to the same minimum
-    composed from :func:`_raw_quantities`.  No conference bound: the compass
-    search calls it with a shared rate within the budget.
+def _upper_root(qa, qb, qc):
+    """Larger root of ``qa x^2 + qb x + qc`` (``qa >= 0``) in the form that
+    does not cancel; the linear root where ``qa = 0 < qb``, +inf or NaN where
+    ``qa = 0 >= qb``.  A negative discriminant (rounding) counts as 0."""
+    sq = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+    return np.where(qb > 0.0, -2.0 * qc / (qb + sq), (sq - qb) / (2.0 * qa))
+
+
+def _least_scale(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
+    """Least common scale ``s`` of the powers at which ``(s p1, s p2)`` meets
+    the full scheme's seven rate bounds (:func:`_raw_quantities`) and the
+    targets ``d1``, ``d2``, each less the hair ``_opt._LEAST_EPS``, at
+    parameter arrays ``r1 .. b2``; +inf where a distortion misses its target
+    or no scale meets the bounds.  No conference bound: the least-scale
+    compass calls it with a shared rate within the budget.
+
+    With ``s = n0 x`` the private powers, ``eta^2``, ``lam12``, ``lam1c`` and
+    ``lam2c`` are linear in ``x``, and ``frac12``, ``frac2c`` do not read it.
+    So, with ``k = 4^(rate - eps)`` the ratio a bound must reach, the
+    ``r1``, ``r1+r2``, ``r1+rc``, ``r2+rc`` and ``r1+r2+rc`` bounds each hold
+    above a linear floor; the ``r2`` bound, with ``lam2``'s denominator
+    cleared, holds above the larger root of a quadratic (the bound rises with
+    ``x``); and the ``rc`` bound, with ``lamc``'s cleared, is ``(alpha x +
+    1 - trho^2)^2 >= k D(x)``, ``D`` affine: a quadratic that may hold below
+    its roots as well as above them.  The answer is the floor ``x0`` of the
+    other six bounds when ``rc`` holds there, else the larger ``rc`` root.
+    ``1 - frac12`` and ``1 - frac2c`` are taken as ratios, which do not
+    cancel near ``rho = 1``.  Rows whose residual ``a_res = 1 - trho^2 -
+    brho^2`` rounds to 0 or below (``rho = 1`` with rates past about 26.5
+    bits) get +inf: every bound there is rounding noise.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1a, d2a = _distortion_arrays(rho, r1, r2, rc)
-        slack = _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
-        return _fold_distortions(slack, d1a, d2a, d1, d2)
+    s = float(sigma2)
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    rc = np.asarray(rc, dtype=float)
+    b1 = np.asarray(b1, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
+    hair = 4.0**-_LEAST_EPS
+    m2ln2 = -2.0 * math.log(2.0)  # r * m2ln2 equals -2.0 * r * log(2) bit for bit
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # as in _rate_min_slack, so trho, brho and a_res match the readable form bit for bit
+        f1 = -np.expm1(r1 * m2ln2)
+        f2 = -np.expm1(r2 * m2ln2)
+        fc = -np.expm1(rc * m2ln2)
+        e1 = 2.0 ** (-2.0 * r1)
+        sv2 = s * e1 * fc
+        trho = rho * np.sqrt(f1 * f2)
+        brho = rho * np.sqrt(e1 * f2 * fc)
+        t2 = trho**2
+        bq2 = brho**2
+        omt2 = 1.0 - t2
+        omb2 = 1.0 - bq2
+        a_res = omt2 - bq2
+
+        # the distortions of _distortion_arrays, cross-multiplied; a = 4^-(r1+rc), b = 4^-r2
+        a, b, den = _distortion_terms(rho, r1, r2, rc)
+        met = ((a * (1.0 - rho**2 * (1.0 - b)) <= d1 / hair * den)
+               & (b * (1.0 - rho**2 * (1.0 - a)) <= d2 / hair * den)
+               & (den > 0.0) & (a_res > 0.0))
+        k1 = hair / e1
+        k2 = hair / b
+        k1c = hair / a
+        kc = k1c * e1
+        del den
+
+        bb2 = 1.0 - b2
+        q1 = (1.0 - b1) * p1
+        q2 = bb2 * p2
+        sv = np.sqrt(sv2)
+        has_v = sv2 > 0.0
+        coh = rho**2 * bb2 * f2
+        a22 = _guarded(has_v, lambda den: math.sqrt(p2 / s)
+                       * (np.sqrt(coh + s * b2 / den) - np.sqrt(coh)), sv2, 0.0)
+        share = np.sqrt(b1 * p1)
+        if not _everywhere(has_v):
+            share = np.where(has_v, share, 0.0)
+        eta = share + a22 * sv
+        eta2 = eta**2
+        del bb2, has_v, coh, a22, share
+
+        # linear floors x >= num / den: den > 0 where num > 0, and 0/0 (a bound
+        # that reads no power and holds) is skipped by fmax
+        private = q1 + 2.0 * trho * np.sqrt(q1 * q2)
+        lam12 = private + q2
+        n12 = private + q2 * omb2
+        w12 = _guarded(lam12 > 0.0, lambda den: n12 / den, lam12, 1.0) * omt2
+        shared = 2.0 * eta * brho * np.sqrt(q2) + eta2
+        lam2c = q2 + shared
+        n2c = q2 * omt2 + shared
+        w2c = _guarded(lam2c > 0.0, lambda den: n2c / den, lam2c, 1.0) * omb2
+        m1c = q1 + eta2
+        lam1c = (q1 * omt2 + eta2 * omb2
+                 - 2.0 * eta * (rho**2 * f2 * sv / s) * np.sqrt(q1 * s * f1))
+        x0 = (k1 * a_res - omb2) / (q1 * a_res)
+        np.fmax(x0, (k1 / b * w12 - 1.0) / n12, out=x0)
+        np.fmax(x0, (kc / b * w2c - 1.0) / n2c, out=x0)
+        np.fmax(x0, (k1c / b * (omt2 * omb2) - 1.0) / (lam12 + shared), out=x0)
+        r1c = (k1c * lam1c - m1c) / (lam1c * m1c)  # the r1+rc bound holds where lam1c <= 0
+        np.fmax(x0, r1c if _everywhere(lam1c > 0.0) else np.where(lam1c > 0.0, r1c, 0.0),
+                out=x0)
+        del private, lam12, n12, w12, shared, lam2c, n2c, w2c, m1c, lam1c, r1c, a, b
+
+        # r2: (A x + 1)(B x + u) >= k K with u = 1 - k a_res, met above its larger root
+        big_a = q2 * a_res
+        big_b = b2 * p2 * a_res
+        u = 1.0 - k2 * a_res
+        qc = u - k2 * (bq2 * t2 * (2.0 + t2))
+        root = _upper_root(big_a * big_b, big_a + big_b * u, qc)
+        np.maximum(x0, np.where(qc < 0.0, root, 0.0), out=x0)
+        del big_a, big_b, u, qc, root
+
+        # rc: (alpha x + omt2)^2 >= k (a_res (alpha x + omt2) + gamma x - delta); where it
+        # fails at x0, x0 lies between its roots and the larger one is the answer
+        alpha = eta2 * a_res
+        gamma = (rho**2 / s) * f2 * bq2 * q1 * n0
+        delta = (rho**2 / s) * f2 * t2 * sv2
+        lin = alpha * x0 + omt2
+        fails = np.flatnonzero(lin * lin < kc * (a_res * lin + gamma * x0 - delta))
+        if fails.size:
+            alpha, kc, a_res, omt2 = alpha[fails], kc[fails], a_res[fails], omt2[fails]
+            upper = _upper_root(alpha * alpha,
+                                alpha * (2.0 * omt2 - kc * a_res) - kc * gamma[fails],
+                                omt2 * (omt2 - kc * a_res) + kc * delta[fails])
+            x0[fails] = np.maximum(upper, x0[fails])
+        return np.where(met & (x0 >= 0.0), n0 * x0, np.inf)
 
 
 def vq_constants(src: SourceSpec, ch: ChannelSpec, cfg: VqConfig) -> tuple[VqGains, VqConstants]:
@@ -387,11 +502,11 @@ def vq_rate_region(src: SourceSpec, ch: ChannelSpec, cfg: VqConfig,
         "r2+rc": cfg.r2 + cfg.rc, "r1+r2+rc": cfg.r1 + cfg.r2 + cfg.rc,
     }
     slacks = {name: float(bounds[name]) - rates[name] for name in RATE_BOUND_NAMES}
-    requirement, _ = _conf_requirement_arrays(src.rho, cfg.r1, cfg.rc)
+    requirement, _ = _conf_requirement(src.rho, cfg.r1, cfg.rc)
     if is_unlimited(ch.c12):
         slacks["c12"] = math.inf
     else:
-        slacks["c12"] = ch.c12 - float(requirement)
+        slacks["c12"] = ch.c12 - requirement
     feasible = all(v >= margin for v in slacks.values())
     return FeasibilityReport(feasible=feasible, slacks=slacks, witness={
         "r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
@@ -400,9 +515,38 @@ def vq_rate_region(src: SourceSpec, ch: ChannelSpec, cfg: VqConfig,
 
 
 def vq_distortion(src: SourceSpec, cfg: VqConfig) -> DistortionPair:
-    """Normalized distortions achieved by the scheme (infimum values)."""
-    d1, d2 = _distortion_arrays(src.rho, cfg.r1, cfg.r2, cfg.rc)
-    return DistortionPair(float(d1), float(d2))
+    """Normalized distortions achieved by the scheme (infimum values).
+
+    Where the array form rounds a distortion to 0 or divides 0 by 0 (``rho``
+    near 1 with rates past about 27 bits, where ``1 - 4^-r`` rounds to 1), it
+    is taken in the form ``a ((1 - rho^2) + rho^2 b) / ((1 - rho^2) + rho^2
+    (a + b - ab))``, or its ``d2`` twin, which does not cancel."""
+    rho = src.rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair = [float(d) for d in _distortion_arrays(rho, cfg.r1, cfg.r2, cfg.rc)]
+    if not all(0.0 < d < math.inf for d in pair):
+        a, b, _ = _distortion_terms(rho, cfg.r1, cfg.r2, cfg.rc)
+        den = (1.0 - rho**2) + rho**2 * (a + b - a * b)
+        exact = (a * ((1.0 - rho**2) + rho**2 * b) / den,
+                 b * ((1.0 - rho**2) + rho**2 * a) / den)
+        pair = [d if 0.0 < d < math.inf else x for d, x in zip(pair, exact)]
+    return DistortionPair(*pair)
+
+
+def _conf_requirement(rho: float, r1: float, rc: float) -> tuple[float, float]:
+    """:func:`_conf_requirement_arrays` at one configuration, as floats.
+
+    Where that form is not finite (at ``rho = 1, r1 = 0`` once ``1 - 4^-rc``
+    rounds to 1), the requirement is taken as ``0.5 log2((1 - k) 4^rc + k)``
+    with ``k = rho^2 4^-r1``, which is 0 at ``k = 1``, and the binning
+    discount as ``rc`` less it."""
+    with np.errstate(divide="ignore"):
+        requirement, binning = (float(x) for x in _conf_requirement_arrays(rho, r1, rc))
+    if not math.isfinite(requirement):
+        k = rho**2 * 2.0 ** (-2.0 * r1)
+        requirement = 0.0 if k >= 1.0 else rc + 0.5 * math.log2((1.0 - k) + k * 4.0**-rc)
+        binning = rc - requirement
+    return requirement, binning
 
 
 def vq_conf_requirement(src: SourceSpec, cfg: VqConfig) -> tuple[float, float]:
@@ -412,8 +556,7 @@ def vq_conf_requirement(src: SourceSpec, cfg: VqConfig) -> tuple[float, float]:
     log bin count ``-(1/2)log2(1 - rho^2 2^-2r1 (1 - 2^-2rc))`` saved by
     binning the shared codebook against Encoder 2's side information.
     """
-    requirement, binning = _conf_requirement_arrays(src.rho, cfg.r1, cfg.rc)
-    return float(requirement), float(binning)
+    return _conf_requirement(src.rho, cfg.r1, cfg.rc)
 
 
 def _unlimited_raw(sigma2, rho, p1, p2, n0, r2, rc, beta):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,23 @@ def test_region_feasible_exit_zero():
 def test_domain_error_exit_code():
     code, _ = run_cli(["region", "vq", "--rho", "1.2", "--r1", "1"])
     assert code == 1
+
+
+def test_region_vq_at_rho_one_with_a_saturated_shared_rate():
+    """At rho = 1, r1 = 0 and rc = 30 bits, ``1 - 4^-rc`` rounds to 1: the
+    conference requirement is exactly 0 and the achieved ``d2`` about
+    ``4^-30``, not a numpy warning, -inf and a domain error.  The point is
+    outside the region at unit power, so the report ends in exit code 2."""
+    argv = ["region", "vq", "--rho", "1", "--p1", "1", "--p2", "1", "--noise", "1",
+            "--r1", "0", "--r2", "1", "--rc", "30", "--beta1", "0.5", "--beta2", "0.5",
+            "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(argv)
+    payload = json.loads(out)
+    assert code == 2 and payload["feasible"] is False
+    assert payload["required_c12"] == 0.0 and payload["bin_log_size"] == 30.0
+    assert payload["achieved_d1"] == payload["achieved_d2"] == pytest.approx(4.0**-30, rel=1e-9)
 
 
 TRACE = ["trace", "--kind", "pmin-vs-alpha", "--noise", "1", "--schemes", "fullcoop"]

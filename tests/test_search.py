@@ -15,6 +15,7 @@ from confmac.search import (
     min_power_symmetric,
     trace_curve,
 )
+from test_vqscheme import reference_min_slack, unit_batch
 
 SRC = SourceSpec(1.0, 0.5)
 TARGET = DistortionPair(0.2, 0.2)
@@ -361,20 +362,66 @@ def _sep2_report_slack(src, ch, target, pt):
     return min(separation._sep2_report(src, ch, target, pt).slacks.values())
 
 
-@pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
+# The readable composition resolves the least-scale hair (``_LEAST_EPS``
+# bits) where the residual ``a_res = 1 - trho^2 - brho^2`` is not tiny: near
+# rho = 1 its sums ``lam12 - bp2 brho^2`` and ``1 - frac12`` (and their
+# ``r2+rc`` twins) cancel to about ``eps / a_res``, even with the powers in
+# extended precision.
+_RESOLVED_RESIDUAL = 1e14 * float(np.finfo(np.longdouble).eps)
+
+
+def _full_scheme_least_checks(rng, rho, sigma2, p1, p2, n0) -> int:
+    """Check :func:`vqscheme._least_scale` at 400 random points, rates up to
+    40 bits, against the readable composition with the powers in extended
+    precision: the slack reaches ``SLACK_TOL`` at the returned scale (where
+    the composition resolves it), stays below 0 at every probed scale under
+    it (the ``rc`` bound is not monotone in the scale), and a +inf row is
+    infeasible at ``1e12 n0``.  Returns the number of finite rows."""
+    pts = unit_batch(rng, 400, 5)
+    r1, r2, rc = (40.0 * pts[:, k] for k in range(3))
+    b1, b2 = pts[:, 3], pts[:, 4]
+    d1, d2 = (float(v) for v in rng.uniform(0.05, 1.0, 2))
+    least = vqscheme._least_scale(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2)
+
+    def slack(scale, rows):
+        scale = np.broadcast_to(np.asarray(scale, dtype=np.longdouble), rows.shape)
+        return reference_min_slack(sigma2, rho, scale * p1, scale * p2, np.longdouble(n0),
+                                   d1, d2, r1[rows], r2[rows], rc[rows], b1[rows], b2[rows])
+    where = (rho, sigma2, p1, p2, n0, d1, d2)
+    finite = np.flatnonzero(np.isfinite(least))
+    with np.errstate(all="ignore"):  # 0/0 in lamc at rho = 1; trho and brho read no power
+        _, consts, _ = vqscheme._raw_quantities(sigma2, rho, 1.0, 1.0, 1.0, r1, r2, rc, b1, b2)
+    a_res = 1.0 - consts["trho"] ** 2 - consts["brho"] ** 2
+    resolved = finite[a_res[finite] > _RESOLVED_RESIDUAL]
+    assert rho == 1.0 or resolved.size == finite.size, where
+    assert np.all(slack(least[resolved], resolved) >= _opt.SLACK_TOL), where
+    below = finite[least[finite] > 0.0]
+    for factor in np.concatenate([[1.0 - 1e-9, 1.0 - 1e-6], np.geomspace(0.999, 1e-6, 24)]):
+        assert not np.any(slack(least[below] * factor, below) >= 0.0), (where, factor)
+    infinite = np.flatnonzero(np.isinf(least))
+    assert not np.any(slack(1e12 * n0, infinite) >= _opt.SLACK_TOL), where
+    return finite.size
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
 def test_least_power_forms_match_the_slack_kernels(rho):
-    """At random points each least-scale form equals the common scale of the
-    powers at which its slack kernel reaches the tolerance, found by scalar
-    bisection; a point whose form is +inf misses the target at any scale."""
+    """At random points each slice's least-scale form equals the common
+    scale of the powers at which the readable composition (or scheme 2's
+    report) reaches the tolerance, found by scalar bisection, and a point
+    whose form is +inf misses the target at any scale.  The full scheme's
+    form, whose ``rc`` bound is not monotone in the scale, passes
+    :func:`_full_scheme_least_checks` at ``sigma2`` 1 and 2.35."""
     rng = np.random.default_rng(int(100 * rho) + 2)
     src = SourceSpec(1.0, rho)
     for p1, p2, n0 in SLICE_CHANNELS:
+        for sigma2 in (1.0, 2.35):
+            assert _full_scheme_least_checks(rng, rho, sigma2, p1, p2, n0) >= 100
         target = DistortionPair(*(float(v) for v in rng.uniform(0.05, 1.0, 2)))
         d1, d2 = target.d1, target.d2
         rates = rng.uniform(0.05, 3.0, (12, 2))
 
         def noconf(s, pt):
-            return vqscheme._min_slack(1.0, rho, s * p1, s * p2, n0, d1, d2, pt[:1], pt[1:],
+            return reference_min_slack(1.0, rho, s * p1, s * p2, n0, d1, d2, pt[:1], pt[1:],
                                        0.0, 0.0, 0.0)[0]
 
         def unlimited(s, pt):
@@ -499,10 +546,10 @@ def test_finite_link_lies_between_the_certified_slices():
 
 
 def test_finite_link_shared_rate_stays_in_the_unlimited_box():
-    """A finite link's ``r1 + rc`` may exceed the compass's 8-bit rate
-    scaling: at rho = 0.5, d1 = 1e-5 needs about 8.3 bits of it.  The compass
-    keeps it within the unlimited run's target-sized box, so that run's
-    proof covers every point the compass reaches."""
+    """A finite link's ``r1 + rc`` may exceed the least-scale compass's
+    8-bit rate scaling: at rho = 0.5, d1 = 1e-5 needs about 8.3 bits of it.
+    The compass keeps it within the unlimited run's target-sized box, so
+    that run's proof covers every point the compass reaches."""
     target = DistortionPair(1e-5, 0.2)
     w = min_power_symmetric(SRC, Scheme.VQ, target, c12=1.0, tol=1e-3).witness
     assert search.RATE_BOX_BITS < w["r1"] + w["rc"] <= search._VqFeasibility(SRC, target).side, w
@@ -538,8 +585,9 @@ def test_slice_boxes_stop_before_one_minus_h_rounds_to_zero():
 
 def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
     """A finite-link query below the unlimited run's least scale is
-    infeasible only when that run is a proof; otherwise the compass decides,
-    here between the finite answer 10.31 and the no-conference one 12.96."""
+    infeasible only when that run is a proof; otherwise the least-scale
+    compass decides, here between the finite answer 10.29 and the
+    no-conference one 12.96."""
     least = search._least
     for proof, feasible in ((True, False), (False, True)):
         def stub(value, bound, hi):
@@ -650,20 +698,37 @@ def test_unproven_least_scale_asks_the_slack_search_below_it(monkeypatch):
             assert res.objective == pytest.approx(proven, rel=2.0 * tol)
 
 
-def test_refuted_finite_link_bracket_is_not_converged():
-    """At a finite link the compass search's "infeasible" is no proof: where
-    the answer's own witness holds at the bracket's lower end, the solve keeps
-    its answer and reports that it did not converge.  Where the certified
-    unlimited slice decides, the bracket stands."""
-    for rho, target, c12, refuted in ((0.5, DistortionPair(0.1, 0.2), 1.0, True),
-                                      (0.8, DistortionPair(0.04, 0.2), 0.25, True),
-                                      (0.5, DistortionPair(0.1, 0.2), 1.5, False)):
-        src = SourceSpec(1.0, rho)
-        res = min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=1e-6)
-        lo = res.bracket[0]
-        cfg = vqscheme.VqConfig(*(res.witness[k] for k in ("r1", "r2", "rc", "beta1", "beta2")))
-        holds = search._vq_witness_ok(src, ChannelSpec(lo, lo, 1.0, c12), cfg, target)
-        assert (holds is not None, res.converged) == (refuted, not refuted), (rho, c12)
+def test_finite_link_witness_least_power_lies_in_the_bracket():
+    """A finite link's witness needs, by the full scheme's closed form, a
+    least power in the bracket ``(lo, hi]``, so it does not refute the
+    bracket's lower end and the solve converges, whether the least-scale
+    compass decided the bracket or the unlimited slice did (``c12`` 1.5)."""
+    for rho, target, c12 in ((0.5, DistortionPair(0.1, 0.2), 1.0),
+                             (0.8, DistortionPair(0.04, 0.2), 0.25),
+                             (0.5, DistortionPair(0.1, 0.2), 1.5)):
+        res = min_power_symmetric(SourceSpec(1.0, rho), Scheme.VQ, target, c12=c12, tol=1e-6)
+        point = (np.array([res.witness[k]]) for k in ("r1", "r2", "rc", "beta1", "beta2"))
+        least = vqscheme._least_scale(1.0, rho, 1.0, 1.0, 1.0, target.d1, target.d2, *point)[0]
+        lo, hi = res.bracket
+        assert lo < least <= hi and res.converged, (rho, c12, res.bracket, least)
+
+
+def test_link_queries_do_not_depend_on_their_order():
+    """Finite-link queries asked in ascending and in descending order of
+    power give the same decisions and witnesses: a least-scale run is cut
+    only where a query is met, which does not change its path, and a query
+    reads the first mark its power reaches."""
+    src, target, c12 = SourceSpec(1.0, 0.3), DistortionPair(0.2, 0.1), 0.5
+    answers = {}
+    for powers in (np.linspace(8.5, 11.5, 13), np.linspace(11.5, 8.5, 13)):
+        query = search._VqFeasibility(src, target)
+        for p in powers:
+            feasible = query(p, 2.0 * p, 1.0, c12)
+            answers.setdefault(p, []).append((feasible, query.witness if feasible else None))
+    decided = [up[0] for up, _ in answers.values()]
+    assert any(decided) and not all(decided)
+    for p, (up, down) in answers.items():
+        assert up == down, p
 
 
 def test_min_conf_refuted_bracket_is_not_converged(monkeypatch):
@@ -719,7 +784,7 @@ def test_certify_stops_when_the_best_slack_is_within_rounding():
 # the feasibility queries' witnesses of the same optimum.  In the
 # finite-link row the unlimited witness's shared rate (about 1.65 bits)
 # exceeds the 1.16 bits the link carries and the no-conference slice fails
-# below 12.96, so the compass search decides its bracket.  Exact
+# below 12.96, so the least-scale compass decides its bracket.  Exact
 # optimisations must keep every one of them bit for bit.
 PINNED_VQ_SOLVES = (
     (0.2 * 0.2, 0.2, UNLIMITED, 1e-9,
@@ -743,10 +808,10 @@ PINNED_VQ_SOLVES = (
       "beta1": 0.0, "beta2": 0.0,
       "d1": 0.20000000027723103, "d2": 0.20000000027723103}),
     (0.1, 0.2, 1.0, 1e-6,
-     10.312507629394531, (10.3125, 10.312507629394531), 24,
-     {"r1": 0.5788574218750001, "r2": 1.1186839916087963, "rc": 1.064192830201275,
-      "beta1": 0.7306455202686544, "beta2": 0.6588745265151515,
-      "d1": 0.09999977958336195, "d2": 0.1998146906235214}),
+     10.290931701660156, (10.290924072265625, 10.290931701660156), 24,
+     {"r1": 0.5777587890625, "r2": 1.1179741753472214, "rc": 1.065340170673986,
+      "beta1": 0.731436767578125, "beta2": 0.6589573451450892,
+      "d1": 0.099994002421637, "d2": 0.199999911693727}),
 )
 
 
@@ -755,6 +820,25 @@ def test_vq_solves_match_pinned_results():
         res = min_power_symmetric(SRC, Scheme.VQ, DistortionPair(d1, d2), c12=c12, tol=tol)
         assert (res.objective, res.bracket, res.iterations, res.witness) == (
             objective, bracket, iterations, witness), (d1, c12)
+
+
+# (rho, d1, d2, c12, objective, slack) of finite-link vq solves at tol 1e-6
+# that the least-scale compass decides: each lies at or below ``slack``, the
+# answer of the max-min slack compass this search replaced, whose warm start
+# carried its last point from query to query.
+PINNED_LINK_SOLVES = (
+    (0.8, 0.04, 0.2, 0.25, 15.213722229003906, 16.000015258789062),
+    (0.5, 0.2, 0.1, 0.5, 11.53118896484375, 11.875007629394531),
+    (0.3, 0.2, 0.1, 0.5, 14.619148254394531, 14.703132629394531),
+    (0.8, 0.04, 0.2, 1.0, 12.547142028808594, 12.554840087890625),
+)
+
+
+def test_link_solves_match_pinned_results():
+    for rho, d1, d2, c12, objective, slack in PINNED_LINK_SOLVES:
+        res = min_power_symmetric(SourceSpec(1.0, rho), Scheme.VQ, DistortionPair(d1, d2),
+                                  c12=c12, tol=1e-6)
+        assert res.objective == objective <= slack, (rho, d1, d2, c12, res.objective)
 
 
 # (rho, d1, d2, objective, alone) of vq solves at c12 = inf and tol 1e-9

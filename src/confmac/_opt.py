@@ -46,6 +46,7 @@ _MAX_ITER = 400        # round cap
 _REFINE_WIDTH = 0.25   # refine: half-width of the first grid
 _REFINE_SHRINK = 0.65  # grid width factor per round
 _REFINE_ROUNDS = 24    # refine: grid cap
+_REFINE_POINTS = 9     # refine: grid points per axis, 9^4 = 6561 on the 4-D link run
 
 
 def _certify(exact, bound, hi) -> tuple[np.ndarray | None, bool]:
@@ -160,8 +161,9 @@ def compass_search_max(
     """Maximize ``f_batch`` over [0, 1]^d from the given start points.
 
     ``f_batch`` maps an (m, d) array of points to (m,) values.  ``stop_at``
-    short-circuits the search once any start reaches that value (used by
-    pure feasibility queries).  Returns (best value, best point, rounds).
+    short-circuits the search once any start reaches that value (a link run
+    stopped at the least scale its query needs).  Returns (best value, best
+    point, rounds).
     """
     pts = np.clip(np.asarray(starts, dtype=float), 0.0, 1.0)
     k, d = pts.shape
@@ -188,9 +190,6 @@ def compass_search_max(
     return float(vals[i]), pts[i].copy(), rounds
 
 
-_GRID_POINTS = {1: 33, 2: 17, 3: 13, 4: 9, 5: 7}
-
-
 def refine_grid_max(
     f_batch: Callable[[np.ndarray], np.ndarray],
     center: np.ndarray,
@@ -198,12 +197,11 @@ def refine_grid_max(
 ) -> tuple[float, np.ndarray]:
     """Shrinking tensor-grid ascent around ``center`` on [0, 1]^d.
 
-    Complements the compass search: the full stencil crosses the ridges of a
-    max-min objective that axis polls cannot climb.  Deterministic.
+    Complements the compass search: the full stencil crosses the ridges of
+    the negated least scale that axis polls cannot climb.  Deterministic.
     """
     center = np.clip(np.asarray(center, dtype=float), 0.0, 1.0)
     d = center.shape[0]
-    n = _GRID_POINTS.get(d, 5)
     best_val = float(np.asarray(f_batch(center[None, :]))[0])
     best = center.copy()
     w = _REFINE_WIDTH
@@ -213,7 +211,7 @@ def refine_grid_max(
             break
         if stale >= 6:  # six shrinks without improvement: converged enough
             break
-        axes = [np.linspace(max(best[k] - w, 0.0), min(best[k] + w, 1.0), n)
+        axes = [np.linspace(max(best[k] - w, 0.0), min(best[k] + w, 1.0), _REFINE_POINTS)
                 for k in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)

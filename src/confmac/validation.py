@@ -20,7 +20,7 @@ GENIE_CFG = vqscheme.VqConfig(1.0, 1.0, 0.5, 0.0, 0.0)
 # check 9's sampling box, per column: rho, p1, p2, n0, r1, r2, rc, beta1, beta2
 _SCHEME_BOX_LO = (0.0, 0.3, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0)
 _SCHEME_BOX_HI = (0.95, 8.0, 8.0, 8.0, 2.0, 2.0, 2.0, 1.0, 1.0)
-_SCHEME_BLOCK_ROWS = 8192  # about 150 of them meet the rate bounds
+_SCHEME_BLOCK_ROWS = 2048  # about 37 of them meet the rate bounds
 
 
 def _uniform_rows(rng: np.random.Generator, lo, hi, m: int) -> np.ndarray:
@@ -30,6 +30,14 @@ def _uniform_rows(rng: np.random.Generator, lo, hi, m: int) -> np.ndarray:
     return lo + (hi - lo) * rng.random((m, lo.size))
 
 
+def _meets_rate_bounds(rows: np.ndarray) -> np.ndarray:
+    """Per row ``(rho, p1, p2, n0, r1, r2, rc, beta1, beta2)`` at ``sigma2 =
+    1``, whether all seven rate slacks of ``vq_rate_region`` are >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slacks = vqscheme._rate_slacks(1.0, *rows.T)
+    return np.logical_and.reduce([slack >= 0.0 for slack in slacks.values()])
+
+
 def _feasible_scheme_rows(rng: np.random.Generator, count: int) -> np.ndarray:
     """The first ``count`` rows of check 9's box, in draw order, that meet all
     seven rate bounds.  Blocks of ``_SCHEME_BLOCK_ROWS`` rows are screened at
@@ -37,9 +45,7 @@ def _feasible_scheme_rows(rng: np.random.Generator, count: int) -> np.ndarray:
     kept, need = [], count
     while need > 0:
         rows = _uniform_rows(rng, _SCHEME_BOX_LO, _SCHEME_BOX_HI, _SCHEME_BLOCK_ROWS)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = vqscheme._rate_min_slack(1.0, *rows.T) >= 0.0
-        kept.append(rows[ok][:need])
+        kept.append(rows[_meets_rate_bounds(rows)][:need])
         need -= len(kept[-1])
     return np.concatenate(kept)
 
@@ -66,11 +72,11 @@ def no_conference_rows(rng: np.random.Generator) -> np.ndarray:
 def no_conference_worst(rows: np.ndarray) -> float:
     """Worst |diff| between the r1, r2 and r1+r2 bounds at ``rc = beta1 =
     beta2 = 0`` and the Lapidoth-Tinguely bounds written out in scalar math."""
-    _, _, bnd = vqscheme._raw_quantities(1.0, *rows.T, 0.0, 0.0, 0.0)
+    slacks = vqscheme._rate_slacks(1.0, *rows.T, 0.0, 0.0, 0.0)
     r1, r2 = rows[:, 4], rows[:, 5]
     # bounds read back from their slacks, as ``vq_rate_region(...).slacks`` gives them
-    got = [((bnd[k] - rate) + rate).tolist() for k, rate in zip(("r1", "r2", "r1+r2"),
-                                                                 (r1, r2, r1 + r2))]
+    got = [(slacks[k] + rate).tolist() for k, rate in zip(("r1", "r2", "r1+r2"),
+                                                           (r1, r2, r1 + r2))]
     worst = 0.0
     for i, (rho, p1, p2, n0, r1, r2) in enumerate(rows.tolist()):
         tr = rho * math.sqrt((1 - 4.0**-r1) * (1 - 4.0**-r2))

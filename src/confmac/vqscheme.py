@@ -10,14 +10,13 @@ between its private description and the shared one.
 Everything here is closed-form and broadcasts over numpy arrays.
 ``_raw_quantities`` and ``_unlimited_raw`` build every gain, constant and rate
 bound in readable form; the public functions are thin scalar wrappers around
-them.  Two fused kernels evaluate many configurations at once.
-``_rate_min_slack`` returns the worst slack of the full scheme's seven rate
-bounds, equal bit for bit to the minimum over the readable form; ``validate``
-screens its random configurations with it.  ``_least_scale`` returns the
-least common scale of the powers at which those bounds and the distortion
-targets hold, in closed form: the least-scale compass's objective for the
-full scheme, whose conference bound it meets by construction.  Both compute
-only what the bounds read and share subexpressions.
+them, and ``_rate_slacks`` gives the seven ``bound - rate`` slacks that both
+``vq_rate_region`` and ``validate``'s row screen read.  ``_least_scale``
+returns the least common scale of the powers at which those bounds and the
+distortion targets hold, in closed form: the least-scale compass's objective
+for the full scheme, whose conference bound it meets by construction.  The
+codebook factors, correlations and shared amplitude that both read come from
+one helper, ``_scheme_terms``, so the two agree on them bit for bit.
 
 Degenerate-factor convention: a gain whose formula turns 0/0 because its
 power share is zero or its codebook is empty (rate 0, variance factor 0) is
@@ -109,21 +108,48 @@ def _half_log2_ratio(num, den):
     return np.where(den > 0.0, out, np.inf)
 
 
+_M2LN2 = -2.0 * math.log(2.0)  # r * _M2LN2 equals -2.0 * r * log(2) bit for bit
+
+
+def _scheme_terms(s, rho, p1, p2, r1, r2, rc, b1, b2):
+    """``(f1, f2, e1, sv2, sv, trho, brho, a22, eta)`` at array rates and
+    splits: ``f = 1 - 4^-rate`` per rate, ``e1 = 4^-r1``, the shared
+    component's variance ``sv2`` and its root, the correlations ``trho`` and
+    ``brho``, Encoder 2's shared gain ``a22`` and the shared amplitude
+    ``eta``.  The one definition :func:`_raw_quantities` and
+    :func:`_least_scale` both read; callers set their own ``np.errstate``."""
+    f1 = -np.expm1(r1 * _M2LN2)  # 1 - 4^-r1, accurate near 0
+    f2 = -np.expm1(r2 * _M2LN2)
+    fc = -np.expm1(rc * _M2LN2)
+    e1 = 2.0 ** (-2.0 * r1)
+    sv2 = s * e1 * fc
+    sv = np.sqrt(sv2)
+    trho = rho * np.sqrt(f1 * f2)
+    brho = rho * np.sqrt(e1 * f2 * fc)
+    has_v = sv2 > 0.0
+    coh = rho**2 * (1.0 - b2) * f2
+    a22 = _guarded(has_v, lambda den: np.sqrt(p2 / s)
+                   * (np.sqrt(coh + s * b2 / den) - np.sqrt(coh)), sv2, 0.0)
+    share = np.sqrt(b1 * p1)
+    if not _everywhere(has_v):
+        share = np.where(has_v, share, 0.0)
+    return f1, f2, e1, sv2, sv, trho, brho, a22, share + a22 * sv
+
+
 def _raw_quantities(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
-    """All gains, constants and rate-bound right-hand sides, broadcast over arrays."""
+    """All gains, constants and rate-bound right-hand sides, broadcast over arrays.
+
+    Rows whose residual ``a_res = 1 - trho^2 - brho^2`` rounds to 0 or below
+    (``rho = 1`` with rates past about 26.5 bits) get bounds of -inf: every
+    bound there is rounding noise, and :func:`_least_scale` gives them +inf.
+    """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     rc = np.asarray(rc, dtype=float)
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     s = float(sigma2)
-
-    f1 = -np.expm1(-2.0 * r1 * math.log(2.0))  # 1 - 2^-2r1, accurate near 0
-    f2 = -np.expm1(-2.0 * r2 * math.log(2.0))
-    fc = -np.expm1(-2.0 * rc * math.log(2.0))
-    e1 = 2.0 ** (-2.0 * r1)
-    sv2 = s * e1 * fc
-    sv = np.sqrt(sv2)
+    f1, f2, _, sv2, sv, trho, brho, a22, eta = _scheme_terms(s, rho, p1, p2, r1, r2, rc, b1, b2)
     bb1 = 1.0 - b1
     bb2 = 1.0 - b2
 
@@ -134,28 +160,18 @@ def _raw_quantities(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
                        np.sqrt(b1 * p1 / np.where(sv2 > 0.0, sv2, 1.0)), 0.0)
         a21 = np.where((bb2 * p2 > 0.0) & (f2 > 0.0),
                        np.sqrt(bb2 * p2 / np.where(f2 > 0.0, s * f2, 1.0)), 0.0)
-        coh = rho**2 * bb2 * f2
-        a22 = np.where(
-            sv2 > 0.0,
-            np.sqrt(p2 / s)
-            * (np.sqrt(coh + s * b2 / np.where(sv2 > 0.0, sv2, 1.0)) - np.sqrt(coh)),
-            0.0,
-        )
-
-    trho = rho * np.sqrt(f1 * f2)
-    brho = rho * np.sqrt(e1 * f2 * fc)
-    eta = np.where(sv2 > 0.0, np.sqrt(b1 * p1), 0.0) + a22 * sv
 
     a_res = 1.0 - trho**2 - brho**2  # residual after both shared correlations
     lam2 = n0**2 * brho**2 * trho**2 * (2.0 + trho**2) / (b2 * p2 * a_res + n0)
     # bar_rho^2 / sigma_v^2 == rho^2 f2 / sigma^2, finite even as sv2 -> 0
     brho2_over_sv2 = rho**2 * f2 / s
-    lamc = (
-        n0**2
-        * brho2_over_sv2
-        * (brho**2 * bb1 * p1 - trho**2 * sv2)
-        / (eta**2 * a_res + n0 * (1.0 - trho**2))
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at rho = 1 once trho rounds to 1
+        lamc = (
+            n0**2
+            * brho2_over_sv2
+            * (brho**2 * bb1 * p1 - trho**2 * sv2)
+            / (eta**2 * a_res + n0 * (1.0 - trho**2))
+        )
     lam12 = bb1 * p1 + 2.0 * trho * np.sqrt(bb1 * bb2 * p1 * p2) + bb2 * p2
     # bar_rho^2 / sigma_v == rho^2 f2 sigma_v / sigma^2
     lam1c = (
@@ -185,12 +201,23 @@ def _raw_quantities(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
             n0 * (1.0 - trho**2) * (1.0 - brho**2),
         ),
     }
+    resolved = a_res > 0.0
+    if not _everywhere(resolved):
+        bounds = {name: np.where(resolved, bound, -np.inf) for name, bound in bounds.items()}
     gains = {"a11": a11, "a12": a12, "a21": a21, "a22": a22, "sv2": sv2}
     consts = {
         "trho": trho, "brho": brho, "lam2": lam2, "eta": eta,
         "lamc": lamc, "lam12": lam12, "lam1c": lam1c, "lam2c": lam2c,
     }
     return gains, consts, bounds
+
+
+def _rate_slacks(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
+    """The seven ``bound - rate`` slacks (bits) of :func:`_raw_quantities`,
+    keyed by ``RATE_BOUND_NAMES`` and broadcast over arrays."""
+    _, _, bounds = _raw_quantities(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
+    rates = (r1, r2, rc, r1 + r2, r1 + rc, r2 + rc, r1 + r2 + rc)
+    return {name: bounds[name] - rate for name, rate in zip(RATE_BOUND_NAMES, rates)}
 
 
 def _distortion_terms(rho, r1, r2, rc):
@@ -233,109 +260,10 @@ def _guarded(cond, value, fallback, fill):
     return np.where(cond, value(np.where(cond, fallback, 1.0)), fill)
 
 
-def _fold_bound(slack, num, den, rate):
-    """``slack = min(slack, 0.5 log2(num/den) - rate)`` in place, with the
-    ``den <= 0`` convention of :func:`_half_log2_ratio`."""
-    pos = den > 0.0
-    if _everywhere(pos):
-        bound = 0.5 * np.log2(num / den)
-    else:
-        bound = np.where(pos, 0.5 * np.log2(np.where(pos, num, 1.0) / np.where(pos, den, 1.0)),
-                         np.inf)
-    np.minimum(slack, bound - rate, out=slack)
-
-
 def _fold_distortions(slack, d1a, d2a, d1, d2):
     """Fold the two distortion slacks ``0.5 log2(target / achieved)`` in place."""
     np.minimum(slack, 0.5 * (math.log2(d1) - np.log2(d1a)), out=slack)
     np.minimum(slack, 0.5 * (math.log2(d2) - np.log2(d2a)), out=slack)
-    return slack
-
-
-def _rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
-    """Worst slack (bits) of the full scheme over its seven rate bounds, at
-    arrays that broadcast together (``rho .. n0`` may be arrays as well).
-
-    Equal bit for bit to the minimum over :func:`_raw_quantities`'s bounds:
-    the same expressions in the same operand order, without the gains the
-    bounds never read, with shared subexpressions computed once and each
-    bound folded into the running minimum as soon as it is known.  Arrays
-    are dropped once no later bound reads them: a batch costs about as many
-    live arrays as the reference's, not the sum of its intermediates.
-
-    Edge rows (``rho = 1``, empty codebooks, zero power shares) divide by
-    zero on the way to the reference's values, so call it under
-    ``np.errstate(divide="ignore", invalid="ignore")``.
-    """
-    s = float(sigma2)
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    rc = np.asarray(rc, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    m2r1 = -2.0 * r1
-    f1 = -np.expm1(m2r1 * math.log(2.0))
-    f2 = -np.expm1(-2.0 * r2 * math.log(2.0))
-    fc = -np.expm1(-2.0 * rc * math.log(2.0))
-    e1 = 2.0 ** m2r1
-    sv2 = s * e1 * fc
-    sv = np.sqrt(sv2)
-    bb1 = 1.0 - b1
-    bb2 = 1.0 - b2
-    bp1 = bb1 * p1
-    bp2 = bb2 * p2
-    trho = rho * np.sqrt(f1 * f2)
-    brho = rho * np.sqrt(e1 * f2 * fc)
-    del m2r1, e1, fc
-
-    t2 = trho**2
-    bq2 = brho**2
-    omt2 = 1.0 - t2
-    omb2 = 1.0 - bq2
-    a_res = omt2 - bq2
-    n0a = n0 * a_res
-    # bp1, bp2 and n0a between them read every parameter but the scalar sigma2
-    slack = np.full(np.broadcast(bp1, bp2, n0a).shape, np.inf)
-    _fold_bound(slack, bp1 * a_res + n0 * omb2, n0a, r1)
-    lam2 = n0**2 * bq2 * t2 * (2.0 + t2) / (b2 * p2 * a_res + n0)
-    _fold_bound(slack, bp2 * a_res + n0, n0a + lam2, r2)
-    del lam2
-
-    has_v = sv2 > 0.0
-    coh = rho**2 * bb2 * f2
-    a22 = _guarded(has_v, lambda den: np.sqrt(p2 / s)
-                   * (np.sqrt(coh + s * b2 / den) - np.sqrt(coh)), sv2, 0.0)
-    share = np.sqrt(b1 * p1)
-    if not _everywhere(has_v):
-        share = np.where(has_v, share, 0.0)
-    eta = share + a22 * sv
-    del has_v, coh, a22, share
-
-    eta2 = eta**2
-    rho2f2 = rho**2 * f2
-    rc_num = eta2 * a_res + n0 * omt2
-    lamc = n0**2 * (rho2f2 / s) * (bq2 * bb1 * p1 - t2 * sv2) / rc_num
-    _fold_bound(slack, rc_num, n0a + lamc, rc)
-    del a_res, n0a, rc_num, lamc, sv2
-
-    r12 = r1 + r2
-    lam12 = bp1 + 2.0 * trho * np.sqrt(bb1 * bb2 * p1 * p2) + bp2
-    bp2_bq2 = bp2 * bq2
-    frac12 = _guarded(lam12 > 0.0, lambda den: bp2_bq2 / den, lam12, 0.0)
-    _fold_bound(slack, lam12 - bp2_bq2 + n0, (1.0 - frac12) * n0 * omt2, r12)
-    del trho, bb1, bb2, bq2, bp2_bq2, frac12
-
-    lam1c = (bp1 * omt2 + eta2 * omb2
-             - 2.0 * eta * (rho2f2 * sv / s) * np.sqrt(bp1 * s * f1))
-    _fold_bound(slack, (lam1c + n0) * (bp1 + eta2), lam1c * n0, r1 + rc)
-    del f1, sv, bp1, rho2f2, lam1c
-
-    coherent = 2.0 * eta * brho * np.sqrt(bp2)
-    lam2c = bp2 + coherent + eta2
-    bp2_t2 = bp2 * t2
-    frac2c = _guarded(lam2c > 0.0, lambda den: bp2_t2 / den, lam2c, 0.0)
-    _fold_bound(slack, lam2c - bp2_t2 + n0, (1.0 - frac2c) * n0 * omb2, r2 + rc)
-    _fold_bound(slack, lam12 + coherent + eta2 + n0, n0 * omt2 * omb2, r12 + rc)
     return slack
 
 
@@ -366,9 +294,11 @@ def _least_scale(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
     its roots as well as above them.  The answer is the floor ``x0`` of the
     other six bounds when ``rc`` holds there, else the larger ``rc`` root.
     ``1 - frac12`` and ``1 - frac2c`` are taken as ratios, which do not
-    cancel near ``rho = 1``.  Rows whose residual ``a_res = 1 - trho^2 -
-    brho^2`` rounds to 0 or below (``rho = 1`` with rates past about 26.5
-    bits) get +inf: every bound there is rounding noise.
+    cancel near ``rho = 1``.  The correlations and ``eta`` come from
+    :func:`_scheme_terms`, as the readable form's do.  Rows whose residual
+    ``a_res = 1 - trho^2 - brho^2`` rounds to 0 or below (``rho = 1`` with
+    rates past about 26.5 bits) get +inf, where the readable form's bounds
+    are -inf.
     """
     s = float(sigma2)
     r1 = np.asarray(r1, dtype=float)
@@ -377,16 +307,9 @@ def _least_scale(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     hair = 4.0**-_LEAST_EPS
-    m2ln2 = -2.0 * math.log(2.0)  # r * m2ln2 equals -2.0 * r * log(2) bit for bit
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # as in _rate_min_slack, so trho, brho and a_res match the readable form bit for bit
-        f1 = -np.expm1(r1 * m2ln2)
-        f2 = -np.expm1(r2 * m2ln2)
-        fc = -np.expm1(rc * m2ln2)
-        e1 = 2.0 ** (-2.0 * r1)
-        sv2 = s * e1 * fc
-        trho = rho * np.sqrt(f1 * f2)
-        brho = rho * np.sqrt(e1 * f2 * fc)
+        f1, f2, e1, sv2, sv, trho, brho, _, eta = _scheme_terms(s, rho, p1, p2,
+                                                                r1, r2, rc, b1, b2)
         t2 = trho**2
         bq2 = brho**2
         omt2 = 1.0 - t2
@@ -404,20 +327,9 @@ def _least_scale(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
         kc = k1c * e1
         del den
 
-        bb2 = 1.0 - b2
         q1 = (1.0 - b1) * p1
-        q2 = bb2 * p2
-        sv = np.sqrt(sv2)
-        has_v = sv2 > 0.0
-        coh = rho**2 * bb2 * f2
-        a22 = _guarded(has_v, lambda den: math.sqrt(p2 / s)
-                       * (np.sqrt(coh + s * b2 / den) - np.sqrt(coh)), sv2, 0.0)
-        share = np.sqrt(b1 * p1)
-        if not _everywhere(has_v):
-            share = np.where(has_v, share, 0.0)
-        eta = share + a22 * sv
+        q2 = (1.0 - b2) * p2
         eta2 = eta**2
-        del bb2, has_v, coh, a22, share
 
         # linear floors x >= num / den: den > 0 where num > 0, and 0/0 (a bound
         # that reads no power and holds) is skipped by fmax
@@ -492,16 +404,10 @@ def vq_rate_region(src: SourceSpec, ch: ChannelSpec, cfg: VqConfig,
     then requires every slack >= margin.  The ``c12`` slack is +inf when the
     conference capacity is unlimited.
     """
-    _, _, bounds = _raw_quantities(
+    slacks = {name: float(slack) for name, slack in _rate_slacks(
         src.sigma2, src.rho, ch.p1, ch.p2, ch.n0,
         cfg.r1, cfg.r2, cfg.rc, cfg.beta1, cfg.beta2,
-    )
-    rates = {
-        "r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
-        "r1+r2": cfg.r1 + cfg.r2, "r1+rc": cfg.r1 + cfg.rc,
-        "r2+rc": cfg.r2 + cfg.rc, "r1+r2+rc": cfg.r1 + cfg.r2 + cfg.rc,
-    }
-    slacks = {name: float(bounds[name]) - rates[name] for name in RATE_BOUND_NAMES}
+    ).items()}
     requirement, _ = _conf_requirement(src.rho, cfg.r1, cfg.rc)
     if is_unlimited(ch.c12):
         slacks["c12"] = math.inf

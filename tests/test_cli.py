@@ -13,7 +13,7 @@ from confmac import search
 from confmac.cli import MAX_GRID_POINTS, parse_grid, run
 from confmac.model import ChannelSpec, DomainError, SourceSpec
 from confmac.validation import _SCHEME_BLOCK_ROWS, _feasible_scheme_rows, _uniform_rows
-from confmac.vqscheme import VqConfig, vq_rate_region
+from confmac.vqscheme import RATE_BOUND_NAMES, VqConfig, vq_rate_region
 
 
 def run_cli(args):
@@ -71,6 +71,25 @@ def test_region_vq_at_rho_one_with_a_saturated_shared_rate():
     assert code == 2 and payload["feasible"] is False
     assert payload["required_c12"] == 0.0 and payload["bin_log_size"] == 30.0
     assert payload["achieved_d1"] == payload["achieved_d2"] == pytest.approx(4.0**-30, rel=1e-9)
+
+
+def test_region_vq_at_rho_one_with_saturated_private_rates():
+    """At rho = 1, r1 = r2 = 30 bits and rc = 0, ``1 - 4^-r`` rounds to 1, so
+    the residual ``a_res`` is 0 and every rate bound is rounding noise: each
+    is reported as -inf (an infeasible point, exit code 2), not as +inf
+    behind a numpy warning."""
+    argv = ["region", "vq", "--rho", "1", "--p1", "1", "--p2", "1", "--noise", "1",
+            "--r1", "30", "--r2", "30", "--rc", "0", "--beta1", "0.5", "--beta2", "0.5",
+            "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(argv)
+    payload = json.loads(out)
+    assert code == 2 and payload["feasible"] is False
+    slacks = payload["slacks"]
+    assert slacks.pop("c12") == math.inf
+    assert sorted(slacks) == sorted(RATE_BOUND_NAMES)
+    assert all(v == -math.inf for v in slacks.values())
 
 
 TRACE = ["trace", "--kind", "pmin-vs-alpha", "--noise", "1", "--schemes", "fullcoop"]

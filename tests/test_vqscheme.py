@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from confmac.model import UNLIMITED, ChannelSpec, DomainError, SourceSpec
-from confmac import vqscheme
+from confmac import validation, vqscheme
 from confmac.vqscheme import (
     VqConfig,
     vq_conf_requirement,
@@ -302,7 +302,7 @@ def test_large_r1_approaches_unlimited_slice():
     assert eps_pair.d1 == pytest.approx(pair_u.d1, rel=1e-5)
 
 
-# --- fused kernels and the readable compositions they are checked against ---
+# --- the readable compositions the least-scale kernel is checked against ---
 
 
 def unit_batch(rng, m, dim):
@@ -315,19 +315,11 @@ def unit_batch(rng, m, dim):
     return pts
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def reference_rate_min_slack(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2):
     """Minimum of ``_raw_quantities``' seven ``bound - rate`` slacks."""
     with np.errstate(all="ignore"):
-        _, _, bnd = vqscheme._raw_quantities(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
-        rates = {
-            "r1": r1, "r2": r2, "rc": rc, "r1+r2": r1 + r2, "r1+rc": r1 + rc,
-            "r2+rc": r2 + rc, "r1+r2+rc": r1 + r2 + rc,
-        }
-        return np.minimum.reduce([bnd[name] - rates[name] for name in vqscheme.RATE_BOUND_NAMES])
+        slacks = vqscheme._rate_slacks(sigma2, rho, p1, p2, n0, r1, r2, rc, b1, b2)
+        return np.minimum.reduce(list(slacks.values()))
 
 
 def reference_min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
@@ -341,32 +333,58 @@ def reference_min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
         return np.minimum(slack, 0.5 * (math.log2(d2) - np.log2(d2a)))
 
 
-def test_rate_min_slack_kernel_matches_reference_bit_for_bit():
-    """Array ``rho``, ``p1``, ``p2``, ``n0`` over validate's sampling box, with
-    edge rows: rho at 0 and 1, r1 = 0, rc = 0, betas at 0 and 1."""
+def test_row_screen_matches_scalar_region_row_by_row():
+    """``validate``'s array screen keeps exactly the rows that scalar
+    ``vq_rate_region`` finds feasible, and the array slacks match the scalar
+    ones at ``sigma2`` 1 and 2.35 (numpy's array and scalar ``power`` and
+    ``sqrt`` may differ in the last bit).  Array ``rho``, ``p1``, ``p2``,
+    ``n0`` over check 9's box, with edge rows: rho at 0 and 1, r1 = 0, rc = 0,
+    betas at 0 and 1.  The last batch holds, per bound, a row that misses
+    that bound alone, so a screen that skips any bound fails."""
     rng = np.random.default_rng(99)
     lo = np.array([0.0, 0.3, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0])
     hi = np.array([0.95, 8.0, 8.0, 8.0, 2.0, 2.0, 2.0, 1.0, 1.0])
-    seen = dict.fromkeys(("rho=0", "rho=1", "r1=0", "rc=0", "beta=0", "beta=1"), 0)
-    for m in (1, 340, 20000):
+
+    def draw(m):
+        rows = rng.uniform(lo, hi, (m, 9))
+        u = rng.uniform(0.0, 1.0, (m, 9))
+        rows[u[:, 0] < 0.1, 0] = 0.0
+        rows[u[:, 0] > 0.9, 0] = 1.0
+        rows[u[:, 4] < 0.25, 4] = 0.0
+        rows[u[:, 6] < 0.25, 6] = 0.0
+        rows[:, 7:][u[:, 7:] < 0.125] = 0.0
+        rows[:, 7:][u[:, 7:] > 0.875] = 1.0
+        return rows
+
+    pool = draw(40000)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        misses = np.array([v < 0.0 for v in vqscheme._rate_slacks(1.0, *pool.T).values()])
+    alone = misses & (misses.sum(axis=0) == 1)
+    sole = pool[[np.flatnonzero(row)[0] for row in alone]]
+    seen = dict.fromkeys(("rho=0", "rho=1", "r1=0", "rc=0", "beta=0", "beta=1", "kept"), 0)
+    for rows in (draw(1), draw(340), draw(1500), sole):
+        m = len(rows)
+        kept = validation._meets_rate_bounds(rows)
+        cols = [np.ascontiguousarray(c) for c in rows.T]
         for sigma2 in (1.0, 2.35):
-            rows = rng.uniform(lo, hi, (m, 9))
-            u = rng.uniform(0.0, 1.0, (m, 9))
-            rows[u[:, 0] < 0.1, 0] = 0.0
-            rows[u[:, 0] > 0.9, 0] = 1.0
-            rows[u[:, 4] < 0.25, 4] = 0.0
-            rows[u[:, 6] < 0.25, 6] = 0.0
-            rows[:, 7:][u[:, 7:] < 0.125] = 0.0
-            rows[:, 7:][u[:, 7:] > 0.875] = 1.0
-            cols = [np.ascontiguousarray(c) for c in rows.T]
-            ref = reference_rate_min_slack(sigma2, *cols)
             with np.errstate(divide="ignore", invalid="ignore"):
-                got = vqscheme._rate_min_slack(sigma2, *cols)
-            assert same_bits(got, ref), (m, sigma2)
-            seen["rho=0"] += int(np.any(cols[0] == 0.0))
-            seen["rho=1"] += int(np.any(cols[0] == 1.0))
-            seen["r1=0"] += int(np.any(cols[4] == 0.0))
-            seen["rc=0"] += int(np.any(cols[6] == 0.0))
-            seen["beta=0"] += int(np.any(rows[:, 7:] == 0.0))
-            seen["beta=1"] += int(np.any(rows[:, 7:] == 1.0))
+                got = vqscheme._rate_slacks(sigma2, *cols)
+            ref = {name: [] for name in vqscheme.RATE_BOUND_NAMES}
+            for i, (rho, p1, p2, n0, *cfg) in enumerate(rows.tolist()):
+                report = vq_rate_region(SourceSpec(sigma2, rho), ChannelSpec(p1, p2, n0),
+                                        VqConfig(*cfg))
+                for name in ref:
+                    ref[name].append(report.slacks[name])
+                if sigma2 == 1.0:
+                    assert kept[i] == report.feasible, (m, i)
+            for name in ref:
+                np.testing.assert_allclose(got[name], ref[name], rtol=0.0, atol=1e-12,
+                                           err_msg=f"{m} {sigma2} {name}")
+        seen["rho=0"] += int(np.any(rows[:, 0] == 0.0))
+        seen["rho=1"] += int(np.any(rows[:, 0] == 1.0))
+        seen["r1=0"] += int(np.any(rows[:, 4] == 0.0))
+        seen["rc=0"] += int(np.any(rows[:, 6] == 0.0))
+        seen["beta=0"] += int(np.any(rows[:, 7:] == 0.0))
+        seen["beta=1"] += int(np.any(rows[:, 7:] == 1.0))
+        seen["kept"] += int(np.any(kept))
     assert all(seen.values()), seen

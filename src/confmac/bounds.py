@@ -25,7 +25,6 @@ from .model import (
     DomainError,
     FeasibilityReport,
     SourceSpec,
-    is_unlimited,
 )
 from .rdlib import rd_conditional, rd_joint
 from ._mc import accumulate_chunks
@@ -182,8 +181,8 @@ def high_snr_quantities(src: SourceSpec, ch: ChannelSpec,
 
     ``check_rho`` is the shared-description correlation at the operating
     point that saturates the conference budget with no private first stage,
-    ``rho sqrt((1-2^-2C)/(1 - rho^2 2^-2C))``; it enters only the
-    scheme-side product prediction at finite link capacity.
+    ``rho sqrt((1-2^-2C)/(1 - rho^2 2^-2C))``, which is ``rho`` at ``C =
+    inf``; it enters only the scheme-side product prediction.
     """
     c12, rho, n0 = ch.c12, src.rho, ch.n0
     d1, d2 = target.d1, target.d2
@@ -194,7 +193,7 @@ def high_snr_quantities(src: SourceSpec, ch: ChannelSpec,
             f"outside high-SNR regime: N/(d1 P1)={x1:.4g}, N/(d2 P2)={x2:.4g} "
             f"exceed threshold {_HIGH_SNR_PROXY}"
         )
-    att = 0.0 if is_unlimited(c12) else 2.0 ** (-2.0 * float(c12))
+    att = 2.0 ** (-2.0 * c12)  # 0 at c12 = inf
 
     for name, radicand in (("varrho_inf", 1.0 - x2 * (1.0 - rho**2)),
                            ("varrho_sep1_fixed", 1.0 - x1 * (1.0 - rho**2) * att),
@@ -206,10 +205,7 @@ def high_snr_quantities(src: SourceSpec, ch: ChannelSpec,
     varrho_sep1_fixed = math.sqrt(1.0 - x1 * (1.0 - rho**2) * att) * varrho_inf
     varrho_vq_lower = (rho * math.sqrt(att) * math.sqrt(x1 * x2)
                        + math.sqrt(1.0 - x1 * att) * math.sqrt(1.0 - x2))
-    if is_unlimited(c12):
-        check_rho = rho
-    else:
-        check_rho = rho * math.sqrt((1.0 - att) / (1.0 - rho**2 * att))
+    check_rho = rho * math.sqrt((1.0 - att) / (1.0 - rho**2 * att))
 
     def product(varrho: float, extra: float = 1.0) -> float:
         return (n0 * (1.0 - rho**2) * extra

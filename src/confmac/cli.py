@@ -20,15 +20,7 @@ import math
 import sys
 
 from . import __version__, bounds, capacity, rdlib, search, separation, validation, vqscheme
-from .model import (
-    UNLIMITED,
-    ChannelSpec,
-    DistortionPair,
-    DomainError,
-    RatePoint,
-    SourceSpec,
-    is_unlimited,
-)
+from .model import UNLIMITED, ChannelSpec, DistortionPair, DomainError, RatePoint, SourceSpec
 from .search import CurveKind, Scheme, UnboundedError
 
 EXIT_OK = 0
@@ -45,14 +37,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def parse_c12(raw):
-    """A capacity or variance flag: a float, or 'inf' for unlimited (absent)."""
-    if raw is None or is_unlimited(raw):
+def parse_c12(raw) -> float:
+    """A capacity or variance flag as a float; 'inf', 'unlimited' or null
+    (an unset config value) mean unlimited (absent)."""
+    if raw is None or (isinstance(raw, str) and raw.strip().lower() == "unlimited"):
         return UNLIMITED
-    if isinstance(raw, str) and raw.strip().lower() in ("inf", "unlimited", "infinity"):
-        return UNLIMITED
-    value = float(raw)
-    return UNLIMITED if math.isinf(value) else value
+    return float(raw)
 
 
 def parse_grid(spec: str, flag: str) -> list[float]:
@@ -85,14 +75,20 @@ def parse_grid(spec: str, flag: str) -> list[float]:
         raise DomainError(flag, f"bad grid spec {spec!r}; want numbers") from None
 
 
-def _json_default(obj):
-    if is_unlimited(obj):
-        return "inf"
-    raise TypeError(f"not JSON serializable: {obj!r}")
+def _strict(obj):
+    """``obj`` with every non-finite float spelled as a string ("inf",
+    "-inf", "nan"), which JSON has no number for."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
 
 
 def emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, default=_json_default))
+    print(json.dumps(_strict(payload), sort_keys=True, allow_nan=False))
 
 
 def emit_report(report, config: dict, as_json: bool, extras: dict | None = None) -> int:
@@ -223,8 +219,8 @@ def _numbers_echo(cfg: dict, names, tol: float | None = None) -> dict:
     """The config echo: each set flag of ``names`` as the float the command
     read, from the command line or ``--config`` alike, and the ``tol`` it used
     (when it takes one).  A value that is not a finite number (only an unused
-    flag can hold one) stays as given, so the echo remains valid JSON."""
-    echo = {key: "inf" if is_unlimited(value) else value for key, value in cfg.items()}
+    flag can hold one) stays as given."""
+    echo = dict(cfg)
     for name in names:
         try:
             value = float(cfg.get(name))
@@ -314,7 +310,7 @@ def cmd_region(args) -> int:
 def _emit_optimization(res: search.OptimizationResult, echo: dict, as_json: bool) -> int:
     payload = {
         "objective": res.objective,
-        "witness": {k: v if is_unlimited(v) else float(v) for k, v in res.witness.items()},
+        "witness": {k: float(v) for k, v in res.witness.items()},
         "iterations": res.iterations,
         "converged": res.converged,
         "bracket": list(res.bracket),

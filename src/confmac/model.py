@@ -24,26 +24,11 @@ class DomainError(ValueError):
         self.fieldname = fieldname
 
 
-class _Unlimited:
-    """Sentinel for an unlimited conference capacity / absent auxiliary."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNLIMITED"
-
-
-UNLIMITED = _Unlimited()
+UNLIMITED = math.inf  # an unlimited conference capacity / absent auxiliary
 
 
 def is_unlimited(value) -> bool:
-    return value is UNLIMITED
+    return value == math.inf
 
 
 def _require_finite(fieldname: str, value: float) -> float:
@@ -77,15 +62,14 @@ class SourceSpec:
 class ChannelSpec:
     """Channel parameters: per-encoder powers, noise variance, conference capacity.
 
-    ``c12`` is either a finite nonnegative number of bits per symbol or the
-    sentinel :data:`UNLIMITED`.  The sentinel is a distinct state, not a large
-    float, so branch logic stays explicit.
+    ``c12`` is a nonnegative number of bits per symbol; :data:`UNLIMITED`
+    (``math.inf``) is the unlimited link, the limit of every finite one.
     """
 
     p1: float
     p2: float
     n0: float
-    c12: object = UNLIMITED
+    c12: float = UNLIMITED
 
     def __post_init__(self):
         for name in ("p1", "p2", "n0"):
@@ -93,11 +77,10 @@ class ChannelSpec:
             object.__setattr__(self, name, value)
             if value <= 0.0:
                 raise DomainError(name, f"must be > 0, got {value}")
-        if not is_unlimited(self.c12):
-            c12 = _require_finite("c12", self.c12)
-            object.__setattr__(self, "c12", c12)
-            if c12 < 0.0:
-                raise DomainError("c12", f"must be >= 0 or UNLIMITED, got {c12}")
+        c12 = float(self.c12)
+        object.__setattr__(self, "c12", c12)
+        if not c12 >= 0.0:  # NaN included
+            raise DomainError("c12", f"must be >= 0, got {c12}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +137,7 @@ class FeasibilityReport:
         return {
             "feasible": bool(self.feasible),
             "slacks": {k: float(v) for k, v in self.slacks.items()},
-            "witness": {k: (float(v) if isinstance(v, (int, float)) else v)
-                        for k, v in self.witness.items()},
+            "witness": {k: float(v) for k, v in self.witness.items()},
         }
 
 

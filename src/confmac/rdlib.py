@@ -13,13 +13,11 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    UNLIMITED,
     DistortionPair,
     DomainError,
     FeasibilityReport,
     RatePoint,
     SourceSpec,
-    is_unlimited,
     log2_pos,
 )
 
@@ -143,22 +141,19 @@ class KaspiParams:
 
     Each of ``sw2`` (conference description of component 1), ``su2``
     (component-2 description) and ``sv2`` (refinement of component 1) is a
-    positive variance, or :data:`UNLIMITED` meaning the auxiliary is absent
-    and its inverse-variance terms vanish.
+    positive variance; ``math.inf`` (:data:`~confmac.model.UNLIMITED`) means
+    the auxiliary is absent, and its inverse-variance term is then 0.
     """
 
-    sw2: object
-    su2: object
-    sv2: object
+    sw2: float
+    su2: float
+    sv2: float
 
     def __post_init__(self):
         for name in ("sw2", "su2", "sv2"):
-            value = getattr(self, name)
-            if is_unlimited(value):
-                continue
-            value = float(value)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(name, f"must be > 0 or UNLIMITED, got {value}")
+            value = float(getattr(self, name))
+            if not value > 0.0:  # NaN included
+                raise DomainError(name, f"must be > 0, got {value}")
             object.__setattr__(self, name, value)
 
 
@@ -200,7 +195,7 @@ def kaspi_region_point(src: SourceSpec, kp: KaspiParams) -> KaspiPoint:
     """Evaluate the Gaussian conferencing source-coding inner bound at ``kp``.
 
     Uses the inverse ratios ``i_x = sigma^2 / sigma_x^2`` (0 when the
-    auxiliary is absent), the common determinant ratio
+    auxiliary is absent, ``sigma_x^2 = inf``), the common determinant ratio
 
         Delta = 1 + i_u + (1 + i_u (1 - rho^2)) (i_v + i_w),
 
@@ -208,9 +203,6 @@ def kaspi_region_point(src: SourceSpec, kp: KaspiParams) -> KaspiPoint:
     distortion pair (normalized).
     """
     s = src.sigma2
-    iw = 0.0 if is_unlimited(kp.sw2) else s / kp.sw2
-    iu = 0.0 if is_unlimited(kp.su2) else s / kp.su2
-    iv = 0.0 if is_unlimited(kp.sv2) else s / kp.sv2
-    c12b, r1b, r2b, rsb, d1, d2 = _kaspi_arrays(src.rho, iw, iu, iv)
+    c12b, r1b, r2b, rsb, d1, d2 = _kaspi_arrays(src.rho, s / kp.sw2, s / kp.su2, s / kp.sv2)
     return KaspiPoint(float(c12b), float(r1b), float(r2b), float(rsb),
                       DistortionPair(float(d1), float(d2)))

@@ -70,7 +70,7 @@ from ._opt import (
     refine_grid_max,
 )
 
-RATE_BOX_BITS = 8.0
+RATE_BOX_BITS = 8.0  # the least rate side of the slice boxes and the link run
 _MAX_SIDE = 26.0  # the slice boxes' rate cap: past about 26.5 bits 1 - 4^-r rounds to 1
 
 
@@ -287,8 +287,8 @@ class _VqFeasibility:
         """``(marks, complete)``: the least-scale compass run at ``base``'s
         powers and finite link, stopped once its least reaches ``stop``.
 
-        Its points are ``(r1, r2, b1, b2)``, rates scaled by
-        ``RATE_BOX_BITS``, and the shared rate is ``min(_rc_budget(rho, r1,
+        Its points are ``(r1, r2, b1, b2)``, rates scaled by ``side`` as
+        in the slice boxes, and the shared rate is ``min(_rc_budget(rho, r1,
         c12), side - r1)``: the optima lie on the budget surface, the
         conference constraint holds there by construction, and ``r1 + rc``
         stays in the unlimited run's box, so that run's proof covers every
@@ -300,7 +300,7 @@ class _VqFeasibility:
         a stopped run's marks begin every longer run's; ``complete`` says
         that the run was not cut.
         """
-        src, target, cap = self.src, self.target, RATE_BOX_BITS
+        src, target, cap = self.src, self.target, self.side
         marks = []
 
         def objective(pts):

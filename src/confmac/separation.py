@@ -46,7 +46,6 @@ import numpy as np
 
 from . import capacity, rdlib
 from .model import (
-    UNLIMITED,
     ChannelSpec,
     DistortionPair,
     FeasibilityReport,
@@ -147,7 +146,7 @@ def _sep2_ratios(rho: float, c12, z: np.ndarray):
     holds the coordinates of ``(s, iu)``: the conference description takes
     as much of ``s`` as ``c12`` allows and the refinement the rest."""
     rc = 1.0 - rho**2
-    bits = 64.0 if is_unlimited(c12) else min(c12, 64.0)  # beyond 64 bits wmax tops the 1e8 cap
+    bits = min(c12, 64.0)  # beyond 64 bits wmax tops the 1e8 cap
     wmax = math.expm1(bits * math.log(4.0)) / rc if rc > 0.0 else math.inf
     s, iu = np.moveaxis(np.where(z >= 1.0, 0.0, 10.0 ** (8.0 - 16.0 * z)), -1, 0)
     iw = np.minimum(s, wmax)
@@ -212,14 +211,13 @@ def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> F
 def _sep2_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
                  pt) -> FeasibilityReport:
     """Scheme 2's report at the box point ``pt`` (None: infeasible, reported
-    at the point of absent auxiliaries).  The point's variances
-    (``UNLIMITED`` where a ratio is 0), its Kaspi point, rate split and
-    plain-MAC report are evaluated afresh, so the report re-validates the
-    point."""
+    at the point of absent auxiliaries).  The point's variances (``inf``
+    where a ratio is 0), its Kaspi point, rate split and plain-MAC report
+    are evaluated afresh, so the report re-validates the point."""
     with np.errstate(divide="ignore", over="ignore"):  # a ratio of 0: an absent auxiliary
         variances = src.sigma2 / np.array(_sep2_ratios(src.rho, ch.c12,
                                                        np.ones(2) if pt is None else pt))
-    sw2, su2, sv2 = (UNLIMITED if math.isinf(v) else float(v) for v in variances)
+    sw2, su2, sv2 = (float(v) for v in variances)
     kp = rdlib.kaspi_region_point(src, rdlib.KaspiParams(sw2, su2, sv2))
 
     # witness rate point: the binding sum split across both bounds, r2 <= max(c2, its bound)
@@ -232,7 +230,7 @@ def _sep2_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
     slacks = {
         "d1": 0.5 * (math.log2(target.d1) - math.log2(kp.achieved.d1)),
         "d2": 0.5 * (math.log2(target.d2) - math.log2(kp.achieved.d2)),
-        "c12": math.inf if is_unlimited(ch.c12) else ch.c12 - kp.c12_bound,
+        "c12": ch.c12 - kp.c12_bound,
     }
     slacks.update({f"mac:{k}": v for k, v in mac.slacks.items()})
     witness = {"sw2": sw2, "su2": su2, "sv2": sv2, "r1": rp.r1, "r2": rp.r2}

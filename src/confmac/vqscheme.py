@@ -38,7 +38,6 @@ from .model import (
     DomainError,
     FeasibilityReport,
     SourceSpec,
-    is_unlimited,
 )
 from ._opt import _LEAST_EPS
 from .rdlib import DegenerateError
@@ -402,17 +401,15 @@ def vq_rate_region(src: SourceSpec, ch: ChannelSpec, cfg: VqConfig,
     Slacks are ``bound - rate`` in bits.  The inequalities are evaluated as
     closed; callers that need strictness pass ``margin > 0`` and feasibility
     then requires every slack >= margin.  The ``c12`` slack is +inf when the
-    conference capacity is unlimited.
+    conference capacity is unlimited.  The rate slacks are those of
+    :func:`_rate_slacks` on one-row arrays, so they equal a batch's row for
+    row to the last bit (numpy's scalar and array paths round differently).
     """
-    slacks = {name: float(slack) for name, slack in _rate_slacks(
-        src.sigma2, src.rho, ch.p1, ch.p2, ch.n0,
-        cfg.r1, cfg.r2, cfg.rc, cfg.beta1, cfg.beta2,
-    ).items()}
+    row = (np.array([v]) for v in (src.rho, ch.p1, ch.p2, ch.n0,
+                                   cfg.r1, cfg.r2, cfg.rc, cfg.beta1, cfg.beta2))
+    slacks = {name: float(slack[0]) for name, slack in _rate_slacks(src.sigma2, *row).items()}
     requirement, _ = _conf_requirement(src.rho, cfg.r1, cfg.rc)
-    if is_unlimited(ch.c12):
-        slacks["c12"] = math.inf
-    else:
-        slacks["c12"] = ch.c12 - requirement
+    slacks["c12"] = ch.c12 - requirement
     feasible = all(v >= margin for v in slacks.values())
     return FeasibilityReport(feasible=feasible, slacks=slacks, witness={
         "r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,

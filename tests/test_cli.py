@@ -38,7 +38,7 @@ def test_region_vq_json_has_eight_slacks():
         "r1", "r2", "rc", "r1+r2", "r1+rc", "r2+rc", "r1+r2+rc", "c12"}
     assert payload["feasible"] is False  # this configuration exceeds the region
     assert code == 2
-    assert payload["slacks"]["c12"] == math.inf  # default c12 is unlimited
+    assert payload["slacks"]["c12"] == "inf"  # default c12 is unlimited
 
 
 def test_region_feasible_exit_zero():
@@ -87,9 +87,32 @@ def test_region_vq_at_rho_one_with_saturated_private_rates():
     payload = json.loads(out)
     assert code == 2 and payload["feasible"] is False
     slacks = payload["slacks"]
-    assert slacks.pop("c12") == math.inf
+    assert slacks.pop("c12") == "inf"
     assert sorted(slacks) == sorted(RATE_BOUND_NAMES)
-    assert all(v == -math.inf for v in slacks.values())
+    assert all(v == "-inf" for v in slacks.values())
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, where, spelling", [
+    (["region", "vq", "--rho", "0.5", "--r1", "0.5"], ("slacks", "c12"), "inf"),
+    (["region", "vq", "--rho", "1", "--p1", "1", "--p2", "1", "--noise", "1", "--r1", "30",
+      "--r2", "30", "--rc", "0", "--beta1", "0.5", "--beta2", "0.5"], ("slacks", "r1"), "-inf"),
+    (["region", "sep2", "--rho", "0.5", "--p1", "10", "--p2", "10", "--d1", "0.1",
+      "--d2", "0.2"], ("slacks", "c12"), "inf"),
+    (["minpower", "--scheme", "sep2", "--rho", "0.5", "--d1", "0.1", "--d2", "0.2",
+      "--c12", "0"], ("witness", "sw2"), "inf"),
+], ids=["region-vq", "region-vq-rho-one", "region-sep2", "minpower-sep2-no-link"])
+def test_json_output_is_strict(argv, where, spelling):
+    """``--json`` prints strict JSON: no ``Infinity`` or ``NaN`` literals,
+    which strict parsers reject.  Infinities are the strings "inf" and
+    "-inf", in results and config echo alike."""
+    _, out = run_cli(argv + ["--json"])
+    payload = json.loads(out, parse_constant=_reject_constant)
+    section, key = where
+    assert payload[section][key] == spelling
 
 
 TRACE = ["trace", "--kind", "pmin-vs-alpha", "--noise", "1", "--schemes", "fullcoop"]
@@ -457,7 +480,7 @@ def test_minpower_sep2_prints_unlimited_witness(c12, unlimited):
             "--c12", c12]
     code, out = run_cli(args)
     assert code == 0
-    assert f"  witness[{unlimited}] = UNLIMITED" in out.splitlines()
+    assert f"  witness[{unlimited}] = inf" in out.splitlines()
     code, out = run_cli(args + ["--json"])
     assert code == 0
     witness = json.loads(out)["witness"]

@@ -64,9 +64,19 @@ def test_distortion_round_trip():
 
 
 def test_unlimited_is_singleton_sentinel():
-    assert repr(UNLIMITED) == "UNLIMITED"
-    assert type(UNLIMITED)() is UNLIMITED
+    assert UNLIMITED == math.inf
+    assert is_unlimited(float("inf"))
     assert not is_unlimited(1e18)
+
+
+def test_channel_c12_is_any_nonnegative_number():
+    """``c12`` is the limit of the finite links: infinity is a capacity like
+    any other, while NaN and negative values are domain errors."""
+    assert ChannelSpec(1.0, 1.0, 1.0, math.inf) == ChannelSpec(1.0, 1.0, 1.0)
+    assert ChannelSpec(1.0, 1.0, 1.0, "inf").c12 == math.inf
+    for bad in (math.nan, -math.inf, -1e-300):
+        with pytest.raises(DomainError, match="c12"):
+            ChannelSpec(1.0, 1.0, 1.0, bad)
 
 
 def test_log2_pos_exact_zero():

@@ -546,8 +546,8 @@ def test_finite_link_lies_between_the_certified_slices():
 
 
 def test_finite_link_shared_rate_stays_in_the_unlimited_box():
-    """A finite link's ``r1 + rc`` may exceed the least-scale compass's
-    8-bit rate scaling: at rho = 0.5, d1 = 1e-5 needs about 8.3 bits of it.
+    """A finite link's ``r1 + rc`` may exceed 8 bits: at rho = 0.5, d1 =
+    1e-5 needs about 8.3 bits of it.
     The compass keeps it within the unlimited run's target-sized box, so
     that run's proof covers every point the compass reaches."""
     target = DistortionPair(1e-5, 0.2)
@@ -567,6 +567,25 @@ def test_slice_boxes_grow_with_the_target():
                                    for c12 in (UNLIMITED, 1.0, 0.0))
         necessary = min_power_symmetric(SRC, Scheme.NECESSARY, target).objective
         assert necessary <= unlimited <= finite <= none, (target, unlimited, finite, none)
+
+
+@pytest.mark.parametrize("d", [1.5e-5, 1e-5])
+def test_finite_link_reaches_private_rates_past_eight_bits(d):
+    """At rho 0.5 and d1 = d2 = d below ``2^-14`` the finite link's optimum
+    needs ``r2`` past 8 bits.  The least-scale compass scales its rates by
+    the target-sized ``side``, so at ``c12`` 1 it stays within 1.1 times the
+    unlimited answer (about 1.083) instead of falling back to the
+    no-conference slice (4/3), and at 1.2 times the unlimited power vq's
+    least link is no more than sep1's (0.369 against 1.161 bits)."""
+    target = DistortionPair(d, d)
+    unlimited = min_power_symmetric(SRC, Scheme.VQ, target, c12=UNLIMITED, tol=1e-8).objective
+    finite = min_power_symmetric(SRC, Scheme.VQ, target, c12=1.0, tol=1e-8)
+    assert finite.objective < 1.1 * unlimited, (d, finite, unlimited)
+    assert finite.witness["r2"] > search.RATE_BOX_BITS, finite
+    ch = ChannelSpec(1.2 * unlimited, 1.2 * unlimited, 1.0)
+    vq, sep1 = (min_conf_capacity(SRC, ch, scheme, target).objective
+                for scheme in (Scheme.VQ, Scheme.SEP1))
+    assert vq <= sep1, (d, vq, sep1)
 
 
 def test_slice_boxes_stop_before_one_minus_h_rounds_to_zero():

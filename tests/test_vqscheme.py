@@ -333,6 +333,21 @@ def reference_min_slack(sigma2, rho, p1, p2, n0, d1, d2, r1, r2, rc, b1, b2):
         return np.minimum(slack, 0.5 * (math.log2(d2) - np.log2(d2a)))
 
 
+def test_region_slacks_equal_the_row_screen_bit_for_bit():
+    """``vq_rate_region``'s seven rate slacks equal ``validate``'s batch
+    screen's row for row, to the last bit, over 2000 rows of check 9's box,
+    so a row at the edge of a bound gets the same verdict from both."""
+    rows = validation._uniform_rows(np.random.default_rng(0), validation._SCHEME_BOX_LO,
+                                    validation._SCHEME_BOX_HI, 2000)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        batch = vqscheme._rate_slacks(1.0, *rows.T)
+    for i, (rho, p1, p2, n0, *cfg) in enumerate(rows.tolist()):
+        slacks = vq_rate_region(SourceSpec(1.0, rho), ChannelSpec(p1, p2, n0),
+                                VqConfig(*cfg)).slacks
+        for name, column in batch.items():
+            assert slacks[name] == column[i], (i, name, slacks[name], column[i])
+
+
 def test_row_screen_matches_scalar_region_row_by_row():
     """``validate``'s array screen keeps exactly the rows that scalar
     ``vq_rate_region`` finds feasible, and the array slacks match the scalar

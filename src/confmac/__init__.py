@@ -5,7 +5,7 @@ Library layout:
 * :mod:`confmac.model` -- parameter types, feasibility reports
 * :mod:`confmac.rdlib` -- closed-form rate-distortion quantities
 * :mod:`confmac.vqscheme` -- the two-stage vector-quantizer scheme
-* :mod:`confmac.capacity` -- MAC capacity regions (plain / conferencing)
+* :mod:`confmac.capacity` -- the conferencing MAC region at every link capacity
 * :mod:`confmac.separation` -- the two separation pipelines
 * :mod:`confmac.bounds` -- outer bound and high-SNR asymptotics
 * :mod:`confmac.montecarlo` -- stochastic oracles and sphere geometry

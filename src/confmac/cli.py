@@ -285,16 +285,16 @@ def cmd_region(args) -> int:
                 print(f"  {key} = {_fmt(payload[key])}")
         return EXIT_OK
     if which in ("mac", "mac-conf", "mac-conf-fixed"):
+        # one region; the plain MAC and the unlimited link are its two ends
         p1, p2, n0, r1, r2 = _floats(cfg, "p1", "p2", "noise", "r1", "r2")
-        ch = ChannelSpec(p1, p2, n0, cfg["c12"])
-        rp = RatePoint(r1, r2)
         if which == "mac":
-            report = capacity.mac_plain_contains(ch, rp)
+            c12, split = 0.0, (0.0, 0.0)
         elif which == "mac-conf":
-            report = capacity.mac_conf_unlimited_contains(ch, rp, *_floats(cfg, "beta"))
+            c12, split = UNLIMITED, (1.0, *_floats(cfg, "beta"))
         else:
-            split = capacity.MacPowerSplit(*_floats(cfg, "beta1", "beta2"))
-            report = capacity.mac_conf_fixed_contains(ch, rp, split)
+            c12, split = cfg["c12"], _floats(cfg, "beta1", "beta2")
+        report = capacity.mac_conf_contains(ChannelSpec(p1, p2, n0, c12), RatePoint(r1, r2),
+                                            capacity.MacPowerSplit(*split))
         return emit_report(report, echo, args.json)
     if which in ("necessary", "sep1", "sep2"):
         p1, p2, n0, d1, d2 = _floats(cfg, "p1", "p2", "noise", "d1", "d2")

@@ -397,18 +397,20 @@ def _bisect(predicate, lo: float, hi: float, tol_rel: float, tol_abs: float,
             iterations: int = 0) -> tuple[float, float, int, bool]:
     """Narrow ``(lo, hi)``, ``hi`` feasible, around a monotone predicate's threshold.
 
-    Stops once ``hi - lo <= tol_rel * hi + tol_abs`` or at 200 iterations
-    (counting the ``iterations`` already spent).  Returns ``(lo, hi,
-    iterations, converged)``; ``converged`` is False when the cap stopped it.
+    Stops once ``hi - lo <= tol_rel * hi + tol_abs`` or after 200 steps.
+    Returns ``(lo, hi, iterations, converged)``: ``iterations`` adds the
+    steps to the ``iterations`` already spent, and ``converged`` is False
+    when the cap stopped it.
     """
-    while hi - lo > tol_rel * hi + tol_abs and iterations < 200:
+    steps = 0
+    while hi - lo > tol_rel * hi + tol_abs and steps < 200:
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             hi = mid
         else:
             lo = mid
-        iterations += 1
-    return lo, hi, iterations, not hi - lo > tol_rel * hi + tol_abs
+        steps += 1
+    return lo, hi, iterations + steps, not hi - lo > tol_rel * hi + tol_abs
 
 
 def _expand_and_bisect(predicate, start: float, ceiling: float, tol_rel: float,

@@ -2,14 +2,16 @@
 
 Scheme 1: distributed source coding at the target distortions, then channel
 coding over the conferencing MAC.  The source-region lower boundary is traced
-parametrically (sweep ``r1``, take the least admissible ``r2``), and a
-closed-form power-split existence test decides channel membership per point.
+parametrically (sweep ``r1``, take the least admissible ``r2``), and
+:func:`capacity.conf_split_exists`, the closed-form power-split test valid at
+every ``c12`` in ``[0, inf]``, decides channel membership per point.
 
 Scheme 2: source coding with the conference link (Gaussian inner bound),
-then channel coding over the plain MAC.  Its three auxiliaries enter through
-the inverse ratios ``iw``, ``iu``, ``iv`` (``sigma^2`` over each auxiliary's
-noise variance, 0 when absent) of :func:`rdlib._kaspi_arrays`.  With ``s =
-iw + iv`` the bounds read
+then channel coding over the plain MAC (the conferencing region at ``c12 =
+0`` with split ``(0, 0)``: the link serves the source code).  Its three
+auxiliaries enter through the inverse ratios ``iw``, ``iu``, ``iv``
+(``sigma^2`` over each auxiliary's noise variance, 0 when absent) of
+:func:`rdlib._kaspi_arrays`.  With ``s = iw + iv`` the bounds read
 
     Delta = 1 + iu + (1 + iu (1 - rho^2)) s,   rsum = (1/2) log2 Delta,
     1/d1 = s + (1 + iu)/(1 + iu (1 - rho^2)),
@@ -51,7 +53,6 @@ from .model import (
     FeasibilityReport,
     RatePoint,
     SourceSpec,
-    is_unlimited,
     log2_pos,
 )
 from ._opt import SLACK_TOL, _excess, _least, _least_power
@@ -96,17 +97,11 @@ def sep1_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> F
         r2 = _wagner_boundary(src, target, r1)
         ok = np.isfinite(r2)
         r2c = np.where(ok, r2, 60.0)  # placeholder rate, masked out below
-        if is_unlimited(ch.c12):
-            feas, beta = capacity.conf_unlimited_split_exists(ch.p1, ch.p2, ch.n0, r1, r2c)
-            witness_cols = (beta,)
-        else:
-            feas, b1, b2 = capacity.conf_fixed_split_exists(
-                ch.p1, ch.p2, ch.n0, ch.c12, r1, r2c)
-            witness_cols = (b1, b2)
+        feas, b1, b2 = capacity.conf_split_exists(ch.p1, ch.p2, ch.n0, ch.c12, r1, r2c)
         feas = feas & ok
         if feas.any():
             i = int(np.argmax(feas))  # smallest feasible r1: deterministic witness
-            best = (float(r1[i]), float(r2[i]), tuple(float(c[i]) for c in witness_cols))
+            best = (float(r1[i]), float(r2[i]), (float(b1[i]), float(b2[i])))
             break
         # refine around the point closest to the channel region (largest beta headroom
         # is not defined when infeasible, so shrink toward the least sum-rate demand)
@@ -127,15 +122,9 @@ def _sep1_report(src, ch, target, r1, r2, split) -> FeasibilityReport:
         return FeasibilityReport(False, {"source:r2": -math.inf}, {})
     rp = RatePoint(r1, r2)
     source = rdlib.wagner_contains(src, target, rp)
-    witness = {"r1": r1, "r2": r2}
-    if is_unlimited(ch.c12):
-        beta = split[0] if split else 0.0
-        channel = capacity.mac_conf_unlimited_contains(ch, rp, beta)
-        witness["beta"] = beta
-    else:
-        b1, b2 = split if split else (0.0, 0.0)
-        channel = capacity.mac_conf_fixed_contains(ch, rp, capacity.MacPowerSplit(b1, b2))
-        witness.update({"beta1": b1, "beta2": b2})
+    b1, b2 = split if split else (0.0, 0.0)
+    channel = capacity.mac_conf_contains(ch, rp, capacity.MacPowerSplit(b1, b2))
+    witness = {"r1": r1, "r2": r2, "beta1": b1, "beta2": b2}
     slacks = {f"source:{k}": v for k, v in source.slacks.items()}
     slacks.update({f"channel:{k}": v for k, v in channel.slacks.items()})
     return FeasibilityReport(min(slacks.values()) >= SLACK_TOL, slacks, witness)
@@ -225,7 +214,8 @@ def _sep2_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
     c2 = 0.5 * math.log2(1.0 + ch.p2 / ch.n0)
     r1_w = max(kp.r1_bound, s_needed - max(c2, kp.r2_bound))
     rp = RatePoint(r1_w, max(s_needed - r1_w, 0.0))
-    mac = capacity.mac_plain_contains(ch, rp)
+    mac = capacity.mac_conf_contains(ChannelSpec(ch.p1, ch.p2, ch.n0, 0.0), rp,
+                                     capacity.MacPowerSplit(0.0, 0.0))
 
     slacks = {
         "d1": 0.5 * (math.log2(target.d1) - math.log2(kp.achieved.d1)),

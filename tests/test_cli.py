@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confmac import search
+from confmac import capacity, search
 from confmac.cli import MAX_GRID_POINTS, parse_grid, run
-from confmac.model import ChannelSpec, DomainError, SourceSpec
+from confmac.model import ChannelSpec, DomainError, RatePoint, SourceSpec
 from confmac.validation import _SCHEME_BLOCK_ROWS, _feasible_scheme_rows, _uniform_rows
 from confmac.vqscheme import RATE_BOUND_NAMES, VqConfig, vq_rate_region
 
@@ -49,6 +49,26 @@ def test_region_feasible_exit_zero():
     ])
     assert code == 0
     assert json.loads(out)["feasible"] is True
+
+
+@pytest.mark.parametrize("which, flags, c12, split", [
+    ("mac", [], 0.0, (0.0, 0.0)),
+    ("mac-conf", ["--beta", "0.25"], math.inf, (1.0, 0.25)),
+    ("mac-conf-fixed", ["--beta1", "1", "--beta2", "0.25", "--c12", "inf"], math.inf, (1.0, 0.25)),
+    ("mac-conf-fixed", ["--beta1", "0.5", "--beta2", "0.25", "--c12", "0.5"], 0.5, (0.5, 0.25)),
+])
+def test_region_mac_names_are_points_of_one_region(which, flags, c12, split):
+    """``region mac``, ``mac-conf`` and ``mac-conf-fixed`` report the one
+    conferencing region at their ``(c12, split)``; ``--c12 inf`` included."""
+    code, out = run_cli(["region", which, "--p1", "2", "--p2", "1.5", "--noise", "1",
+                         "--r1", "0.3", "--r2", "0.2", *flags, "--json"])
+    report = capacity.mac_conf_contains(ChannelSpec(2.0, 1.5, 1.0, c12), RatePoint(0.3, 0.2),
+                                        capacity.MacPowerSplit(*split))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["slacks"] == {k: float(v) if math.isfinite(v) else "inf"
+                                 for k, v in report.slacks.items()}
+    assert payload["witness"] == {"r1": 0.3, "r2": 0.2, "beta1": split[0], "beta2": split[1]}
 
 
 def test_domain_error_exit_code():

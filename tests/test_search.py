@@ -98,10 +98,15 @@ def test_converged_reports_the_step_cap():
     assert steps == 200 and not converged and lo < 1.0 / 3.0 <= hi
     lo, hi, steps, converged = search._bisect(lambda p: p >= 1.0 / 3.0, 0.0, 1.0, 1e-9, 0.0)
     assert steps < 200 and converged and hi - lo <= 1e-9 * hi
+    # iterations count the 3 doublings that reach a feasible power, then 200 steps
     capped = min_power_symmetric(SRC, Scheme.NECESSARY, TARGET, tol=0.0)
-    assert capped.iterations == 200 and not capped.converged
+    assert capped.iterations == 203 and not capped.converged
     met = min_power_symmetric(SRC, Scheme.NECESSARY, TARGET, tol=1e-9)
     assert met.iterations < 200 and met.converged
+    # an answer near 2^499 N takes 499 doublings, and the cap leaves its steps alone
+    far = min_power_symmetric(SRC, Scheme.NECESSARY, DistortionPair(1e-150, 0.2))
+    assert far.converged and far.iterations > 500
+    assert far.bracket[1] - far.bracket[0] <= 1e-6 * far.bracket[1]
 
 
 def test_determinism():
@@ -875,6 +880,45 @@ def test_second_opinion_solves_match_pinned_results():
         res = min_power_symmetric(SourceSpec(1.0, rho), Scheme.VQ, DistortionPair(d1, d2),
                                   c12=UNLIMITED, tol=1e-9)
         assert res.objective == objective < alone, (rho, d1, d2, res.objective)
+
+
+# (d1, d2, c12, objective, bracket, iterations) of sep1 least-power solves at
+# rho = 0.5, n0 = 1 and the default tol 1e-6, and (objective, bracket,
+# iterations) of the sep1 least-link solve at P = 11.5, target (0.1, 0.2) and
+# tol 1e-3.  Exact rewrites of the region and its split test must keep them
+# bit for bit.
+PINNED_SEP1_SOLVES = (
+    (0.04, 0.2, UNLIMITED, 23.992431640625, (23.992416381835938, 23.992431640625), 25),
+    (0.04, 0.2, 1.0, 28.900680541992188, (28.900665283203125, 28.900680541992188), 25),
+    (0.04, 0.2, 0.0, 46.541107177734375, (46.54107666015625, 46.541107177734375), 26),
+    (0.2, 0.2, UNLIMITED, 5.423679351806641, (5.423675537109375, 5.423679351806641), 23),
+    (0.2, 0.2, 1.0, 5.550891876220703, (5.5508880615234375, 5.550891876220703), 23),
+    (0.2, 0.2, 0.0, 9.038810729980469, (9.038803100585938, 9.038810729980469), 24),
+)
+PINNED_SEP1_MINCONF = (0.9482421875, (0.947265625, 0.9482421875), 10)
+
+
+def test_sep1_solves_match_pinned_results():
+    for d1, d2, c12, objective, bracket, iterations in PINNED_SEP1_SOLVES:
+        res = min_power_symmetric(SRC, Scheme.SEP1, DistortionPair(d1, d2), c12=c12)
+        assert (res.objective, res.bracket, res.iterations, res.converged) == (
+            objective, bracket, iterations, True), (d1, d2, c12)
+    res = min_conf_capacity(SRC, ChannelSpec(11.5, 11.5, 1.0), Scheme.SEP1,
+                            DistortionPair(0.1, 0.2), tol=1e-3)
+    assert (res.objective, res.bracket, res.iterations, res.converged) == (
+        *PINNED_SEP1_MINCONF, True)
+
+
+@pytest.mark.parametrize("c12", [UNLIMITED, 1.0])
+def test_sep1_past_the_float_range_of_p1_p2(c12):
+    """At d1 = 1e-300 the answer is near 1e300, where ``p1 p2`` overflows.
+    sep1 still pays full cooperation's power times ``1 + 4^-c12``, the
+    fixed-link high-SNR penalty, never less, and converges."""
+    target = DistortionPair(1e-300, 0.2)
+    full = min_power_symmetric(SRC, Scheme.FULL_COOP, target).objective
+    res = min_power_symmetric(SRC, Scheme.SEP1, target, c12=c12)
+    assert res.converged and res.objective >= full
+    assert res.objective == pytest.approx(full * (1.0 + 4.0**-c12), rel=1e-5)
 
 
 # (P/N, objective, bracket) of min_d1_unlimited at rho = 0.5, d2 = 0.2, n0 = 1:

@@ -38,7 +38,7 @@ def sep1_grid_oracle(src, ch, target, n=120):
             if not rdlib.wagner_contains(src, target, rp).feasible:
                 continue
             for beta in np.linspace(0.0, 1.0, 101):
-                report = capacity.mac_conf_unlimited_contains(ch, rp, float(beta))
+                report = capacity.mac_conf_contains(ch, rp, capacity.MacPowerSplit(1.0, beta))
                 if min(report.slacks.values()) >= 0:
                     return True
     return False
@@ -62,13 +62,11 @@ def test_sep1_witness_revalidates():
         rp = RatePoint(report.witness["r1"], report.witness["r2"])
         source = rdlib.wagner_contains(src, DistortionPair(0.2, 0.2), rp)
         assert min(source.slacks.values()) >= -1e-9
-        if c12 is UNLIMITED:
-            channel = capacity.mac_conf_unlimited_contains(ch, rp, report.witness["beta"])
-        else:
-            channel = capacity.mac_conf_fixed_contains(
-                ch, rp, capacity.MacPowerSplit(report.witness["beta1"],
-                                               report.witness["beta2"]))
+        channel = capacity.mac_conf_contains(
+            ch, rp, capacity.MacPowerSplit(report.witness["beta1"], report.witness["beta2"]))
         assert min(channel.slacks.values()) >= -1e-9
+        if c12 is UNLIMITED:  # the link carries all of r1: full coherence on its side
+            assert report.witness["beta1"] == 1.0
 
 
 def test_sep1_no_conference_equals_plain_mac_pipeline():
@@ -134,7 +132,9 @@ def test_sep2_witness_revalidates():
     assert point.achieved.d1 <= target.d1 * (1 + 1e-6)
     assert point.achieved.d2 <= target.d2 * (1 + 1e-6)
     rp = RatePoint(report.witness["r1"], report.witness["r2"])
-    assert min(capacity.mac_plain_contains(ch, rp).slacks.values()) >= -1e-9
+    plain = capacity.mac_conf_contains(ChannelSpec(ch.p1, ch.p2, ch.n0, 0.0), rp,
+                                       capacity.MacPowerSplit(0.0, 0.0))
+    assert min(plain.slacks.values()) >= -1e-9
     assert rp.r1 >= point.r1_bound - 1e-9
     assert rp.r2 >= point.r2_bound - 1e-9
     assert rp.r1 + rp.r2 >= point.rsum_bound - 1e-9

@@ -96,20 +96,21 @@ def _split(lo, mid, up, keep, upper_half):
             np.where(upper_half, up, mid).reshape(-1, d))
 
 
-def _least(value, bound, hi) -> tuple[np.ndarray | None, float, bool]:
+def _least(evaluate, hi) -> tuple[np.ndarray | None, float, bool]:
     """``(point, least, proof)``: the box centre of ``[0, hi]`` with the
-    least ``value`` (at ``(m, d)`` points) seen, that value (+inf when none
-    is finite), and whether no point of the box lies below ``least * (1 -
-    _LEAST_GAP)``.
+    least value seen, that value (+inf when none is finite), and whether no
+    point of the box lies below ``least * (1 - _LEAST_GAP)``.
 
-    The minimizing twin of :func:`_certify`, on its box schedule and caps:
-    each round evaluates every box centre, then drops the boxes whose
-    ``bound(lo, up)``, a lower bound of ``value`` over the box, less the
-    relative margin :data:`_LEAST_MARGIN`, is at or above ``least * (1 -
-    _LEAST_GAP)`` (NaN keeps a box), and halves the rest along every axis.  The
-    result is a proof once no box is left.  A round that keeps more boxes
-    than the next may evaluate splits only those with the lowest bounds, and
-    its result is no proof; nor is one at the round cap.
+    ``evaluate(lo, mid, up)`` takes ``(m, d)`` arrays of boxes and their
+    centres and returns each centre's value and a lower bound of the value
+    over each box, in one call.  The minimizing twin of :func:`_certify`, on
+    its box schedule and caps: each round evaluates every box, then drops
+    the boxes whose bound less the relative margin :data:`_LEAST_MARGIN` is
+    at or above ``least * (1 - _LEAST_GAP)`` (NaN keeps a box), and halves
+    the rest along every axis.  The result is a proof once no box is left.
+    A round that keeps more boxes than the next may evaluate splits only
+    those with the lowest bounds, and its result is no proof; nor is one at
+    the round cap.
     """
     hi = np.asarray(hi, dtype=float)
     d = hi.size
@@ -118,11 +119,10 @@ def _least(value, bound, hi) -> tuple[np.ndarray | None, float, bool]:
     best, point, proof = math.inf, None, True
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo + up)
-        vals = value(mid)
+        vals, lower = evaluate(lo, mid, up)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best, point = float(vals[i]), mid[i]
-        lower = bound(lo, up)
         keep = np.flatnonzero(~(lower * (1.0 - _LEAST_MARGIN) >= best * (1.0 - _LEAST_GAP)))
         if not keep.size:
             return point, best, proof
@@ -149,8 +149,13 @@ def _least_power(n0: float, terms, d1a, d2a, d1: float, d2: float) -> np.ndarray
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         power = n0 * np.maximum.reduce([np.where(num > 0.0, num / den, 0.0) for num, den in terms])
-    met = (d1a <= d1 * 4.0**_LEAST_EPS) & (d2a <= d2 * 4.0**_LEAST_EPS)
-    return np.where(met, power, np.inf)
+    return np.where(_meets(d1a, d2a, d1, d2), power, np.inf)
+
+
+def _meets(d1a, d2a, d1: float, d2: float) -> np.ndarray:
+    """Where the achieved distortions ``d1a``, ``d2a`` meet their targets
+    times ``4^_LEAST_EPS``."""
+    return (d1a <= d1 * 4.0**_LEAST_EPS) & (d2a <= d2 * 4.0**_LEAST_EPS)
 
 
 def compass_search_max(

@@ -293,6 +293,7 @@ def cmd_region(args) -> int:
             c12, split = UNLIMITED, (1.0, *_floats(cfg, "beta"))
         else:
             c12, split = cfg["c12"], _floats(cfg, "beta1", "beta2")
+        echo["c12"] = c12  # the capacity the region is evaluated at, whatever --c12 says
         report = capacity.mac_conf_contains(ChannelSpec(p1, p2, n0, c12), RatePoint(r1, r2),
                                             capacity.MacPowerSplit(*split))
         return emit_report(report, echo, args.json)

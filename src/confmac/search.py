@@ -9,8 +9,11 @@ On the quantizer scheme's slices ``c12 = 0`` and ``c12 = inf`` and for
 separation scheme 2, every rate bound is linear in a common scale ``s`` of
 the powers ``(s p1, s p2)`` and no distortion reads it, so each box point has
 a closed-form least scale; one :func:`_opt._least` run finds the least over
-the box and the point that needs it.  A solve makes one box and one run per
-form, along its powers' direction, and every bisection step reads it: a
+the box and the point that needs it.  Both quantizer slices search two
+rates: ``(r1, r2)`` without conference, and ``(r2, rc)`` with unlimited
+conference, where the coherence split ``beta`` a point needs least has a
+closed form (:func:`_unlimited_least`).  A solve makes one box and one run
+per form, along its powers' direction, and every bisection step reads it: a
 scheme-2 step is ``p >= m`` at unit powers, and that point is the witness at
 ``hi``.
 
@@ -35,9 +38,10 @@ keeps ``r1 + rc`` inside the unlimited run's box, so that run's proof covers
 it, but its own "infeasible" is not proven: a solve whose witness
 re-validates at the bracket's ``lo`` reports ``converged = False``.
 :func:`min_d1_unlimited` (``d1d2-vs-snr``) minimizes ``d1`` by one
-branch-and-bound whose proof is its ``converged`` flag.  Separation scheme 1
-and the necessary condition take one feasibility query per bisection step,
-whose last feasible one gives the witness at ``hi``.
+branch-and-bound over the unlimited slice whose proof is its ``converged``
+flag.  Separation scheme 1 and the necessary condition take one feasibility
+query per bisection step, whose last feasible one gives the witness at
+``hi``; scheme 1's source boundary is built once per solve.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from ._opt import (
     _excess,
     _least,
     _least_power,
+    _meets,
     compass_search_max,
     refine_grid_max,
 )
@@ -155,7 +160,7 @@ def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
 
 
 def _noconf_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(value, bound)`` for :func:`_opt._least` on the no-conference slice,
+    """``evaluate`` for :func:`_opt._least` on the no-conference slice,
     points ``(r1, r2)`` in bits: each point's least scale ``s`` of ``ch``'s
     powers, at which ``(s p1, s p2)`` meets the target.
 
@@ -167,29 +172,24 @@ def _noconf_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     1/(1 - t))/p1``, its ``r2`` twin and ``n0 (4^(r1+r2) (1 - t) - 1)/(p1 +
     p2 + 2 sqrt(t p1 p2))``.  Each numerator falls with ``t``, which rises
     with both rates, and both distortions fall with them: a box's bound
-    takes the rates at ``lo`` and ``t`` and the distortions at ``up``.
+    takes the rates at ``lo`` and ``t`` and the distortions at ``up``.  The
+    centres and the boxes are one stacked evaluation.
     """
     rho, p1, p2, n0 = src.rho, ch.p1, ch.p2, ch.n0
     coherent = 2.0 * math.sqrt(p1 * p2)
 
-    def least(r1, r2, t, d1a, d2a):
+    def evaluate(lo, mid, up):
+        rates, corners = np.concatenate([mid, lo]), np.concatenate([mid, up])
+        r1, r2 = rates[:, 0], rates[:, 1]
+        t = rho**2 * np.prod(-np.expm1(-2.0 * math.log(2.0) * corners), axis=1)
         odds = t / (1.0 - t)
-        return _least_power(n0, ((_excess(r1) - odds, p1), (_excess(r2) - odds, p2),
-                                 (_excess(r1 + r2) * (1.0 - t) - t,
-                                  p1 + p2 + coherent * np.sqrt(t))),
-                            d1a, d2a, target.d1, target.d2)
-
-    def t_at(pts):
-        return rho**2 * np.prod(-np.expm1(-2.0 * math.log(2.0) * pts), axis=1)
-
-    def value(pts):
-        return least(pts[:, 0], pts[:, 1], t_at(pts),
-                     *vqscheme._distortion_arrays(rho, pts[:, 0], pts[:, 1], 0.0))
-
-    def bound(lo, up):
-        return least(lo[:, 0], lo[:, 1], t_at(up),
-                     *vqscheme._distortion_arrays(rho, up[:, 0], up[:, 1], 0.0))
-    return value, bound
+        least = _least_power(n0, ((_excess(r1) - odds, p1), (_excess(r2) - odds, p2),
+                                  (_excess(r1 + r2) * (1.0 - t) - t,
+                                   p1 + p2 + coherent * np.sqrt(t))),
+                             *vqscheme._distortion_arrays(rho, corners[:, 0], corners[:, 1], 0.0),
+                             target.d1, target.d2)
+        return least[:len(mid)], least[len(mid):]
+    return evaluate
 
 
 def _unlimited_terms(rho2: float, rates):
@@ -200,58 +200,142 @@ def _unlimited_terms(rho2: float, rates):
             2.0 ** (-2.0 * rates[:, 0]) * (1.0 - rho2 * fc) / omh)
 
 
+_BETA_TOP = float(np.nextafter(1.0, 0.0))  # the largest split: at 1 the readable r1+r2 bound fails
+
+
+def _unlimited_numerators(rates, h):
+    """``(N2, Nc, Ns)`` of :func:`_unlimited_least` at ``(r2, rc)`` rows and
+    their ``h``; none reads ``beta``."""
+    r2, rc = rates[:, 0], rates[:, 1]
+    odds = h / (1.0 - h)
+    return _excess(r2) - odds, _excess(rc) - odds, _excess(r2 + rc) * (1.0 - h) - h
+
+
+def _unlimited_split(p1, p2, n2, nc, ns, h_delta, h_gain):
+    """The split ``b`` of :func:`_unlimited_least` at rows of its numerators:
+    the largest float at or below ``beta*``, the least ``beta`` at which the
+    ``r2`` term reaches both the ``rc`` term (``delta`` read at ``h_delta``)
+    and the sum term (gain read at ``h_gain``), and at most ``_BETA_TOP``.
+    ``beta*`` is 0 where the ``r2`` term already does at ``beta = 0``, and
+    1 where ``N2 <= 0``.  Past 0.5 the floats step by ``2^-53``, a large
+    step for a small ``1 - beta`` and so for the ``r2`` term; at the float
+    below the crossing the falling terms, which move little, are the
+    largest."""
+    n2, nc, ns = (np.maximum(n, 0.0) for n in (n2, nc, ns))
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked rows: N2 = 0, Ns = 0
+        # T2 = Tc: A + B sin(theta) = C cos(theta)
+        root_n2p2 = np.sqrt(n2 * p2)
+        a = np.sqrt(n2 * p1 * (1.0 - h_delta))
+        b = root_n2p2 + np.sqrt(nc * p2 * h_delta)
+        c = np.sqrt(nc * p2 * (1.0 - h_delta))
+        r2 = b * b + c * c
+        sin = (c * np.sqrt(np.maximum(r2 - a * a, 0.0)) - a * b) / r2
+        gap_delta = np.where(a < c, ((a + root_n2p2 * np.maximum(sin, 0.0)) / c) ** 2, 1.0)
+        # T2 = Ts: a quadratic in u = sqrt(h + beta (1 - h))
+        coherent = math.sqrt(p1 * p2)
+        u = vqscheme._upper_root(ns * p2, 2.0 * n2 * (1.0 - h_gain) * coherent,
+                                 n2 * (1.0 - h_gain) * (p1 + p2) - ns * p2)
+        u = np.maximum(u, np.sqrt(h_gain))
+        gap_gain = n2 * (p1 + p2 + 2.0 * coherent * u) / (ns * p2)
+    gap = np.where(n2 > 0.0, np.minimum(np.minimum(gap_delta, gap_gain), 1.0), 0.0)  # 1 - beta*
+    beta = 1.0 - gap
+    return np.minimum(np.where(1.0 - beta < gap, np.nextafter(beta, 0.0), beta), _BETA_TOP)
+
+
+def _unlimited_beta(src: SourceSpec, ch: ChannelSpec, rates):
+    """The split ``b`` of :func:`_unlimited_least` at ``(r2, rc)`` rows and
+    ``ch``'s powers."""
+    h, _, _ = _unlimited_terms(src.rho**2, rates)
+    return _unlimited_split(ch.p1, ch.p2, *_unlimited_numerators(rates, h), h, h)
+
+
 def _unlimited_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(value, bound)`` for :func:`_opt._least` on the unlimited-conference
-    slice, points ``(r2, rc, beta)``: each point's least scale ``s`` of
-    ``ch``'s powers.
+    """``evaluate`` for :func:`_opt._least` on the unlimited-conference
+    slice, points ``(r2, rc)`` in bits: each point's least scale ``s`` of
+    ``ch``'s powers over the coherence split ``beta``.
 
     With ``h = rho^2 f2 fc``, ``g = (1 - beta) h`` and ``delta = sqrt p1 +
     sqrt p2 (sqrt(g + beta) - sqrt g)``, the bounds of
     :func:`_unlimited_slice` meet ``r2``, ``rc`` and ``r2 + rc`` less
-    ``_LEAST_EPS`` at ``s = n0 (4^r2 - 1/(1 - h))/((1 - beta) p2)``, ``n0
-    (4^rc - 1/(1 - h))/delta^2`` and ``n0 (4^(r2+rc) (1 - h) - 1)/(p1 + p2 +
-    2 sqrt((g + beta) p1 p2))``.  A box's bound takes the numerators at
-    (rates ``lo``, ``h`` ``up``); ``1 - beta`` at ``beta`` ``lo``; ``delta``,
-    which rises with ``beta`` and falls with ``h``, at (``h`` ``lo``,
-    ``beta`` ``up``); ``g + beta``, rising in both, at ``up``; and the
-    distortions, falling with both rates, at ``up``.
+    ``_LEAST_EPS`` at ``s = n0 T``, the largest of ``T2 = N2/((1 - beta)
+    p2)``, ``Tc = Nc/delta^2`` and ``Ts = Ns/(p1 + p2 + 2 sqrt((g + beta) p1
+    p2))`` (a term is 0 where its numerator is not positive), with ``N2 =
+    4^r2 - 1/(1 - h)``, ``Nc = 4^rc - 1/(1 - h)`` and ``Ns = 4^(r2+rc) (1 -
+    h) - 1``.  No numerator reads ``beta``.  ``T2`` rises with ``beta``;
+    ``delta`` and ``g + beta = h + beta (1 - h)`` rise with it, so ``Tc``
+    and ``Ts`` fall.  The least over ``beta`` of their largest is therefore
+    at ``beta* = max(beta_c, beta_s)``, where ``T2`` crosses ``Tc`` and
+    ``Ts`` (:func:`_unlimited_split`): 0 where ``T2`` is already the largest
+    at ``beta = 0``, and 1 where ``N2 <= 0``.
+
+    - ``T2 = Ts``: with ``u = sqrt(h + beta (1 - h))``, so that ``1 - beta =
+      (1 - u^2)/(1 - h)``, it reads ``Ns p2 u^2 + 2 N2 (1 - h) sqrt(p1 p2) u
+      + N2 (1 - h)(p1 + p2) - Ns p2 = 0``, increasing in ``u >= 0``: its
+      larger root, floored at ``sqrt h``, gives ``1 - beta_s = N2 (p1 + p2 +
+      2 sqrt(p1 p2) u)/(Ns p2)``, capped at 1.
+    - ``T2 = Tc``: with ``u = sin phi``, ``sin psi = sqrt h`` and ``theta =
+      phi - psi`` it reads ``A + B sin theta = C cos theta``, ``A = sqrt(N2
+      p1 (1 - h))``, ``B = sqrt(N2 p2) + sqrt(Nc p2 h)``, ``C = sqrt(Nc p2
+      (1 - h))``; the left side rises and the right falls on ``theta`` in
+      ``[0, pi/2 - psi]``, so a root exists iff ``A < C``.  With ``R^2 =
+      B^2 + C^2``, ``sin theta = (C sqrt(R^2 - A^2) - A B)/R^2``, and
+      ``1 - beta_c = ((A + sqrt(N2 p2) sin theta)/C)^2``.
+
+    Splits are the floats of ``[0, _BETA_TOP]``: at ``beta1 = beta2 = 1``
+    the readable path's ``frac12`` guard turns its 0/0 into 0 where its
+    limit along ``beta1 = 1`` is ``brho^2``, and its ``r1 + r2`` bound drops
+    to 0.  A point's value is the formula at its split ``b``, the largest
+    float at or below ``beta*`` (:func:`_unlimited_split`).  A box's bound takes
+    the numerators at (rates ``lo``, ``h`` ``up``), ``delta`` at ``h``
+    ``lo``, the sum gain at ``h`` ``up`` and the distortions at ``up``: each
+    term is then a lower bound of its value over the box at every split,
+    ``T2``'s rising and the others' falling with it.  So every split at or
+    below the box's own ``b`` has a largest term of at least ``max(Tc,
+    Ts)(b)``, every split above it at least ``T2(b+)``, ``b+`` the next
+    float (none past ``_BETA_TOP``), and every split at least ``T2(0)``: the
+    bound is ``max(min(max(Tc, Ts)(b), T2(b+)), T2(0))``.  It holds whatever
+    the rounding of ``b``, and equals a point's value where ``b`` is the
+    crossing's float.  The centres and the boxes are one stacked evaluation.
     """
     rho2, p1, p2, n0 = src.rho**2, ch.p1, ch.p2, ch.n0
     root1, root2, coherent = math.sqrt(p1), math.sqrt(p2), 2.0 * math.sqrt(p1 * p2)
 
-    def least(r2, rc, h, one_minus_beta, delta, gain, d1a, d2a):
-        odds = h / (1.0 - h)
-        return _least_power(n0, ((_excess(r2) - odds, one_minus_beta * p2),
-                                 (_excess(rc) - odds, delta**2),
-                                 (_excess(r2 + rc) * (1.0 - h) - h,
-                                  p1 + p2 + coherent * np.sqrt(gain))),
-                            d1a, d2a, target.d1, target.d2)
+    def evaluate(lo, mid, up):
+        m = len(mid)
+        h, d1a, d2a = _unlimited_terms(rho2, np.concatenate([mid, up, lo]))
+        # rows: the centres, then the boxes
+        h_num, h_delta = h[:2 * m], np.concatenate([h[:m], h[2 * m:]])
+        n2, nc, ns = _unlimited_numerators(np.concatenate([mid, lo]), h_num)
+        beta = _unlimited_split(p1, p2, n2, nc, ns, h_delta, h_num)
+        g_delta, g_gain = (1.0 - beta) * h_delta, (1.0 - beta) * h_num
+        delta = root1 + root2 * np.sqrt(g_delta + beta) - root2 * np.sqrt(g_delta)
+        n2_box, top = n2[m:], beta[m:] == _BETA_TOP
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t2 = np.where(n2 > 0.0, n2 / ((1.0 - beta) * p2), 0.0)
+            gain = p1 + p2 + coherent * np.sqrt(g_gain + beta)
+            rest = np.maximum(np.where(nc > 0.0, nc / delta**2, 0.0),
+                              np.where(ns > 0.0, ns / gain, 0.0))
+            # the r2 term at the next split up (none past _BETA_TOP) and at 0
+            above = np.where(n2_box > 0.0, n2_box / ((1.0 - np.nextafter(beta[m:], 2.0)) * p2),
+                             0.0)
+            floor = np.where(n2_box > 0.0, n2_box / p2, 0.0)
+        lower = np.maximum(np.minimum(rest[m:], np.where(top, np.inf, above)), floor)
+        least = n0 * np.concatenate([np.maximum(t2[:m], rest[:m]), lower])
+        least = np.where(_meets(d1a[:2 * m], d2a[:2 * m], target.d1, target.d2), least, np.inf)
+        return least[:m], least[m:]
+    return evaluate
 
-    def delta_gain(h, beta):  # delta and g + beta
-        g = (1.0 - beta) * h
-        return root1 + root2 * np.sqrt(g + beta) - root2 * np.sqrt(g), g + beta
 
-    def value(pts):
-        h, d1a, d2a = _unlimited_terms(rho2, pts[:, :2])
-        return least(pts[:, 0], pts[:, 1], h, 1.0 - pts[:, 2], *delta_gain(h, pts[:, 2]),
-                     d1a, d2a)
-
-    def bound(lo, up):
-        h_up, d1a, d2a = _unlimited_terms(rho2, up[:, :2])
-        delta, _ = delta_gain(_unlimited_terms(rho2, lo[:, :2])[0], up[:, 2])
-        _, gain = delta_gain(h_up, up[:, 2])
-        return least(lo[:, 0], lo[:, 1], h_up, 1.0 - lo[:, 2], delta, gain, d1a, d2a)
-    return value, bound
-
-
-def _noconf_config(pt) -> vqscheme.VqConfig:
+def _noconf_config(src: SourceSpec, ch: ChannelSpec, pt) -> vqscheme.VqConfig:
     """The full scheme's configuration at a no-conference slice point."""
     return vqscheme.VqConfig(pt[0], pt[1], 0.0, 0.0, 0.0)
 
 
-def _unlimited_config(pt) -> vqscheme.VqConfig:
-    """The full scheme's configuration at an unlimited-conference slice point."""
-    return vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])
+def _unlimited_config(src: SourceSpec, ch: ChannelSpec, pt) -> vqscheme.VqConfig:
+    """The full scheme's configuration at an unlimited-conference slice
+    point ``(r2, rc)``, at its best coherence split for ``ch``'s powers."""
+    beta = float(_unlimited_beta(src, ch, pt[None, :])[0])
+    return vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, beta)
 
 
 class _VqFeasibility:
@@ -269,19 +353,22 @@ class _VqFeasibility:
         self.least_runs: dict = {}
         self.link_runs: dict = {}
 
-    def _scaled_least(self, least_fn, ch: ChannelSpec, box: tuple):
-        """``(point, reached, proof)``: the :func:`_opt._least` run of
-        ``least_fn``'s form on its ``box`` at ``ch``'s powers over their
-        maximum ``top``, whether ``top`` reaches its least scale, and the
-        run's proof.  One box and one run per form per solve: the run is
-        made at the first query along these powers and serves every later
-        one."""
+    def _scaled_least(self, form, config, ch: ChannelSpec):
+        """``(config, reached, proof)``: the full scheme's configuration at
+        the point of the :func:`_opt._least` run of the slice ``form`` on
+        its ``(side, side)`` box at ``ch``'s powers over their maximum
+        ``top`` (None where no point is finite), whether ``top`` reaches its
+        least scale, and the run's proof.  One run per form per solve: the
+        run is made at the first query along these powers and serves every
+        later one."""
         top = max(ch.p1, ch.p2)
         base = ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0)
-        if (least_fn, base) not in self.least_runs:
-            self.least_runs[least_fn, base] = _least(*least_fn(self.src, base, self.target), box)
-        pt, least, proof = self.least_runs[least_fn, base]
-        return pt, top >= least, proof
+        if (form, base) not in self.least_runs:
+            pt, least, proof = _least(form(self.src, base, self.target), (self.side, self.side))
+            cfg = None if pt is None else config(self.src, base, pt)
+            self.least_runs[form, base] = cfg, least, proof
+        cfg, least, proof = self.least_runs[form, base]
+        return cfg, top >= least, proof
 
     def _link_run(self, base: ChannelSpec, stop: float):
         """``(marks, complete)``: the least-scale compass run at ``base``'s
@@ -316,12 +403,10 @@ class _VqFeasibility:
             return -least
 
         starts = [halton_points(32, 4)]
-        for form, box, config in ((_noconf_least, (self.side,) * 2, _noconf_config),
-                                  (_unlimited_least, (self.side, self.side, 1.0),
-                                   _unlimited_config)):
-            pt, _, _ = self._scaled_least(form, base, box)
-            if pt is not None:
-                cfg = config(pt)
+        for form, config in ((_noconf_least, _noconf_config),
+                             (_unlimited_least, _unlimited_config)):
+            cfg, _, _ = self._scaled_least(form, config, base)
+            if cfg is not None:
                 starts.append([[cfg.r1 / cap, cfg.r2 / cap, cfg.beta1, cfg.beta2]])
         val, pt, _ = compass_search_max(objective, np.vstack(starts), stop_at=-stop)
         if val < -stop:
@@ -346,26 +431,25 @@ class _VqFeasibility:
         """The no-conference slice's least point when ``ch``'s powers reach
         its least scale, else None, proof or none: the slack search never
         answered lower below an unproven run."""
-        pt, reached, _ = self._scaled_least(_noconf_least, ch, (self.side,) * 2)
-        return _noconf_config(pt) if reached else None
+        cfg, reached, _ = self._scaled_least(_noconf_least, _noconf_config, ch)
+        return cfg if reached else None
 
     def certified(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The slack search's first witness on the unlimited slice at ``ch``'s
         powers, or None: the second opinion below an unproven unlimited run."""
         pt, _ = _certify(*_unlimited_slice(self.src, ch, self.target),
                          (self.side, self.side, 1.0))
-        return None if pt is None else _unlimited_config(pt)
+        return None if pt is None else vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])
 
     def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
         ch = ChannelSpec(p1, p2, n0, c12)
         if c12 == 0.0:
             cfg = self._noconf(ch)
         else:
-            pt, reached, proof = self._scaled_least(_unlimited_least, ch,
-                                                    (self.side, self.side, 1.0))
+            run, reached, proof = self._scaled_least(_unlimited_least, _unlimited_config, ch)
             unlimited = is_unlimited(c12)
-            if reached and (unlimited or pt[1] <= _rc_budget(self.src.rho, 0.0, c12)):
-                cfg = _unlimited_config(pt)
+            if reached and (unlimited or run.rc <= _rc_budget(self.src.rho, 0.0, c12)):
+                cfg = run
             elif not reached and proof:
                 cfg = None
             elif unlimited:
@@ -493,18 +577,20 @@ def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n
             return inner(p, p, n0, c12)
     elif scheme is Scheme.SEP2:
         unit = ChannelSpec(1.0, 1.0, n0, c12)
-        pt, least, _ = _least(*separation._sep2_least(src, unit, target), [1.0, 1.0])
+        pt, least, _ = _least(separation._sep2_least(src, unit, target), [1.0, 1.0])
 
         def predicate(p: float) -> bool:
             return p >= least
+    elif scheme is Scheme.SEP1:
+        boundary = separation._sep1_boundary(src, target)
+        # read from the module at each step: a wrapper installed there sees every call
+        predicate = _keeping_witness(lambda p: separation.sep1_feasible(
+            src, ChannelSpec(p, p, n0, c12), target, boundary), found)
+    elif scheme is Scheme.NECESSARY:
+        predicate = _keeping_witness(lambda p: bounds.necessary_condition(
+            src, ChannelSpec(p, p, n0, c12), target), found)
     else:
-        # read from the modules at each solve: a wrapper installed there sees every call
-        report_fn = {Scheme.NECESSARY: bounds.necessary_condition,
-                     Scheme.SEP1: separation.sep1_feasible}.get(scheme)
-        if report_fn is None:
-            raise DomainError("scheme", f"unsupported scheme {scheme}")
-        predicate = _keeping_witness(
-            lambda p: report_fn(src, ChannelSpec(p, p, n0, c12), target), found)
+        raise DomainError("scheme", f"unsupported scheme {scheme}")
 
     lo, hi, iterations, converged = _expand_and_bisect(predicate, n0, p_ceiling, tol)
 
@@ -542,9 +628,9 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
         def predicate_at(c) -> bool:
             return inner(p1, p2, n0, c)
     elif scheme is Scheme.SEP1:
-        found = {}
-        predicate_at = _keeping_witness(
-            lambda c: separation.sep1_feasible(src, ChannelSpec(p1, p2, n0, c), target), found)
+        found, boundary = {}, separation._sep1_boundary(src, target)
+        predicate_at = _keeping_witness(lambda c: separation.sep1_feasible(
+            src, ChannelSpec(p1, p2, n0, c), target, boundary), found)
     else:
         raise DomainError("scheme", f"conference search supports VQ and SEP1, got {scheme}")
 
@@ -574,33 +660,36 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
                      d2_target: float) -> OptimizationResult:
     """Smallest ``d1`` the unlimited-conference scheme reaches at ``d2 <= d2_target``.
 
-    One :func:`_opt._least` run over the unlimited slice, its rate box grown
-    with the coherent sum capacity.  A point's value is its ``d1`` where
-    :func:`_unlimited_least`'s scale at the target ``(1, d2_target)`` is at
-    most 1, else +inf; a box's bound is the ``d1`` at its ``up`` corner, or
-    +inf where the scale's bound exceeds 1.  ``converged`` is the run's
-    proof.  Without one (the optimal points lie on the power constraint:
-    rho 0.97 at d2 0.05, rho 1) a bisection on ``log2 d1`` by certified
-    queries runs too, and the lower answer is returned.
+    One :func:`_opt._least` run over the unlimited slice's ``(r2, rc)``, its
+    rate box grown with the coherent sum capacity.  A point's value is its
+    ``d1`` where :func:`_unlimited_least`'s scale at the target ``(1,
+    d2_target)`` is at most 1, else +inf; a box's bound is the ``d1`` at its
+    ``up`` corner, or +inf where the scale's bound exceeds 1.  The witness's
+    ``beta`` is the point's best split.  ``converged`` is the run's proof.
+    Without one (the optimal points lie on the power constraint: rho 1) a
+    bisection on ``log2 d1`` by certified queries runs too, and the lower
+    answer is returned.
     """
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
     rate_cap = 0.5 * math.log2(1.0 + (p1 + p2 + 2.0 * math.sqrt(p1 * p2)) / n0) + 1.0
-    ch, box, rho2 = ChannelSpec(p1, p2, n0), [rate_cap, rate_cap, 1.0], src.rho**2
-    scale, scale_bound = _unlimited_least(src, ch, DistortionPair(1.0, d2_target))
+    ch, rho2 = ChannelSpec(p1, p2, n0), src.rho**2
+    scale = _unlimited_least(src, ch, DistortionPair(1.0, d2_target))
 
-    def value(pts):
-        return np.where(scale(pts) <= 1.0, _unlimited_terms(rho2, pts[:, :2])[1], np.inf)
-
-    def bound(lo, up):
-        return np.where(scale_bound(lo, up) <= 1.0, _unlimited_terms(rho2, up[:, :2])[1], np.inf)
-    pt, d1, proof = _least(value, bound, box)
+    def evaluate(lo, mid, up):
+        at_mid, below = scale(lo, mid, up)
+        d1 = _unlimited_terms(rho2, np.concatenate([mid, up]))[1]
+        return (np.where(at_mid <= 1.0, d1[:len(mid)], np.inf),
+                np.where(below <= 1.0, d1[len(mid):], np.inf))
+    pt, d1, proof = _least(evaluate, [rate_cap, rate_cap])
+    if pt is not None:
+        pt = np.append(pt, _unlimited_beta(src, ch, pt[None, :]))
     bracket, iterations = (d1 * (1.0 - _LEAST_GAP) if proof else 0.0, d1), 0
     if not proof:
         found = {}
 
         def feasible(x: float) -> bool:
             found[x], _ = _certify(*_unlimited_slice(src, ch, DistortionPair(2.0**x, d2_target)),
-                                   box)
+                                   [rate_cap, rate_cap, 1.0])
             return found[x] is not None
         if feasible(0.0):
             lo, hi, steps, _ = _bisect(feasible, -2.0 * (rate_cap + 2.0), 0.0, 0.0, 1e-7)

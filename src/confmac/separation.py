@@ -78,43 +78,53 @@ def _wagner_boundary(src: SourceSpec, target: DistortionPair, r1: np.ndarray):
     return np.maximum.reduce([f2_floor, rsum - r1, inv, np.zeros_like(r1)])
 
 
-def sep1_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> FeasibilityReport:
-    """Distributed source coding followed by conferencing-MAC channel coding.
-
-    Feasible iff some rate pair on the source-region boundary fits inside the
-    channel region for some power split.  The returned witness re-validates
-    exactly through the underlying region operations.
-    """
+def _sep1_boundary(src: SourceSpec, target: DistortionPair):
+    """``(passes, r1_hi, r2_hi)``: the source-region boundary on the grids of
+    :func:`sep1_feasible`'s three passes, each ``(r1, r2, ok, r2c)`` (``ok``
+    where ``r2`` is finite, ``r2c`` its finite stand-in), and the boundary
+    point at the top rate ``r1_hi``.  A coarse grid, then two refinements
+    around the point of least sum rate ``r1 + r2``; none reads the channel,
+    so a solve builds them once."""
     rho = src.rho
     r1_lo = 0.5 * log2_pos((1.0 - rho**2) / target.d1)
     rsum = rdlib.wagner_sum_bound(src, target)
     r1_hi = max(rsum, 0.5 * log2_pos(1.0 / target.d1)) + 2.0
 
-    best = None
+    passes = []
     lo, hi = r1_lo, r1_hi
-    for _ in range(3):  # coarse grid, then two refinements around the best point
+    for _ in range(3):
         r1 = np.linspace(lo, hi, 513)
         r2 = _wagner_boundary(src, target, r1)
         ok = np.isfinite(r2)
-        r2c = np.where(ok, r2, 60.0)  # placeholder rate, masked out below
+        passes.append((r1, r2, ok, np.where(ok, r2, 60.0)))  # placeholder rate, masked out
+        # the point closest to the channel region is not defined when infeasible,
+        # so shrink toward the least sum-rate demand
+        j = int(np.argmin(np.where(ok, r1 + r2, np.inf))) if ok.any() else len(r1) // 2
+        span = (hi - lo) / 16.0
+        lo, hi = max(r1_lo, r1[j] - span), min(r1_hi, r1[j] + span)
+    return passes, r1_hi, float(_wagner_boundary(src, target, np.asarray([r1_hi]))[0])
+
+
+def sep1_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
+                  boundary=None) -> FeasibilityReport:
+    """Distributed source coding followed by conferencing-MAC channel coding.
+
+    Feasible iff some rate pair on the source-region boundary fits inside the
+    channel region for some power split: the first pass of
+    :func:`_sep1_boundary` with a feasible point decides, at its smallest
+    feasible ``r1``.  ``boundary`` is that function's result for ``src`` and
+    ``target``, built here when not given.  The returned witness
+    re-validates exactly through the underlying region operations.
+    """
+    passes, r1_hi, r2_hi = _sep1_boundary(src, target) if boundary is None else boundary
+    for r1, r2, ok, r2c in passes:
         feas, b1, b2 = capacity.conf_split_exists(ch.p1, ch.p2, ch.n0, ch.c12, r1, r2c)
         feas = feas & ok
         if feas.any():
             i = int(np.argmax(feas))  # smallest feasible r1: deterministic witness
-            best = (float(r1[i]), float(r2[i]), (float(b1[i]), float(b2[i])))
-            break
-        # refine around the point closest to the channel region (largest beta headroom
-        # is not defined when infeasible, so shrink toward the least sum-rate demand)
-        j = int(np.argmin(np.where(ok, r1 + r2, np.inf))) if ok.any() else len(r1) // 2
-        span = (hi - lo) / 16.0
-        lo, hi = max(r1_lo, r1[j] - span), min(r1_hi, r1[j] + span)
-
-    if best is None:
-        report = _sep1_report(src, ch, target, r1_hi, float(_wagner_boundary(
-            src, target, np.asarray([r1_hi]))[0]), None)
-        return report
-    r1_w, r2_w, split = best
-    return _sep1_report(src, ch, target, r1_w, r2_w, split)
+            return _sep1_report(src, ch, target, float(r1[i]), float(r2[i]),
+                                (float(b1[i]), float(b2[i])))
+    return _sep1_report(src, ch, target, r1_hi, r2_hi, None)
 
 
 def _sep1_report(src, ch, target, r1, r2, split) -> FeasibilityReport:
@@ -147,25 +157,22 @@ def _sep2_terms(rho: float, c12, z: np.ndarray):
     return rdlib._kaspi_arrays(rho, *_sep2_ratios(rho, c12, z))[1:]
 
 
-def _sep2_corner_terms(rho: float, c12, lo: np.ndarray, up: np.ndarray):
-    """:func:`_sep2_terms` of each box ``[lo, up]``, each at the corner where
-    it is most favourable.  A higher ``z`` means a lower ``s`` or ``iu`` (see
-    the module docstring): ``r1b`` is least at (``s`` lowest, ``iu``
-    highest), ``r2b`` at the opposite corner, ``rsb`` at ``up``, and the
-    distortions at ``lo``."""
-    # corner k of each box: lo, (up, lo), (lo, up), up; r1b reads 1, r2b 2, rsb 3, d1, d2 0
-    z = np.where(np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=bool)[:, None], up, lo)
-    return tuple(t[k] for k, t in zip((1, 2, 3, 0, 0), _sep2_terms(rho, c12, z)))
+# corner k of a box: lo, (up, lo), (lo, up), up
+_CORNERS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=bool)[:, None]
 
 
 def _sep2_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(value, bound)`` for ``_opt._least`` on scheme 2's box ``[0, 1]^2``
-    at ``ch``'s link: each point's least scale ``k`` of ``ch``'s powers.
+    """``evaluate`` for ``_opt._least`` on scheme 2's box ``[0, 1]^2`` at
+    ``ch``'s link: each point's least scale ``k`` of ``ch``'s powers.
 
     The plain MAC's bounds meet ``r1b``, ``r2b`` and ``max(rsb, r1b + r2b)``
     less ``_LEAST_EPS`` at ``k = n0 (4^r1b - 1)/p1``, ``n0 (4^r2b - 1)/p2``
     and ``n0 (4^max(rsb, r1b + r2b) - 1)/(p1 + p2)``.  A box's bound takes
-    the terms of :func:`_sep2_corner_terms`.
+    each term at the corner where it is most favourable.  A higher ``z``
+    means a lower ``s`` or ``iu`` (see the module docstring): ``r1b`` is
+    least at (``s`` lowest, ``iu`` highest), ``r2b`` at the opposite corner,
+    ``rsb`` at ``up``, and the distortions at ``lo``.  The boxes' four
+    corners and the centres are one stacked evaluation.
     """
     p1, p2, n0 = ch.p1, ch.p2, ch.n0
 
@@ -174,12 +181,13 @@ def _sep2_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
                                  (_excess(np.maximum(rsb, r1b + r2b)), p1 + p2)),
                             d1, d2, target.d1, target.d2)
 
-    def value(z):
-        return least(*_sep2_terms(src.rho, ch.c12, z))
-
-    def bound(lo, up):
-        return least(*_sep2_corner_terms(src.rho, ch.c12, lo, up))
-    return value, bound
+    def evaluate(lo, mid, up):
+        terms = _sep2_terms(src.rho, ch.c12, np.concatenate([np.where(_CORNERS, up, lo),
+                                                             mid[None]]))
+        # r1b reads corner 1, r2b 2, rsb 3, the distortions 0; the centres are row 4
+        return (least(*(t[4] for t in terms)),
+                least(*(t[k] for k, t in zip((1, 2, 3, 0, 0), terms))))
+    return evaluate
 
 
 def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> FeasibilityReport:
@@ -193,7 +201,7 @@ def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> F
     :func:`_sep2_report`'s at its point when that scale is at most 1, else
     at none.
     """
-    pt, least, _ = _least(*_sep2_least(src, ch, target), [1.0, 1.0])
+    pt, least, _ = _least(_sep2_least(src, ch, target), [1.0, 1.0])
     return _sep2_report(src, ch, target, pt if least <= 1.0 else None)
 
 

@@ -71,6 +71,22 @@ def test_region_mac_names_are_points_of_one_region(which, flags, c12, split):
     assert payload["witness"] == {"r1": 0.3, "r2": 0.2, "beta1": split[0], "beta2": split[1]}
 
 
+@pytest.mark.parametrize("which, flags, c12", [
+    ("mac", ["--c12", "2"], 0.0),
+    ("mac", [], 0.0),
+    ("mac-conf", ["--beta", "0.25", "--c12", "0.5"], "inf"),
+    ("mac-conf-fixed", ["--beta1", "0.5", "--beta2", "0.25", "--c12", "0.5"], 0.5),
+])
+def test_region_mac_echoes_the_link_it_evaluates(which, flags, c12):
+    """The config echo of ``region mac`` and ``mac-conf`` names the capacity
+    each evaluates at, 0 and inf, whatever ``--c12`` says; ``mac-conf-fixed``
+    reads ``--c12``."""
+    code, out = run_cli(["region", which, "--p1", "2", "--p2", "1.5", "--noise", "1",
+                         "--r1", "0.3", "--r2", "0.2", *flags, "--json"])
+    assert code == 0
+    assert json.loads(out)["config"]["c12"] == c12
+
+
 def test_domain_error_exit_code():
     code, _ = run_cli(["region", "vq", "--rho", "1.2", "--r1", "1"])
     assert code == 1

@@ -313,14 +313,24 @@ def test_slice_bounds_hold_over_their_boxes(rho):
                 assert np.all(exact(pts) <= ceiling), (rho, p1, p2, n0, target, d)
 
 
+def _value(evaluate, pts):
+    """A least-value form's values at the points ``pts``."""
+    return evaluate(pts, pts, pts)[0]
+
+
+def _bound(evaluate, lo, up):
+    """A least-value form's lower bounds over the boxes ``[lo, up]``."""
+    return evaluate(lo, 0.5 * (lo + up), up)[1]
+
+
 def _least_forms(src, p1, p2, n0, target):
-    """``((value, bound), box)`` of each least-scale form at the powers
-    ``(p1, p2)``: both quantizer slices, the unlimited one also over taller
-    sides (a finite link's shared rate, ``min_d1_unlimited``'s box), and
+    """``(evaluate, box)`` of each least-scale form at the powers ``(p1,
+    p2)``: both quantizer slices, the unlimited one also over taller sides
+    (a finite link's shared rate, ``min_d1_unlimited``'s box), and
     separation scheme 2 at three links."""
     ch = ChannelSpec(p1, p2, n0)
     yield search._noconf_least(src, ch, target), (8.0, 8.0)
-    for hi in ((8.0, 8.0, 1.0), (16.0, 40.0, 1.0)):
+    for hi in ((8.0, 8.0), (16.0, 40.0)):
         yield search._unlimited_least(src, ch, target), hi
     for c12 in (0.0, 0.5, UNLIMITED):
         yield separation._sep2_least(src, ChannelSpec(p1, p2, n0, c12), target), (1.0, 1.0)
@@ -329,23 +339,27 @@ def _least_forms(src, p1, p2, n0, target):
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
 def test_least_power_bounds_hold_over_their_boxes(rho):
     """No point of a random box, corners included, needs a lower scale of
-    the powers than the box's lower bound less the relative rounding margin."""
+    the powers than the box's lower bound less the relative rounding margin;
+    each form's centre values are its values at those points."""
     rng = np.random.default_rng(int(100 * rho) + 1)
     src = SourceSpec(1.0, rho)
     for p1, p2, n0 in SLICE_CHANNELS:
         target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
-        for (value, bound), hi in _least_forms(src, p1, p2, n0, target):
+        for evaluate, hi in _least_forms(src, p1, p2, n0, target):
             hi = np.array(hi)
             m, d = 2000, hi.size
             lo = rng.uniform(0.0, 1.0, (m, d)) * hi
             up = np.minimum(lo + hi * 2.0 ** rng.uniform(-30.0, 0.0, (m, d)), hi)
-            floor = bound(lo, up) * (1.0 - _opt._LEAST_MARGIN)
+            centres, bounds = evaluate(lo, 0.5 * (lo + up), up)
+            floor = bounds * (1.0 - _opt._LEAST_MARGIN)
             assert not np.isnan(floor).any()
+            assert np.array_equal(centres, _value(evaluate, 0.5 * (lo + up)))
             for k in range(8):
                 u = rng.uniform(0.0, 1.0, (m, d))
                 if k < 2:
                     u = np.round(u)
-                assert np.all(value(lo + u * (up - lo)) >= floor), (rho, p1, p2, n0, target, d)
+                pts = lo + u * (up - lo)
+                assert np.all(_value(evaluate, pts) >= floor), (rho, p1, p2, n0, target, d)
 
 
 def _least_by_bisection(slack, n0):
@@ -429,22 +443,22 @@ def test_least_power_forms_match_the_slack_kernels(rho):
             return reference_min_slack(1.0, rho, s * p1, s * p2, n0, d1, d2, pt[:1], pt[1:],
                                        0.0, 0.0, 0.0)[0]
 
-        def unlimited(s, pt):
-            exact, _ = search._unlimited_slice(src, ChannelSpec(s * p1, s * p2, n0), target)
-            return exact(pt[None, :])[0]
-
         ch = ChannelSpec(p1, p2, n0)
-        cases = [(search._noconf_least(src, ch, target)[0], rates, noconf),
-                 (search._unlimited_least(src, ch, target)[0],
-                  np.column_stack([rates, rng.uniform(0.0, 1.0, 12)]), unlimited)]
+
+        def unlimited(s, pt):  # at the point's best split
+            exact, _ = search._unlimited_slice(src, ChannelSpec(s * p1, s * p2, n0), target)
+            return exact(np.append(pt, search._unlimited_beta(src, ch, pt[None, :]))[None, :])[0]
+
+        cases = [(search._noconf_least(src, ch, target), rates, noconf),
+                 (search._unlimited_least(src, ch, target), rates, unlimited)]
         for c12 in (0.0, 0.5, UNLIMITED):
             def sep2(s, pt, c12=c12):
                 return _sep2_report_slack(src, ChannelSpec(s * p1, s * p2, n0, c12), target, pt)
-            cases.append((separation._sep2_least(src, ChannelSpec(p1, p2, n0, c12), target)[0],
+            cases.append((separation._sep2_least(src, ChannelSpec(p1, p2, n0, c12), target),
                           rng.uniform(0.0, 1.0, (12, 2)), sep2))
         finite = 0
-        for value, pts, kernel in cases:
-            for pt, form in zip(pts, value(pts)):
+        for evaluate, pts, kernel in cases:
+            for pt, form in zip(pts, _value(evaluate, pts)):
                 def slack(s):
                     return float(kernel(s, pt))
                 if math.isinf(form):
@@ -456,6 +470,172 @@ def test_least_power_forms_match_the_slack_kernels(rho):
                     assert form == pytest.approx(_least_by_bisection(slack, n0), rel=1e-9), \
                         (rho, p1, p2, n0, pt)
         assert finite >= 12, (rho, p1, p2, n0)
+
+
+def _unlimited_least_3d(src, ch, target):
+    """``evaluate`` of the unlimited slice's least scale over points ``(r2,
+    rc, beta)``: the search over the coherence split that the closed form
+    replaced, kept as the oracle of its value and its bound.  A box's bound
+    takes the numerators at (rates ``lo``, ``h`` ``up``), ``1 - beta`` at
+    ``beta`` ``lo``, ``delta`` at (``h`` ``lo``, ``beta`` ``up``), the sum
+    gain at ``up`` and the distortions at ``up``."""
+    rho2, p1, p2, n0 = src.rho**2, ch.p1, ch.p2, ch.n0
+    root1, root2, coherent = math.sqrt(p1), math.sqrt(p2), 2.0 * math.sqrt(p1 * p2)
+
+    def least(r2, rc, h, one_minus_beta, delta, gain, d1a, d2a):
+        odds = h / (1.0 - h)
+        return _opt._least_power(n0, ((_opt._excess(r2) - odds, one_minus_beta * p2),
+                                      (_opt._excess(rc) - odds, delta**2),
+                                      (_opt._excess(r2 + rc) * (1.0 - h) - h,
+                                       p1 + p2 + coherent * np.sqrt(gain))),
+                                 d1a, d2a, target.d1, target.d2)
+
+    def delta_gain(h, beta):
+        g = (1.0 - beta) * h
+        return root1 + root2 * np.sqrt(g + beta) - root2 * np.sqrt(g), g + beta
+
+    def evaluate(lo, mid, up):
+        h, d1a, d2a = search._unlimited_terms(rho2, mid[:, :2])
+        value = least(mid[:, 0], mid[:, 1], h, 1.0 - mid[:, 2], *delta_gain(h, mid[:, 2]),
+                      d1a, d2a)
+        h_up, d1a, d2a = search._unlimited_terms(rho2, up[:, :2])
+        delta, _ = delta_gain(search._unlimited_terms(rho2, lo[:, :2])[0], up[:, 2])
+        _, gain = delta_gain(h_up, up[:, 2])
+        return value, least(lo[:, 0], lo[:, 1], h_up, 1.0 - lo[:, 2], delta, gain, d1a, d2a)
+    return evaluate
+
+
+def _least_over_splits(oracle, rates, betas):
+    """The oracle's values at each ``(r2, rc)`` row and the splits ``betas``
+    (one row of splits for all, or one per row)."""
+    m = len(rates)
+    betas = np.broadcast_to(betas, (m, np.shape(betas)[-1]))
+    pts = np.column_stack([np.repeat(rates, betas.shape[1], axis=0), betas.ravel()])
+    return _value(oracle, pts).reshape(betas.shape)
+
+
+def test_closed_form_split_is_the_least_over_a_beta_grid():
+    """At random ``(r2, rc)`` the two-dimensional form's value is the
+    three-dimensional formula at the closed-form split, which stays below 1,
+    and no split of a 20001-point grid, nor of a zoom to single floats
+    around its best one, needs a lower scale.  The sample reaches each
+    branch of the closed form: ``N2 <= 0``; a ``T2`` already above ``Tc``
+    (``A >= C``) or above ``Ts`` (no ``Ts`` crossing) at ``beta = 0``, and
+    each crossing in the interior; ``1 - h`` below 1e-6; unequal powers."""
+    rng = np.random.default_rng(23)
+    grid = np.linspace(0.0, 1.0, 20001)
+    grid[-1] = search._BETA_TOP
+    branches = dict.fromkeys(("n2", "a>=c", "no Ts", "Tc", "Ts", "h->1"), 0)
+    for rho in (0.0, 0.5, 0.9, 0.999, 1.0):
+        src = SourceSpec(1.0, rho)
+        for p1 in (1.0, 0.2, 20.0):
+            ch = ChannelSpec(p1, 1.0, 1.0)
+            oracle = _unlimited_least_3d(src, ch, DistortionPair(1.0, 1.0))
+            rates = np.concatenate([rng.uniform(0.0, 1.0, (10, 2)) ** 2 * 14.0,
+                                    rng.uniform(10.0, 20.0, (3, 2)),  # 1 - h near 0 at rho 1
+                                    np.column_stack([np.zeros(3), rng.uniform(0.0, 14.0, 3)])])
+            value = _value(search._unlimited_least(src, ch, DistortionPair(1.0, 1.0)), rates)
+            beta = search._unlimited_beta(src, ch, rates)
+            assert np.all(beta < 1.0) and np.isfinite(value).all()
+            assert np.array_equal(value, _value(oracle, np.column_stack([rates, beta])))
+            splits = np.broadcast_to(grid, (len(rates), grid.size))
+            best = np.full(len(rates), np.inf)
+            for _ in range(7):  # the grid, then zooms of 2001 splits down to single floats
+                vals = _least_over_splits(oracle, rates, splits)
+                k = np.argmin(vals, axis=1)
+                best = np.minimum(best, vals[np.arange(len(rates)), k])
+                lo = splits[np.arange(len(rates)), np.maximum(k - 1, 0)]
+                hi = splits[np.arange(len(rates)), np.minimum(k + 1, splits.shape[1] - 1)]
+                splits = np.linspace(lo, hi, 2001, axis=1)
+            assert np.all(value <= best * (1.0 + 1e-12)), (rho, p1)
+            # which branch each row took, from the three terms at beta = 0
+            h, _, _ = search._unlimited_terms(rho**2, rates)
+            n2, nc, ns = search._unlimited_numerators(rates, h)
+            t2, tc = n2 / ch.p2, nc / ch.p1  # delta is sqrt(p1) at beta = 0
+            ts = ns / (ch.p1 + ch.p2 + 2.0 * np.sqrt(h * ch.p1 * ch.p2))
+            live = n2 > 0.0
+            branches["n2"] += np.count_nonzero(~live)
+            branches["a>=c"] += np.count_nonzero(live & (nc > 0.0) & (t2 >= tc))
+            branches["Tc"] += np.count_nonzero(live & (nc > 0.0) & (t2 < tc))
+            branches["no Ts"] += np.count_nonzero(live & (ns > 0.0) & (t2 >= ts))
+            branches["Ts"] += np.count_nonzero(live & (ns > 0.0) & (t2 < ts))
+            branches["h->1"] += np.count_nonzero(live & (1.0 - h < 1e-6))
+    assert min(branches.values()) >= 5, branches
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 1.0])
+def test_slice_bound_is_at_most_the_least_over_box_and_split(rho):
+    """On random boxes the two-dimensional bound, less the rounding margin,
+    is at most the three-dimensional formula's least over points of the box,
+    corners included, and over splits from 0 up to ``_BETA_TOP``, with
+    steps of a single float next to the box's closed-form split."""
+    rng = np.random.default_rng(int(100 * rho) + 3)
+    src = SourceSpec(1.0, rho)
+    betas = np.concatenate([np.linspace(0.0, 1.0, 201)[:-1], 1.0 - 2.0 ** -np.arange(8.0, 53.0),
+                            [search._BETA_TOP]])
+    for p1, p2, n0 in SLICE_CHANNELS:
+        target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
+        ch = ChannelSpec(p1, p2, n0)
+        evaluate, oracle = search._unlimited_least(src, ch, target), _unlimited_least_3d(src, ch,
+                                                                                         target)
+        for hi in ((8.0, 8.0), (16.0, 40.0)):
+            hi = np.array(hi)
+            m = 200
+            lo = rng.uniform(0.0, 1.0, (m, 2)) * hi
+            up = np.minimum(lo + hi * 2.0 ** rng.uniform(-30.0, 0.0, (m, 2)), hi)
+            floor = _bound(evaluate, lo, up) * (1.0 - _opt._LEAST_MARGIN)
+            for k in range(6):
+                u = rng.uniform(0.0, 1.0, (m, 2))
+                if k < 2:
+                    u = np.round(u)
+                pts = lo + u * (up - lo)
+                near = search._unlimited_beta(src, ch, pts)[:, None] + np.array([0.0, 1.0])
+                near[:, 1] = np.minimum(np.nextafter(near[:, 0], 2.0), search._BETA_TOP)
+                least = np.minimum(_least_over_splits(oracle, pts, betas).min(axis=1),
+                                   np.min([_value(oracle, np.column_stack([pts, near[:, j]]))
+                                           for j in range(2)], axis=0))
+                assert np.all(least >= floor), (rho, p1, p2, n0, target, hi)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
+def test_unlimited_least_against_the_split_search(rho):
+    """Where the search over ``(r2, rc, beta)`` ends with a proof, the search
+    over ``(r2, rc)`` at the closed-form split ends within ``_LEAST_GAP``
+    relative of it, and proves at least as often."""
+    src, proofs = SourceSpec(1.0, rho), {2: 0, 3: 0}
+    for d in ((0.04, 0.2), (0.3, 0.9), (0.9, 0.05)):
+        target = DistortionPair(*d)
+        side = search._VqFeasibility(src, target).side
+        for p1 in (1.0, 0.25):
+            ch = ChannelSpec(p1, 1.0, 1.0)
+            _, old, old_proof = _opt._least(_unlimited_least_3d(src, ch, target),
+                                            (side, side, 1.0))
+            _, new, proof = _opt._least(search._unlimited_least(src, ch, target), (side, side))
+            proofs[3] += old_proof
+            proofs[2] += proof
+            if old_proof:
+                assert old * (1.0 - _opt._LEAST_GAP) <= new <= old * (1.0 + _opt._LEAST_GAP), \
+                    (rho, d, p1, old, new)
+    assert proofs[2] >= proofs[3] >= 1, proofs
+
+
+@pytest.mark.parametrize("c12", [UNLIMITED, 0.5])
+def test_rho_one_witnesses_keep_their_split_below_one(c12):
+    """At rho = 1 a witness's coherence split stays below 1, where the
+    readable ``r1+r2`` bound holds (at ``beta1 = beta2 = 1`` it drops to 0),
+    and re-validates at the answer; at d (0.01, 0.5) and ``c12 = inf`` the
+    answer lies at or below the slack compass's old 24.75057411."""
+    src = SourceSpec(1.0, 1.0)
+    for d in ((0.04, 0.2), (0.01, 0.5), (0.9, 0.05)):
+        target = DistortionPair(*d)
+        res = min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=1e-9)
+        w = res.witness
+        assert w["beta2"] < 1.0, (d, w)
+        cfg = vqscheme.VqConfig(*(w[k] for k in ("r1", "r2", "rc", "beta1", "beta2")))
+        ch = ChannelSpec(res.objective, res.objective, 1.0, c12)
+        assert search._vq_witness_ok(src, ch, cfg, target) is not None, (d, w)
+        if d == (0.01, 0.5) and c12 == UNLIMITED:
+            assert res.objective <= 24.75057411, res
 
 
 def _noconf_reference(src, ch, target):
@@ -614,8 +794,10 @@ def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
     no-conference one 12.96."""
     least = search._least
     for proof, feasible in ((True, False), (False, True)):
-        def stub(value, bound, hi):
-            return (None, math.inf, proof) if len(hi) == 3 else least(value, bound, hi)
+        def stub(evaluate, hi):
+            if _form_of(evaluate) == "_unlimited_least":
+                return None, math.inf, proof
+            return least(evaluate, hi)
         monkeypatch.setattr(search, "_least", stub)
         query = search._VqFeasibility(SRC, DistortionPair(0.1, 0.2))
         assert query(11.5, 11.5, 1.0, 1.0) is feasible
@@ -640,6 +822,11 @@ def _sep2_query_bisection(src, target, c12, tol):
     return hi, (lo, hi), iterations
 
 
+def _form_of(evaluate) -> str:
+    """The least-value form that made ``evaluate``."""
+    return evaluate.__qualname__.split(".")[0]
+
+
 def test_least_power_solves_match_the_query_solves(monkeypatch):
     """Each solve makes at most one least-scale run per form and, where the
     runs are proven, asks no slack search.  On proven searches scheme 2's
@@ -648,11 +835,12 @@ def test_least_power_solves_match_the_query_solves(monkeypatch):
     count.  A quantizer solve at ``c12`` 0 or inf makes one run; a finite
     link's ``minpower`` and ``minconf``, the latter's unlimited end included,
     read one run per form."""
-    least, certify, calls = search._least, search._certify, []
+    least, certify, calls, forms = search._least, search._certify, [], []
 
-    def recorded(value, bound, hi):
-        out = least(value, bound, hi)
+    def recorded(evaluate, hi):
+        out = least(evaluate, hi)
         calls.append(("least", len(hi), out[2]))
+        forms.append(_form_of(evaluate))
         return out
 
     def counted(*args):
@@ -669,18 +857,19 @@ def test_least_power_solves_match_the_query_solves(monkeypatch):
             assert calls == [("least", 2, True)], (rho, c12, calls)
             assert (res.objective, res.bracket, res.iterations) == _sep2_query_bisection(
                 src, target, c12, tol), (rho, c12)
-        for c12, dims in ((UNLIMITED, 3), (0.0, 2)):
+        for c12, form in ((UNLIMITED, "_unlimited_least"), (0.0, "_noconf_least")):
             calls.clear()
+            forms.clear()
             min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=tol)
-            assert calls == [("least", dims, True)], (rho, c12, calls)
+            assert calls == [("least", 2, True)] and forms == [form], (rho, c12, calls)
     target = DistortionPair(0.1, 0.2)
     for solve in (lambda: min_power_symmetric(SRC, Scheme.VQ, target, c12=1.0, tol=1e-6),
                   lambda: min_conf_capacity(SRC, ChannelSpec(11.5, 11.5, 1.0), Scheme.VQ,
                                             target, tol=1e-3)):
         calls.clear()
+        forms.clear()
         solve()
-        dims = [call[1] for call in calls if call[0] == "least"]
-        assert ("certify",) not in calls and sorted(dims) == sorted(set(dims)), calls
+        assert ("certify",) not in calls and sorted(forms) == sorted(set(forms)), calls
 
 
 def test_unproven_least_scale_asks_the_slack_search_below_it(monkeypatch):
@@ -805,7 +994,9 @@ def test_certify_stops_when_the_best_slack_is_within_rounding():
 # slice rows are the certified branch-and-bound's answers; each lies below
 # the compass search's old answer, which these witnesses refute.  Their
 # witnesses are the least-power branch-and-bound's points, within 1.3e-9 of
-# the feasibility queries' witnesses of the same optimum.  In the
+# the feasibility queries' witnesses of the same optimum; at ``c12 = inf``
+# each is a point ``(r2, rc)`` at its closed-form best split ``beta2``,
+# within 2.3e-13 of the point the search over ``(r2, rc, beta)`` found.  In the
 # finite-link row the unlimited witness's shared rate (about 1.65 bits)
 # exceeds the 1.16 bits the link carries and the no-conference slice fails
 # below 12.96, so the least-scale compass decides its bracket.  Exact
@@ -813,9 +1004,9 @@ def test_certify_stops_when_the_best_slack_is_within_rounding():
 PINNED_VQ_SOLVES = (
     (0.2 * 0.2, 0.2, UNLIMITED, 1e-9,
      23.992380127310753, (23.99238011240959, 23.992380127310753), 35,
-     {"r1": 0.0, "r2": 1.1139293141361577, "rc": 2.3148310650492476,
-      "beta1": 1.0, "beta2": 0.8561289051365009,
-      "d1": 0.0400000000554278, "d2": 0.2000000002772225}),
+     {"r1": 0.0, "r2": 1.113929314136385, "rc": 2.3148310650490203,
+      "beta1": 1.0, "beta2": 0.8561289051364582,
+      "d1": 0.040000000055440244, "d2": 0.2000000002771636}),
     (0.2 * 0.2, 0.2, 0.0, 1e-9,
      32.446769416332245, (32.44676938652992, 32.446769416332245), 36,
      {"r1": 2.3148310650490203, "r2": 1.113929314136385, "rc": 0.0,
@@ -824,7 +1015,7 @@ PINNED_VQ_SOLVES = (
     (1.0 * 0.2, 0.2, UNLIMITED, 1e-9,
      5.423282735049725, (5.423282731324434, 5.423282735049725), 33,
      {"r1": 0.0, "r2": 1.1245753685115005, "rc": 1.1245753685115005,
-      "beta1": 1.0, "beta2": 0.3418464596784503,
+      "beta1": 1.0, "beta2": 0.3418464596784464,
       "d1": 0.20000000027723103, "d2": 0.20000000027723103}),
     (1.0 * 0.2, 0.2, 0.0, 1e-9,
      6.480237826704979, (6.480237822979689, 6.480237826704979), 33,
@@ -956,18 +1147,34 @@ def test_min_d1_unlimited_against_grid_oracle(rho, snr):
         assert (best >= _opt.SLACK_TOL) == feasible, (d1, best)
 
 
-def test_unproven_min_d1_also_runs_the_query_bisection():
-    """Where the least-``d1`` search ends without a proof, the bisection by
-    certified queries runs too and the lower answer is returned, unconverged:
-    at rho 0.97, d2 = 0.05 the search stops at 2.95862e-5 and the bisection
-    reaches 2.95613e-5."""
-    src, ch = SourceSpec(1.0, 0.97), ChannelSpec(1e4, 1e4, 1.0)
-    res = min_d1_unlimited(src, ch, 0.05)
-    assert not res.converged and res.iterations > 0
-    assert res.objective == pytest.approx(2.95613e-5, rel=1e-5)
-    lo, hi = res.bracket
-    assert lo < hi == res.objective <= lo * (1.0 + 1e-6)
+def _min_d1_witness_holds(src, ch, res, d2):
     r2, rc, beta = (res.witness[k] for k in ("r2", "rc", "beta"))
     report, achieved = vqscheme.vq_unlimited_region(src, ch, r2, rc, beta)
     assert min(report.slacks.values()) >= _opt.SLACK_TOL
-    assert achieved.d1 <= res.objective * (1.0 + 1e-8) and achieved.d2 <= 0.05 * (1.0 + 1e-8)
+    assert achieved.d1 <= res.objective * (1.0 + 1e-8) and achieved.d2 <= d2 * (1.0 + 1e-8)
+
+
+def test_unproven_min_d1_also_runs_the_query_bisection():
+    """Where the least-``d1`` search ends without a proof, the bisection by
+    certified queries runs too and the lower answer is returned, unconverged:
+    at rho 1, P/N = 1e4 and d2 = 0.05 the search stops at 2.4999448e-5 and
+    the bisection reaches 2.4999407e-5."""
+    src, ch = SourceSpec(1.0, 1.0), ChannelSpec(1e4, 1e4, 1.0)
+    res = min_d1_unlimited(src, ch, 0.05)
+    assert not res.converged and res.iterations > 0
+    assert res.objective == pytest.approx(2.4999407e-5, rel=1e-7)
+    lo, hi = res.bracket
+    assert lo < hi == res.objective <= lo * (1.0 + 1e-6)
+    _min_d1_witness_holds(src, ch, res, 0.05)
+
+
+def test_min_d1_proves_the_high_correlation_ridge():
+    """At rho 0.97, P/N = 1e4 and d2 = 0.05, where the search over ``(r2,
+    rc, beta)`` ended without a proof at 2.95862e-5 and its bisection at
+    2.95613e-5, the search over ``(r2, rc)`` at the closed-form split ends
+    with a proof, lower."""
+    src, ch = SourceSpec(1.0, 0.97), ChannelSpec(1e4, 1e4, 1.0)
+    res = min_d1_unlimited(src, ch, 0.05)
+    assert res.converged and res.iterations == 0
+    assert res.objective < 2.95613e-5 and res.objective == pytest.approx(2.95613e-5, rel=1e-5)
+    _min_d1_witness_holds(src, ch, res, 0.05)

@@ -69,6 +69,25 @@ def test_sep1_witness_revalidates():
             assert report.witness["beta1"] == 1.0
 
 
+def test_sep1_reads_one_boundary_per_solve():
+    """The source boundary reads neither powers nor link: a query with a
+    boundary built once for its source and target reports what a query
+    that builds its own does, feasible or not, at every link."""
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(60):
+        src = SourceSpec(1.0, float(rng.uniform(0.0, 1.0)))
+        target = DistortionPair(float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0)))
+        boundary = separation._sep1_boundary(src, target)
+        for c12 in (0.0, 0.7, UNLIMITED):
+            ch = ChannelSpec(*(float(v) for v in 10.0 ** rng.uniform(-1.0, 2.0, 2)), 1.0, c12)
+            alone, shared = (sep1_feasible(src, ch, target, *b) for b in ((), (boundary,)))
+            assert (alone.feasible, alone.slacks, alone.witness) == (
+                shared.feasible, shared.slacks, shared.witness), (src, target, ch)
+            seen.add(alone.feasible)
+    assert seen == {True, False}
+
+
 def test_sep1_no_conference_equals_plain_mac_pipeline():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -184,16 +203,17 @@ def test_sep2_bound_holds_over_its_boxes(rho):
     for p1, p2, n0 in ((1.0, 1.0, 1.0), (12.0, 3.0, 0.5), (0.01, 100.0, 2.0), (1e4, 1e4, 1.0)):
         for c12 in SEP2_LINKS:
             target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
-            value, bound = separation._sep2_least(src, ChannelSpec(p1, p2, n0, c12), target)
+            evaluate = separation._sep2_least(src, ChannelSpec(p1, p2, n0, c12), target)
             m = 400
             lo = rng.uniform(0.0, 1.0, (m, 2))
             up = np.minimum(lo + 2.0 ** rng.uniform(-30.0, 0.0, (m, 2)), 1.0)
-            floor = bound(lo, up) * (1.0 - _opt._LEAST_MARGIN)
+            floor = evaluate(lo, 0.5 * (lo + up), up)[1] * (1.0 - _opt._LEAST_MARGIN)
             for k in range(8):
                 u = rng.uniform(0.0, 1.0, (m, 2))
                 if k < 2:
                     u = np.round(u)
-                assert np.all(value(lo + u * (up - lo)) >= floor), (rho, p1, p2, n0, c12)
+                pts = lo + u * (up - lo)
+                assert np.all(evaluate(pts, pts, pts)[0] >= floor), (rho, p1, p2, n0, c12)
 
 
 def _reference_least_scale(src, ch, target, iw, iu, iv):
@@ -228,10 +248,11 @@ def test_sep2_reduction_is_never_worse():
             with np.errstate(divide="ignore"):
                 z = np.stack([np.where(r > 0.0, (8.0 - np.log10(r)) / 16.0, 1.0) for r in (s, iu)],
                              axis=1)
-            value, _ = separation._sep2_least(src, ch, target)
+            evaluate = separation._sep2_least(src, ch, target)
             old = _reference_least_scale(src, ch, target, iw, iu, iv)
             assert np.isfinite(old[fits]).sum() >= 80, (rho, c12)
-            assert np.all(value(z[fits]) <= old[fits] * (1.0 + 1e-9)), (rho, c12)
+            pts = z[fits]
+            assert np.all(evaluate(pts, pts, pts)[0] <= old[fits] * (1.0 + 1e-9)), (rho, c12)
 
 
 def test_sep2_minimum_against_grid_oracle():

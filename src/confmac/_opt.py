@@ -1,16 +1,13 @@
 """Deterministic searches on boxes.
 
-Two branch-and-bounds share one box schedule: each round evaluates every box
-centre, drops the boxes a bound rules out and halves the rest along every
-axis, up to :data:`_MAX_ROUNDS` rounds of at most :data:`_MAX_BOXES` boxes,
-from the whole box (neither is warm-started).  :func:`_least` returns the
-least value it saw (a least scale of the powers from :func:`_least_power`'s
-forms, or the least ``d1``) and, unless it gives up, a proof that no point
-lies lower by more than the relative gap :data:`_LEAST_GAP`.  A solve makes
-one box and one run per least-scale form.  :func:`_certify` returns a point
-whose slack reaches :data:`SLACK_TOL` or, unless it gives up, a proof of none;
-it is the second opinion below an unproven least-scale run at unlimited
-conference and the rescue of an unproven least-``d1`` run.
+One branch-and-bound, :func:`_least`, finds least values: each round
+evaluates every box centre, drops the boxes a bound rules out and halves the
+rest along every axis, up to :data:`_MAX_ROUNDS` rounds of at most
+:data:`_MAX_BOXES` boxes, from the whole box (it is never warm-started).  It
+returns the least value it saw (a least scale of the powers from
+:func:`_least_power`'s forms, or the least ``d1``) and, unless it gives up, a
+proof that no point lies lower by more than the relative gap
+:data:`_LEAST_GAP`.  A solve makes one box and one run per least-scale form.
 
 The lockstep multistart compass search serves the quantizer scheme at a
 finite conference capacity where neither slice decides, maximizing the
@@ -32,7 +29,6 @@ import numpy as np
 SLACK_TOL = -1e-9  # a slack at or above this counts as met: exact boundary points are feasible
 _MAX_ROUNDS = 52  # branch-and-bound rounds: a box side is then 1 ulp of the box's top
 _MAX_BOXES = 2**13  # boxes one branch-and-bound round may evaluate
-_BOUND_MARGIN = 32 * math.ulp(8.0)  # twice a box bound's worst rounding seen (rho = 1, 8-bit box)
 # least-power forms: a rate bound's slack reaches a hair above SLACK_TOL, so the
 # closed forms re-validate a witness at any power at or above its least power
 _LEAST_EPS = -0.9999 * SLACK_TOL
@@ -49,53 +45,6 @@ _REFINE_ROUNDS = 24    # refine: grid cap
 _REFINE_POINTS = 9     # refine: grid points per axis, 9^4 = 6561 on the 4-D link run
 
 
-def _certify(exact, bound, hi) -> tuple[np.ndarray | None, bool]:
-    """``(point, proof)``: a point of the box ``[0, hi]`` whose ``exact``
-    slack (at ``(m, d)`` points) reaches :data:`SLACK_TOL`, or None, and
-    whether a None shows that no point of the box does.
-
-    Each round returns the first box centre that reaches the tolerance, else
-    drops the boxes whose ``bound(lo, up)`` is below it by more than
-    :data:`_BOUND_MARGIN` (NaN keeps a box) and halves the rest along every
-    axis.  A None is a proof once no box is left, unless a round kept more
-    boxes than the next may evaluate (:data:`_MAX_BOXES`; then only those
-    with the best centres were split) or the round cap ended it: on flat
-    ridges of the slack, near rho = 1, or within rounding of the tolerance.
-    """
-    hi = np.asarray(hi, dtype=float)
-    d = hi.size
-    upper_half = _upper_halves(d)
-    lo, up = np.zeros((1, d)), hi[None, :]
-    proof = True
-    for _ in range(_MAX_ROUNDS):
-        mid = 0.5 * (lo + up)
-        vals = exact(mid)
-        hits = np.flatnonzero(vals >= SLACK_TOL)
-        if hits.size:
-            return mid[hits[0]], True
-        keep = np.flatnonzero(~(bound(lo, up) < SLACK_TOL - _BOUND_MARGIN))
-        if not keep.size:
-            return None, proof
-        if keep.size << d > _MAX_BOXES:
-            proof = False
-            keep = np.sort(keep[np.argsort(-vals[keep], kind="stable")[:_MAX_BOXES >> d]])
-        lo, up = _split(lo, mid, up, keep, upper_half)
-    return None, False
-
-
-def _upper_halves(d: int) -> np.ndarray:
-    """``(2^d, d)`` flags: which half of a box each of its halves takes per axis."""
-    return np.array(list(itertools.product((False, True), repeat=d)))
-
-
-def _split(lo, mid, up, keep, upper_half):
-    """``(lo, up)`` of the kept boxes halved along every axis, in box order."""
-    d = lo.shape[1]
-    lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
-    return (np.where(upper_half, mid, lo).reshape(-1, d),
-            np.where(upper_half, up, mid).reshape(-1, d))
-
-
 def _least(evaluate, hi) -> tuple[np.ndarray | None, float, bool]:
     """``(point, least, proof)``: the box centre of ``[0, hi]`` with the
     least value seen, that value (+inf when none is finite), and whether no
@@ -103,18 +52,20 @@ def _least(evaluate, hi) -> tuple[np.ndarray | None, float, bool]:
 
     ``evaluate(lo, mid, up)`` takes ``(m, d)`` arrays of boxes and their
     centres and returns each centre's value and a lower bound of the value
-    over each box, in one call.  The minimizing twin of :func:`_certify`, on
-    its box schedule and caps: each round evaluates every box, then drops
+    over each box, in one call.  Each round evaluates every box, then drops
     the boxes whose bound less the relative margin :data:`_LEAST_MARGIN` is
     at or above ``least * (1 - _LEAST_GAP)`` (NaN keeps a box), and halves
     the rest along every axis.  The result is a proof once no box is left.
     A round that keeps more boxes than the next may evaluate splits only
-    those with the lowest bounds, and its result is no proof; nor is one at
-    the round cap.
+    ``_MAX_BOXES >> (d + 1)`` with the lowest bounds and as many with the
+    lowest centre values, and its result is no proof; nor is one at the
+    round cap.  The lowest bounds alone can all lie where no centre is
+    finite (near ``1 - h = 0`` at rho = 1) and lose the least's
+    neighbourhood; the best centres keep it.
     """
     hi = np.asarray(hi, dtype=float)
     d = hi.size
-    upper_half = _upper_halves(d)
+    upper_half = np.array(list(itertools.product((False, True), repeat=d)))  # (2^d, d)
     lo, up = np.zeros((1, d)), hi[None, :]
     best, point, proof = math.inf, None, True
     for _ in range(_MAX_ROUNDS):
@@ -127,9 +78,12 @@ def _least(evaluate, hi) -> tuple[np.ndarray | None, float, bool]:
         if not keep.size:
             return point, best, proof
         if keep.size << d > _MAX_BOXES:
-            proof = False
-            keep = np.sort(keep[np.argsort(lower[keep], kind="stable")[:_MAX_BOXES >> d]])
-        lo, up = _split(lo, mid, up, keep, upper_half)
+            proof, cap = False, _MAX_BOXES >> (d + 1)
+            keep = np.union1d(keep[np.argsort(lower[keep], kind="stable")[:cap]],
+                              keep[np.argsort(vals[keep], kind="stable")[:cap]])
+        lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
+        lo, up = (np.where(upper_half, mid, lo).reshape(-1, d),
+                  np.where(upper_half, up, mid).reshape(-1, d))
     return point, best, False
 
 

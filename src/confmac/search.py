@@ -22,11 +22,10 @@ no-conference least scale, else not, proof or none.  At any other link it
 reads the unlimited slice's run, whose scheme contains the finite one (its
 shared rate standing for ``r1 + rc``): the query is feasible at the run's
 point when it reaches the least scale and that point's shared rate fits the
-link (any rate at ``c12 = inf``), and infeasible below the least scale when
-the run is a proof.  Below an unproven run (near ``rho = 1``, or on a flat
-ridge of optimal points) the certified slack search (:func:`_opt._certify`)
-decides at ``c12 = inf``.  Any other finite-``c12`` query takes the
-no-conference slice's point at or above its least scale, and otherwise
+link (any rate at ``c12 = inf``).  Below the least scale a query at ``c12 =
+inf`` is infeasible, proof or none, as at ``c12 = 0``; at a finite link it
+is infeasible when the run is a proof.  Any other finite-``c12`` query takes
+the no-conference slice's point at or above its least scale, and otherwise
 reads one least-scale compass run per direction and link: a multistart
 compass search plus a grid refine that minimizes the full scheme's
 closed-form least scale (:func:`vqscheme._least_scale`) over the budget
@@ -66,7 +65,6 @@ from ._mc import halton_points
 from ._opt import (
     _LEAST_GAP,
     SLACK_TOL,
-    _certify,
     _excess,
     _least,
     _least_power,
@@ -113,50 +111,6 @@ def _rc_budget(rho: float, r1: np.ndarray, c12: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         rc = c12 + 0.5 * np.log2((1.0 - k * 4.0**-c12) / (1.0 - k))
     return np.where(k < 1.0, rc, c12 - 0.5 * math.log2(1e-300))
-
-
-def _unlimited_slice(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(exact, bound)`` for :func:`_opt._certify` on the unlimited-conference
-    slice, points ``(r2, rc, beta)`` with rates in bits: the worst slack of
-    :func:`vqscheme._unlimited_raw`'s three rate bounds and the two
-    distortion targets.
-
-    ``h = rho^2 f2 fc`` rises with ``r2`` and ``rc``, and so does each
-    distortion slack; rates are taken at ``lo``.  The rate bounds are
-    ``0.5 log2`` of: for ``r2``, ``(1 - beta) p2/n0 + 1/(1 - h)``, at most
-    at (rates ``up``, ``beta`` ``lo``); for ``r2+rc``, ``(p1 + p2 + 2
-    sqrt((h + beta (1 - h)) p1 p2) + n0)/(n0 (1 - h))``, at most at ``up``;
-    for ``rc``, ``delta1^2/n0 + 1/(1 - h)``, ``delta1 = sqrt(p1) + sqrt(p2)
-    (sqrt(g + beta) - sqrt(g))``, ``g = (1 - beta) h``.  ``delta1`` falls
-    with ``g``, hence with ``h``, and rises with ``beta``, so the ``rc``
-    term is at most ``delta1(h_lo, beta_up)^2/n0 + 1/(1 - h_up)``: at most
-    ``(1 - h_lo)/(1 - h_up)`` times its value at (rates ``lo``, ``beta``
-    ``up``).
-    """
-    def raw(rates, beta):
-        with np.errstate(divide="ignore", invalid="ignore"):  # 1 - h reaches 0 at rho = 1
-            return vqscheme._unlimited_raw(src.sigma2, src.rho, ch.p1, ch.p2, ch.n0,
-                                           rates[:, 0], rates[:, 1], beta)
-
-    def fold(r2_bound, rc_bound, sum_bound, rates, d1a, d2a):
-        r2, rc = rates[:, 0], rates[:, 1]
-        slack = np.minimum(np.minimum(r2_bound - r2, rc_bound - rc), sum_bound - (r2 + rc))
-        with np.errstate(divide="ignore"):  # a distortion reaches 0 at rho = 1, or underflows
-            return vqscheme._fold_distortions(slack, d1a, d2a, target.d1, target.d2)
-
-    def exact(pts):
-        bnd, d1a, d2a = raw(pts, pts[:, 2])
-        return fold(bnd["r2"], bnd["rc"], bnd["r2+rc"], pts, d1a, d2a)
-
-    def bound(lo, up):
-        m = len(lo)
-        # one call at the three corners: (rates up, beta lo), (up, up), (rates lo, beta up)
-        rates = np.concatenate([up[:, :2], up[:, :2], lo[:, :2]])
-        bnd, d1a, d2a = raw(rates, np.concatenate([lo[:, 2], up[:, 2], up[:, 2]]))
-        one_minus_h = 1.0 - src.rho**2 * np.prod(-np.expm1(-2.0 * math.log(2.0) * rates), axis=1)
-        rc_bound = bnd["rc"][2 * m:] + 0.5 * np.log2(one_minus_h[2 * m:] / one_minus_h[:m])
-        return fold(bnd["r2"][:m], rc_bound, bnd["r2+rc"][m:2 * m], lo, d1a[:m], d2a[:m])
-    return exact, bound
 
 
 def _noconf_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
@@ -255,9 +209,11 @@ def _unlimited_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     ``ch``'s powers over the coherence split ``beta``.
 
     With ``h = rho^2 f2 fc``, ``g = (1 - beta) h`` and ``delta = sqrt p1 +
-    sqrt p2 (sqrt(g + beta) - sqrt g)``, the bounds of
-    :func:`_unlimited_slice` meet ``r2``, ``rc`` and ``r2 + rc`` less
-    ``_LEAST_EPS`` at ``s = n0 T``, the largest of ``T2 = N2/((1 - beta)
+    sqrt p2 (sqrt(g + beta) - sqrt g)``, the three rate bounds of
+    :func:`vqscheme._unlimited_raw` are ``0.5 log2`` of ``(1 - beta) s p2/n0
+    + 1/(1 - h)``, ``s delta^2/n0 + 1/(1 - h)`` and ``(s (p1 + p2 + 2 sqrt((g
+    + beta) p1 p2)) + n0)/(n0 (1 - h))``; they meet ``r2``, ``rc`` and ``r2 +
+    rc`` less ``_LEAST_EPS`` at ``s = n0 T``, the largest of ``T2 = N2/((1 - beta)
     p2)``, ``Tc = Nc/delta^2`` and ``Ts = Ns/(p1 + p2 + 2 sqrt((g + beta) p1
     p2))`` (a term is 0 where its numerator is not positive), with ``N2 =
     4^r2 - 1/(1 - h)``, ``Nc = 4^rc - 1/(1 - h)`` and ``Ns = 4^(r2+rc) (1 -
@@ -429,17 +385,9 @@ class _VqFeasibility:
 
     def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
         """The no-conference slice's least point when ``ch``'s powers reach
-        its least scale, else None, proof or none: the slack search never
-        answered lower below an unproven run."""
+        its least scale, else None, proof or none."""
         cfg, reached, _ = self._scaled_least(_noconf_least, _noconf_config, ch)
         return cfg if reached else None
-
-    def certified(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
-        """The slack search's first witness on the unlimited slice at ``ch``'s
-        powers, or None: the second opinion below an unproven unlimited run."""
-        pt, _ = _certify(*_unlimited_slice(self.src, ch, self.target),
-                         (self.side, self.side, 1.0))
-        return None if pt is None else vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, pt[2])
 
     def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
         ch = ChannelSpec(p1, p2, n0, c12)
@@ -450,10 +398,8 @@ class _VqFeasibility:
             unlimited = is_unlimited(c12)
             if reached and (unlimited or run.rc <= _rc_budget(self.src.rho, 0.0, c12)):
                 cfg = run
-            elif not reached and proof:
+            elif unlimited or not reached and proof:
                 cfg = None
-            elif unlimited:
-                cfg = self.certified(ch)
             else:
                 cfg = self._noconf(ch) or self._link(ch)
         if cfg is not None:
@@ -665,10 +611,10 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
     ``d1`` where :func:`_unlimited_least`'s scale at the target ``(1,
     d2_target)`` is at most 1, else +inf; a box's bound is the ``d1`` at its
     ``up`` corner, or +inf where the scale's bound exceeds 1.  The witness's
-    ``beta`` is the point's best split.  ``converged`` is the run's proof.
-    Without one (the optimal points lie on the power constraint: rho 1) a
-    bisection on ``log2 d1`` by certified queries runs too, and the lower
-    answer is returned.
+    ``beta`` is the point's best split.  ``converged`` is the run's proof,
+    and the bracket is ``(d1 (1 - _LEAST_GAP), d1)`` with one and ``(0,
+    d1)`` without (at rho 1, where the optimal points lie on the power
+    constraint).
     """
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
     rate_cap = 0.5 * math.log2(1.0 + (p1 + p2 + 2.0 * math.sqrt(p1 * p2)) / n0) + 1.0
@@ -681,24 +627,12 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
         return (np.where(at_mid <= 1.0, d1[:len(mid)], np.inf),
                 np.where(below <= 1.0, d1[len(mid):], np.inf))
     pt, d1, proof = _least(evaluate, [rate_cap, rate_cap])
-    if pt is not None:
-        pt = np.append(pt, _unlimited_beta(src, ch, pt[None, :]))
-    bracket, iterations = (d1 * (1.0 - _LEAST_GAP) if proof else 0.0, d1), 0
-    if not proof:
-        found = {}
-
-        def feasible(x: float) -> bool:
-            found[x], _ = _certify(*_unlimited_slice(src, ch, DistortionPair(2.0**x, d2_target)),
-                                   [rate_cap, rate_cap, 1.0])
-            return found[x] is not None
-        if feasible(0.0):
-            lo, hi, steps, _ = _bisect(feasible, -2.0 * (rate_cap + 2.0), 0.0, 0.0, 1e-7)
-            if 2.0**hi < d1:
-                pt, d1, bracket, iterations = found[hi], 2.0**hi, (2.0**lo, 2.0**hi), steps
     if pt is None:
         raise UnboundedError("even d1 = 1 infeasible at these powers")
-    witness = {"r2": float(pt[0]), "rc": float(pt[1]), "beta": float(pt[2])}
-    return OptimizationResult(d1, witness, iterations, proof, bracket)
+    beta = float(_unlimited_beta(src, ch, pt[None, :])[0])
+    witness = {"r2": float(pt[0]), "rc": float(pt[1]), "beta": beta}
+    bracket = (d1 * (1.0 - _LEAST_GAP) if proof else 0.0, d1)
+    return OptimizationResult(d1, witness, 0, proof, bracket)
 
 
 class CurveKind(enum.Enum):
@@ -766,8 +700,9 @@ def trace_curve(kind: CurveKind, params: dict, grid) -> list[dict]:
                 res = min_d1_unlimited(src, ChannelSpec(snr * n0, snr * n0, n0), d2)
                 product = res.objective * d2
                 predicted = bounds.semi_symmetric_product(src.rho, snr * n0, n0, d2)
+                # the prediction is 0 at rho = 1
                 row.update({"d1d2_vq": product, "d1d2_predicted": predicted,
-                            "ratio": product / predicted})
+                            "ratio": product / predicted if predicted else math.inf})
             except UnboundedError as exc:
                 row.update({"d1d2_vq": math.nan, "d1d2_predicted": math.nan,
                             "ratio": math.nan})

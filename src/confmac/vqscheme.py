@@ -259,13 +259,6 @@ def _guarded(cond, value, fallback, fill):
     return np.where(cond, value(np.where(cond, fallback, 1.0)), fill)
 
 
-def _fold_distortions(slack, d1a, d2a, d1, d2):
-    """Fold the two distortion slacks ``0.5 log2(target / achieved)`` in place."""
-    np.minimum(slack, 0.5 * (math.log2(d1) - np.log2(d1a)), out=slack)
-    np.minimum(slack, 0.5 * (math.log2(d2) - np.log2(d2a)), out=slack)
-    return slack
-
-
 def _upper_root(qa, qb, qc):
     """Larger root of ``qa x^2 + qb x + qc`` (``qa >= 0``) in the form that
     does not cancel; the linear root where ``qa = 0 < qb``, +inf or NaN where

@@ -392,6 +392,23 @@ def test_trace_csv_schema(tmp_path):
     assert f"{value:.12g}" == first["pmin_fullcoop"]
 
 
+def test_trace_d1d2_at_rho_one_has_an_infinite_ratio():
+    """At rho 1 the semi-symmetric prediction is 0: each row's ratio is
+    ``inf`` and the trace succeeds, with ``d1 = 1/(1 + 4 snr)`` at the
+    target ``d2``."""
+    code, out = run_cli(["trace", "--kind", "d1d2-vs-snr", "--rho", "1", "--d2", "0.05",
+                         "--snrs", "1e2,1e4"])
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    cols = lines[0].split(",")
+    rows = [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
+    assert [row["p_over_n"] for row in rows] == ["100", "10000"]
+    for row in rows:
+        assert (row["d1d2_predicted"], row["ratio"], row["errors"]) == ("0", "inf", "")
+        snr = float(row["p_over_n"])
+        assert float(row["d1d2_vq"]) / 0.05 == pytest.approx(1.0 / (1.0 + 4.0 * snr), rel=1e-7)
+
+
 def test_json_config_round_trip(tmp_path):
     args = ["region", "vq", "--rho", "0.5", "--p1", "1", "--p2", "1", "--noise", "1",
             "--r1", "0.5", "--r2", "0.5", "--rc", "0.25", "--beta1", "0.2",

@@ -397,7 +397,10 @@ def cmd_trace(args) -> int:
     tol = None if kind is CurveKind.D1D2_VS_SNR else params["tol"]  # d1d2-vs-snr reads none
     meta = {k: v for k, v in _numbers_echo(cfg, ("sigma2", "rho", "noise", "d2", "p"), tol).items()
             if v is not None}
-    write_csv(str(cfg["out"]), rows, meta)
+    if args.json:
+        emit_json({"rows": rows, "config": meta})
+    else:
+        write_csv(str(cfg["out"]), rows, meta)
     bad = [row for row in rows if row.get("errors")]
     return EXIT_INFEASIBLE if bad else EXIT_OK
 

@@ -1,9 +1,8 @@
 """Optimizers behind the figure-level questions.
 
-Minimal symmetric power and minimal conference capacity are found by outer
-bisection over a predicate monotone in the objective.  All schedules are
-fixed, so identical inputs give identical results, iteration counts
-included; no search is warm-started from another query's point.
+All schedules are fixed, so identical inputs give identical results,
+iteration counts included; no search is warm-started from another query's
+point.
 
 On the quantizer scheme's slices ``c12 = 0`` and ``c12 = inf`` and for
 separation scheme 2, every rate bound is linear in a common scale ``s`` of
@@ -13,34 +12,33 @@ the box and the point that needs it.  Both quantizer slices search two
 rates: ``(r1, r2)`` without conference, and ``(r2, rc)`` with unlimited
 conference, where the coherence split ``beta`` a point needs least has a
 closed form (:func:`_unlimited_least`).  A solve makes one box and one run
-per form, along its powers' direction, and every bisection step reads it: a
-scheme-2 step is ``p >= m`` at unit powers, and that point is the witness at
-``hi``.
+per form, along its powers' direction.
 
-A quantizer query at ``c12 = 0`` is feasible when it reaches the
-no-conference least scale, else not, proof or none.  At any other link it
-reads the unlimited slice's run, whose scheme contains the finite one (its
-shared rate standing for ``r1 + rc``): the query is feasible at the run's
-point when it reaches the least scale and that point's shared rate fits the
-link (any rate at ``c12 = inf``).  Below the least scale a query at ``c12 =
-inf`` is infeasible, proof or none, as at ``c12 = 0``; at a finite link it
-is infeasible when the run is a proof.  Any other finite-``c12`` query takes
-the no-conference slice's point at or above its least scale, and otherwise
-reads one least-scale compass run per direction and link: a multistart
-compass search plus a grid refine that minimizes the full scheme's
-closed-form least scale (:func:`vqscheme._least_scale`) over the budget
-surface.  The query is feasible when its power reaches the run's least, at
-the run's point.  A run stops once it reaches the asking power and runs
-again, further, only for a later query below that, so every decision is the
-one a complete run makes, whatever the order of the queries.  The compass
-keeps ``r1 + rc`` inside the unlimited run's box, so that run's proof covers
-it, but its own "infeasible" is not proven: a solve whose witness
-re-validates at the bracket's ``lo`` reports ``converged = False``.
-:func:`min_d1_unlimited` (``d1d2-vs-snr``) minimizes ``d1`` by one
-branch-and-bound over the unlimited slice whose proof is its ``converged``
-flag.  Separation scheme 1 and the necessary condition take one feasibility
-query per bisection step, whose last feasible one gives the witness at
-``hi``; scheme 1's source boundary is built once per solve.
+The quantizer's least power at a link (:meth:`_VqFeasibility.least`) reads
+those runs.  At ``c12 = inf`` it is the unlimited run's least, and below
+rho = 1 at ``c12 = 0`` the no-conference run's.  At any other link the
+unlimited slice's scheme contains the finite one, its shared rate standing
+for ``r1 + rc``: the unlimited least answers when that run is a proof and
+its point's shared rate fits the link (at rho = 1 any rate fits a point with
+``r1 = 0``).  Otherwise the answer is the least of the no-conference run,
+the unlimited point where it fits and, at a positive link, one least-scale
+compass run: a multistart compass search plus a grid refine that minimizes
+the full scheme's closed-form least scale (:func:`vqscheme._least_scale`)
+over the budget surface.  A proven unlimited least raises it to at least
+that least.  The compass keeps ``r1 + rc`` inside the unlimited run's box,
+so that run's proof covers it, but its own least is not proven.
+
+``vq`` and scheme-2 least-power solves report that least power and its
+point with no bisection; the bracket's lower end is the proven run's least
+less :data:`_opt._LEAST_GAP`, or 0 without a proof.  A least-link solve
+bisects over ``c12``: a query is feasible when the least power along its
+powers is at most their maximum, and its compass run stops once it reaches
+that power, which does not change its path, so every decision is a
+complete run's.  :func:`min_d1_unlimited` (``d1d2-vs-snr``) minimizes ``d1``
+by one branch-and-bound over the unlimited slice whose proof is its
+``converged`` flag.  Separation scheme 1 and the necessary condition take
+one feasibility query per bisection step, whose last feasible one gives the
+witness at ``hi``; scheme 1's source boundary is built once per solve.
 """
 
 from __future__ import annotations
@@ -295,10 +293,10 @@ def _unlimited_config(src: SourceSpec, ch: ChannelSpec, pt) -> vqscheme.VqConfig
 
 
 class _VqFeasibility:
-    """Scheme feasibility at one target by the module's rule, with one box
-    and one run per form per solve.  The slice boxes' rate sides are
-    ``side`` bits: 8, or one bit past the ``0.5 log2(1/d)`` that meets the
-    smaller target ``d`` alone, up to ``_MAX_SIDE``."""
+    """The scheme's least power at one target by the module's rule, with
+    one box and one run per slice form per solve.  The slice boxes' rate
+    sides are ``side`` bits: 8, or one bit past the ``0.5 log2(1/d)`` that
+    meets the smaller target ``d`` alone, up to ``_MAX_SIDE``."""
 
     def __init__(self, src: SourceSpec, target: DistortionPair):
         self.src = src
@@ -307,28 +305,25 @@ class _VqFeasibility:
                         _MAX_SIDE)
         self.witness: vqscheme.VqConfig | None = None
         self.least_runs: dict = {}
-        self.link_runs: dict = {}
 
-    def _scaled_least(self, form, config, ch: ChannelSpec):
-        """``(config, reached, proof)``: the full scheme's configuration at
-        the point of the :func:`_opt._least` run of the slice ``form`` on
-        its ``(side, side)`` box at ``ch``'s powers over their maximum
-        ``top`` (None where no point is finite), whether ``top`` reaches its
-        least scale, and the run's proof.  One run per form per solve: the
-        run is made at the first query along these powers and serves every
-        later one."""
-        top = max(ch.p1, ch.p2)
-        base = ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0)
+    def _scaled_least(self, form, config, base: ChannelSpec):
+        """``(least, config, floor)`` of the :func:`_opt._least` run of the
+        slice ``form`` on its ``(side, side)`` box at ``base``'s powers: the
+        least scale of those powers, the full scheme's configuration at the
+        run's point (None where no point is finite), and the run's proven
+        lower bound, 0 without a proof.  The run is made at the first call
+        along these powers and serves every later one."""
         if (form, base) not in self.least_runs:
             pt, least, proof = _least(form(self.src, base, self.target), (self.side, self.side))
-            cfg = None if pt is None else config(self.src, base, pt)
-            self.least_runs[form, base] = cfg, least, proof
-        cfg, least, proof = self.least_runs[form, base]
-        return cfg, top >= least, proof
+            self.least_runs[form, base] = (least, None if pt is None else config(self.src, base, pt),
+                                           least * (1.0 - _LEAST_GAP) if proof else 0.0)
+        return self.least_runs[form, base]
 
-    def _link_run(self, base: ChannelSpec, stop: float):
-        """``(marks, complete)``: the least-scale compass run at ``base``'s
-        powers and finite link, stopped once its least reaches ``stop``.
+    def _link_run(self, base: ChannelSpec, c12: float, stop: float | None):
+        """``(least, config, 0)``, 0 the bound it does not prove: the best
+        point of the least-scale compass run at ``base``'s powers and the
+        finite link ``c12``, stopped once its least reaches ``stop`` (None:
+        never).
 
         Its points are ``(r1, r2, b1, b2)``, rates scaled by ``side`` as
         in the slice boxes, and the shared rate is ``min(_rc_budget(rho, r1,
@@ -337,74 +332,76 @@ class _VqFeasibility:
         stays in the unlimited run's box, so that run's proof covers every
         point reached.  The objective is :func:`vqscheme._least_scale`;
         the compass starts from 32 Halton points and both slices' least
-        points, and a grid refine follows it.  ``marks`` lists ``(least,
-        config)`` at each objective call that lowered the least, in call
-        order.  ``stop`` cuts the run short without changing its path, so
-        a stopped run's marks begin every longer run's; ``complete`` says
-        that the run was not cut.
+        points, and a grid refine follows it.  ``stop`` cuts the run short
+        without changing its path, so a stopped run's least is at most
+        ``stop`` exactly when the complete run's is.
         """
         src, target, cap = self.src, self.target, self.side
-        marks = []
+        best = [math.inf, None]
 
         def objective(pts):
             r1, r2 = pts[:, 0] * cap, pts[:, 1] * cap
-            rc = np.minimum(_rc_budget(src.rho, r1, base.c12), self.side - r1)
+            rc = np.minimum(_rc_budget(src.rho, r1, c12), self.side - r1)
             least = vqscheme._least_scale(src.sigma2, src.rho, base.p1, base.p2, base.n0,
                                           target.d1, target.d2, r1, r2, rc,
                                           pts[:, 2], pts[:, 3])
             i = int(np.argmin(least))
-            if least[i] < (marks[-1][0] if marks else math.inf):
-                marks.append((float(least[i]), vqscheme.VqConfig(
-                    r1[i], r2[i], rc[i], pts[i, 2], pts[i, 3])))
+            if least[i] < best[0]:
+                best[:] = float(least[i]), vqscheme.VqConfig(
+                    r1[i], r2[i], rc[i], pts[i, 2], pts[i, 3])
             return -least
 
         starts = [halton_points(32, 4)]
         for form, config in ((_noconf_least, _noconf_config),
                              (_unlimited_least, _unlimited_config)):
-            cfg, _, _ = self._scaled_least(form, config, base)
+            _, cfg, _ = self._scaled_least(form, config, base)
             if cfg is not None:
                 starts.append([[cfg.r1 / cap, cfg.r2 / cap, cfg.beta1, cfg.beta2]])
-        val, pt, _ = compass_search_max(objective, np.vstack(starts), stop_at=-stop)
-        if val < -stop:
-            refine_grid_max(objective, pt, stop_at=-stop)
-        return marks, not marks or marks[-1][0] > stop
+        stop_at = None if stop is None else -stop
+        val, pt, _ = compass_search_max(objective, np.vstack(starts), stop_at=stop_at)
+        if stop_at is None or val < stop_at:
+            refine_grid_max(objective, pt, stop_at=stop_at)
+        return best[0], best[1], 0.0
 
-    def _link(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
-        """The witness of the least-scale compass at the finite ``ch.c12``,
-        or None: the first mark of its run along ``ch``'s powers whose least
-        the powers' maximum ``top`` reaches.  One run per direction and link,
-        cut at the first ``top`` it reaches and run again, further, only for a
-        query below its last mark: every answer is the one a complete run
-        gives, whatever the order of the queries."""
+    def least(self, ch: ChannelSpec, stop: float | None = None):
+        """``(least, config, floor)``: the least power ``max(p1, p2)`` along
+        ``ch``'s powers at which the scheme meets the target at ``ch.c12``,
+        the configuration that meets it there (None where ``least`` is
+        inf), and a proven lower bound of it, 0 where none is proven.
+
+        With a ``stop`` only ``least <= stop`` is read: a finite link's
+        compass run stops once its least reaches ``stop``, which holds
+        exactly when it holds for the complete run, and no compass runs
+        where a proof already puts the least above ``stop``.
+        """
         top = max(ch.p1, ch.p2)
-        base = ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0, ch.c12)
-        marks, complete = self.link_runs.get(base, ([], False))
-        if not complete and (not marks or marks[-1][0] > top):
-            marks, complete = self.link_runs[base] = self._link_run(base, top)
-        return next((cfg for least, cfg in marks if least <= top), None)
-
-    def _noconf(self, ch: ChannelSpec) -> vqscheme.VqConfig | None:
-        """The no-conference slice's least point when ``ch``'s powers reach
-        its least scale, else None, proof or none."""
-        cfg, reached, _ = self._scaled_least(_noconf_least, _noconf_config, ch)
-        return cfg if reached else None
+        base = ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0)
+        c12, rho = ch.c12, self.src.rho
+        if c12 == 0.0 and rho < 1.0:  # below rho = 1 no shared rate fits a closed link
+            return self._scaled_least(_noconf_least, _noconf_config, base)
+        unlimited = bound, run, floor = self._scaled_least(_unlimited_least, _unlimited_config,
+                                                           base)
+        if is_unlimited(c12):
+            return unlimited
+        fits = run is not None and run.rc <= _rc_budget(rho, 0.0, c12)
+        if floor and (fits or stop is not None and bound > stop):
+            return unlimited
+        options = [self._scaled_least(_noconf_least, _noconf_config, base)]
+        if fits:
+            options.append(unlimited)
+        if c12 > 0.0 and (stop is None or min(option[0] for option in options) > stop):
+            options.append(self._link_run(base, c12, stop))
+        least, cfg, _ = min(options, key=lambda option: option[0])
+        return max(least, bound) if floor else least, cfg, floor
 
     def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
-        ch = ChannelSpec(p1, p2, n0, c12)
-        if c12 == 0.0:
-            cfg = self._noconf(ch)
-        else:
-            run, reached, proof = self._scaled_least(_unlimited_least, _unlimited_config, ch)
-            unlimited = is_unlimited(c12)
-            if reached and (unlimited or run.rc <= _rc_budget(self.src.rho, 0.0, c12)):
-                cfg = run
-            elif unlimited or not reached and proof:
-                cfg = None
-            else:
-                cfg = self._noconf(ch) or self._link(ch)
-        if cfg is not None:
+        """Whether the powers meet the target at ``c12``; a feasible query
+        keeps its configuration in ``witness``."""
+        top = max(p1, p2)
+        least, cfg, _ = self.least(ChannelSpec(p1, p2, n0, c12), stop=top)
+        if least <= top:
             self.witness = cfg
-        return cfg is not None
+        return least <= top
 
 
 def _vq_witness_ok(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig,
@@ -474,12 +471,15 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
                         p_ceiling: float | None = None) -> OptimizationResult:
     """Least symmetric power ``p1 = p2 = p`` at which the scheme meets the target.
 
-    Outer bisection over a feasibility predicate that is monotone in power
-    (raising the power only enlarges every bound), one query per step
-    (:func:`_query_solve`).  ``tol`` (finite, >= 0) is the relative bracket
-    width; ``p_ceiling`` bounds the search and triggers :class:`UnboundedError`
-    when exceeded.  Its default is ``1e6`` times the larger of ``n0`` and
-    the full-cooperation power, below which no scheme meets the target.
+    ``vq`` and ``sep2`` read their least power from their runs
+    (:func:`_least_solve`); ``sep1`` and ``necessary`` bisect over a
+    feasibility predicate that is monotone in power (raising the power only
+    enlarges every bound), one query per step (:func:`_query_solve`).
+    ``tol`` (finite, >= 0) is the relative bracket width that counts as
+    converged; ``p_ceiling`` bounds the search and triggers
+    :class:`UnboundedError` when exceeded.  Its default is ``1e6`` times
+    the larger of ``n0`` and the full-cooperation power, below which no
+    scheme meets the target.
     """
     _check_tol(tol)
     if target.d1 >= 1.0 and target.d2 >= 1.0:
@@ -493,41 +493,49 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
         return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
     if p_ceiling is None:
         p_ceiling = 1e6 * max(n0, p_full)
+    if scheme in (Scheme.VQ, Scheme.SEP2):
+        return _least_solve(src, scheme, target, c12, n0, tol, p_ceiling)
     return _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
 
 
-def _vq_witness(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig | None,
-                target: DistortionPair) -> dict:
-    """A quantizer solve's witness at its answer ``ch``, which the closed
-    forms must re-validate."""
-    ach = None if cfg is None else _vq_witness_ok(src, ch, cfg, target)
-    if ach is None:
-        raise AssertionError("bisection invariant violated: witness fails at hi")
-    return {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc, "beta1": cfg.beta1, "beta2": cfg.beta2,
-            "d1": ach.d1, "d2": ach.d2}
+def _least_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n0: float,
+                 tol: float, p_ceiling: float) -> OptimizationResult:
+    """:func:`min_power_symmetric` for ``vq`` and ``sep2``, without bisection.
+
+    The answer is the least power of :meth:`_VqFeasibility.least`, or of
+    one scheme-2 :func:`_opt._least` run at unit powers, and its point is
+    the witness, re-validated at that power.  The bracket's lower end is
+    the proven bound (0 without a proof), and the solve converges when the
+    bracket is at most ``tol`` times its top.
+    """
+    unit = ChannelSpec(1.0, 1.0, n0, c12)
+    if scheme is Scheme.VQ:
+        least, cfg, floor = _VqFeasibility(src, target).least(unit)
+    else:
+        pt, least, proof = _least(separation._sep2_least(src, unit, target), [1.0, 1.0])
+        floor = least * (1.0 - _LEAST_GAP) if proof else 0.0
+    if least > p_ceiling:
+        raise UnboundedError(f"infeasible below ceiling {p_ceiling:g}")
+    ch = ChannelSpec(least, least, n0, c12)
+    if scheme is Scheme.VQ:
+        ach = _vq_witness_ok(src, ch, cfg, target)
+        witness = None if ach is None else {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
+                                            "beta1": cfg.beta1, "beta2": cfg.beta2,
+                                            "d1": ach.d1, "d2": ach.d2}
+    else:
+        report = separation._sep2_report(src, ch, target, pt)
+        witness = report.witness if report.feasible else None
+    if witness is None:
+        raise AssertionError("least-power invariant violated: witness fails at its answer")
+    return OptimizationResult(least, witness, 0, least - floor <= tol * least, (floor, least))
 
 
 def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n0: float,
                  tol: float, p_ceiling: float) -> OptimizationResult:
-    """:func:`min_power_symmetric` by one feasibility query per bisection step.
-
-    A scheme-2 query is ``p >= m``, ``m`` the least scale of unit powers from
-    one :func:`_opt._least` run, whose point is the witness at ``hi``; an
-    unproven run's answer stands.
-    """
+    """:func:`min_power_symmetric` by one feasibility query per bisection
+    step, whose last feasible one gives the witness at ``hi``."""
     found = {}
-    if scheme is Scheme.VQ:
-        inner = _VqFeasibility(src, target)
-
-        def predicate(p: float) -> bool:
-            return inner(p, p, n0, c12)
-    elif scheme is Scheme.SEP2:
-        unit = ChannelSpec(1.0, 1.0, n0, c12)
-        pt, least, _ = _least(separation._sep2_least(src, unit, target), [1.0, 1.0])
-
-        def predicate(p: float) -> bool:
-            return p >= least
-    elif scheme is Scheme.SEP1:
+    if scheme is Scheme.SEP1:
         boundary = separation._sep1_boundary(src, target)
         # read from the module at each step: a wrapper installed there sees every call
         predicate = _keeping_witness(lambda p: separation.sep1_feasible(
@@ -537,22 +545,8 @@ def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n
             src, ChannelSpec(p, p, n0, c12), target), found)
     else:
         raise DomainError("scheme", f"unsupported scheme {scheme}")
-
     lo, hi, iterations, converged = _expand_and_bisect(predicate, n0, p_ceiling, tol)
-
-    if scheme is Scheme.SEP2:
-        report = separation._sep2_report(src, ChannelSpec(hi, hi, n0, c12), target, pt)
-        if not report.feasible:
-            raise AssertionError("bisection invariant violated: witness fails at hi")
-        found["witness"] = report.witness
-    if scheme is not Scheme.VQ:
-        return OptimizationResult(hi, dict(found["witness"]), iterations, converged, (lo, hi))
-    # the witness from the last feasible query certifies hi exactly; an
-    # unproven "infeasible" (the least-scale compass's) at lo is refuted when it holds there too
-    witness = _vq_witness(src, ChannelSpec(hi, hi, n0, c12), inner.witness, target)
-    if _vq_witness_ok(src, ChannelSpec(lo, lo, n0, c12), inner.witness, target) is not None:
-        converged = False
-    return OptimizationResult(hi, witness, iterations, converged, (lo, hi))
+    return OptimizationResult(hi, dict(found["witness"]), iterations, converged, (lo, hi))
 
 
 def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,

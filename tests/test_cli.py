@@ -409,6 +409,27 @@ def test_trace_d1d2_at_rho_one_has_an_infinite_ratio():
         assert float(row["d1d2_vq"]) / 0.05 == pytest.approx(1.0 / (1.0 + 4.0 * snr), rel=1e-7)
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["trace", "--kind", "d1d2-vs-snr", "--rho", "1", "--d2", "0.05", "--snrs", "1e2,1e4"], 0),
+    (["trace", "--kind", "c12-vs-alpha", "--rho", "0.5", "--d2", "0.2", "--p", "0.1",
+      "--schemes", "sep1,vq", "--alphas", "0.5,1"], 2),
+], ids=["infinite-ratio", "unbounded-rows"])
+def test_trace_json_is_strict_and_matches_the_csv(argv, status):
+    """``trace --json`` prints one strict JSON object whose rows are the
+    CSV's rows, an infinite ratio or a failed cell spelled as a string, and
+    exits as the CSV run does."""
+    code, out = run_cli(argv)
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    cols = lines[0].split(",")
+    csv_rows = [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
+    json_code, json_out = run_cli(argv + ["--json"])
+    payload = json.loads(json_out, parse_constant=_reject_constant)
+    assert code == json_code == status
+    assert payload["config"]["kind"] == argv[2]
+    assert [{key: value if isinstance(value, str) else f"{value:.12g}"
+             for key, value in row.items()} for row in payload["rows"]] == csv_rows
+
+
 def test_json_config_round_trip(tmp_path):
     args = ["region", "vq", "--rho", "0.5", "--p1", "1", "--p2", "1", "--noise", "1",
             "--r1", "0.5", "--r2", "0.5", "--rc", "0.25", "--beta1", "0.2",

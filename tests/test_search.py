@@ -721,13 +721,15 @@ def test_finite_link_shared_rate_stays_in_the_unlimited_box():
 def test_slice_boxes_grow_with_the_target():
     """A target below ``2^-14`` widens the slices' rate boxes, so neither
     slice is unbounded where a finite link answers: at rho 0.5 the three
-    links order as their schemes nest, each at or above the necessary
-    power (d = (1e-5, 0.2) needs about 8.3 bits of ``r1 + rc``)."""
+    links order as their schemes nest, each at or above the lower end of
+    the necessary power's bracket (d = (1e-5, 0.2) needs about 8.3 bits of
+    ``r1 + rc``; at d = 1e-6 that bisection's top lies 7e-8 relative above
+    the exact unlimited least)."""
     for target in (DistortionPair(1e-5, 0.2), DistortionPair(0.2, 1e-5),
                    DistortionPair(1e-6, 1e-6)):
         unlimited, finite, none = (min_power_symmetric(SRC, Scheme.VQ, target, c12=c12).objective
                                    for c12 in (UNLIMITED, 1.0, 0.0))
-        necessary = min_power_symmetric(SRC, Scheme.NECESSARY, target).objective
+        necessary = min_power_symmetric(SRC, Scheme.NECESSARY, target).bracket[0]
         assert necessary <= unlimited <= finite <= none, (target, unlimited, finite, none)
 
 
@@ -782,6 +784,34 @@ def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
             assert query.witness.r1 > 0.0 and query.witness.rc > 0.0, query.witness
 
 
+@pytest.mark.parametrize("rho", [0.3, 0.8])
+def test_queries_meet_the_least_power_exactly(rho):
+    """A quantizer query is feasible at the ``minpower`` answer and not at
+    ``1 - 1e-9`` times it, at every link: the solve answers the queries'
+    least power itself, not a bisection's top above it."""
+    src, target = SourceSpec(1.0, rho), DistortionPair(0.1, 0.2)
+    for c12 in (UNLIMITED, 1.0, 0.5, 0.0):
+        p = min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=1e-9).objective
+        query = search._VqFeasibility(src, target)
+        assert not query(p * (1.0 - 1e-9), p * (1.0 - 1e-9), 1.0, c12), (rho, c12, p)
+        assert query(p, p, 1.0, c12), (rho, c12, p)
+
+
+def test_closed_link_at_rho_one_reads_the_unlimited_slice():
+    """At rho = 1 the budget of a point with ``r1 = 0`` is unbounded, so at
+    ``c12 = 0`` the unlimited slice's points need no link: ``minpower``
+    answers as at ``c12 = inf`` (6.0, not the no-conference 6.24, at d =
+    (0.04, 0.2)), and ``minconf`` at P = (1.3, 3.9) answers 0, converged,
+    where the unlimited end needs no link either."""
+    src = SourceSpec(1.0, 1.0)
+    for d, none in (((0.04, 0.2), 6.24), ((0.3, 0.9), 0.7583)):
+        closed, unlimited = (min_power_symmetric(src, Scheme.VQ, DistortionPair(*d), c12=c12,
+                                                 tol=1e-9) for c12 in (0.0, UNLIMITED))
+        assert closed == unlimited and closed.objective < none - 0.1, (d, closed, unlimited)
+    res = min_conf_capacity(src, ChannelSpec(1.3, 3.9, 1.0), Scheme.VQ, DistortionPair(0.1, 0.2))
+    assert (res.objective, res.bracket, res.converged) == (0.0, (0.0, 0.0), True), res
+
+
 def test_capped_round_keeps_the_least_neighbourhood():
     """On a form whose lowest bounds lie where no centre is finite (as near
     ``1 - h = 0`` at rho 1) the rounds past the box cap also split the best
@@ -825,11 +855,11 @@ def _form_of(evaluate) -> str:
 
 def test_least_power_solves_match_the_query_solves(monkeypatch):
     """Each solve makes at most one least-scale run per form.  On proven
-    searches scheme 2's run at unit powers makes the decisions of a
-    bisection by one ``sep2_feasible`` query per step: same objective,
-    bracket and iteration count.  A quantizer solve at ``c12`` 0 or inf
-    makes one run; a finite link's ``minpower`` and ``minconf``, the
-    latter's unlimited end included, read one run per form."""
+    searches scheme 2's answer from its run at unit powers lies in the
+    bracket of a bisection by one ``sep2_feasible`` query per step, within
+    ``tol`` of its top.  A quantizer solve at ``c12`` 0 or inf makes one
+    run; a finite link's ``minpower`` and ``minconf``, the latter's
+    unlimited end included, read one run per form."""
     least, calls, forms = search._least, [], []
 
     def recorded(evaluate, hi):
@@ -844,9 +874,10 @@ def test_least_power_solves_match_the_query_solves(monkeypatch):
         for c12 in (UNLIMITED, 0.5):
             calls.clear()
             res = min_power_symmetric(src, Scheme.SEP2, target, c12=c12, tol=tol)
-            assert calls == [("least", 2, True)], (rho, c12, calls)
-            assert (res.objective, res.bracket, res.iterations) == _sep2_query_bisection(
-                src, target, c12, tol), (rho, c12)
+            assert calls == [("least", 2, True)] and res.iterations == 0, (rho, c12, calls)
+            _, (lo, hi), _ = _sep2_query_bisection(src, target, c12, tol)
+            answer = res.objective
+            assert lo < answer <= hi <= answer * (1.0 + tol), (rho, c12, answer, lo, hi)
         for c12, form in ((UNLIMITED, "_unlimited_least"), (0.0, "_noconf_least")):
             calls.clear()
             forms.clear()
@@ -865,7 +896,8 @@ def test_least_power_solves_match_the_query_solves(monkeypatch):
 def test_unproven_least_scale_no_stands(monkeypatch):
     """Below a slice's unproven least-scale run a query at ``c12`` inf or 0
     answers no: with the least scale raised 0.1% the solve answers at the
-    raised scale, and with no finite scale it finds no power."""
+    raised scale, unconverged with no lower bound, and with no finite scale
+    it finds no power."""
     least = search._least
     target, tol = DistortionPair(0.1, 0.2), 1e-6
     scales = []
@@ -883,28 +915,33 @@ def test_unproven_least_scale_no_stands(monkeypatch):
         res = min_power_symmetric(SRC, Scheme.VQ, target, c12=c12, tol=tol)
         [raised] = scales
         assert raised <= res.objective <= raised * (1.0 + tol), (c12, raised, res.objective)
+        assert res.converged is False and res.bracket[0] == 0.0, (c12, res)
 
 
 def test_finite_link_witness_least_power_lies_in_the_bracket():
     """A finite link's witness needs, by the full scheme's closed form, a
-    least power in the bracket ``(lo, hi]``, so it does not refute the
-    bracket's lower end and the solve converges, whether the least-scale
-    compass decided the bracket or the unlimited slice did (``c12`` 1.5)."""
-    for rho, target, c12 in ((0.5, DistortionPair(0.1, 0.2), 1.0),
-                             (0.8, DistortionPair(0.04, 0.2), 0.25),
-                             (0.5, DistortionPair(0.1, 0.2), 1.5)):
+    least power in the bracket ``(lo, hi]``, whether the least-scale
+    compass decided the answer or the unlimited slice did (``c12`` 1.5),
+    up to the rounding by which the full scheme's closed form reads the
+    slice's point (5e-16 relative at ``c12`` 1.5).  Only the latter
+    converges: the compass's least is not proven, and its bracket reaches
+    down to the unlimited slice's proven bound."""
+    for rho, target, c12, converged in ((0.5, DistortionPair(0.1, 0.2), 1.0, False),
+                                        (0.8, DistortionPair(0.04, 0.2), 0.25, False),
+                                        (0.5, DistortionPair(0.1, 0.2), 1.5, True)):
         res = min_power_symmetric(SourceSpec(1.0, rho), Scheme.VQ, target, c12=c12, tol=1e-6)
         point = (np.array([res.witness[k]]) for k in ("r1", "r2", "rc", "beta1", "beta2"))
         least = vqscheme._least_scale(1.0, rho, 1.0, 1.0, 1.0, target.d1, target.d2, *point)[0]
         lo, hi = res.bracket
-        assert lo < least <= hi and res.converged, (rho, c12, res.bracket, least)
+        assert lo < least <= hi * (1.0 + 1e-15) and res.converged is converged, (
+            rho, c12, res.bracket, least)
 
 
 def test_link_queries_do_not_depend_on_their_order():
     """Finite-link queries asked in ascending and in descending order of
-    power give the same decisions and witnesses: a least-scale run is cut
-    only where a query is met, which does not change its path, and a query
-    reads the first mark its power reaches."""
+    power give the same decisions and witnesses: a query's compass run
+    stops where it meets the query's power, which does not change its
+    path, and no query reads another's run."""
     src, target, c12 = SourceSpec(1.0, 0.3), DistortionPair(0.2, 0.1), 0.5
     answers = {}
     for powers in (np.linspace(8.5, 11.5, 13), np.linspace(11.5, 8.5, 13)):
@@ -943,40 +980,44 @@ def test_min_conf_refuted_bracket_is_not_converged(monkeypatch):
 
 
 # (d1, d2, c12, tol, objective, bracket, iterations, witness) of VQ solves at
-# rho = 0.5: the four Fig. 3 VQ solves and one finite-link solve.  The four
-# slice rows are the certified branch-and-bound's answers; each lies below
-# the compass search's old answer, which these witnesses refute.  Their
-# witnesses are the least-power branch-and-bound's points, within 1.3e-9 of
-# the feasibility queries' witnesses of the same optimum; at ``c12 = inf``
-# each is a point ``(r2, rc)`` at its closed-form best split ``beta2``,
-# within 2.3e-13 of the point the search over ``(r2, rc, beta)`` found.  In the
+# rho = 0.5: the four Fig. 3 VQ solves and one finite-link solve, each read
+# from its runs with no bisection.  The four slice rows are the certified
+# branch-and-bound's least powers, each just below the bisection's answer
+# that preceded them (23.992380127310753, 32.446769416332245,
+# 5.423282735049725 and 6.480237826704979) and far below the compass
+# search's older answer, which these witnesses refute.  Their witnesses are
+# the least-power branch-and-bound's points, within 1.3e-9 of the
+# feasibility queries' witnesses of the same optimum; at ``c12 = inf`` each
+# is a point ``(r2, rc)`` at its closed-form best split ``beta2``, within
+# 2.3e-13 of the point the search over ``(r2, rc, beta)`` found.  In the
 # finite-link row the unlimited witness's shared rate (about 1.65 bits)
-# exceeds the 1.16 bits the link carries and the no-conference slice fails
-# below 12.96, so the least-scale compass decides its bracket.  Exact
-# optimisations must keep every one of them bit for bit.
+# exceeds the 1.16 bits the link carries and the no-conference slice needs
+# 12.96, so the least-scale compass decides it (the bisection over it
+# answered 10.290931701660156), unconverged above the unlimited slice's
+# proven bound.  Exact optimisations must keep every one of them bit for bit.
 PINNED_VQ_SOLVES = (
     (0.2 * 0.2, 0.2, UNLIMITED, 1e-9,
-     23.992380127310753, (23.99238011240959, 23.992380127310753), 35,
+     23.992380116143913, (23.99238011611992, 23.992380116143913), 0,
      {"r1": 0.0, "r2": 1.113929314136385, "rc": 2.3148310650490203,
       "beta1": 1.0, "beta2": 0.8561289051364582,
       "d1": 0.040000000055440244, "d2": 0.2000000002771636}),
     (0.2 * 0.2, 0.2, 0.0, 1e-9,
-     32.446769416332245, (32.44676938652992, 32.446769416332245), 36,
+     32.44676940113014, (32.4467694010977, 32.44676940113014), 0,
      {"r1": 2.3148310650490203, "r2": 1.113929314136385, "rc": 0.0,
       "beta1": 0.0, "beta2": 0.0,
       "d1": 0.040000000055440244, "d2": 0.2000000002771636}),
     (1.0 * 0.2, 0.2, UNLIMITED, 1e-9,
-     5.423282735049725, (5.423282731324434, 5.423282735049725), 33,
+     5.423282732853618, (5.423282732848195, 5.423282732853618), 0,
      {"r1": 0.0, "r2": 1.1245753685115005, "rc": 1.1245753685115005,
       "beta1": 1.0, "beta2": 0.3418464596784464,
       "d1": 0.20000000027723103, "d2": 0.20000000027723103}),
     (1.0 * 0.2, 0.2, 0.0, 1e-9,
-     6.480237826704979, (6.480237822979689, 6.480237826704979), 33,
+     6.4802378234382205, (6.48023782343174, 6.4802378234382205), 0,
      {"r1": 1.1245753685115005, "r2": 1.1245753685115005, "rc": 0.0,
       "beta1": 0.0, "beta2": 0.0,
       "d1": 0.20000000027723103, "d2": 0.20000000027723103}),
     (0.1, 0.2, 1.0, 1e-6,
-     10.290931701660156, (10.290924072265625, 10.290931701660156), 24,
+     10.290925422816477, (9.988136204546421, 10.290925422816477), 0,
      {"r1": 0.5777587890625, "r2": 1.1179741753472214, "rc": 1.065340170673986,
       "beta1": 0.731436767578125, "beta2": 0.6589573451450892,
       "d1": 0.099994002421637, "d2": 0.199999911693727}),
@@ -991,14 +1032,17 @@ def test_vq_solves_match_pinned_results():
 
 
 # (rho, d1, d2, c12, objective, slack) of finite-link vq solves at tol 1e-6
-# that the least-scale compass decides: each lies at or below ``slack``, the
-# answer of the max-min slack compass this search replaced, whose warm start
-# carried its last point from query to query.
+# that the least-scale compass decides: each is the complete compass run's
+# least, just below the bisection over that run that preceded it
+# (15.213722229003906, 11.53118896484375, 14.619148254394531 and
+# 12.547142028808594), and at or below ``slack``, the answer of the max-min
+# slack compass this search replaced, whose warm start carried its last
+# point from query to query.
 PINNED_LINK_SOLVES = (
-    (0.8, 0.04, 0.2, 0.25, 15.213722229003906, 16.000015258789062),
-    (0.5, 0.2, 0.1, 0.5, 11.53118896484375, 11.875007629394531),
-    (0.3, 0.2, 0.1, 0.5, 14.619148254394531, 14.703132629394531),
-    (0.8, 0.04, 0.2, 1.0, 12.547142028808594, 12.554840087890625),
+    (0.8, 0.04, 0.2, 0.25, 15.21371988106634, 16.000015258789062),
+    (0.5, 0.2, 0.1, 0.5, 11.531182917598093, 11.875007629394531),
+    (0.3, 0.2, 0.1, 0.5, 14.619145173973328, 14.703132629394531),
+    (0.8, 0.04, 0.2, 1.0, 12.547137926364496, 12.554840087890625),
 )
 
 
@@ -1012,11 +1056,12 @@ def test_link_solves_match_pinned_results():
 # (rho, d1, d2, objective, alone) of vq solves at c12 = inf and tol 1e-9
 # whose least-scale run over ``(r2, rc)`` ends without a proof: that run
 # alone answers them, below ``alone``, the answer of the old search over
-# ``(r2, rc, beta)`` by itself, which a slack search then lowered to these
-# objectives.
+# ``(r2, rc, beta)`` by itself, which a slack search then lowered; the
+# bisection against the run answered 4.749999988824129 and
+# 1.349427368491888, its top a little above the run's least.
 PINNED_SECOND_OPINIONS = (
-    (1.0, 0.9, 0.05, 4.749999988824129, 4.750136181712151),
-    (0.97, 0.2, 0.2, 1.349427368491888, 1.3494273778051138),
+    (1.0, 0.9, 0.05, 4.7499999861389846, 4.750136181712151),
+    (0.97, 0.2, 0.2, 1.3494273680296631, 1.3494273778051138),
 )
 
 

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -307,16 +308,21 @@ class _VqFeasibility:
         self.least_runs: dict = {}
 
     def _scaled_least(self, form, config, base: ChannelSpec):
-        """``(least, config, floor)`` of the :func:`_opt._least` run of the
+        """``(least, config, floor)`` of the one :func:`_opt._least` run of
         slice ``form`` on its ``(side, side)`` box at ``base``'s powers: the
-        least scale of those powers, the full scheme's configuration at the
-        run's point (None where no point is finite), and the run's proven
-        lower bound, 0 without a proof.  The run is made at the first call
-        along these powers and serves every later one."""
+        least scale of those powers, at least :func:`vqscheme._least_scale`
+        at ``config``, the full scheme's configuration at the run's point
+        (None where no point is finite), and the proven bound, or 0."""
         if (form, base) not in self.least_runs:
-            pt, least, proof = _least(form(self.src, base, self.target), (self.side, self.side))
-            self.least_runs[form, base] = (least, None if pt is None else config(self.src, base, pt),
-                                           least * (1.0 - _LEAST_GAP) if proof else 0.0)
+            src, target = self.src, self.target
+            pt, least, proof = _least(form(src, base, target), (self.side, self.side))
+            floor = least * (1.0 - _LEAST_GAP) if proof else 0.0
+            cfg = None if pt is None else config(src, base, pt)
+            if cfg is not None:
+                least = max(least, float(vqscheme._least_scale(
+                    src.sigma2, src.rho, base.p1, base.p2, base.n0, target.d1, target.d2,
+                    *np.array(astuple(cfg))[:, None])[0]))
+            self.least_runs[form, base] = least, cfg, floor
         return self.least_runs[form, base]
 
     def _link_run(self, base: ChannelSpec, c12: float, stop: float | None):
@@ -519,9 +525,7 @@ def _least_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n
     ch = ChannelSpec(least, least, n0, c12)
     if scheme is Scheme.VQ:
         ach = _vq_witness_ok(src, ch, cfg, target)
-        witness = None if ach is None else {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
-                                            "beta1": cfg.beta1, "beta2": cfg.beta2,
-                                            "d1": ach.d1, "d2": ach.d2}
+        witness = None if ach is None else {**asdict(cfg), "d1": ach.d1, "d2": ach.d2}
     else:
         report = separation._sep2_report(src, ch, target, pt)
         witness = report.witness if report.feasible else None
@@ -564,9 +568,7 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
 
     if scheme is Scheme.VQ:
         inner = _VqFeasibility(src, target)
-
-        def predicate_at(c) -> bool:
-            return inner(p1, p2, n0, c)
+        predicate_at = partial(inner, p1, p2, n0)
     elif scheme is Scheme.SEP1:
         found, boundary = {}, separation._sep1_boundary(src, target)
         predicate_at = _keeping_witness(lambda c: separation.sep1_feasible(
@@ -589,8 +591,7 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
     if cfg is None or _vq_witness_ok(src, ChannelSpec(p1, p2, n0, hi), cfg, target) is None:
         raise AssertionError("bisection invariant violated: witness fails at hi")
     req, _ = vqscheme.vq_conf_requirement(src, cfg)
-    witness = {"r1": cfg.r1, "r2": cfg.r2, "rc": cfg.rc,
-               "beta1": cfg.beta1, "beta2": cfg.beta2, "required_c12": req}
+    witness = {**asdict(cfg), "required_c12": req}
     if req <= lo < hi:  # the witness refutes the compass's unproven "infeasible" at lo
         converged = False
     return OptimizationResult(hi, witness, iterations, converged, (lo, hi))

@@ -435,14 +435,14 @@ def _conf_requirement(rho: float, r1: float, rc: float) -> tuple[float, float]:
     Where that form is not finite (at ``rho = 1, r1 = 0`` once ``1 - 4^-rc``
     rounds to 1), the requirement is taken as ``0.5 log2((1 - k) 4^rc + k)``
     with ``k = rho^2 4^-r1``, which is 0 at ``k = 1``, and the binning
-    discount as ``rc`` less it."""
+    discount as ``rc`` less it.  A requirement rounded below 0 reads 0."""
     with np.errstate(divide="ignore"):
         requirement, binning = (float(x) for x in _conf_requirement_arrays(rho, r1, rc))
     if not math.isfinite(requirement):
         k = rho**2 * 2.0 ** (-2.0 * r1)
         requirement = 0.0 if k >= 1.0 else rc + 0.5 * math.log2((1.0 - k) + k * 4.0**-rc)
         binning = rc - requirement
-    return requirement, binning
+    return max(requirement, 0.0), min(binning, rc)
 
 
 def vq_conf_requirement(src: SourceSpec, cfg: VqConfig) -> tuple[float, float]:

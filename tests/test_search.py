@@ -802,7 +802,8 @@ def test_closed_link_at_rho_one_reads_the_unlimited_slice():
     ``c12 = 0`` the unlimited slice's points need no link: ``minpower``
     answers as at ``c12 = inf`` (6.0, not the no-conference 6.24, at d =
     (0.04, 0.2)), and ``minconf`` at P = (1.3, 3.9) answers 0, converged,
-    where the unlimited end needs no link either."""
+    where the unlimited end needs no link either, with a witness that
+    needs none."""
     src = SourceSpec(1.0, 1.0)
     for d, none in (((0.04, 0.2), 6.24), ((0.3, 0.9), 0.7583)):
         closed, unlimited = (min_power_symmetric(src, Scheme.VQ, DistortionPair(*d), c12=c12,
@@ -810,6 +811,7 @@ def test_closed_link_at_rho_one_reads_the_unlimited_slice():
         assert closed == unlimited and closed.objective < none - 0.1, (d, closed, unlimited)
     res = min_conf_capacity(src, ChannelSpec(1.3, 3.9, 1.0), Scheme.VQ, DistortionPair(0.1, 0.2))
     assert (res.objective, res.bracket, res.converged) == (0.0, (0.0, 0.0), True), res
+    assert res.witness["required_c12"] == 0.0, res.witness
 
 
 def test_capped_round_keeps_the_least_neighbourhood():
@@ -921,9 +923,9 @@ def test_unproven_least_scale_no_stands(monkeypatch):
 def test_finite_link_witness_least_power_lies_in_the_bracket():
     """A finite link's witness needs, by the full scheme's closed form, a
     least power in the bracket ``(lo, hi]``, whether the least-scale
-    compass decided the answer or the unlimited slice did (``c12`` 1.5),
-    up to the rounding by which the full scheme's closed form reads the
-    slice's point (5e-16 relative at ``c12`` 1.5).  Only the latter
+    compass decided the answer or the unlimited slice did (``c12`` 1.5):
+    a finite link's answer is at least that closed form at its witness,
+    which can read a slice's point a few ulps higher.  Only the latter
     converges: the compass's least is not proven, and its bracket reaches
     down to the unlimited slice's proven bound."""
     for rho, target, c12, converged in ((0.5, DistortionPair(0.1, 0.2), 1.0, False),
@@ -933,7 +935,7 @@ def test_finite_link_witness_least_power_lies_in_the_bracket():
         point = (np.array([res.witness[k]]) for k in ("r1", "r2", "rc", "beta1", "beta2"))
         least = vqscheme._least_scale(1.0, rho, 1.0, 1.0, 1.0, target.d1, target.d2, *point)[0]
         lo, hi = res.bracket
-        assert lo < least <= hi * (1.0 + 1e-15) and res.converged is converged, (
+        assert lo < least <= hi and res.converged is converged, (
             rho, c12, res.bracket, least)
 
 
@@ -982,37 +984,31 @@ def test_min_conf_refuted_bracket_is_not_converged(monkeypatch):
 # (d1, d2, c12, tol, objective, bracket, iterations, witness) of VQ solves at
 # rho = 0.5: the four Fig. 3 VQ solves and one finite-link solve, each read
 # from its runs with no bisection.  The four slice rows are the certified
-# branch-and-bound's least powers, each just below the bisection's answer
-# that preceded them (23.992380127310753, 32.446769416332245,
-# 5.423282735049725 and 6.480237826704979) and far below the compass
-# search's older answer, which these witnesses refute.  Their witnesses are
-# the least-power branch-and-bound's points, within 1.3e-9 of the
-# feasibility queries' witnesses of the same optimum; at ``c12 = inf`` each
-# is a point ``(r2, rc)`` at its closed-form best split ``beta2``, within
-# 2.3e-13 of the point the search over ``(r2, rc, beta)`` found.  In the
-# finite-link row the unlimited witness's shared rate (about 1.65 bits)
-# exceeds the 1.16 bits the link carries and the no-conference slice needs
-# 12.96, so the least-scale compass decides it (the bisection over it
-# answered 10.290931701660156), unconverged above the unlimited slice's
-# proven bound.  Exact optimisations must keep every one of them bit for bit.
+# branch-and-bound's least powers, proven to their brackets, at its points:
+# at ``c12 = inf`` each is a point ``(r2, rc)`` at its closed-form best
+# split ``beta2``.  In the finite-link row the unlimited witness's shared
+# rate (about 1.65 bits) exceeds the 1.16 bits the link carries and the
+# no-conference slice needs 12.96, so the least-scale compass decides it,
+# unconverged above the unlimited slice's proven bound.  Exact
+# optimisations must keep every one of them bit for bit.
 PINNED_VQ_SOLVES = (
     (0.2 * 0.2, 0.2, UNLIMITED, 1e-9,
-     23.992380116143913, (23.99238011611992, 23.992380116143913), 0,
+     23.99238011614393, (23.99238011611992, 23.99238011614393), 0,
      {"r1": 0.0, "r2": 1.113929314136385, "rc": 2.3148310650490203,
       "beta1": 1.0, "beta2": 0.8561289051364582,
       "d1": 0.040000000055440244, "d2": 0.2000000002771636}),
     (0.2 * 0.2, 0.2, 0.0, 1e-9,
-     32.44676940113014, (32.4467694010977, 32.44676940113014), 0,
+     32.44676940113017, (32.4467694010977, 32.44676940113017), 0,
      {"r1": 2.3148310650490203, "r2": 1.113929314136385, "rc": 0.0,
       "beta1": 0.0, "beta2": 0.0,
       "d1": 0.040000000055440244, "d2": 0.2000000002771636}),
     (1.0 * 0.2, 0.2, UNLIMITED, 1e-9,
-     5.423282732853618, (5.423282732848195, 5.423282732853618), 0,
+     5.423282732853622, (5.423282732848195, 5.423282732853622), 0,
      {"r1": 0.0, "r2": 1.1245753685115005, "rc": 1.1245753685115005,
       "beta1": 1.0, "beta2": 0.3418464596784464,
       "d1": 0.20000000027723103, "d2": 0.20000000027723103}),
     (1.0 * 0.2, 0.2, 0.0, 1e-9,
-     6.4802378234382205, (6.48023782343174, 6.4802378234382205), 0,
+     6.480237823438225, (6.48023782343174, 6.480237823438225), 0,
      {"r1": 1.1245753685115005, "r2": 1.1245753685115005, "rc": 0.0,
       "beta1": 0.0, "beta2": 0.0,
       "d1": 0.20000000027723103, "d2": 0.20000000027723103}),
@@ -1033,11 +1029,9 @@ def test_vq_solves_match_pinned_results():
 
 # (rho, d1, d2, c12, objective, slack) of finite-link vq solves at tol 1e-6
 # that the least-scale compass decides: each is the complete compass run's
-# least, just below the bisection over that run that preceded it
-# (15.213722229003906, 11.53118896484375, 14.619148254394531 and
-# 12.547142028808594), and at or below ``slack``, the answer of the max-min
-# slack compass this search replaced, whose warm start carried its last
-# point from query to query.
+# least, unproven, at or below ``slack``, the answer of the max-min slack
+# compass this search replaced, whose warm start carried its last point from
+# query to query.
 PINNED_LINK_SOLVES = (
     (0.8, 0.04, 0.2, 0.25, 15.21371988106634, 16.000015258789062),
     (0.5, 0.2, 0.1, 0.5, 11.531182917598093, 11.875007629394531),
@@ -1054,14 +1048,12 @@ def test_link_solves_match_pinned_results():
 
 
 # (rho, d1, d2, objective, alone) of vq solves at c12 = inf and tol 1e-9
-# whose least-scale run over ``(r2, rc)`` ends without a proof: that run
-# alone answers them, below ``alone``, the answer of the old search over
-# ``(r2, rc, beta)`` by itself, which a slack search then lowered; the
-# bisection against the run answered 4.749999988824129 and
-# 1.349427368491888, its top a little above the run's least.
+# whose least-scale run over ``(r2, rc)`` ends without a proof: each
+# objective is that run's least, below ``alone``, the answer of the old
+# search over ``(r2, rc, beta)`` by itself.
 PINNED_SECOND_OPINIONS = (
-    (1.0, 0.9, 0.05, 4.7499999861389846, 4.750136181712151),
-    (0.97, 0.2, 0.2, 1.3494273680296631, 1.3494273778051138),
+    (1.0, 0.9, 0.05, 4.749999986138989, 4.750136181712151),
+    (0.97, 0.2, 0.2, 1.3494273680296638, 1.3494273778051138),
 )
 
 

@@ -26,6 +26,7 @@ from .model import (
     FeasibilityReport,
     SourceSpec,
 )
+from .capacity import _root
 from .rdlib import rd_conditional, rd_joint
 from ._mc import accumulate_chunks
 
@@ -37,7 +38,7 @@ class RegimeError(ValueError):
 def _coherent_sum_bound(src: SourceSpec, ch: ChannelSpec, beta: float) -> float:
     gain = math.sqrt(src.rho**2 * (1.0 - beta) + beta)
     return 0.5 * math.log2(
-        1.0 + (ch.p1 + ch.p2 + 2.0 * gain * math.sqrt(ch.p1 * ch.p2)) / ch.n0
+        1.0 + (ch.p1 + ch.p2 + 2.0 * gain * _root(ch.p1, ch.p2)) / ch.n0
     )
 
 
@@ -77,6 +78,40 @@ def necessary_condition(src: SourceSpec, ch: ChannelSpec,
     }
     return FeasibilityReport(all(v >= 0.0 for v in slacks.values()), slacks,
                              witness={"beta": beta})
+
+
+def necessary_least_power(src: SourceSpec, target: DistortionPair, n0: float = 1.0,
+                          floor: float = 0.0) -> tuple[float, FeasibilityReport]:
+    """The least symmetric power ``p``, a float at or above ``floor``, at
+    which :func:`necessary_condition` holds, and the test's report there;
+    the target ``(1, 1)``, which needs no power, is not one to ask about.
+
+    With ``J = 4^R(d1, d2) - 1``, ``C = 4^R(d2 | S1) - 1`` and ``y = P/N``,
+    the private bound allows at most ``1 - beta = C/((1 - rho^2) y)``, at
+    which the joint bound's correlation is ``varrho = sqrt(1 - C/y)``, and
+    the joint bound reads ``2 C/(1 - varrho) >= J``.  So ``varrho`` must
+    reach ``varrho* = 1 - 2C/J``: where ``varrho* >= rho`` the least power
+    is ``N C/(1 - varrho*^2) = N J/(4 (1 - C/J))`` (a form that does not
+    overflow where ``J`` passes 1e154), and otherwise ``beta = 0`` carries
+    the joint rate at ``N C/(1 - rho^2)``.  The closed form, raised to
+    ``floor``, is stepped by ulps to the least float at which the test
+    holds.  Past 1e100 the test's rates round by 1e-14 bits, so where the
+    joint rate alone binds its least float can lie a few 1e-14 below
+    full cooperation's power, which a ``floor`` at that power excludes.
+    """
+    joint, cond = (math.expm1(math.log(4.0) * rate)
+                   for rate in (rd_joint(src, target), rd_conditional(src, target.d2)))
+    ratio = cond / joint
+    p = max(n0 * (joint / (4.0 * (1.0 - ratio)) if 1.0 - 2.0 * ratio >= src.rho
+                  else cond / (1.0 - src.rho**2)), floor)
+
+    def test(power):
+        return necessary_condition(src, ChannelSpec(power, power, n0), target)
+    while not (report := test(p)).feasible:
+        p = math.nextafter(p, math.inf)
+    while (below := math.nextafter(p, 0.0)) >= floor and (lower := test(below)).feasible:
+        p, report = below, lower
+    return p, report
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ split ``(1, beta)`` leaves the unlimited-conference region at coherence
 split ``beta``.
 
 Region membership uses closed inequalities (capacity regions are closed).
-:func:`conf_split_exists` answers "is there a power split that admits this
-rate pair" in closed form; it is what the separation searches call in bulk.
+:func:`least_scale` gives, in closed form, the least common scale of the
+powers at which some power split admits a rate pair, and :func:`best_split`
+a split that does; separation scheme 1 reads both.
 """
 
 from __future__ import annotations
@@ -77,51 +78,71 @@ def mac_conf_contains(ch: ChannelSpec, rp: RatePoint, split: MacPowerSplit) -> F
                              witness={"r1": rp.r1, "r2": rp.r2, "beta1": b1, "beta2": b2})
 
 
-def conf_split_exists(p1, p2, n0, c12, r1, r2):
-    """Existence of ``(beta1, beta2)`` putting ``(r1, r2)`` in the region at ``c12``.
+def least_scale(p1: float, p2: float, a1, a2, a3, a4) -> np.ndarray:
+    """Least scale ``x`` of the powers ``(p1, p2)`` at which some split meets
+    the region's bounds on excess ratios ``a1`` to ``a4``, elementwise over
+    arrays of one shape.
 
-    Broadcasts over arrays.  The individual bounds cap the betas from above;
-    the coherent sum bound needs ``beta1 beta2 >= m``; the conference sum
-    bound needs ``(1-beta1)P1 + (1-beta2)P2 >= t``.  Minimizing
-    ``beta1 P1 + beta2 P2`` on the hyperbola ``beta1 beta2 = m`` (clipped to
-    the caps) decides feasibility.  Returns ``(feasible, beta1, beta2)``;
-    the betas are a witness at the feasible rows only.
+    With a rate pair's ``a1 = 4^(r1 - c12)+ - 1``, ``a2 = 4^r2 - 1``, ``a3 =
+    4^(r1 + r2 - c12)+ - 1`` and ``a4 = 4^(r1 + r2) - 1`` (``a1 = a3 = 0`` at
+    ``c12 = inf``) the four bounds read ``x (1 - b1) p1 >= a1``, ``x (1 -
+    b2) p2 >= a2``, ``x ((1 - b1) p1 + (1 - b2) p2) >= a3`` and ``x (p1 + p2
+    + 2 sqrt(b1 b2 p1 p2)) >= a4`` (``x = 1/N`` at the powers themselves).
+    A negative ratio reads as 0, and the result is inf where a ratio is.
 
-    Where no row's ``r1`` or ``r1 + r2`` exceeds ``c12`` (at ``c12 = inf``,
-    every row), the link terms vanish: the cap on ``beta1`` is 1 and ``t``
-    is 0, so the test reduces to ``m <= beta2 <= cap``, and the witness is
-    ``beta1 = 1`` with ``beta2`` at that interval's midpoint.  A rate whose
-    ``4^rate`` overflows reads as infeasible.
+    At ``x0 = max(a1/p1, a2/p2, a3/(p1 + p2))`` split 0 meets the first
+    three, and the answer is ``x0`` when it meets the fourth.  Otherwise the
+    answer is the least ``x`` at which the largest coherent product ``4
+    x^2 b1 b2 p1 p2`` over the splits that meet the first three reaches
+    ``(a4 - (p1 + p2) x)^2``.  That product is the least of three: the
+    corner ``4 (p1 x - a1)(p2 x - a2)`` where ``1 - bi`` is least, and, per
+    encoder ``i``, the best point of the line on which the conference sum
+    bound is tight, ``(x (p1 + p2) - a3)^2`` at its interior optimum or
+    ``4 (pi x - ai)(pj x - (a3 - ai))`` where encoder ``i``'s cap holds it
+    back.  Each of the three grows with ``x``, so the answer is the largest
+    of ``x0`` and the three crossings: the interior one ``(a3 + a4)/(2 (p1 +
+    p2))`` where the optimum lies under encoder ``i``'s cap there, else the
+    rising root of a quadratic whose leading coefficient ``-(p1 - p2)^2``
+    makes it linear at equal powers, in the root form that does not cancel.
+    The answer is non-decreasing in each ratio.  The powers are scaled to a
+    largest of 1 and the ratios to ``a4 = 1``, so neither ``a4`` past 1e300
+    nor powers past 1e154 overflow.
     """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    rsum = r1 + r2
-    with np.errstate(over="ignore"):
-        pow_r2, pow_sum = 4.0**r2, 4.0**rsum
-    b2_max = 1.0 - (pow_r2 - 1.0) * n0 / p2
-    q = (n0 * (pow_sum - 1.0) - p1 - p2) / (2.0 * _root(p1, p2))
-    m_need = np.where(q > 0.0, np.minimum(q, 1.0) ** 2, 0.0)
+    q1, q2 = p1 / max(p1, p2), p2 / max(p1, p2)
+    qs, a4 = q1 + q2, np.asarray(a4, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where((a4 > 0.0) & (a4 < math.inf), a4, 1.0)
+        e1, e2, e3 = (np.maximum(a, 0.0) / s for a in (a1, a2, a3))
+        x0 = np.maximum(np.maximum(e1 / q1, e2 / q2), e3 / qs)
+        # rising roots of 4 (q1 x - p)(q2 x - q) = (1 - qs x)^2: the corner, then the
+        # line held back by encoder 1's cap and by encoder 2's
+        p, q = np.array([e1, e1, e3 - e2]), np.array([e2, e3 - e1, e2])
+        beta, gamma = 2.0 * qs - 4.0 * (p * q2 + q * q1), 1.0 - 4.0 * p * q
+        disc = np.maximum(beta * beta - 4.0 * (q1 - q2) ** 2 * gamma, 0.0)
+        roots = 2.0 * gamma / (beta + np.sqrt(disc))
+        inner = (e3 + 1.0) / (2.0 * qs)  # the line's interior optimum, under encoder i's cap
+        under = [inner * (q2 - q1) <= e3 - 2.0 * e1, inner * (q1 - q2) <= e3 - 2.0 * e2]
+        roots[1:] = np.where(under, inner, roots[1:])
+        x = s * np.where(a4 / s > qs * x0, np.maximum(x0, roots.max(axis=0)), x0) / max(p1, p2)
+    return np.where(np.isnan(x) | (a4 == math.inf), math.inf, x)
 
-    if r1.max() <= c12 and rsum.max() <= c12:
-        feasible = (b2_max >= m_need) & (q <= 1.0)
-        b2 = 0.5 * (m_need + np.minimum(b2_max, 1.0))  # in [m_need, 1] where feasible
-        return feasible, np.ones_like(b2), b2
 
-    with np.errstate(over="ignore"):
-        b1_max = 1.0 - (4.0 ** np.maximum(r1 - c12, 0.0) - 1.0) * n0 / p1
-        t_need = (4.0 ** np.maximum(rsum - c12, 0.0) - 1.0) * n0
-    caps_ok = (b1_max >= 0.0) & (b2_max >= 0.0) & (q <= 1.0)
-    b1c = np.clip(b1_max, 0.0, 1.0)
-    b2c = np.clip(b2_max, 0.0, 1.0)
-    prod_ok = b1c * b2c >= m_need
-
-    # cheapest coherent point: minimize b1 p1 + b2 p2 on b1 b2 = m_need
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b1_star = np.sqrt(m_need * p2 / p1)
-        lo = np.where(b2c > 0.0, m_need / np.where(b2c > 0.0, b2c, 1.0), 0.0)
-        b1_star = np.clip(b1_star, lo, b1c)
-        b2_star = np.where(b1_star > 0.0, m_need / np.where(b1_star > 0.0, b1_star, 1.0), 0.0)
-    b2_star = np.clip(b2_star, 0.0, 1.0)
-    conf_ok = (1.0 - b1_star) * p1 + (1.0 - b2_star) * p2 >= t_need - 1e-15 * (p1 + p2)
-
-    return caps_ok & prod_ok & conf_ok, b1_star, b2_star
+def best_split(p1: float, p2: float, a1: float, a2: float, a3: float, x: float) -> MacPowerSplit:
+    """The split with the largest coherent product ``b1 b2`` among those that
+    meet :func:`least_scale`'s first three bounds at scale ``x``: the corner
+    where each ``1 - bi`` is ``ai/(x pi)``, or, where the corner misses the
+    conference sum bound, the best point of its line within both caps.  At
+    ``x`` at or above the least scale it meets the fourth bound too.  Where
+    ``ai > 0``, ``bi`` is at most ``1 - ai/(x pi) - 2^-53``, so ``1 - bi``
+    is at least ``ai/(x pi)`` in floats, also where that rounds below
+    ``2^-53`` (at powers past 1e16).
+    """
+    need = [a / (x * p) if a > 0.0 else 0.0 for a, p in ((a1, p1), (a2, p2))]
+    line = p1 + p2 - (a3 / x if a3 > 0.0 else 0.0)  # b1 p1 + b2 p2 where the sum bound is tight
+    b1, b2 = 1.0 - need[0], 1.0 - need[1]
+    if b1 * p1 + b2 * p2 > line:
+        b1 = min(max(0.5 * line / p1, (line - b2 * p2) / p1), b1)
+        b2 = (line - b1 * p1) / p2
+    # 2^-53 below 1 - c: each rounding of 1 - c - 2^-53 and of 1 - b loses at most 2^-54
+    return MacPowerSplit(*(max(min(b, 1.0 - c - 2.0**-53 if c > 0.0 else 1.0), 0.0)
+                           for b, c in zip((b1, b2), need)))

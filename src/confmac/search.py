@@ -28,17 +28,19 @@ over the budget surface.  A proven unlimited least raises it to at least
 that least.  The compass keeps ``r1 + rc`` inside the unlimited run's box,
 so that run's proof covers it, but its own least is not proven.
 
-``vq`` and scheme-2 least-power solves report that least power and its
-point with no bisection; the bracket's lower end is the proven run's least
-less :data:`_opt._LEAST_GAP`, or 0 without a proof.  A least-link solve
-bisects over ``c12``: a query is feasible when the least power along its
-powers is at most their maximum, and its compass run stops once it reaches
-that power, which does not change its path, so every decision is a
-complete run's.  :func:`min_d1_unlimited` (``d1d2-vs-snr``) minimizes ``d1``
-by one branch-and-bound over the unlimited slice whose proof is its
-``converged`` flag.  Separation scheme 1 and the necessary condition take
-one feasibility query per bisection step, whose last feasible one gives the
-witness at ``hi``; scheme 1's source boundary is built once per solve.
+``vq``, scheme-1 and scheme-2 least-power solves report that least power
+and its point with no bisection; the bracket's lower end is the proven
+run's least less :data:`_opt._LEAST_GAP`, or 0 without a proof.  Scheme 1
+runs over its first rate alone, at the closed-form power split
+(:func:`separation._sep1_run`).  The necessary condition's least power is
+a closed form (:func:`bounds.necessary_least_power`).  No least-power solve
+bisects.  A least-link solve bisects over ``c12``: a quantizer query is
+feasible when the least power along its powers is at most their maximum,
+and its compass run stops once it reaches that power, which does not change
+its path, so every decision is a complete run's; a scheme-1 query is one
+:func:`separation.sep1_feasible` run.  :func:`min_d1_unlimited`
+(``d1d2-vs-snr``) minimizes ``d1`` by one branch-and-bound over the
+unlimited slice whose proof is its ``converged`` flag.
 """
 
 from __future__ import annotations
@@ -438,10 +440,7 @@ def _bisect(predicate, lo: float, hi: float, tol_rel: float, tol_abs: float,
     steps = 0
     while hi - lo > tol_rel * hi + tol_abs and steps < 200:
         mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if predicate(mid) else (mid, hi)
         steps += 1
     return lo, hi, iterations + steps, not hi - lo > tol_rel * hi + tol_abs
 
@@ -452,24 +451,10 @@ def _expand_and_bisect(predicate, start: float, ceiling: float, tol_rel: float,
     iterations = 0
     lo, hi = 0.0, start
     while not predicate(hi):
-        lo = hi
-        hi *= 2.0
-        iterations += 1
+        lo, hi, iterations = hi, 2.0 * hi, iterations + 1
         if hi > ceiling:
             raise UnboundedError(f"infeasible below ceiling {ceiling:g}")
     return _bisect(predicate, lo, hi, tol_rel, tol_abs, iterations)
-
-
-def _keeping_witness(report_at, found: dict):
-    """The feasibility of ``report_at(x)``'s report as a predicate, which
-    keeps the witness of the last feasible report in ``found["witness"]``.
-    A bisection's last feasible query is at its ``hi``."""
-    def predicate(x) -> bool:
-        report = report_at(x)
-        if report.feasible:
-            found["witness"] = report.witness
-        return report.feasible
-    return predicate
 
 
 def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
@@ -477,12 +462,11 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
                         p_ceiling: float | None = None) -> OptimizationResult:
     """Least symmetric power ``p1 = p2 = p`` at which the scheme meets the target.
 
-    ``vq`` and ``sep2`` read their least power from their runs
-    (:func:`_least_solve`); ``sep1`` and ``necessary`` bisect over a
-    feasibility predicate that is monotone in power (raising the power only
-    enlarges every bound), one query per step (:func:`_query_solve`).
-    ``tol`` (finite, >= 0) is the relative bracket width that counts as
-    converged; ``p_ceiling`` bounds the search and triggers
+    ``vq``, ``sep1`` and ``sep2`` read their least power from their runs
+    (:func:`_least_solve`), and ``necessary`` is the closed form of
+    :func:`bounds.necessary_least_power`, bracketed by the float below it;
+    none bisects.  ``tol`` (finite, >= 0) is the relative bracket width that
+    counts as converged; ``p_ceiling`` bounds the search and triggers
     :class:`UnboundedError` when exceeded.  Its default is ``1e6`` times
     the larger of ``n0`` and the full-cooperation power, below which no
     scheme meets the target.
@@ -499,27 +483,37 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
         return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
     if p_ceiling is None:
         p_ceiling = 1e6 * max(n0, p_full)
-    if scheme in (Scheme.VQ, Scheme.SEP2):
-        return _least_solve(src, scheme, target, c12, n0, tol, p_ceiling)
-    return _query_solve(src, scheme, target, c12, n0, tol, p_ceiling)
+    if scheme is not Scheme.NECESSARY:
+        return _least_solve(src, scheme, target, c12, n0, tol, p_ceiling, p_full)
+    p, report = bounds.necessary_least_power(src, target, n0, floor=p_full)
+    if p > p_ceiling:
+        raise UnboundedError(f"infeasible below ceiling {p_ceiling:g}")
+    return OptimizationResult(p, dict(report.witness), 0, True, (math.nextafter(p, 0.0), p))
 
 
 def _least_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n0: float,
-                 tol: float, p_ceiling: float) -> OptimizationResult:
-    """:func:`min_power_symmetric` for ``vq`` and ``sep2``, without bisection.
+                 tol: float, p_ceiling: float, p_full: float) -> OptimizationResult:
+    """:func:`min_power_symmetric` for ``vq``, ``sep1`` and ``sep2``, without bisection.
 
     The answer is the least power of :meth:`_VqFeasibility.least`, or of
-    one scheme-2 :func:`_opt._least` run at unit powers, and its point is
-    the witness, re-validated at that power.  The bracket's lower end is
-    the proven bound (0 without a proof), and the solve converges when the
-    bracket is at most ``tol`` times its top.
+    one scheme-1 or scheme-2 :func:`_opt._least` run at unit powers, and
+    its point is the witness, re-validated at that power.  The bracket's
+    lower end is the proven bound (0 without a proof), and the solve
+    converges when the bracket is at most ``tol`` times its top.  Both ends
+    of a scheme-1 bracket are at least full cooperation's power ``p_full``,
+    which no scheme beats: where the source code needs no more than the
+    joint rate, the search hair puts its run's least up to 1.4e-9 relative
+    below it.
     """
     unit = ChannelSpec(1.0, 1.0, n0, c12)
     if scheme is Scheme.VQ:
         least, cfg, floor = _VqFeasibility(src, target).least(unit)
     else:
-        pt, least, proof = _least(separation._sep2_least(src, unit, target), [1.0, 1.0])
-        floor = least * (1.0 - _LEAST_GAP) if proof else 0.0
+        pt, run_least, proof = (separation._sep1_run(src, unit, target) if scheme is Scheme.SEP1
+                                else _least(separation._sep2_least(src, unit, target), [1.0, 1.0]))
+        bottom = p_full if scheme is Scheme.SEP1 else 0.0
+        least, floor = (max(run_least, bottom),
+                        max(run_least * (1.0 - _LEAST_GAP) if proof else 0.0, bottom))
     if least > p_ceiling:
         raise UnboundedError(f"infeasible below ceiling {p_ceiling:g}")
     ch = ChannelSpec(least, least, n0, c12)
@@ -527,30 +521,12 @@ def _least_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n
         ach = _vq_witness_ok(src, ch, cfg, target)
         witness = None if ach is None else {**asdict(cfg), "d1": ach.d1, "d2": ach.d2}
     else:
-        report = separation._sep2_report(src, ch, target, pt)
+        report = (separation._sep1_report(src, ch, target, pt, run_least)
+                  if scheme is Scheme.SEP1 else separation._sep2_report(src, ch, target, pt))
         witness = report.witness if report.feasible else None
     if witness is None:
         raise AssertionError("least-power invariant violated: witness fails at its answer")
     return OptimizationResult(least, witness, 0, least - floor <= tol * least, (floor, least))
-
-
-def _query_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n0: float,
-                 tol: float, p_ceiling: float) -> OptimizationResult:
-    """:func:`min_power_symmetric` by one feasibility query per bisection
-    step, whose last feasible one gives the witness at ``hi``."""
-    found = {}
-    if scheme is Scheme.SEP1:
-        boundary = separation._sep1_boundary(src, target)
-        # read from the module at each step: a wrapper installed there sees every call
-        predicate = _keeping_witness(lambda p: separation.sep1_feasible(
-            src, ChannelSpec(p, p, n0, c12), target, boundary), found)
-    elif scheme is Scheme.NECESSARY:
-        predicate = _keeping_witness(lambda p: bounds.necessary_condition(
-            src, ChannelSpec(p, p, n0, c12), target), found)
-    else:
-        raise DomainError("scheme", f"unsupported scheme {scheme}")
-    lo, hi, iterations, converged = _expand_and_bisect(predicate, n0, p_ceiling, tol)
-    return OptimizationResult(hi, dict(found["witness"]), iterations, converged, (lo, hi))
 
 
 def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
@@ -570,9 +546,13 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
         inner = _VqFeasibility(src, target)
         predicate_at = partial(inner, p1, p2, n0)
     elif scheme is Scheme.SEP1:
-        found, boundary = {}, separation._sep1_boundary(src, target)
-        predicate_at = _keeping_witness(lambda c: separation.sep1_feasible(
-            src, ChannelSpec(p1, p2, n0, c), target, boundary), found)
+        found = {}
+
+        def predicate_at(c) -> bool:  # keeps the last feasible query's witness, at hi
+            report = separation.sep1_feasible(src, ChannelSpec(p1, p2, n0, c), target)
+            if report.feasible:
+                found["witness"] = report.witness
+            return report.feasible
     else:
         raise DomainError("scheme", f"conference search supports VQ and SEP1, got {scheme}")
 

@@ -1,10 +1,14 @@
 """Feasibility of the two source-channel separation pipelines.
 
 Scheme 1: distributed source coding at the target distortions, then channel
-coding over the conferencing MAC.  The source-region lower boundary is traced
-parametrically (sweep ``r1``, take the least admissible ``r2``), and
-:func:`capacity.conf_split_exists`, the closed-form power-split test valid at
-every ``c12`` in ``[0, inf]``, decides channel membership per point.
+coding over the conferencing MAC.  Its points are the first rate ``r1`` with
+the least admissible ``r2`` on the source region's lower boundary, which
+falls with ``r1``.  Each has a closed-form least common scale of the powers
+over the power splits (:func:`capacity.least_scale`, valid at every ``c12``
+in ``[0, inf]``), and one branch-and-bound ``_opt._least`` over ``r1`` finds
+the least: a least-power solve at unit powers, and a query (``region
+sep1``, ``minconf``) along its own powers' direction, feasible when that
+least is at most the larger power.
 
 Scheme 2: source coding with the conference link (Gaussian inner bound),
 then channel coding over the plain MAC (the conferencing region at ``c12 =
@@ -43,6 +47,7 @@ and the reported point's worst slack is >= -1e-9.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -55,89 +60,127 @@ from .model import (
     SourceSpec,
     log2_pos,
 )
-from ._opt import SLACK_TOL, _excess, _least, _least_power
+from ._opt import _LEAST_GAP, _LEAST_MARGIN, SLACK_TOL, _excess, _least, _least_power
 # unused here: bench/tracer.py's BY_NAME requires these names in this module
 from ._opt import compass_search_max, refine_grid_max  # noqa: F401
 
 
-def _wagner_boundary(src: SourceSpec, target: DistortionPair, r1: np.ndarray):
+def _wagner_pieces(src: SourceSpec, target: DistortionPair, r1):
+    """``(f2, s, W)`` at rates ``r1``: the source region's lower boundary is
+    ``W(r1) = max(f2, rsum - r1, s - r1)`` with ``rsum`` the sum-rate bound.
+    ``f2 >= 0`` is the second rate bound at ``r1``, so ``r1 + f2`` rises;
+    ``s`` is the sum ``r1 + r2`` at which the first rate bound admits
+    ``r1``, and falls: +inf where no finite ``r2`` does, and -inf at rho = 0
+    where any ``r2`` does."""
+    rho, r1 = src.rho, np.asarray(r1, dtype=float)
+    decay = 4.0**-r1
+    f2 = 0.5 * np.log2(np.maximum((1.0 - rho**2 * (1.0 - decay)) / target.d2, 1.0))
+    room = target.d1 - (1.0 - rho**2) * decay  # rho^2 4^-r2 at which the first bound is tight
+    lift = 2.0 * math.log2(rho) if rho > 0.0 else -math.inf  # log2(rho^2)
+    s = np.where(room > 0.0, 0.5 * (lift - np.log2(np.where(room > 0.0, room, 1.0))), np.inf)
+    rsum = rdlib.wagner_sum_bound(src, target)
+    return f2, s, np.maximum(np.maximum(f2, rsum - r1), s - r1)
+
+
+def _wagner_boundary(src: SourceSpec, target: DistortionPair, r1):
     """Least admissible ``r2`` on the source region's lower boundary.
 
     Points where no finite ``r2`` admits the given ``r1`` get +inf.
     """
-    rho = src.rho
-    d1, d2 = target.d1, target.d2
-    f2_floor = 0.5 * np.log2(np.maximum((1.0 - rho**2 * (1.0 - 4.0**-r1)) / d2, 1.0))
+    return _wagner_pieces(src, target, r1)[2]
+
+
+def _sep1_ratios(c12, r1, r2, total):
+    """:func:`capacity.least_scale`'s excess ratios at rates ``r1``, ``r2``
+    and their sum ``total`` less ``_LEAST_EPS`` at link ``c12``; inf where
+    ``4^rate`` overflows."""
+    with np.errstate(over="ignore"):
+        linked = [_excess(np.maximum(rate - c12, 0.0)) if math.isfinite(c12) else 0.0
+                  for rate in (r1, total)]
+        return linked[0], _excess(r2), linked[1], _excess(total)
+
+
+def _sep1_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
+    """``evaluate`` for ``_opt._least`` on scheme 1's first rate ``r1`` in
+    bits, at ``r2 = W(r1)`` on the source region's lower boundary: each
+    point's least scale of ``ch``'s powers at which the rate pair, less
+    ``_LEAST_EPS``, fits the conferencing MAC at ``ch``'s link for some
+    power split (:func:`capacity.least_scale`).
+
+    That scale is non-decreasing in each excess ratio, and ``W`` falls with
+    ``r1``, so a box's bound takes the ``r1`` ratio at ``lo``, the ``r2``
+    one at ``up`` and the sum rate ``r1 + W(r1) = max(r1 + f2, rsum, s)``
+    (:func:`_wagner_pieces`) at ``max(lo + f2(lo), rsum, s(up))``: ``r1 +
+    f2`` rises and ``s`` falls.  The centres and the boxes are one stacked
+    evaluation.
+    """
     rsum = rdlib.wagner_sum_bound(src, target)
-    if rho > 0.0:
-        arg = (d1 * 4.0**r1 - (1.0 - rho**2)) / rho**2
-        inv = np.where(arg >= 1.0, 0.0,
-                       np.where(arg > 0.0, -0.5 * np.log2(np.maximum(arg, 1e-300)), np.inf))
-    else:
-        inv = np.where(r1 >= 0.5 * log2_pos(1.0 / d1) - 1e-15, 0.0, np.inf)
-    return np.maximum.reduce([f2_floor, rsum - r1, inv, np.zeros_like(r1)])
+
+    def evaluate(lo, mid, up):
+        m = len(mid)
+        # rows: the centres and the boxes' lo, then the centres and the boxes' up; a
+        # box reads r1 and r1 + f2 at lo, r2 and s at up
+        rates = np.concatenate([mid, lo, mid, up])[:, 0]
+        f2, s, r2 = _wagner_pieces(src, target, rates)
+        total = np.maximum((rates + f2)[:2 * m], np.maximum(s[2 * m:], rsum))
+        ratios = _sep1_ratios(ch.c12, rates[:2 * m], r2[2 * m:], total)
+        least = ch.n0 * capacity.least_scale(ch.p1, ch.p2, *ratios)
+        return least[:m], least[m:]
+    return evaluate
 
 
-def _sep1_boundary(src: SourceSpec, target: DistortionPair):
-    """``(passes, r1_hi, r2_hi)``: the source-region boundary on the grids of
-    :func:`sep1_feasible`'s three passes, each ``(r1, r2, ok, r2c)`` (``ok``
-    where ``r2`` is finite, ``r2c`` its finite stand-in), and the boundary
-    point at the top rate ``r1_hi``.  A coarse grid, then two refinements
-    around the point of least sum rate ``r1 + r2``; none reads the channel,
-    so a solve builds them once."""
-    rho = src.rho
-    r1_lo = 0.5 * log2_pos((1.0 - rho**2) / target.d1)
-    rsum = rdlib.wagner_sum_bound(src, target)
-    r1_hi = max(rsum, 0.5 * log2_pos(1.0 / target.d1)) + 2.0
-
-    passes = []
-    lo, hi = r1_lo, r1_hi
-    for _ in range(3):
-        r1 = np.linspace(lo, hi, 513)
-        r2 = _wagner_boundary(src, target, r1)
-        ok = np.isfinite(r2)
-        passes.append((r1, r2, ok, np.where(ok, r2, 60.0)))  # placeholder rate, masked out
-        # the point closest to the channel region is not defined when infeasible,
-        # so shrink toward the least sum-rate demand
-        j = int(np.argmin(np.where(ok, r1 + r2, np.inf))) if ok.any() else len(r1) // 2
-        span = (hi - lo) / 16.0
-        lo, hi = max(r1_lo, r1[j] - span), min(r1_hi, r1[j] + span)
-    return passes, r1_hi, float(_wagner_boundary(src, target, np.asarray([r1_hi]))[0])
+def _sep1_run(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
+    """``(r1, least, proof)`` of the one ``_opt._least`` run of
+    :func:`_sep1_least` at ``ch``: the point with the least scale of
+    ``ch``'s powers (None where none is finite), that scale, and whether it
+    is proven.  The box is ``[0, hi]``, ``hi`` two bits past the larger of
+    the sum-rate bound and ``0.5 log2(1/d1)``, doubled until the bound over
+    ``[hi, inf)``, where ``W`` is at least ``f2(inf)``, is no lower than the
+    run's least."""
+    evaluate = _sep1_least(src, ch, target)
+    hi = max(rdlib.wagner_sum_bound(src, target), 0.5 * log2_pos(1.0 / target.d1)) + 2.0
+    while True:
+        pt, least, proof = _least(evaluate, [hi])
+        tail = evaluate(np.array([[hi]]), np.array([[hi]]), np.array([[math.inf]]))[1][0]
+        if not tail * (1.0 - _LEAST_MARGIN) < least * (1.0 - _LEAST_GAP):
+            return (None if pt is None else float(pt[0])), least, proof
+        hi *= 2.0
 
 
-def sep1_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
-                  boundary=None) -> FeasibilityReport:
+def sep1_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> FeasibilityReport:
     """Distributed source coding followed by conferencing-MAC channel coding.
 
-    Feasible iff some rate pair on the source-region boundary fits inside the
-    channel region for some power split: the first pass of
-    :func:`_sep1_boundary` with a feasible point decides, at its smallest
-    feasible ``r1``.  ``boundary`` is that function's result for ``src`` and
-    ``target``, built here when not given.  The returned witness
-    re-validates exactly through the underlying region operations.
+    Feasible iff some rate pair on the source region's lower boundary fits
+    inside the channel region at some power split.  One
+    :func:`_sep1_run` along ``ch``'s powers, scaled to a largest of 1,
+    finds the least scale of that direction; the query is feasible when it
+    is at most ``max(p1, p2)``, and the report is :func:`_sep1_report`'s at
+    the run's point.
     """
-    passes, r1_hi, r2_hi = _sep1_boundary(src, target) if boundary is None else boundary
-    for r1, r2, ok, r2c in passes:
-        feas, b1, b2 = capacity.conf_split_exists(ch.p1, ch.p2, ch.n0, ch.c12, r1, r2c)
-        feas = feas & ok
-        if feas.any():
-            i = int(np.argmax(feas))  # smallest feasible r1: deterministic witness
-            return _sep1_report(src, ch, target, float(r1[i]), float(r2[i]),
-                                (float(b1[i]), float(b2[i])))
-    return _sep1_report(src, ch, target, r1_hi, r2_hi, None)
+    top = max(ch.p1, ch.p2)
+    r1, least, _ = _sep1_run(src, ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0, ch.c12), target)
+    return _sep1_report(src, ch, target, r1, least)
 
 
-def _sep1_report(src, ch, target, r1, r2, split) -> FeasibilityReport:
-    if not math.isfinite(r2):
+def _sep1_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair, r1,
+                 least: float) -> FeasibilityReport:
+    """Scheme 1's report at ``ch`` for the run point ``r1`` (None: no finite
+    point) whose least power ``max(p1, p2)`` along ``ch``'s powers is
+    ``least``: the rate pair ``(r1, W(r1))`` at the split that attains
+    ``least`` (:func:`capacity.best_split`), re-validated through the
+    source and channel regions.  Feasible when ``least`` is at most
+    ``max(p1, p2)`` and every slack is at least ``SLACK_TOL``."""
+    if r1 is None:
         return FeasibilityReport(False, {"source:r2": -math.inf}, {})
+    r2 = float(_wagner_boundary(src, target, r1))
     rp = RatePoint(r1, r2)
-    source = rdlib.wagner_contains(src, target, rp)
-    b1, b2 = split if split else (0.0, 0.0)
-    channel = capacity.mac_conf_contains(ch, rp, capacity.MacPowerSplit(b1, b2))
-    witness = {"r1": r1, "r2": r2, "beta1": b1, "beta2": b2}
-    slacks = {f"source:{k}": v for k, v in source.slacks.items()}
-    slacks.update({f"channel:{k}": v for k, v in channel.slacks.items()})
-    return FeasibilityReport(min(slacks.values()) >= SLACK_TOL, slacks, witness)
+    split = capacity.best_split(ch.p1, ch.p2, *_sep1_ratios(ch.c12, r1, r2, r1 + r2)[:3],
+                                least / (max(ch.p1, ch.p2) * ch.n0))
+    slacks = {f"{name}:{k}": v for name, report in (
+        ("source", rdlib.wagner_contains(src, target, rp)),
+        ("channel", capacity.mac_conf_contains(ch, rp, split))) for k, v in report.slacks.items()}
+    feasible = least <= max(ch.p1, ch.p2) and min(slacks.values()) >= SLACK_TOL
+    return FeasibilityReport(feasible, slacks, {"r1": r1, "r2": r2, **asdict(split)})
 
 
 def _sep2_ratios(rho: float, c12, z: np.ndarray):

@@ -74,6 +74,40 @@ def test_necessary_split_matches_bisection_reference():
     assert edge > 10
 
 
+def _necessary_bisection(src, target, n0):
+    """``(lo, hi)``: the bracket, at most 1e-12 relative, of a bisection
+    over :func:`necessary_condition` at symmetric powers, doubling from
+    ``n0``: infeasible at ``lo``, feasible at ``hi``."""
+    def feasible(p):
+        return necessary_condition(src, ChannelSpec(p, p, n0), target).feasible
+    lo, hi = 0.0, n0
+    while not feasible(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+    return lo, hi
+
+
+def test_necessary_least_power_lies_in_the_bisection_bracket():
+    """The closed-form least power, stepped to the least float at which the
+    test holds, lies inside the bracket of a bisection over the test, from
+    rho 0 to 1 and d1 down to 1e-150, at two noise powers; the float below
+    it fails the test.  Its ``floor`` raises it and keeps the test true."""
+    for rho in (0.0, 0.3, 0.5, 0.8, 0.9, 0.99, 1.0):
+        src = SourceSpec(1.0, rho)
+        for d1 in (0.9, 0.2, 0.04, 1e-5, 1e-20, 1e-150):
+            for d2, n0 in ((0.05, 1.0), (0.2, 4.0), (0.9, 0.5)):
+                target = DistortionPair(d1, d2)
+                p, report = bounds.necessary_least_power(src, target, n0)
+                lo, hi = _necessary_bisection(src, target, n0)
+                assert lo < p <= hi and report.feasible, (rho, d1, d2, n0, lo, p, hi)
+                below = ChannelSpec(math.nextafter(p, 0.0), math.nextafter(p, 0.0), n0)
+                assert not necessary_condition(src, below, target).feasible
+                raised, report = bounds.necessary_least_power(src, target, n0, floor=2.0 * p)
+                assert raised == 2.0 * p and report.feasible
+
+
 def test_necessary_bound_monotonicities():
     src = SourceSpec(1.0, 0.5)
     ch = ChannelSpec(2.0, 3.0, 1.0)

@@ -69,23 +69,45 @@ def test_sep1_witness_revalidates():
             assert report.witness["beta1"] == 1.0
 
 
-def test_sep1_reads_one_boundary_per_solve():
-    """The source boundary reads neither powers nor link: a query with a
-    boundary built once for its source and target reports what a query
-    that builds its own does, feasible or not, at every link."""
-    rng = np.random.default_rng(7)
-    seen = set()
-    for _ in range(60):
-        src = SourceSpec(1.0, float(rng.uniform(0.0, 1.0)))
-        target = DistortionPair(float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0)))
-        boundary = separation._sep1_boundary(src, target)
-        for c12 in (0.0, 0.7, UNLIMITED):
-            ch = ChannelSpec(*(float(v) for v in 10.0 ** rng.uniform(-1.0, 2.0, 2)), 1.0, c12)
-            alone, shared = (sep1_feasible(src, ch, target, *b) for b in ((), (boundary,)))
-            assert (alone.feasible, alone.slacks, alone.witness) == (
-                shared.feasible, shared.slacks, shared.witness), (src, target, ch)
-            seen.add(alone.feasible)
-    assert seen == {True, False}
+SEP1_LINKS = (0.0, 0.5, 2.0, UNLIMITED)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
+def test_sep1_bound_holds_over_its_boxes(rho):
+    """No point of a random sub-box of scheme 1's ``r1`` axis, ends
+    included, needs a lower scale of the powers than the box's least-scale
+    bound less the relative rounding margin."""
+    rng = np.random.default_rng(int(100 * rho))
+    src = SourceSpec(1.0, rho)
+    for p1, p2, n0 in ((1.0, 1.0, 1.0), (1.0, 0.05, 2.0), (0.02, 1.0, 0.5)):
+        for c12 in SEP1_LINKS:
+            target = DistortionPair(*(float(v) for v in rng.uniform(0.01, 1.0, 2)))
+            evaluate = separation._sep1_least(src, ChannelSpec(p1, p2, n0, c12), target)
+            m = 400
+            lo = rng.uniform(0.0, 12.0, (m, 1))
+            up = lo + 12.0 * 2.0 ** rng.uniform(-30.0, 0.0, (m, 1))
+            floor = evaluate(lo, 0.5 * (lo + up), up)[1] * (1.0 - _opt._LEAST_MARGIN)
+            for k in range(8):
+                u = rng.uniform(0.0, 1.0, (m, 1))
+                if k < 2:
+                    u = np.round(u)
+                pts = lo + u * (up - lo)
+                assert np.all(evaluate(pts, pts, pts)[0] >= floor), (rho, p1, p2, n0, c12)
+
+
+def test_sep1_box_grows_past_its_first_rate_side():
+    """Where the second encoder's power is a millionth of the first's, the
+    least needs ``r1`` of 9.7 bits, past the first box's 4.6: the box grows
+    until the bound beyond it is no lower than the least, and no point of a
+    grid out to 40 bits needs less."""
+    src, target = SourceSpec(1.0, 0.5), DistortionPair(0.1, 0.2)
+    ch = ChannelSpec(1.0, 1e-6, 1.0)
+    r1, least, proof = separation._sep1_run(src, ch, target)
+    first = max(rdlib.wagner_sum_bound(src, target), 0.5 * math.log2(1.0 / target.d1)) + 2.0
+    assert proof and r1 > first + 5.0, (r1, first)
+    pts = np.linspace(0.0, 40.0, 400001)[:, None]
+    evaluate = separation._sep1_least(src, ch, target)
+    assert evaluate(pts, pts, pts)[0].min() >= least * (1.0 - 1e-12)
 
 
 def test_sep1_no_conference_equals_plain_mac_pipeline():

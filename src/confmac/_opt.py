@@ -5,9 +5,11 @@ evaluates every box centre, drops the boxes a bound rules out and halves the
 rest along every axis, up to :data:`_MAX_ROUNDS` rounds of at most
 :data:`_MAX_BOXES` boxes, from the whole box (it is never warm-started).  It
 returns the least value it saw (a least scale of the powers from
-:func:`_least_power`'s forms, or the least ``d1``) and, unless it gives up, a
-proof that no point lies lower by more than the relative gap
-:data:`_LEAST_GAP`.  A solve makes one box and one run per least-scale form.
+:func:`_least_power`'s forms, or the least ``d1``) and its proven floor: that
+least less the relative gap :data:`_LEAST_GAP` when no point lies lower, 0
+when the run gives up.  Every least-power scheme reads its runs through one
+pair, its least power along a channel's powers and its report at a point, so
+a solve and a query make one box and one run per least-scale form.
 
 The lockstep multistart compass search serves the quantizer scheme at a
 finite conference capacity where neither slice decides, maximizing the
@@ -45,21 +47,20 @@ _REFINE_ROUNDS = 24    # refine: grid cap
 _REFINE_POINTS = 9     # refine: grid points per axis, 9^4 = 6561 on the 4-D link run
 
 
-def _least(evaluate, hi) -> tuple[np.ndarray | None, float, bool]:
-    """``(point, least, proof)``: the box centre of ``[0, hi]`` with the
-    least value seen, that value (+inf when none is finite), and whether no
-    point of the box lies below ``least * (1 - _LEAST_GAP)``.
+def _least(evaluate, hi) -> tuple[np.ndarray | None, float, float]:
+    """``(point, least, floor)``: the box centre of ``[0, hi]`` with the
+    least value seen, that value (+inf when none is finite), and ``least *
+    (1 - _LEAST_GAP)`` when no point of the box lies below it, else 0.
 
     ``evaluate(lo, mid, up)`` takes ``(m, d)`` arrays of boxes and their
     centres and returns each centre's value and a lower bound of the value
     over each box, in one call.  Each round evaluates every box, then drops
     the boxes whose bound less the relative margin :data:`_LEAST_MARGIN` is
     at or above ``least * (1 - _LEAST_GAP)`` (NaN keeps a box), and halves
-    the rest along every axis.  The result is a proof once no box is left.
+    the rest along every axis.  The floor is proven once no box is left.
     A round that keeps more boxes than the next may evaluate splits only
     ``_MAX_BOXES >> (d + 1)`` with the lowest bounds and as many with the
-    lowest centre values, and its result is no proof; nor is one at the
-    round cap.  The lowest bounds alone can all lie where no centre is
+    lowest centre values, and its floor is 0; so is one at the round cap.  The lowest bounds alone can all lie where no centre is
     finite (near ``1 - h = 0`` at rho = 1) and lose the least's
     neighbourhood; the best centres keep it.
     """
@@ -76,7 +77,7 @@ def _least(evaluate, hi) -> tuple[np.ndarray | None, float, bool]:
             best, point = float(vals[i]), mid[i]
         keep = np.flatnonzero(~(lower * (1.0 - _LEAST_MARGIN) >= best * (1.0 - _LEAST_GAP)))
         if not keep.size:
-            return point, best, proof
+            return point, best, best * (1.0 - _LEAST_GAP) if proof else 0.0
         if keep.size << d > _MAX_BOXES:
             proof, cap = False, _MAX_BOXES >> (d + 1)
             keep = np.union1d(keep[np.argsort(lower[keep], kind="stable")[:cap]],
@@ -84,7 +85,7 @@ def _least(evaluate, hi) -> tuple[np.ndarray | None, float, bool]:
         lo, mid, up = lo[keep, None], mid[keep, None], up[keep, None]
         lo, up = (np.where(upper_half, mid, lo).reshape(-1, d),
                   np.where(upper_half, up, mid).reshape(-1, d))
-    return point, best, False
+    return point, best, 0.0
 
 
 def _excess(rate):

@@ -4,15 +4,26 @@ All schedules are fixed, so identical inputs give identical results,
 iteration counts included; no search is warm-started from another query's
 point.
 
+Each least-power scheme (``vq``, ``sep1``, ``sep2``) is read through one
+pair (:func:`_pair`): its least power ``max(p1, p2)`` along a channel's
+powers at the channel's link, with the point that needs it and a proven
+floor, and its report at a point, re-validated by the closed forms.  A
+``minpower`` solve is the least at unit powers and the report at that power,
+with no bisection.  A query, at given powers (``region sep1``, ``region
+sep2``) or at each link of a ``minconf`` bisection over ``c12``, is feasible
+when the least along its powers is at most their maximum; ``minconf`` writes
+one report, at its bracket's top.  The necessary condition's least power is
+a closed form (:func:`bounds.necessary_least_power`).
+
 On the quantizer scheme's slices ``c12 = 0`` and ``c12 = inf`` and for
-separation scheme 2, every rate bound is linear in a common scale ``s`` of
-the powers ``(s p1, s p2)`` and no distortion reads it, so each box point has
-a closed-form least scale; one :func:`_opt._least` run finds the least over
-the box and the point that needs it.  Both quantizer slices search two
-rates: ``(r1, r2)`` without conference, and ``(r2, rc)`` with unlimited
-conference, where the coherence split ``beta`` a point needs least has a
-closed form (:func:`_unlimited_least`).  A solve makes one box and one run
-per form, along its powers' direction.
+separation scheme 2 every rate bound is linear in a common scale of the
+powers and no distortion reads it, so each box point has a closed-form least
+scale, and one :func:`_opt._least` run per form finds the least over its box
+and the point that needs it.  The quantizer slices search ``(r1, r2)``
+without conference and ``(r2, rc)`` with unlimited conference, where the
+coherence split a point needs least has a closed form
+(:func:`_unlimited_least`); scheme 1 searches its first rate alone
+(:func:`separation._sep1_run`).
 
 The quantizer's least power at a link (:meth:`_VqFeasibility.least`) reads
 those runs.  At ``c12 = inf`` it is the unlimited run's least, and below
@@ -22,25 +33,11 @@ for ``r1 + rc``: the unlimited least answers when that run is a proof and
 its point's shared rate fits the link (at rho = 1 any rate fits a point with
 ``r1 = 0``).  Otherwise the answer is the least of the no-conference run,
 the unlimited point where it fits and, at a positive link, one least-scale
-compass run: a multistart compass search plus a grid refine that minimizes
-the full scheme's closed-form least scale (:func:`vqscheme._least_scale`)
-over the budget surface.  A proven unlimited least raises it to at least
-that least.  The compass keeps ``r1 + rc`` inside the unlimited run's box,
-so that run's proof covers it, but its own least is not proven.
-
-``vq``, scheme-1 and scheme-2 least-power solves report that least power
-and its point with no bisection; the bracket's lower end is the proven
-run's least less :data:`_opt._LEAST_GAP`, or 0 without a proof.  Scheme 1
-runs over its first rate alone, at the closed-form power split
-(:func:`separation._sep1_run`).  The necessary condition's least power is
-a closed form (:func:`bounds.necessary_least_power`).  No least-power solve
-bisects.  A least-link solve bisects over ``c12``: a quantizer query is
-feasible when the least power along its powers is at most their maximum,
-and its compass run stops once it reaches that power, which does not change
-its path, so every decision is a complete run's; a scheme-1 query is one
-:func:`separation.sep1_feasible` run.  :func:`min_d1_unlimited`
-(``d1d2-vs-snr``) minimizes ``d1`` by one branch-and-bound over the
-unlimited slice whose proof is its ``converged`` flag.
+compass run over the budget surface (:meth:`_VqFeasibility._link_run`),
+which a proven unlimited least raises to at least that least; the compass's
+own least is not proven.  :func:`min_d1_unlimited` (``d1d2-vs-snr``)
+minimizes ``d1`` by one branch-and-bound over the unlimited slice whose
+proof is its ``converged`` flag.
 """
 
 from __future__ import annotations
@@ -58,13 +55,13 @@ from .model import (
     ChannelSpec,
     DistortionPair,
     DomainError,
+    FeasibilityReport,
     SourceSpec,
     is_unlimited,
 )
 from .rdlib import rd_joint
 from ._mc import halton_points
 from ._opt import (
-    _LEAST_GAP,
     SLACK_TOL,
     _excess,
     _least,
@@ -76,6 +73,7 @@ from ._opt import (
 
 RATE_BOX_BITS = 8.0  # the least rate side of the slice boxes and the link run
 _MAX_SIDE = 26.0  # the slice boxes' rate cap: past about 26.5 bits 1 - 4^-r rounds to 1
+_CEILING = 1e6  # least-power answers past this times max(n0, full cooperation) are unbounded
 
 
 class UnboundedError(RuntimeError):
@@ -295,61 +293,64 @@ def _unlimited_config(src: SourceSpec, ch: ChannelSpec, pt) -> vqscheme.VqConfig
     return vqscheme.VqConfig(0.0, pt[0], pt[1], 1.0, beta)
 
 
+def _rate_side(target: DistortionPair) -> float:
+    """The slice boxes' rate side in bits: 8, or one bit past the ``0.5
+    log2(1/d)`` that meets the smaller target ``d`` alone, up to
+    ``_MAX_SIDE``."""
+    return min(max(RATE_BOX_BITS, 1.0 - 0.5 * math.log2(min(target.d1, target.d2))), _MAX_SIDE)
+
+
 class _VqFeasibility:
-    """The scheme's least power at one target by the module's rule, with
-    one box and one run per slice form per solve.  The slice boxes' rate
-    sides are ``side`` bits: 8, or one bit past the ``0.5 log2(1/d)`` that
-    meets the smaller target ``d`` alone, up to ``_MAX_SIDE``."""
+    """The quantizer's least power by the module's rule.  It keeps every
+    slice run it makes, so the queries of one solve make one box and one
+    run per slice form."""
 
-    def __init__(self, src: SourceSpec, target: DistortionPair):
-        self.src = src
-        self.target = target
-        self.side = min(max(RATE_BOX_BITS, 1.0 - 0.5 * math.log2(min(target.d1, target.d2))),
-                        _MAX_SIDE)
-        self.witness: vqscheme.VqConfig | None = None
-        self.least_runs: dict = {}
+    def __init__(self):
+        self.runs: dict = {}
 
-    def _scaled_least(self, form, config, base: ChannelSpec):
+    def _scaled_least(self, form, config, src: SourceSpec, base: ChannelSpec,
+                      target: DistortionPair):
         """``(least, config, floor)`` of the one :func:`_opt._least` run of
         slice ``form`` on its ``(side, side)`` box at ``base``'s powers: the
         least scale of those powers, at least :func:`vqscheme._least_scale`
         at ``config``, the full scheme's configuration at the run's point
         (None where no point is finite), and the proven bound, or 0."""
-        if (form, base) not in self.least_runs:
-            src, target = self.src, self.target
-            pt, least, proof = _least(form(src, base, target), (self.side, self.side))
-            floor = least * (1.0 - _LEAST_GAP) if proof else 0.0
+        key = form, src, base, target
+        if key not in self.runs:
+            side = _rate_side(target)
+            pt, least, floor = _least(form(src, base, target), (side, side))
             cfg = None if pt is None else config(src, base, pt)
             if cfg is not None:
                 least = max(least, float(vqscheme._least_scale(
                     src.sigma2, src.rho, base.p1, base.p2, base.n0, target.d1, target.d2,
                     *np.array(astuple(cfg))[:, None])[0]))
-            self.least_runs[form, base] = least, cfg, floor
-        return self.least_runs[form, base]
+            self.runs[key] = least, cfg, floor
+        return self.runs[key]
 
-    def _link_run(self, base: ChannelSpec, c12: float, stop: float | None):
+    def _link_run(self, src: SourceSpec, base: ChannelSpec, target: DistortionPair,
+                  c12: float, stop: float | None):
         """``(least, config, 0)``, 0 the bound it does not prove: the best
         point of the least-scale compass run at ``base``'s powers and the
         finite link ``c12``, stopped once its least reaches ``stop`` (None:
         never).
 
-        Its points are ``(r1, r2, b1, b2)``, rates scaled by ``side`` as
-        in the slice boxes, and the shared rate is ``min(_rc_budget(rho, r1,
-        c12), side - r1)``: the optima lie on the budget surface, the
-        conference constraint holds there by construction, and ``r1 + rc``
-        stays in the unlimited run's box, so that run's proof covers every
-        point reached.  The objective is :func:`vqscheme._least_scale`;
-        the compass starts from 32 Halton points and both slices' least
-        points, and a grid refine follows it.  ``stop`` cuts the run short
-        without changing its path, so a stopped run's least is at most
-        ``stop`` exactly when the complete run's is.
+        Its points are ``(r1, r2, b1, b2)``, rates scaled by the slice
+        boxes' side, and the shared rate is ``min(_rc_budget(rho, r1, c12),
+        side - r1)``: the optima lie on the budget surface, the conference
+        constraint holds there by construction, and ``r1 + rc`` stays in
+        the unlimited run's box, so that run's proof covers every point
+        reached.  The objective is :func:`vqscheme._least_scale`; the
+        compass starts from 32 Halton points and both slices' least points,
+        and a grid refine follows it.  ``stop`` cuts the run short without
+        changing its path, so a stopped run's least is at most ``stop``
+        exactly when the complete run's is.
         """
-        src, target, cap = self.src, self.target, self.side
+        cap = _rate_side(target)
         best = [math.inf, None]
 
         def objective(pts):
             r1, r2 = pts[:, 0] * cap, pts[:, 1] * cap
-            rc = np.minimum(_rc_budget(src.rho, r1, c12), self.side - r1)
+            rc = np.minimum(_rc_budget(src.rho, r1, c12), cap - r1)
             least = vqscheme._least_scale(src.sigma2, src.rho, base.p1, base.p2, base.n0,
                                           target.d1, target.d2, r1, r2, rc,
                                           pts[:, 2], pts[:, 3])
@@ -362,7 +363,7 @@ class _VqFeasibility:
         starts = [halton_points(32, 4)]
         for form, config in ((_noconf_least, _noconf_config),
                              (_unlimited_least, _unlimited_config)):
-            _, cfg, _ = self._scaled_least(form, config, base)
+            _, cfg, _ = self._scaled_least(form, config, src, base, target)
             if cfg is not None:
                 starts.append([[cfg.r1 / cap, cfg.r2 / cap, cfg.beta1, cfg.beta2]])
         stop_at = None if stop is None else -stop
@@ -371,56 +372,62 @@ class _VqFeasibility:
             refine_grid_max(objective, pt, stop_at=stop_at)
         return best[0], best[1], 0.0
 
-    def least(self, ch: ChannelSpec, stop: float | None = None):
-        """``(least, config, floor)``: the least power ``max(p1, p2)`` along
-        ``ch``'s powers at which the scheme meets the target at ``ch.c12``,
-        the configuration that meets it there (None where ``least`` is
-        inf), and a proven lower bound of it, 0 where none is proven.
-
-        With a ``stop`` only ``least <= stop`` is read: a finite link's
-        compass run stops once its least reaches ``stop``, which holds
-        exactly when it holds for the complete run, and no compass runs
-        where a proof already puts the least above ``stop``.
-        """
+    def least(self, src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
+              stop: float | None = None):
+        """The quantizer's ``least`` of :func:`_pair`, its point a
+        :class:`vqscheme.VqConfig`.  A finite link's compass run stops once
+        its least reaches ``stop``, which holds exactly when it holds for the
+        complete run, and no compass runs where a proof already puts the
+        least above ``stop``."""
         top = max(ch.p1, ch.p2)
         base = ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0)
-        c12, rho = ch.c12, self.src.rho
+        c12, rho = ch.c12, src.rho
+        noconf = partial(self._scaled_least, _noconf_least, _noconf_config, src, base, target)
         if c12 == 0.0 and rho < 1.0:  # below rho = 1 no shared rate fits a closed link
-            return self._scaled_least(_noconf_least, _noconf_config, base)
+            return noconf()
         unlimited = bound, run, floor = self._scaled_least(_unlimited_least, _unlimited_config,
-                                                           base)
+                                                           src, base, target)
         if is_unlimited(c12):
             return unlimited
         fits = run is not None and run.rc <= _rc_budget(rho, 0.0, c12)
         if floor and (fits or stop is not None and bound > stop):
             return unlimited
-        options = [self._scaled_least(_noconf_least, _noconf_config, base)]
+        options = [noconf()]
         if fits:
             options.append(unlimited)
         if c12 > 0.0 and (stop is None or min(option[0] for option in options) > stop):
-            options.append(self._link_run(base, c12, stop))
+            options.append(self._link_run(src, base, target, c12, stop))
         least, cfg, _ = min(options, key=lambda option: option[0])
         return max(least, bound) if floor else least, cfg, floor
 
-    def __call__(self, p1: float, p2: float, n0: float, c12) -> bool:
-        """Whether the powers meet the target at ``c12``; a feasible query
-        keeps its configuration in ``witness``."""
-        top = max(p1, p2)
-        least, cfg, _ = self.least(ChannelSpec(p1, p2, n0, c12), stop=top)
-        if least <= top:
-            self.witness = cfg
-        return least <= top
 
-
-def _vq_witness_ok(src: SourceSpec, ch: ChannelSpec, cfg: vqscheme.VqConfig,
-                   target: DistortionPair) -> DistortionPair | None:
-    """Achieved distortions of a search witness that the closed forms
-    re-validate (slack tolerance -1e-9 bits), else None."""
-    report = vqscheme.vq_rate_region(src, ch, cfg, margin=SLACK_TOL)
+def _vq_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
+               cfg: vqscheme.VqConfig) -> FeasibilityReport:
+    """The full scheme's report at ``ch`` for the configuration ``cfg``:
+    its rate and conference slacks and both distortions' in bits, feasible
+    when each is at least ``SLACK_TOL``; the witness is ``cfg`` with its
+    achieved distortions."""
     ach = vqscheme.vq_distortion(src, cfg)
-    bits = min(0.5 * (math.log2(target.d1) - math.log2(ach.d1)),
-               0.5 * (math.log2(target.d2) - math.log2(ach.d2)))
-    return ach if report.feasible and bits >= SLACK_TOL else None
+    slacks = {**vqscheme.vq_rate_region(src, ch, cfg).slacks,
+              "d1": 0.5 * (math.log2(target.d1) - math.log2(ach.d1)),
+              "d2": 0.5 * (math.log2(target.d2) - math.log2(ach.d2))}
+    return FeasibilityReport(all(v >= SLACK_TOL for v in slacks.values()), slacks,
+                             {**asdict(cfg), "d1": ach.d1, "d2": ach.d2})
+
+
+def _pair(scheme: Scheme):
+    """``(least, report)``, the one pair through which a least-power scheme
+    is read.  ``least(src, ch, target, stop)`` is ``(least, point, floor)``:
+    the least power ``max(p1, p2)`` along ``ch``'s powers at ``ch.c12``, the
+    point that needs it (None where none is finite) and its proven floor (0
+    without a proof); with a ``stop`` only ``least <= stop`` is read.
+    ``report(src, ch, target, point)`` re-validates the point at ``ch``.
+    The quantizer's ``least`` keeps its slice runs for the solve's queries."""
+    if scheme is Scheme.VQ:
+        return _VqFeasibility().least, _vq_report
+    if scheme is Scheme.SEP1:
+        return separation._sep1_run, separation._sep1_report
+    return separation._sep2_run, separation._sep2_report
 
 
 def _check_tol(tol: float) -> None:
@@ -458,18 +465,16 @@ def _expand_and_bisect(predicate, start: float, ceiling: float, tol_rel: float,
 
 
 def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
-                        c12=UNLIMITED, n0: float = 1.0, tol: float = 1e-6,
-                        p_ceiling: float | None = None) -> OptimizationResult:
+                        c12=UNLIMITED, n0: float = 1.0, tol: float = 1e-6) -> OptimizationResult:
     """Least symmetric power ``p1 = p2 = p`` at which the scheme meets the target.
 
-    ``vq``, ``sep1`` and ``sep2`` read their least power from their runs
+    ``vq``, ``sep1`` and ``sep2`` read their least power from their pair
     (:func:`_least_solve`), and ``necessary`` is the closed form of
     :func:`bounds.necessary_least_power`, bracketed by the float below it;
     none bisects.  ``tol`` (finite, >= 0) is the relative bracket width that
-    counts as converged; ``p_ceiling`` bounds the search and triggers
-    :class:`UnboundedError` when exceeded.  Its default is ``1e6`` times
-    the larger of ``n0`` and the full-cooperation power, below which no
-    scheme meets the target.
+    counts as converged.  An answer above :data:`_CEILING` times the larger
+    of ``n0`` and the full-cooperation power, below which no scheme meets
+    the target, raises :class:`UnboundedError`.
     """
     _check_tol(tol)
     if target.d1 >= 1.0 and target.d2 >= 1.0:
@@ -481,10 +486,9 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
         raise UnboundedError("infeasible at every finite power, full cooperation included")
     if scheme is Scheme.FULL_COOP:
         return OptimizationResult(p_full, {"joint_rate": need}, 0, True, (p_full, p_full))
-    if p_ceiling is None:
-        p_ceiling = 1e6 * max(n0, p_full)
+    p_ceiling = _CEILING * max(n0, p_full)
     if scheme is not Scheme.NECESSARY:
-        return _least_solve(src, scheme, target, c12, n0, tol, p_ceiling, p_full)
+        return _least_solve(src, scheme, target, c12, n0, tol, p_ceiling)
     p, report = bounds.necessary_least_power(src, target, n0, floor=p_full)
     if p > p_ceiling:
         raise UnboundedError(f"infeasible below ceiling {p_ceiling:g}")
@@ -492,41 +496,20 @@ def min_power_symmetric(src: SourceSpec, scheme: Scheme, target: DistortionPair,
 
 
 def _least_solve(src: SourceSpec, scheme: Scheme, target: DistortionPair, c12, n0: float,
-                 tol: float, p_ceiling: float, p_full: float) -> OptimizationResult:
-    """:func:`min_power_symmetric` for ``vq``, ``sep1`` and ``sep2``, without bisection.
-
-    The answer is the least power of :meth:`_VqFeasibility.least`, or of
-    one scheme-1 or scheme-2 :func:`_opt._least` run at unit powers, and
-    its point is the witness, re-validated at that power.  The bracket's
-    lower end is the proven bound (0 without a proof), and the solve
-    converges when the bracket is at most ``tol`` times its top.  Both ends
-    of a scheme-1 bracket are at least full cooperation's power ``p_full``,
-    which no scheme beats: where the source code needs no more than the
-    joint rate, the search hair puts its run's least up to 1.4e-9 relative
-    below it.
-    """
-    unit = ChannelSpec(1.0, 1.0, n0, c12)
-    if scheme is Scheme.VQ:
-        least, cfg, floor = _VqFeasibility(src, target).least(unit)
-    else:
-        pt, run_least, proof = (separation._sep1_run(src, unit, target) if scheme is Scheme.SEP1
-                                else _least(separation._sep2_least(src, unit, target), [1.0, 1.0]))
-        bottom = p_full if scheme is Scheme.SEP1 else 0.0
-        least, floor = (max(run_least, bottom),
-                        max(run_least * (1.0 - _LEAST_GAP) if proof else 0.0, bottom))
+                 tol: float, p_ceiling: float) -> OptimizationResult:
+    """:func:`min_power_symmetric` for ``vq``, ``sep1`` and ``sep2``: the
+    least power of the scheme's pair at unit powers, its report's witness at
+    that power (which must re-validate), and the bracket ``(floor, least)``,
+    converged when at most ``tol`` times its top wide."""
+    least_of, report_of = _pair(scheme)
+    least, point, floor = least_of(src, ChannelSpec(1.0, 1.0, n0, c12), target)
     if least > p_ceiling:
         raise UnboundedError(f"infeasible below ceiling {p_ceiling:g}")
-    ch = ChannelSpec(least, least, n0, c12)
-    if scheme is Scheme.VQ:
-        ach = _vq_witness_ok(src, ch, cfg, target)
-        witness = None if ach is None else {**asdict(cfg), "d1": ach.d1, "d2": ach.d2}
-    else:
-        report = (separation._sep1_report(src, ch, target, pt, run_least)
-                  if scheme is Scheme.SEP1 else separation._sep2_report(src, ch, target, pt))
-        witness = report.witness if report.feasible else None
-    if witness is None:
+    report = report_of(src, ChannelSpec(least, least, n0, c12), target, point)
+    if not report.feasible:
         raise AssertionError("least-power invariant violated: witness fails at its answer")
-    return OptimizationResult(least, witness, 0, least - floor <= tol * least, (floor, least))
+    return OptimizationResult(least, dict(report.witness), 0, least - floor <= tol * least,
+                              (floor, least))
 
 
 def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
@@ -534,27 +517,25 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
     """Least conference capacity at which the scheme meets the target.
 
     Powers and noise come from ``ch_powers`` (its own ``c12`` is ignored).
-    ``tol`` (finite, >= 0) is the absolute bracket width in bits.  The ends
-    are ordinary queries: unlimited capacity first, which raises
-    :class:`UnboundedError` when it fails, then ``c12 = 0``, an answer of 0
-    carrying that query's witness.
+    ``tol`` (finite, >= 0) is the absolute bracket width in bits.  A query
+    at ``c12`` is feasible when the scheme's least power along the powers
+    (:func:`_pair`) is at most their maximum.  The ends are ordinary
+    queries: unlimited capacity first, which raises :class:`UnboundedError`
+    when it fails, then ``c12 = 0``, an answer of 0 carrying that query's
+    witness.  The witness is the report at ``hi`` of the last feasible
+    query's point; a vq witness adds the link it needs, ``required_c12``.
     """
     _check_tol(tol)
-    p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
-
-    if scheme is Scheme.VQ:
-        inner = _VqFeasibility(src, target)
-        predicate_at = partial(inner, p1, p2, n0)
-    elif scheme is Scheme.SEP1:
-        found = {}
-
-        def predicate_at(c) -> bool:  # keeps the last feasible query's witness, at hi
-            report = separation.sep1_feasible(src, ChannelSpec(p1, p2, n0, c), target)
-            if report.feasible:
-                found["witness"] = report.witness
-            return report.feasible
-    else:
+    if scheme not in (Scheme.VQ, Scheme.SEP1):
         raise DomainError("scheme", f"conference search supports VQ and SEP1, got {scheme}")
+    p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
+    top, (least_of, report_of), found = max(p1, p2), _pair(scheme), {}
+
+    def predicate_at(c) -> bool:  # keeps the last feasible query's point, at hi
+        least, point, _ = least_of(src, ChannelSpec(p1, p2, n0, c), target, top)
+        if least <= top:
+            found["point"] = point
+        return least <= top
 
     if not predicate_at(UNLIMITED):
         raise UnboundedError("target infeasible even with unlimited conference capacity")
@@ -564,17 +545,17 @@ def min_conf_capacity(src: SourceSpec, ch_powers: ChannelSpec, scheme: Scheme,
     else:
         lo, hi, iterations, converged = _expand_and_bisect(
             predicate_at, 1.0, 300.0, 0.0, tol_abs=tol)
-    if scheme is not Scheme.VQ:
-        return OptimizationResult(hi, dict(found["witness"]), iterations, converged, (lo, hi))
-
-    cfg = inner.witness
-    if cfg is None or _vq_witness_ok(src, ChannelSpec(p1, p2, n0, hi), cfg, target) is None:
+    point = found["point"]
+    report = report_of(src, ChannelSpec(p1, p2, n0, hi), target, point)
+    if not report.feasible:
         raise AssertionError("bisection invariant violated: witness fails at hi")
-    req, _ = vqscheme.vq_conf_requirement(src, cfg)
-    witness = {**asdict(cfg), "required_c12": req}
+    if scheme is Scheme.SEP1:
+        return OptimizationResult(hi, dict(report.witness), iterations, converged, (lo, hi))
+    req, _ = vqscheme.vq_conf_requirement(src, point)
     if req <= lo < hi:  # the witness refutes the compass's unproven "infeasible" at lo
         converged = False
-    return OptimizationResult(hi, witness, iterations, converged, (lo, hi))
+    return OptimizationResult(hi, {**asdict(point), "required_c12": req}, iterations, converged,
+                              (lo, hi))
 
 
 def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
@@ -587,9 +568,8 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
     d2_target)`` is at most 1, else +inf; a box's bound is the ``d1`` at its
     ``up`` corner, or +inf where the scale's bound exceeds 1.  The witness's
     ``beta`` is the point's best split.  ``converged`` is the run's proof,
-    and the bracket is ``(d1 (1 - _LEAST_GAP), d1)`` with one and ``(0,
-    d1)`` without (at rho 1, where the optimal points lie on the power
-    constraint).
+    and the bracket's lower end its proven floor, 0 without one (at rho 1,
+    where the optimal points lie on the power constraint).
     """
     p1, p2, n0 = ch_powers.p1, ch_powers.p2, ch_powers.n0
     rate_cap = 0.5 * math.log2(1.0 + (p1 + p2 + 2.0 * math.sqrt(p1 * p2)) / n0) + 1.0
@@ -601,13 +581,12 @@ def min_d1_unlimited(src: SourceSpec, ch_powers: ChannelSpec,
         d1 = _unlimited_terms(rho2, np.concatenate([mid, up]))[1]
         return (np.where(at_mid <= 1.0, d1[:len(mid)], np.inf),
                 np.where(below <= 1.0, d1[len(mid):], np.inf))
-    pt, d1, proof = _least(evaluate, [rate_cap, rate_cap])
+    pt, d1, floor = _least(evaluate, [rate_cap, rate_cap])
     if pt is None:
         raise UnboundedError("even d1 = 1 infeasible at these powers")
     beta = float(_unlimited_beta(src, ch, pt[None, :])[0])
     witness = {"r2": float(pt[0]), "rc": float(pt[1]), "beta": beta}
-    bracket = (d1 * (1.0 - _LEAST_GAP) if proof else 0.0, d1)
-    return OptimizationResult(d1, witness, 0, proof, bracket)
+    return OptimizationResult(d1, witness, 0, floor > 0.0, (floor, d1))
 
 
 class CurveKind(enum.Enum):

@@ -6,9 +6,7 @@ the least admissible ``r2`` on the source region's lower boundary, which
 falls with ``r1``.  Each has a closed-form least common scale of the powers
 over the power splits (:func:`capacity.least_scale`, valid at every ``c12``
 in ``[0, inf]``), and one branch-and-bound ``_opt._least`` over ``r1`` finds
-the least: a least-power solve at unit powers, and a query (``region
-sep1``, ``minconf``) along its own powers' direction, feasible when that
-least is at most the larger power.
+the least, raised to full cooperation's power.
 
 Scheme 2: source coding with the conference link (Gaussian inner bound),
 then channel coding over the plain MAC (the conferencing region at ``c12 =
@@ -38,10 +36,16 @@ searches box points ``z`` in ``[0, 1]^2``, mapped to ``(s, iu)`` by ``10^(8
 reached exactly.  That caps ``s`` at 1e8 (three separate ratios would reach
 ``iw + iv = 2e8``).
 
-Each point has a closed-form least common scale of the powers.  A
-least-power solve reads the least over the square at unit powers, and a
-query (``region sep2``) at its own powers: feasible when it is at most 1
-and the reported point's worst slack is >= -1e-9.
+Each point has a closed-form least common scale of the powers.
+
+Each scheme is one pair, as ``search._pair`` reads it: a run
+(:func:`_sep1_run`, :func:`_sep2_run`) gives the least power ``max(p1,
+p2)`` along a channel's powers, scaled to a largest of 1, with its point
+and proven floor, and a report (:func:`_sep1_report`, :func:`_sep2_report`)
+re-validates a point at the channel.  A least-power solve reads the run at
+unit powers; a query (``region sep1``, ``region sep2``, a ``minconf``
+step) is feasible when the least is at most the larger power and the
+report's worst slack is at least ``SLACK_TOL`` (-1e-9 bits).
 """
 
 from __future__ import annotations
@@ -129,49 +133,50 @@ def _sep1_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     return evaluate
 
 
-def _sep1_run(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
-    """``(r1, least, proof)`` of the one ``_opt._least`` run of
-    :func:`_sep1_least` at ``ch``: the point with the least scale of
-    ``ch``'s powers (None where none is finite), that scale, and whether it
-    is proven.  The box is ``[0, hi]``, ``hi`` two bits past the larger of
+def _sep1_run(src: SourceSpec, ch: ChannelSpec, target: DistortionPair, stop=None):
+    """Scheme 1's ``(least, point, floor)`` at ``ch`` (see the module
+    docstring), its point ``(r1, least)``, from one ``_opt._least`` run of
+    :func:`_sep1_least` on ``[0, hi]``: ``hi`` two bits past the larger of
     the sum-rate bound and ``0.5 log2(1/d1)``, doubled until the bound over
     ``[hi, inf)``, where ``W`` is at least ``f2(inf)``, is no lower than the
-    run's least."""
-    evaluate = _sep1_least(src, ch, target)
+    run's least.  Both ends are at least full cooperation's power along the
+    powers, which no scheme beats and the search hair could undercut where
+    the source code needs only the joint rate.  ``stop`` is not read."""
+    top = max(ch.p1, ch.p2)
+    q1, q2 = ch.p1 / top, ch.p2 / top
+    evaluate = _sep1_least(src, ChannelSpec(q1, q2, ch.n0, ch.c12), target)
     hi = max(rdlib.wagner_sum_bound(src, target), 0.5 * log2_pos(1.0 / target.d1)) + 2.0
     while True:
-        pt, least, proof = _least(evaluate, [hi])
+        pt, least, floor = _least(evaluate, [hi])
         tail = evaluate(np.array([[hi]]), np.array([[hi]]), np.array([[math.inf]]))[1][0]
         if not tail * (1.0 - _LEAST_MARGIN) < least * (1.0 - _LEAST_GAP):
-            return (None if pt is None else float(pt[0])), least, proof
+            break
         hi *= 2.0
+    full = ((4.0**rdlib.rd_joint(src, target) - 1.0) * ch.n0
+            / (math.sqrt(q1) + math.sqrt(q2)) ** 2)
+    least = max(least, full)
+    return least, None if pt is None else (float(pt[0]), least), max(floor, full)
 
 
 def sep1_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> FeasibilityReport:
-    """Distributed source coding followed by conferencing-MAC channel coding.
-
-    Feasible iff some rate pair on the source region's lower boundary fits
-    inside the channel region at some power split.  One
-    :func:`_sep1_run` along ``ch``'s powers, scaled to a largest of 1,
-    finds the least scale of that direction; the query is feasible when it
-    is at most ``max(p1, p2)``, and the report is :func:`_sep1_report`'s at
-    the run's point.
-    """
-    top = max(ch.p1, ch.p2)
-    r1, least, _ = _sep1_run(src, ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0, ch.c12), target)
-    return _sep1_report(src, ch, target, r1, least)
+    """Distributed source coding followed by conferencing-MAC channel coding:
+    feasible iff some rate pair on the source region's lower boundary fits
+    inside the channel region at some power split.  The report at the point
+    of :func:`_sep1_run` at ``ch``."""
+    return _sep1_report(src, ch, target, _sep1_run(src, ch, target)[1])
 
 
-def _sep1_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair, r1,
-                 least: float) -> FeasibilityReport:
-    """Scheme 1's report at ``ch`` for the run point ``r1`` (None: no finite
-    point) whose least power ``max(p1, p2)`` along ``ch``'s powers is
-    ``least``: the rate pair ``(r1, W(r1))`` at the split that attains
-    ``least`` (:func:`capacity.best_split`), re-validated through the
-    source and channel regions.  Feasible when ``least`` is at most
+def _sep1_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,
+                 point) -> FeasibilityReport:
+    """Scheme 1's report at ``ch`` for the run point ``(r1, least)`` (None:
+    no finite point), ``least`` its least power ``max(p1, p2)`` along
+    ``ch``'s powers: the rate pair ``(r1, W(r1))`` at the split that
+    attains ``least`` (:func:`capacity.best_split`), re-validated through
+    the source and channel regions.  Feasible when ``least`` is at most
     ``max(p1, p2)`` and every slack is at least ``SLACK_TOL``."""
-    if r1 is None:
+    if point is None:
         return FeasibilityReport(False, {"source:r2": -math.inf}, {})
+    r1, least = point
     r2 = float(_wagner_boundary(src, target, r1))
     rp = RatePoint(r1, r2)
     split = capacity.best_split(ch.p1, ch.p2, *_sep1_ratios(ch.c12, r1, r2, r1 + r2)[:3],
@@ -233,19 +238,27 @@ def _sep2_least(src: SourceSpec, ch: ChannelSpec, target: DistortionPair):
     return evaluate
 
 
+def _sep2_run(src: SourceSpec, ch: ChannelSpec, target: DistortionPair, stop=None):
+    """Scheme 2's ``(least, point, floor)`` at ``ch`` (see the module
+    docstring), its point a box point, from one ``_opt._least`` run over
+    the square of ``(s, iu)``.  ``stop`` is not read."""
+    top = max(ch.p1, ch.p2)
+    pt, least, floor = _least(_sep2_least(src, ChannelSpec(ch.p1 / top, ch.p2 / top, ch.n0,
+                                                           ch.c12), target), [1.0, 1.0])
+    return least, pt, floor
+
+
 def sep2_feasible(src: SourceSpec, ch: ChannelSpec, target: DistortionPair) -> FeasibilityReport:
     """Conferencing source coding followed by plain-MAC channel coding.
 
     A point is feasible when the achieved distortions meet the target, the
     conference bound fits ``c12``, and the rate lower bounds fit inside the
     plain MAC region (individually, summed, and via the region's own sum
-    bound).  One ``_opt._least`` run over the square of ``(s, iu)`` finds
-    the least common scale of ``ch``'s powers; the report is
-    :func:`_sep2_report`'s at its point when that scale is at most 1, else
-    at none.
+    bound).  The report at the point of :func:`_sep2_run` at ``ch`` when its
+    least is at most ``max(p1, p2)``, else at none.
     """
-    pt, least, _ = _least(_sep2_least(src, ch, target), [1.0, 1.0])
-    return _sep2_report(src, ch, target, pt if least <= 1.0 else None)
+    least, pt, _ = _sep2_run(src, ch, target)
+    return _sep2_report(src, ch, target, pt if least <= max(ch.p1, ch.p2) else None)
 
 
 def _sep2_report(src: SourceSpec, ch: ChannelSpec, target: DistortionPair,

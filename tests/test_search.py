@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -160,9 +161,11 @@ def test_pmin_monotone_in_alpha():
 
 
 def test_min_power_unbounded():
+    """At rho = 1 and d1 = 1e-20 a finite link's boxes stop at their rate
+    cap, where no point meets the target: no answer lies below the default
+    ceiling."""
     with pytest.raises(UnboundedError):
-        min_power_symmetric(SRC, Scheme.VQ, DistortionPair(1e-5, 1e-5),
-                            c12=UNLIMITED, p_ceiling=10.0)
+        min_power_symmetric(SourceSpec(1.0, 1.0), Scheme.VQ, DistortionPair(1e-20, 0.5), c12=1.0)
 
 
 def test_min_conf_trivial_and_unbounded():
@@ -191,7 +194,7 @@ def test_min_conf_zero_answer_carries_its_witness():
     assert (res.objective, res.bracket, res.converged, w["required_c12"]) == (0.0, (0.0, 0.0),
                                                                             True, 0.0)
     cfg = vqscheme.VqConfig(*(w[k] for k in ("r1", "r2", "rc", "beta1", "beta2")))
-    assert search._vq_witness_ok(SRC, none, cfg, target) is not None
+    assert search._vq_report(SRC, none, target, cfg).feasible
     res = min_conf_capacity(SRC, ch, Scheme.SEP1, target)
     assert res.objective == 0.0
     assert res.witness == separation.sep1_feasible(SRC, none, target).witness != {}
@@ -583,15 +586,15 @@ def test_unlimited_least_against_the_split_search(rho):
     src, proofs = SourceSpec(1.0, rho), {2: 0, 3: 0}
     for d in ((0.04, 0.2), (0.3, 0.9), (0.9, 0.05)):
         target = DistortionPair(*d)
-        side = search._VqFeasibility(src, target).side
+        side = search._rate_side(target)
         for p1 in (1.0, 0.25):
             ch = ChannelSpec(p1, 1.0, 1.0)
-            _, old, old_proof = _opt._least(_unlimited_least_3d(src, ch, target),
+            _, old, old_floor = _opt._least(_unlimited_least_3d(src, ch, target),
                                             (side, side, 1.0))
-            _, new, proof = _opt._least(search._unlimited_least(src, ch, target), (side, side))
-            proofs[3] += old_proof
-            proofs[2] += proof
-            if old_proof:
+            _, new, floor = _opt._least(search._unlimited_least(src, ch, target), (side, side))
+            proofs[3] += old_floor > 0.0
+            proofs[2] += floor > 0.0
+            if old_floor:
                 assert old * (1.0 - _opt._LEAST_GAP) <= new <= old * (1.0 + _opt._LEAST_GAP), \
                     (rho, d, p1, old, new)
     assert proofs[2] >= proofs[3] >= 1, proofs
@@ -611,7 +614,7 @@ def test_rho_one_witnesses_keep_their_split_below_one(c12):
         assert w["beta2"] < 1.0, (d, w)
         cfg = vqscheme.VqConfig(*(w[k] for k in ("r1", "r2", "rc", "beta1", "beta2")))
         ch = ChannelSpec(res.objective, res.objective, 1.0, c12)
-        assert search._vq_witness_ok(src, ch, cfg, target) is not None, (d, w)
+        assert search._vq_report(src, ch, target, cfg).feasible, (d, w)
         if d == (0.01, 0.5) and c12 == UNLIMITED:
             assert res.objective <= 24.75057411, res
 
@@ -715,7 +718,7 @@ def test_finite_link_shared_rate_stays_in_the_unlimited_box():
     that run's proof covers every point the compass reaches."""
     target = DistortionPair(1e-5, 0.2)
     w = min_power_symmetric(SRC, Scheme.VQ, target, c12=1.0, tol=1e-3).witness
-    assert search.RATE_BOX_BITS < w["r1"] + w["rc"] <= search._VqFeasibility(SRC, target).side, w
+    assert search.RATE_BOX_BITS < w["r1"] + w["rc"] <= search._rate_side(target), w
     assert w["d1"] <= 1e-5, w
 
 
@@ -775,29 +778,49 @@ def test_finite_link_is_refuted_only_by_a_proof(monkeypatch):
     compass decides, here between the finite answer 10.29 and the
     no-conference one 12.96."""
     least = search._least
-    for proof, feasible in ((True, False), (False, True)):
+    for floor, feasible in ((math.inf, False), (0.0, True)):
         def stub(evaluate, hi):
             if _form_of(evaluate) == "_unlimited_least":
-                return None, math.inf, proof
+                return None, math.inf, floor
             return least(evaluate, hi)
         monkeypatch.setattr(search, "_least", stub)
-        query = search._VqFeasibility(SRC, DistortionPair(0.1, 0.2))
-        assert query(11.5, 11.5, 1.0, 1.0) is feasible
+        power, cfg, _ = search._VqFeasibility().least(SRC, ChannelSpec(11.5, 11.5, 1.0, 1.0),
+                                                       DistortionPair(0.1, 0.2), 11.5)
+        assert (power <= 11.5) is feasible
         if feasible:  # neither slice's witness: both r1 and rc are positive
-            assert query.witness.r1 > 0.0 and query.witness.rc > 0.0, query.witness
+            assert cfg.r1 > 0.0 and cfg.rc > 0.0, cfg
+
+
+def _query(scheme, src, ch, target) -> bool:
+    """A query through the scheme's pair, as ``minconf`` asks it: the least
+    power along ``ch``'s powers is at most their maximum, and the report at
+    its point re-validates; sep1 and sep2 through their public queries."""
+    if scheme is Scheme.SEP1:
+        return separation.sep1_feasible(src, ch, target).feasible
+    if scheme is Scheme.SEP2:
+        return separation.sep2_feasible(src, ch, target).feasible
+    least_of, report_of = search._pair(scheme)
+    least, point, _ = least_of(src, ch, target, max(ch.p1, ch.p2))
+    return least <= max(ch.p1, ch.p2) and report_of(src, ch, target, point).feasible
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.8])
 def test_queries_meet_the_least_power_exactly(rho):
-    """A quantizer query is feasible at the ``minpower`` answer and not at
-    ``1 - 1e-9`` times it, at every link: the solve answers the queries'
-    least power itself, not a bisection's top above it."""
-    src, target = SourceSpec(1.0, rho), DistortionPair(0.1, 0.2)
-    for c12 in (UNLIMITED, 1.0, 0.5, 0.0):
-        p = min_power_symmetric(src, Scheme.VQ, target, c12=c12, tol=1e-9).objective
-        query = search._VqFeasibility(src, target)
-        assert not query(p * (1.0 - 1e-9), p * (1.0 - 1e-9), 1.0, c12), (rho, c12, p)
-        assert query(p, p, 1.0, c12), (rho, c12, p)
+    """Every scheme's query is feasible at the ``minpower`` answer and not
+    at ``1 - 1e-9`` times it, at every link: the solve answers the queries'
+    least power itself, not a bisection's top above it.  At rho 0.8, d =
+    (0.01, 0.5) and ``c12 = inf`` sep1's answer is full cooperation's power,
+    which its queries read too."""
+    src = SourceSpec(1.0, rho)
+    for scheme, links in ((Scheme.VQ, (UNLIMITED, 1.0, 0.5, 0.0)),
+                          (Scheme.SEP1, (UNLIMITED, 0.5, 0.0)),
+                          (Scheme.SEP2, (UNLIMITED, 0.5, 0.0))):
+        for target, c12 in itertools.product((DistortionPair(0.1, 0.2), DistortionPair(0.01, 0.5)),
+                                             links):
+            p = min_power_symmetric(src, scheme, target, c12=c12, tol=1e-9).objective
+            where, below = (scheme, target, c12, p), p * (1.0 - 1e-9)
+            assert not _query(scheme, src, ChannelSpec(below, below, 1.0, c12), target), where
+            assert _query(scheme, src, ChannelSpec(p, p, 1.0, c12), target), where
 
 
 def test_closed_link_at_rho_one_reads_the_unlimited_slice():
@@ -831,8 +854,8 @@ def test_capped_round_keeps_the_least_neighbourhood():
         vals = np.where(mid[:, 0] < 0.5, np.inf, 1.0 + np.abs(mid - centre).sum(axis=1))
         lower = 1.0 + np.abs(np.clip(centre, lo, up) - centre).sum(axis=1)
         return vals, np.where(decoy, 0.0, lower)
-    point, least, proof = _opt._least(evaluate, [1.0, 1.0])
-    assert not proof and max(batches) <= _opt._MAX_BOXES
+    point, least, floor = _opt._least(evaluate, [1.0, 1.0])
+    assert floor == 0.0 and max(batches) <= _opt._MAX_BOXES
     assert least - 1.0 <= 1e-12 and np.abs(point - centre).max() <= 1e-12
 
 
@@ -869,10 +892,11 @@ def test_least_power_solves_match_the_query_solves(monkeypatch):
 
     def recorded(evaluate, hi):
         out = least(evaluate, hi)
-        calls.append(("least", len(hi), out[2]))
+        calls.append(("least", len(hi), out[2] > 0.0))
         forms.append(_form_of(evaluate))
         return out
     monkeypatch.setattr(search, "_least", recorded)
+    monkeypatch.setattr(separation, "_least", recorded)
     for rho, target, tol in ((0.3, DistortionPair(0.1, 0.2), 1e-6),
                              (0.8, DistortionPair(0.2, 0.1), 1e-9)):
         src = SourceSpec(1.0, rho)
@@ -950,10 +974,11 @@ def test_link_queries_do_not_depend_on_their_order():
     src, target, c12 = SourceSpec(1.0, 0.3), DistortionPair(0.2, 0.1), 0.5
     answers = {}
     for powers in (np.linspace(8.5, 11.5, 13), np.linspace(11.5, 8.5, 13)):
-        query = search._VqFeasibility(src, target)
+        least = search._VqFeasibility().least
         for p in powers:
-            feasible = query(p, 2.0 * p, 1.0, c12)
-            answers.setdefault(p, []).append((feasible, query.witness if feasible else None))
+            power, cfg, _ = least(src, ChannelSpec(p, 2.0 * p, 1.0, c12), target, 2.0 * p)
+            feasible = power <= 2.0 * p
+            answers.setdefault(p, []).append((feasible, cfg if feasible else None))
     decided = [up[0] for up, _ in answers.values()]
     assert any(decided) and not all(decided)
     for p, (up, down) in answers.items():
@@ -969,14 +994,10 @@ def test_min_conf_refuted_bracket_is_not_converged(monkeypatch):
     need, _ = vqscheme.vq_conf_requirement(SRC, cfg)
     for missed in (0.3, 0.0):
         class Stub:  # finds the witness only ``missed`` bits above its requirement
-            def __init__(self, src, target):
-                self.witness = None
-
-            def __call__(self, p1, p2, n0, c12):
-                if search.is_unlimited(c12) or c12 >= need + missed:
-                    self.witness = cfg
-                    return True
-                return False
+            def least(self, src, ch, target, stop=None):
+                if search.is_unlimited(ch.c12) or ch.c12 >= need + missed:
+                    return 0.0, cfg, 0.0
+                return math.inf, None, 0.0
         monkeypatch.setattr(search, "_VqFeasibility", Stub)
         res = min_conf_capacity(SRC, ChannelSpec(11.5, 11.5, 1.0), Scheme.VQ,
                                 DistortionPair(0.1, 0.2), tol=1e-6)

@@ -102,9 +102,9 @@ def test_sep1_box_grows_past_its_first_rate_side():
     grid out to 40 bits needs less."""
     src, target = SourceSpec(1.0, 0.5), DistortionPair(0.1, 0.2)
     ch = ChannelSpec(1.0, 1e-6, 1.0)
-    r1, least, proof = separation._sep1_run(src, ch, target)
+    least, (r1, _), floor = separation._sep1_run(src, ch, target)
     first = max(rdlib.wagner_sum_bound(src, target), 0.5 * math.log2(1.0 / target.d1)) + 2.0
-    assert proof and r1 > first + 5.0, (r1, first)
+    assert floor > 0.0 and r1 > first + 5.0, (r1, first)
     pts = np.linspace(0.0, 40.0, 400001)[:, None]
     evaluate = separation._sep1_least(src, ch, target)
     assert evaluate(pts, pts, pts)[0].min() >= least * (1.0 - 1e-12)

@@ -28,12 +28,14 @@ from typing import Callable
 
 import numpy as np
 
-SLACK_TOL = -1e-9  # a slack at or above this counts as met: exact boundary points are feasible
+SLACK_TOL = -1e-9  # witness acceptance: a re-validated slack at or above this counts as met
 _MAX_ROUNDS = 52  # branch-and-bound rounds: a box side is then 1 ulp of the box's top
 _MAX_BOXES = 2**13  # boxes one branch-and-bound round may evaluate
-# least-power forms: a rate bound's slack reaches a hair above SLACK_TOL, so the
-# closed forms re-validate a witness at any power at or above its least power
-_LEAST_EPS = -0.9999 * SLACK_TOL
+# the search hair in bits: the least-value forms let each rate and distortion miss by
+# this rounding-level amount, so a boundary float point counts (with none, least
+# points approached only as a split nears 1 are lost); their answers solve the exact
+# problem to this hair, far inside SLACK_TOL
+_LEAST_EPS = 1e-12
 _LEAST_MARGIN = 2.0**-46  # relative: twice a least-power bound's worst rounding seen (sep2)
 _LEAST_GAP = 1e-12  # relative gap of every least-value search
 

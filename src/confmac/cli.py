@@ -394,7 +394,7 @@ def cmd_trace(args) -> int:
     if cfg[grid_flag] is None:
         raise DomainError(grid_flag, "required flag missing")
     rows = search.trace_curve(kind, params, parse_grid(str(cfg[grid_flag]), grid_flag))
-    tol = None if kind is CurveKind.D1D2_VS_SNR else params["tol"]  # d1d2-vs-snr reads none
+    tol = search.trace_tol(kind, params["tol"])
     meta = {k: v for k, v in _numbers_echo(cfg, ("sigma2", "rho", "noise", "d2", "p"), tol).items()
             if v is not None}
     if args.json:

@@ -311,10 +311,9 @@ class _VqFeasibility:
     def _scaled_least(self, form, config, src: SourceSpec, base: ChannelSpec,
                       target: DistortionPair):
         """``(least, config, floor)`` of the one :func:`_opt._least` run of
-        slice ``form`` on its ``(side, side)`` box at ``base``'s powers: the
-        least scale of those powers, at least :func:`vqscheme._least_scale`
-        at ``config``, the full scheme's configuration at the run's point
-        (None where no point is finite), and the proven bound, or 0."""
+        slice ``form`` on its ``(side, side)`` box at ``base``'s powers,
+        ``config`` the full scheme's at its point (None where none is
+        finite), ``least`` at least :func:`vqscheme._least_scale` there."""
         key = form, src, base, target
         if key not in self.runs:
             side = _rate_side(target)
@@ -330,20 +329,14 @@ class _VqFeasibility:
     def _link_run(self, src: SourceSpec, base: ChannelSpec, target: DistortionPair,
                   c12: float, stop: float | None):
         """``(least, config, 0)``, 0 the bound it does not prove: the best
-        point of the least-scale compass run at ``base``'s powers and the
-        finite link ``c12``, stopped once its least reaches ``stop`` (None:
-        never).
-
-        Its points are ``(r1, r2, b1, b2)``, rates scaled by the slice
-        boxes' side, and the shared rate is ``min(_rc_budget(rho, r1, c12),
-        side - r1)``: the optima lie on the budget surface, the conference
-        constraint holds there by construction, and ``r1 + rc`` stays in
-        the unlimited run's box, so that run's proof covers every point
-        reached.  The objective is :func:`vqscheme._least_scale`; the
-        compass starts from 32 Halton points and both slices' least points,
-        and a grid refine follows it.  ``stop`` cuts the run short without
-        changing its path, so a stopped run's least is at most ``stop``
-        exactly when the complete run's is.
+        point of the compass run that minimizes :func:`vqscheme._least_scale`
+        at ``base``'s powers and the finite link ``c12`` over ``(r1, r2, b1,
+        b2)``, rates scaled by the slice boxes' side, from 32 Halton points
+        and both slices' least points, then a grid refine.  The shared rate
+        ``min(_rc_budget(rho, r1, c12), side - r1)`` puts the points on the
+        budget surface, where the optima lie and the link holds, and keeps
+        ``r1 + rc`` in the unlimited run's box, under that run's proof.  A
+        ``stop`` (None: never) cuts the run short without changing its path.
         """
         cap = _rate_side(target)
         best = [math.inf, None]
@@ -615,6 +608,15 @@ KIND_SCHEMES = {
 }
 
 
+def trace_tol(kind: CurveKind, tol: float) -> float | None:
+    """The tolerance a trace's rows are solved to: ``tol``, at least 1e-6
+    bits for ``c12-vs-alpha`` (capacity rows resolve to curve precision, not
+    bisection depth), and none for ``d1d2-vs-snr``."""
+    if kind is CurveKind.D1D2_VS_SNR:
+        return None
+    return max(tol, 1e-6) if kind is CurveKind.C12_VS_ALPHA else tol
+
+
 def check_trace_inputs(kind: CurveKind, params: dict, grid) -> list[float]:
     """The grid as floats, once it and the scheme tokens are known to be valid.
 
@@ -682,9 +684,8 @@ def trace_curve(kind: CurveKind, params: dict, grid) -> list[dict]:
         ch = ChannelSpec(params["p"], params["p"], n0, UNLIMITED)
 
         def solve(token, target):
-            # capacity rows resolve to curve precision, not bisection depth
             return min_conf_capacity(src, ch, TRACE_SCHEMES[token][0], target,
-                                     tol=max(tol, 1e-6))
+                                     tol=trace_tol(kind, tol))
 
     targets = [DistortionPair(alpha * d2, d2) for alpha in grid]
     for alpha, target in zip(grid, targets):

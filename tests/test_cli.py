@@ -430,6 +430,23 @@ def test_trace_json_is_strict_and_matches_the_csv(argv, status):
              for key, value in row.items()} for row in payload["rows"]] == csv_rows
 
 
+def test_trace_reports_the_tolerance_its_rows_used():
+    """``c12-vs-alpha`` solves its rows to at least 1e-6 bits, so its
+    metadata line and its JSON config echo that, not the default ``--tol``
+    of 1e-9, and a looser ``--tol`` as given; ``pmin-vs-alpha`` echoes
+    ``--tol`` itself."""
+    argv = ["trace", "--kind", "c12-vs-alpha", "--rho", "0.5", "--d2", "0.2", "--p", "0.1",
+            "--schemes", "sep1", "--alphas", "0.5"]
+    _, out = run_cli(argv)
+    assert "# tol=1e-06" in out.splitlines(), out
+    for extra, tol in (([], 1e-6), (["--tol", "1e-3"], 1e-3)):
+        _, out = run_cli(argv + extra + ["--json"])
+        assert json.loads(out)["config"]["tol"] == tol, extra
+    _, out = run_cli(["trace", "--kind", "pmin-vs-alpha", "--rho", "0.5", "--d2", "0.2",
+                      "--schemes", "fullcoop", "--alphas", "0.5", "--json"])
+    assert json.loads(out)["config"]["tol"] == 1e-9
+
+
 def test_json_config_round_trip(tmp_path):
     args = ["region", "vq", "--rho", "0.5", "--p1", "1", "--p2", "1", "--noise", "1",
             "--r1", "0.5", "--r2", "0.5", "--rc", "0.25", "--beta1", "0.2",
